@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .errors import EnumerationCapError, UsageError
 from .linalg import (
     DEFAULT_TOLERANCE,
     TolerancePolicy,
     frobenius,
-    numerical_rank,
+    numerical_rank,  # noqa: F401  (perfbench/spans.py traces this name)
     proportional,
     span_dimension,
+    stacked_ranks,
     vectorize,
 )
 from .families import (
@@ -37,6 +37,10 @@ from .families import (
 #: Families larger than this are refused by certify_unique unless the caller
 #: raises the cap explicitly; subset enumeration is exponential in N.
 DEFAULT_ENUMERATION_CAP = 20
+
+#: Subsets of one size ranked per stacked SVD.  Larger blocks save little
+#: call overhead and raise peak memory.
+SUBSET_BLOCK = 64
 
 STRATEGY_PAIRS = "pairs"
 STRATEGY_ALL_BIPARTITIONS = "all_bipartitions"
@@ -127,6 +131,46 @@ def default_strategy(n_parties: int) -> str:
     return STRATEGY_ALL_BIPARTITIONS if n_parties <= 6 else STRATEGY_PAIRS
 
 
+def _side_matrix(fam: OperatorFamily, side: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Vectorized grouped ``side`` factors as columns, and their row count.
+
+    A matrix with more rows than columns is replaced by the R factor of its
+    thin QR: every column selection keeps its singular values, so ranks are
+    unchanged while each SVD shrinks to at most N rows.
+    """
+    m = np.hstack([vectorize(g) for g in fam.grouped_factors(side)])
+    rows = m.shape[0]
+    if rows > m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
+    return m, rows
+
+
+def _block_survivors(
+    block: np.ndarray,
+    splits: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    sides: dict[tuple[int, ...], tuple[np.ndarray, int]],
+    tol: TolerancePolicy,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate a (B, n) block of n-member subsets split by split.
+
+    Returns the positions in ``block`` of the subsets no split eliminated,
+    and a (splits, 2, B) array whose [j, :, i] holds delta_a, delta_b of
+    split j for every survivor i.
+    """
+    size = block.shape[1]
+    alive = np.arange(len(block))
+    deltas = np.zeros((len(splits), 2, len(block)), dtype=np.int64)
+    for j, split in enumerate(splits):
+        for k, side in enumerate(split):
+            m, rows = sides[side]
+            stack = np.moveaxis(m[:, block[alive]], 1, 0)
+            deltas[j, k, alive] = stacked_ranks(stack, rows, tol)
+        alive = alive[deltas[j, 0, alive] + deltas[j, 1, alive] <= size + 1]
+        if alive.size == 0:
+            break
+    return alive, deltas
+
+
 def certify_unique(
     fam: OperatorFamily,
     strategy: str | None = None,
@@ -142,8 +186,12 @@ def certify_unique(
     is reported as a witness and the status is Inconclusive.  With
     ``fail_fast`` the scan stops at the first witness.
 
-    Subsets may be evaluated in parallel (bounded by SEPCERT_THREADS); the
-    certificate is a deterministic function of the inputs either way.
+    The subsets of each size are streamed in blocks of ``SUBSET_BLOCK``.
+    Per split, the block's surviving subsets gather their column selections
+    of each side matrix into one stack, and a single SVD call ranks them
+    all with the per-matrix cutoff of ``tol``.  Side matrices taller than N
+    are first compressed to their thin-QR R factor, which keeps every
+    selection's singular values; cutoffs still use the original row count.
     """
     n = fam.n_members
     if n > max_members:
@@ -159,47 +207,25 @@ def certify_unique(
     if n < 2:
         return Certificate("Unique", (), strategy, tol, 0, n)
 
-    # One stacked matrix of vectorized grouped factors per distinct side;
-    # a subset's span dimension is then the rank of a column selection.
-    side_matrices: dict[tuple[int, ...], np.ndarray] = {}
-    for side_a, side_b in splits:
-        for side in (side_a, side_b):
-            if side not in side_matrices:
-                cols = [vectorize(g) for g in fam.grouped_factors(side)]
-                side_matrices[side] = np.hstack(cols)
-
-    def survives(subset: tuple[int, ...]) -> Witness | None:
-        size = len(subset)
-        sums = []
-        for side_a, side_b in splits:
-            delta_a = numerical_rank(side_matrices[side_a][:, subset], tol)
-            delta_b = numerical_rank(side_matrices[side_b][:, subset], tol)
-            if delta_a + delta_b > size + 1:
-                return None  # eliminated
-            sums.append(SplitSums(side_a, side_b, delta_a, delta_b))
-        return Witness(subset, tuple(sums))
-
+    sides = {side: _side_matrix(fam, side) for split in splits for side in split}
     witnesses: list[Witness] = []
     examined = 0
-    if fail_fast:
-        for size in range(2, n + 1):
-            for subset in itertools.combinations(range(n), size):
-                examined += 1
-                w = survives(subset)
-                if w is not None:
+    for size in range(2, n + 1):
+        subsets = itertools.combinations(range(n), size)
+        while block := list(itertools.islice(subsets, SUBSET_BLOCK)):
+            alive, deltas = _block_survivors(np.array(block), splits, sides, tol)
+            for i in alive.tolist():
+                sums = tuple(
+                    SplitSums(side_a, side_b, int(deltas[j, 0, i]), int(deltas[j, 1, i]))
+                    for j, (side_a, side_b) in enumerate(splits)
+                )
+                w = Witness(block[i], sums)
+                if fail_fast:
                     return Certificate(
-                        "Inconclusive", (w,), strategy, tol, examined, n
+                        "Inconclusive", (w,), strategy, tol, examined + i + 1, n
                     )
-    else:
-        subsets = [
-            subset
-            for size in range(2, n + 1)
-            for subset in itertools.combinations(range(n), size)
-        ]
-        examined = len(subsets)
-        for w in map_ordered(survives, subsets):
-            if w is not None:
                 witnesses.append(w)
+            examined += len(block)
 
     status = "Unique" if not witnesses else "Inconclusive"
     return Certificate(status, tuple(witnesses), strategy, tol, examined, n)

@@ -11,8 +11,6 @@ Exit codes are a stable contract:
 * 3 — channel is not trace preserving
 * 4 — negative or inconclusive answer (witnesses found / no product found)
 * 5 — resource cap hit (enumeration cap, size budget)
-
-``SEPCERT_THREADS`` bounds internal parallelism (default: serial).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .errors import DegenerateInputError, ParameterError, UsageError
 from .families import (
     Bipartition,
@@ -270,7 +269,7 @@ def hunt_product(
             c0 = project(complex_randn(rng, ns))
         return refine(c0)
 
-    results = map_ordered(run_restart, range(restarts))
+    results = [run_restart(r) for r in range(restarts)]
     best_obj, best_c = results[0]
     for obj, c in results[1:]:
         if obj < best_obj:

@@ -67,8 +67,13 @@ class TolerancePolicy:
             return self.relative_rank_threshold
         return max(rows, cols) * _EPS * 1e3
 
-    def cutoff(self, sigma_max: float, rows: int, cols: int) -> float:
-        return max(self.relative_for(rows, cols) * sigma_max, self.absolute_floor)
+    def cutoff(self, sigma_max, rows: int, cols: int):
+        """Singular values at or below this count as zero.
+
+        ``sigma_max`` may be an array holding the largest singular value of
+        each of several rows x cols matrices; the result is then per matrix.
+        """
+        return np.maximum(self.relative_for(rows, cols) * sigma_max, self.absolute_floor)
 
     def to_dict(self) -> dict:
         return {
@@ -111,14 +116,29 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def _svdvals(m: np.ndarray) -> np.ndarray:
+def _svdvals(stack: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"SVD failed on {m.shape[0]}x{m.shape[1]} matrix "
-            f"(frobenius norm {np.linalg.norm(m):.3e}): {exc}"
+            f"SVD failed on {'x'.join(map(str, stack.shape))} matrix stack "
+            f"(frobenius norm {np.linalg.norm(stack):.3e}): {exc}"
         ) from exc
+
+
+def stacked_ranks(
+    stack: np.ndarray, rows: int, tol: TolerancePolicy = DEFAULT_TOLERANCE
+) -> np.ndarray:
+    """Numerical rank of each matrix in a (B, r, k) stack, from one SVD call.
+
+    The cutoff of each matrix is ``tol.cutoff`` for ``rows`` x k, so a stack
+    of compressed matrices (say R factors of a thin QR, which keep the
+    singular values of the taller originals) is judged by the original
+    row count.  Entries must be finite.
+    """
+    sigma = _svdvals(stack)
+    cut = tol.cutoff(sigma[:, 0], rows, stack.shape[2])
+    return np.count_nonzero(sigma > cut[:, None], axis=1)
 
 
 def numerical_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
@@ -126,11 +146,7 @@ def numerical_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     m = as_matrix(m)
     if m.size == 0:
         return 0
-    sigma = _svdvals(m)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    cut = tol.cutoff(float(sigma[0]), *m.shape)
-    return int(np.count_nonzero(sigma > cut))
+    return int(stacked_ranks(m[None], m.shape[0], tol)[0])
 
 
 def realign_bipartite(s, dims: tuple[int, int, int, int]) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
@@ -197,10 +197,15 @@ def family_from_dict(data, where: str = "channel file") -> LoadedFile:
 
 
 def dump_json(path, payload: dict) -> None:
-    """Write a JSON document atomically (temp file + rename in the target dir)."""
+    """Write a JSON document atomically (temp file + rename in the target dir).
+
+    The file gets mode 0666 less the umask, as a plain ``open`` would give it.
+    """
     path = Path(path)
     text = json.dumps(payload, indent=2) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
+    # O_EXCL refuses an existing name or symlink; the kernel applies the umask.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

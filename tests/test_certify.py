@@ -1,5 +1,7 @@
 """Uniqueness certification and completeness checks on known channels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from sepcert import (
     STRATEGY_ALL_BIPARTITIONS,
     STRATEGY_PAIRS,
     EnumerationCapError,
+    NumericError,
+    OperatorFamily,
+    ProductOperator,
+    TolerancePolicy,
     UsageError,
+    Witness,
+    all_bipartitions,
     certify_unique,
     certify_unique_ensemble,
     completeness_necessary_condition,
@@ -17,8 +25,11 @@ from sepcert import (
     gen_product_unitary_channel,
     gen_projective_basis,
     pairwise_proportionality_scan,
+    random_product_family,
+    vectorize,
     verify_completeness,
 )
+from sepcert.certify import SUBSET_BLOCK, SplitSums
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,6 +132,118 @@ def test_fail_fast_stops_at_first_witness():
     assert cert.status == "Inconclusive"
     assert len(cert.witnesses) == 1
     assert cert.subsets_examined == 1
+
+
+def _reference_rank(m, tol):
+    sigma = np.linalg.svd(m, compute_uv=False)
+    cut = max(tol.relative_for(*m.shape) * sigma[0], tol.absolute_floor)
+    return int(np.count_nonzero(sigma > cut))
+
+
+def _reference_certificate(fam, tol, fail_fast=False):
+    """Witnesses and subsets examined, from one SVD per side of each split
+    of each subset, on the uncompressed side matrices."""
+    n = fam.n_members
+    splits = [(bp.side_a, bp.side_b) for bp in all_bipartitions(fam.n_parties)]
+    sides = {
+        side: np.hstack([vectorize(g) for g in fam.grouped_factors(side)])
+        for split in splits
+        for side in split
+    }
+    witnesses = []
+    examined = 0
+    for size in range(2, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            examined += 1
+            sums = []
+            for side_a, side_b in splits:
+                delta_a = _reference_rank(sides[side_a][:, subset], tol)
+                delta_b = _reference_rank(sides[side_b][:, subset], tol)
+                if delta_a + delta_b > size + 1:
+                    break
+                sums.append(SplitSums(side_a, side_b, delta_a, delta_b))
+            else:
+                witnesses.append(Witness(subset, tuple(sums)))
+                if fail_fast:
+                    return tuple(witnesses), examined
+    return tuple(witnesses), examined
+
+
+def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0):
+    """Random family whose last member is a multiple of the one before, its
+    factors perturbed by ``noise``.
+
+    Without noise, only subsets holding both twins survive on (2,2,2): the
+    pair and every triple with it.
+    """
+    rng = np.random.default_rng(seed)
+    fam = random_product_family(rng, dims, n_distinct)
+    twin = fam.members[-1]
+    factors = tuple(f + noise * rng.standard_normal(f.shape) for f in twin.factors)
+    return OperatorFamily(
+        fam.spec, fam.members + (ProductOperator(0.5j * twin.weight, factors),)
+    )
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-10)],
+    ids=["default", "rel1e-10"],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_fourier_channel((2, 2, 2)),  # 88-row sides are compressed
+        lambda: _with_duplicate(9, seed=3),
+        lambda: gen_projective_basis(2, 4),
+        # The twins' noise lies above the default cutoff for the compressed
+        # row count and below the one for the original 16 and 256 rows, so
+        # only the latter keeps the pair (4, 5) as a witness.
+        lambda: _with_duplicate(5, seed=0, dims=(2, 4, 4), noise=5e-12),
+    ],
+    ids=["fourier-222", "twins-222-n10", "projective-24", "near-twins-244"],
+)
+def test_block_oracle_matches_per_subset_reference(make, tol):
+    fam = make()
+    cert = certify_unique(fam, tol=tol)
+    witnesses, examined = _reference_certificate(fam, tol)
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined
+    assert cert.status == ("Inconclusive" if witnesses else "Unique")
+
+
+def test_twin_witnesses_span_several_blocks():
+    # 120 triples of 10 members: the twins' triples reach past the first block.
+    cert = certify_unique(_with_duplicate(9, seed=3))
+    triples = list(itertools.combinations(range(10), 3))
+    assert len(triples) > SUBSET_BLOCK
+    positions = [triples.index(w.members) for w in cert.witnesses if len(w.members) == 3]
+    assert len(positions) == 8 and max(positions) >= SUBSET_BLOCK
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-10)],
+    ids=["default", "rel1e-10"],
+)
+def test_fail_fast_witness_past_the_first_block(tol):
+    # The twins (11, 12) are the last of the 78 pairs of 13 members.
+    fam = _with_duplicate(12, seed=4)
+    cert = certify_unique(fam, tol=tol, fail_fast=True)
+    witnesses, examined = _reference_certificate(fam, tol, fail_fast=True)
+    assert cert.witnesses == witnesses
+    assert witnesses[0].members == (11, 12)
+    assert cert.subsets_examined == examined == 78 > SUBSET_BLOCK
+
+
+def test_svd_failure_is_a_numeric_error(monkeypatch):
+    def broken_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken_svd)
+    # The first block stacks the six pairs of the 4x4 side matrix.
+    with pytest.raises(NumericError, match="6x4x2 matrix stack"):
+        certify_unique(gen_projective_basis(2, 2))
 
 
 def test_certify_ensemble_requires_kets():

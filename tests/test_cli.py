@@ -311,16 +311,6 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
-def test_thread_env_does_not_change_output(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "proj.json"
-    run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(path))
-    monkeypatch.delenv("SEPCERT_THREADS", raising=False)
-    _, serial, _ = run_json(capsys, "certify", str(path))
-    monkeypatch.setenv("SEPCERT_THREADS", "2")
-    _, threaded, _ = run_json(capsys, "certify", str(path))
-    assert serial == threaded
-
-
 def test_module_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "sepcert", "--version"],

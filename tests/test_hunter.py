@@ -91,17 +91,6 @@ def test_hunt_is_deterministic():
     assert a.residual == b.residual
 
 
-def test_hunt_matches_across_thread_counts(monkeypatch):
-    fam = gen_ladder_channel(0.9)
-    monkeypatch.delenv("SEPCERT_THREADS", raising=False)
-    serial = hunt_product(fam, seed=5, restarts=8)
-    monkeypatch.setenv("SEPCERT_THREADS", "3")
-    threaded = hunt_product(fam, seed=5, restarts=8)
-    assert np.array_equal(serial.coefficients, threaded.coefficients)
-    assert serial.residual == threaded.residual
-    assert serial.found == threaded.found
-
-
 def test_hunt_result_dict():
     fam = gen_projective_basis(2, 2)
     d = hunt_product(fam, subset=(0, 1), seed=0).to_dict()

@@ -1,6 +1,8 @@
 """JSON (de)serialization of operator families."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -69,6 +71,16 @@ def test_dump_json_writes_trailing_newline(tmp_path):
     assert json.loads(text) == {"x": 1}
     # No temp droppings left behind next to the target.
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_dump_json_honours_the_umask(tmp_path):
+    path = tmp_path / "doc.json"
+    old = os.umask(0o022)
+    try:
+        dump_json(path, {"x": 1})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_load_family_missing_file(tmp_path):
