@@ -20,7 +20,6 @@ from .certify import (
     Witness,
     certify_unique,
     certify_unique_ensemble,
-    completeness_necessary_condition,
     default_strategy,
     pairwise_proportionality_scan,
     verify_completeness,
@@ -50,9 +49,7 @@ from .families import (
     SpanBoundReport,
     all_bipartitions,
     family_from_factors,
-    local_span_dims,
     party_pairs,
-    regroup_bipartite,
     span_bound_report,
 )
 from .hunter import (
@@ -112,99 +109,3 @@ from .zoo import (
     heisenberg_weyl_unitaries,
     smallest_prime_exceeding,
 )
-
-__all__ = [
-    "__version__",
-    # errors
-    "SepcertError",
-    "ShapeError",
-    "SizeBudgetError",
-    "EnumerationCapError",
-    "ParameterError",
-    "UsageError",
-    "DegenerateInputError",
-    "NumericError",
-    # linear algebra
-    "TolerancePolicy",
-    "DEFAULT_TOLERANCE",
-    "kron",
-    "vectorize",
-    "unvectorize",
-    "frobenius",
-    "numerical_rank",
-    "realign_bipartite",
-    "schmidt_rank",
-    "span_dimension",
-    "proportional",
-    # product families
-    "PartySpec",
-    "ProductOperator",
-    "OperatorFamily",
-    "Bipartition",
-    "all_bipartitions",
-    "party_pairs",
-    "family_from_factors",
-    "local_span_dims",
-    "SpanBoundReport",
-    "span_bound_report",
-    "regroup_bipartite",
-    # certification
-    "Certificate",
-    "Witness",
-    "certify_unique",
-    "certify_unique_ensemble",
-    "CompletenessReport",
-    "verify_completeness",
-    "completeness_necessary_condition",
-    "pairwise_proportionality_scan",
-    "default_strategy",
-    "DEFAULT_ENUMERATION_CAP",
-    "STRATEGY_PAIRS",
-    "STRATEGY_ALL_BIPARTITIONS",
-    # hunting
-    "SearchResult",
-    "hunt_product",
-    "product_residual",
-    "recover_product",
-    "mixing_unitary",
-    "MixingPoint",
-    "mixing_search",
-    "apply_mixing",
-    "fuzz_span_bound",
-    "SpanBoundStats",
-    # sampling
-    "haar_unitary",
-    "independent_matrices",
-    "random_isometry",
-    "random_povm",
-    "random_product_family",
-    "random_product_measurement",
-    "planted_dependent_family",
-    "shared_factor_family",
-    # reference families
-    "gen_ladder_channel",
-    "smallest_prime_exceeding",
-    "gen_fourier_channel",
-    "gen_product_unitary_channel",
-    "gen_pauli_pair_channel",
-    "gen_projective_basis",
-    "augment_channel",
-    "gen_tight_family",
-    "heisenberg_weyl_unitaries",
-    # channel/state bridge
-    "DensityMatrix",
-    "channel_to_choi_ensemble",
-    "ensemble_to_state",
-    "choi_state",
-    "channels_equal",
-    # interchange files
-    "FORMAT_VERSION",
-    "KIND_CHANNEL",
-    "KIND_ENSEMBLE",
-    "detect_kind",
-    "LoadedFile",
-    "family_to_dict",
-    "family_from_dict",
-    "save_family",
-    "load_family",
-]

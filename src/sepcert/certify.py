@@ -12,7 +12,7 @@ never that the representation is actually non-unique.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,8 @@ from .linalg import (
     proportional,
     span_dimension,
     stacked_ranks,
-    vectorize,
 )
 from .families import (
-    Bipartition,
     OperatorFamily,
     all_bipartitions,
     party_pairs,
@@ -138,7 +136,7 @@ def _side_matrix(fam: OperatorFamily, side: tuple[int, ...]) -> tuple[np.ndarray
     thin QR: every column selection keeps its singular values, so ranks are
     unchanged while each SVD shrinks to at most N rows.
     """
-    m = np.hstack([vectorize(g) for g in fam.grouped_factors(side)])
+    m = fam.side_matrix(side)
     rows = m.shape[0]
     if rows > m.shape[1]:
         m = np.linalg.qr(m, mode="r")
@@ -150,25 +148,29 @@ def _block_survivors(
     splits: list[tuple[tuple[int, ...], tuple[int, ...]]],
     sides: dict[tuple[int, ...], tuple[np.ndarray, int]],
     tol: TolerancePolicy,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
     """Eliminate a (B, n) block of n-member subsets split by split.
 
     Returns the positions in ``block`` of the subsets no split eliminated,
-    and a (splits, 2, B) array whose [j, :, i] holds delta_a, delta_b of
-    split j for every survivor i.
+    and per side a (B,) array of span dimensions.  A side is ranked once
+    for each subset still alive when a split first needs it, so a side
+    shared by several splits costs one SVD per subset; entries never
+    needed stay -1.  Every survivor has the ranks of every side.
     """
     size = block.shape[1]
     alive = np.arange(len(block))
-    deltas = np.zeros((len(splits), 2, len(block)), dtype=np.int64)
-    for j, split in enumerate(splits):
-        for k, side in enumerate(split):
-            m, rows = sides[side]
-            stack = np.moveaxis(m[:, block[alive]], 1, 0)
-            deltas[j, k, alive] = stacked_ranks(stack, rows, tol)
-        alive = alive[deltas[j, 0, alive] + deltas[j, 1, alive] <= size + 1]
+    ranks: dict[tuple[int, ...], np.ndarray] = {}
+    for side_a, side_b in splits:
+        for side in (side_a, side_b):
+            r = ranks.setdefault(side, np.full(len(block), -1, dtype=np.int64))
+            todo = alive[r[alive] < 0]
+            if todo.size:
+                m, rows = sides[side]
+                r[todo] = stacked_ranks(np.moveaxis(m[:, block[todo]], 1, 0), rows, tol)
+        alive = alive[ranks[side_a][alive] + ranks[side_b][alive] <= size + 1]
         if alive.size == 0:
             break
-    return alive, deltas
+    return alive, ranks
 
 
 def certify_unique(
@@ -187,11 +189,12 @@ def certify_unique(
     ``fail_fast`` the scan stops at the first witness.
 
     The subsets of each size are streamed in blocks of ``SUBSET_BLOCK``.
-    Per split, the block's surviving subsets gather their column selections
-    of each side matrix into one stack, and a single SVD call ranks them
-    all with the per-matrix cutoff of ``tol``.  Side matrices taller than N
-    are first compressed to their thin-QR R factor, which keeps every
-    selection's singular values; cutoffs still use the original row count.
+    Per split side, the block's surviving subsets not yet ranked on that
+    side gather their column selections of the side matrix into one stack,
+    and a single SVD call ranks them all with the per-matrix cutoff of
+    ``tol``.  Side matrices taller than N are first compressed to their
+    thin-QR R factor, which keeps every selection's singular values;
+    cutoffs still use the original row count.
     """
     n = fam.n_members
     if n > max_members:
@@ -213,11 +216,11 @@ def certify_unique(
     for size in range(2, n + 1):
         subsets = itertools.combinations(range(n), size)
         while block := list(itertools.islice(subsets, SUBSET_BLOCK)):
-            alive, deltas = _block_survivors(np.array(block), splits, sides, tol)
+            alive, ranks = _block_survivors(np.array(block), splits, sides, tol)
             for i in alive.tolist():
                 sums = tuple(
-                    SplitSums(side_a, side_b, int(deltas[j, 0, i]), int(deltas[j, 1, i]))
-                    for j, (side_a, side_b) in enumerate(splits)
+                    SplitSums(side_a, side_b, int(ranks[side_a][i]), int(ranks[side_b][i]))
+                    for side_a, side_b in splits
                 )
                 w = Witness(block[i], sums)
                 if fail_fast:
@@ -312,18 +315,6 @@ def verify_completeness(
             if s > n + 1:
                 holds = False
     return CompletenessReport(is_complete, residual, holds, pair_sums, spans, n)
-
-
-def completeness_necessary_condition(
-    fam: OperatorFamily,
-    rank_tol: TolerancePolicy = DEFAULT_TOLERANCE,
-) -> CompletenessReport:
-    """Necessary condition for a product family to be a complete Kraus set.
-
-    Convenience wrapper: the full report, of which
-    ``necessary_condition_holds`` and ``pair_sums`` are the relevant fields.
-    """
-    return verify_completeness(fam, rank_tol=rank_tol)
 
 
 def pairwise_proportionality_scan(

@@ -28,7 +28,6 @@ from .certify import (
     STRATEGY_ALL_BIPARTITIONS,
     STRATEGY_PAIRS,
     certify_unique,
-    certify_unique_ensemble,
     verify_completeness,
 )
 from .choi import channel_to_choi_ensemble, ensemble_to_state
@@ -129,10 +128,8 @@ def cmd_certify(args) -> int:
     max_members = (
         args.max_subset if args.max_subset is not None else DEFAULT_ENUMERATION_CAP
     )
-    runner = (
-        certify_unique_ensemble if loaded.kind == KIND_ENSEMBLE else certify_unique
-    )
-    cert = runner(
+    # load_family already rejects ensembles whose parties have d_in != 1.
+    cert = certify_unique(
         loaded.family,
         strategy=strategy,
         tol=tol,

@@ -28,10 +28,11 @@ from .linalg import (
     MAX_MATRIX_ELEMENTS,
     TolerancePolicy,
     as_matrix,
-    frobenius,
     kron,
+    numerical_rank,
     schmidt_rank,
     span_dimension,
+    vectorize,
 )
 
 
@@ -265,13 +266,21 @@ class OperatorFamily:
             raise UsageError(f"member index out of range in {idx}")
         return OperatorFamily(self.spec, tuple(self.members[i] for i in idx))
 
+    def side_matrix(self, side, include_weight: bool = False) -> np.ndarray:
+        """Vectorized grouped ``side`` factors of every member, one column each."""
+        return np.hstack(
+            [vectorize(g) for g in self.grouped_factors(side, include_weight)]
+        )
+
     def span_dim(self, side, subset=None, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
         """Dimension of the span of the grouped ``side`` factors.
 
         ``subset`` restricts to the given member indices (default: all).
         """
-        members = self.members if subset is None else [self.members[i] for i in subset]
-        return span_dimension([m.grouped(side) for m in members], tol)
+        m = self.side_matrix(side)
+        if subset is not None:
+            m = m[:, list(subset)]
+        return numerical_rank(m, tol)
 
 
 def family_from_factors(party_dims, members) -> OperatorFamily:
@@ -283,32 +292,6 @@ def family_from_factors(party_dims, members) -> OperatorFamily:
     spec = PartySpec(tuple(tuple(p) for p in party_dims))
     ops = tuple(ProductOperator(w, tuple(fs)) for w, fs in members)
     return OperatorFamily(spec, ops)
-
-
-def local_span_dims(
-    fam: OperatorFamily,
-    subset,
-    split,
-    tol: TolerancePolicy = DEFAULT_TOLERANCE,
-) -> tuple[int, int]:
-    """Span dimensions (delta_A, delta_B) of the grouped factors on each side
-    of ``split``, restricted to the member ``subset``.
-
-    ``split`` is either a :class:`Bipartition` or a bare pair (alpha, beta) of
-    party indices, in which case each side is the singleton party itself.
-    """
-    subset = tuple(int(i) for i in subset)
-    if not subset:
-        raise UsageError("subset must be nonempty")
-    if isinstance(split, Bipartition):
-        split.validate_for(fam.n_parties)
-        side_a, side_b = split.side_a, split.side_b
-    else:
-        alpha, beta = split
-        side_a, side_b = (int(alpha),), (int(beta),)
-        if side_a == side_b:
-            raise UsageError("party pair must name two distinct parties")
-    return (fam.span_dim(side_a, subset, tol), fam.span_dim(side_b, subset, tol))
 
 
 @dataclass(frozen=True)
@@ -383,41 +366,3 @@ def span_bound_report(
         schmidt_rank=r_s,
         holds=(delta_a + delta_b <= fam.n_members + r_s),
     )
-
-
-def regroup_bipartite(matrix, spec: PartySpec, side_a) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """Reorder the tensor legs of a multi-party operator into a two-block form.
-
-    Returns the operator rewritten with the ``side_a`` parties (ascending) as
-    the slow Kronecker index and the complementary parties (ascending) as the
-    fast one, together with the (A_out, A_in, B_out, B_in) dims tuple that
-    feeds :func:`sepcert.linalg.realign_bipartite`.  When the family members
-    themselves are regrouped via :meth:`ProductOperator.grouped`, the two
-    constructions agree entry for entry.
-    """
-    m = as_matrix(matrix)
-    P = spec.n_parties
-    side_a = _validated_side(side_a, P)
-    side_b = tuple(p for p in range(P) if p not in side_a)
-    if not side_b:
-        raise UsageError("side A must leave at least one party on side B")
-    outs = [spec.d_out(p) for p in range(P)]
-    ins = [spec.d_in(p) for p in range(P)]
-    if m.shape != (spec.total_d_out, spec.total_d_in):
-        raise ShapeError(
-            f"matrix shape {m.shape} does not match spec "
-            f"{(spec.total_d_out, spec.total_d_in)}"
-        )
-    legs = m.reshape(*outs, *ins)
-    perm = (
-        [p for p in side_a]
-        + [p for p in side_b]
-        + [P + p for p in side_a]
-        + [P + p for p in side_b]
-    )
-    a_out = int(np.prod([outs[p] for p in side_a]))
-    b_out = int(np.prod([outs[p] for p in side_b]))
-    a_in = int(np.prod([ins[p] for p in side_a]))
-    b_in = int(np.prod([ins[p] for p in side_b]))
-    grouped = legs.transpose(perm).reshape(a_out * b_out, a_in * b_in)
-    return grouped, (a_out, a_in, b_out, b_in)

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, UsageError
+from .errors import DegenerateInputError, ParameterError, ShapeError, UsageError
 from .families import (
     Bipartition,
     OperatorFamily,
     PartySpec,
     ProductOperator,
     all_bipartitions,
-    regroup_bipartite,
     span_bound_report,
 )
 from .linalg import (
@@ -55,26 +54,52 @@ def _examined_bipartitions(n_parties: int) -> list[Bipartition]:
     return [Bipartition.of((p,), n_parties) for p in range(n_parties)]
 
 
-def product_residual(matrix, spec: PartySpec, splits=None) -> float:
-    """Scale-free product-ness measure: worst sigma_2/sigma_1 of realignments.
+def _split_stacks(fam: OperatorFamily, subset, splits) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per split, the weighted side-A and the side-B matrices of ``subset``.
 
-    Zero for an exact product operator across every examined bipartition;
-    1.0 is returned for the (degenerate) zero matrix.
+    Column k of each holds member ``subset[k]``; a combination with
+    coefficients c realigns across the split to (B * c) @ A^T.
     """
-    m = as_matrix(matrix)
-    if spec.n_parties == 1:
-        return 0.0 if frobenius(m) > _ZERO_CUTOFF else 1.0
-    if splits is None:
-        splits = _examined_bipartitions(spec.n_parties)
+    cols = list(subset)
+    return [
+        (
+            fam.side_matrix(bp.side_a, include_weight=True)[:, cols],
+            fam.side_matrix(bp.side_b)[:, cols],
+        )
+        for bp in splits
+    ]
+
+
+def _worst_ratio(stacks, c: np.ndarray) -> float:
+    """Worst sigma_2/sigma_1 over the splits of the combination ``c``.
+
+    Zero for a product operator across every split; 1.0 for a combination
+    that vanishes.
+    """
     worst = 0.0
-    for bp in splits:
-        grouped, dims = regroup_bipartite(m, spec, bp.side_a)
-        sigma = np.linalg.svd(realign_bipartite(grouped, dims), compute_uv=False)
+    for a_mat, b_mat in stacks:
+        r = (b_mat * c) @ a_mat.T
+        sigma = np.linalg.svd(r, compute_uv=False)
         if sigma[0] <= _ZERO_CUTOFF:
             return 1.0
         if sigma.size > 1:
             worst = max(worst, float(sigma[1] / sigma[0]))
     return worst
+
+
+def product_residual(fam: OperatorFamily, coeffs) -> float:
+    """Scale-free product-ness of sum_j coeffs[j] * (member j).
+
+    The worst sigma_2/sigma_1 of the combination's realignments over the
+    examined bipartitions: zero for an exact product operator, 1.0 for a
+    combination that vanishes.  A one-party family has no split, so every
+    combination counts as a product (0.0).
+    """
+    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    if c.size != fam.n_members:
+        raise ShapeError(f"got {c.size} coefficients for {fam.n_members} members")
+    splits = _examined_bipartitions(fam.n_parties)
+    return _worst_ratio(_split_stacks(fam, range(fam.n_members), splits), c)
 
 
 def recover_product(matrix, spec: PartySpec) -> ProductOperator:
@@ -199,12 +224,7 @@ def hunt_product(
     d_out, d_in = fam.spec.total_d_out, fam.spec.total_d_in
     full = np.hstack([vectorize(m.assemble()) for m in members])
 
-    splits = _examined_bipartitions(fam.n_parties)
-    pairs_ab = []
-    for bp in splits:
-        a_mat = np.hstack([vectorize(m.grouped(bp.side_a, True)) for m in members])
-        b_mat = np.hstack([vectorize(m.grouped(bp.side_b)) for m in members])
-        pairs_ab.append((a_mat, b_mat))
+    stacks = _split_stacks(fam, subset, _examined_bipartitions(fam.n_parties))
 
     def project(c: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(c)
@@ -219,19 +239,8 @@ def hunt_product(
             c = c / np.linalg.norm(c)
         return c
 
-    def objective(c: np.ndarray) -> float:
-        worst = 0.0
-        for a_mat, b_mat in pairs_ab:
-            r = (b_mat * c) @ a_mat.T
-            sigma = np.linalg.svd(r, compute_uv=False)
-            if sigma[0] <= _ZERO_CUTOFF:
-                return 1.0
-            if sigma.size > 1:
-                worst = max(worst, float(sigma[1] / sigma[0]))
-        return worst
-
     def refine(c: np.ndarray) -> tuple[float, np.ndarray]:
-        best_obj = objective(c)
+        best_obj = _worst_ratio(stacks, c)
         best_c = c
         prev = best_obj
         for _ in range(max_iters):
@@ -244,7 +253,7 @@ def hunt_product(
             ).assemble()
             c, *_ = np.linalg.lstsq(full, vectorize(target).ravel(), rcond=None)
             c = project(c)
-            obj = objective(c)
+            obj = _worst_ratio(stacks, c)
             if obj < best_obj:
                 best_obj, best_c = obj, c
             if abs(prev - obj) < convergence:
@@ -361,17 +370,14 @@ def mixing_search(
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
 
-    ki = fam.members[i].assemble()
-    kj = fam.members[j].assemble()
-    splits = _examined_bipartitions(fam.n_parties)
+    # Row k of a remix unitary is the coefficient vector on members (i, j).
+    stacks = _split_stacks(fam, (i, j), _examined_bipartitions(fam.n_parties))
     hits = []
     for theta in np.atleast_1d(angles):
         for phi in np.atleast_1d(phases):
             u = mixing_unitary(float(theta), float(phi))
-            mixed_i = u[0, 0] * ki + u[0, 1] * kj
-            mixed_j = u[1, 0] * ki + u[1, 1] * kj
-            ri = product_residual(mixed_i, fam.spec, splits)
-            rj = product_residual(mixed_j, fam.spec, splits)
+            ri = _worst_ratio(stacks, u[0])
+            rj = _worst_ratio(stacks, u[1])
             if ri <= tol and rj <= tol:
                 hits.append(MixingPoint(float(theta), float(phi), u, (ri, rj)))
     return hits
@@ -397,16 +403,16 @@ def apply_mixing(
         raise ParameterError("mixing matrix is not unitary")
     ki = fam.members[i].assemble()
     kj = fam.members[j].assemble()
-    mixed = {i: u[0, 0] * ki + u[0, 1] * kj, j: u[1, 0] * ki + u[1, 1] * kj}
+    stacks = _split_stacks(fam, (i, j), _examined_bipartitions(fam.n_parties))
     new_members = list(fam.members)
-    for idx, mat in mixed.items():
-        res = product_residual(mat, fam.spec)
+    for idx, row in zip((i, j), u):
+        res = _worst_ratio(stacks, row)
         if res > tol:
             raise ParameterError(
                 f"remixed member {idx} is not a product operator "
                 f"(residual {res:.3e} > {tol:.1e})"
             )
-        new_members[idx] = recover_product(mat, fam.spec)
+        new_members[idx] = recover_product(row[0] * ki + row[1] * kj, fam.spec)
     return OperatorFamily(fam.spec, tuple(new_members))
 
 

@@ -47,11 +47,7 @@ def random_product_family(
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed d x d unitary via the QR trick."""
-    z = complex_randn(rng, d, d)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return random_isometry(rng, d, d)
 
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

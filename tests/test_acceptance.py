@@ -21,7 +21,6 @@ from sepcert import (
     certify_unique_ensemble,
     channel_to_choi_ensemble,
     channels_equal,
-    completeness_necessary_condition,
     family_from_factors,
     fuzz_span_bound,
     gen_fourier_channel,
@@ -34,7 +33,6 @@ from sepcert import (
     heisenberg_weyl_unitaries,
     hunt_product,
     kron,
-    local_span_dims,
     mixing_search,
     planted_dependent_family,
     random_product_measurement,
@@ -165,7 +163,7 @@ def test_criterion_06_duplicated_family_saturates_the_bound():
     fam, coeffs = gen_tight_family(2, n_parties=2, local_dim=3)
     n = fam.n_members
     assert n == 5
-    delta_a, delta_b = local_span_dims(fam, range(n), (0, 1))
+    delta_a, delta_b = fam.span_dim((0,), range(n)), fam.span_dim((1,), range(n))
     assert delta_a + delta_b == n + 1 == 6
     assert sum(fam.span_dim((p,)) for p in range(2)) == 2 * (n + 1) // 2 == 6
     report = span_bound_report(fam, coeffs)
@@ -201,7 +199,8 @@ def test_criterion_08_dependent_families_obey_span_cap():
         everyone = range(fam.n_members)
         for alpha in range(n_parties):
             for beta in range(alpha + 1, n_parties):
-                delta_a, delta_b = local_span_dims(fam, everyone, (alpha, beta))
+                delta_a = fam.span_dim((alpha,), everyone)
+                delta_b = fam.span_dim((beta,), everyone)
                 assert delta_a + delta_b <= span_cap
 
 
@@ -211,7 +210,7 @@ def test_criterion_09_complete_measurements_pass_necessary_condition():
         dims = tuple(int(d) for d in rng.integers(2, 4, size=2))
         outcomes = tuple(int(k) for k in rng.integers(2, 4, size=2))
         fam = random_product_measurement(rng, dims, outcomes)
-        assert completeness_necessary_condition(fam)
+        assert verify_completeness(fam).necessary_condition_holds
     # And the converse direction: an operator sum that is not the identity
     # must be caught.
     p_plus = (I2 + SX) / 2

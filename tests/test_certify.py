@@ -18,18 +18,21 @@ from sepcert import (
     all_bipartitions,
     certify_unique,
     certify_unique_ensemble,
-    completeness_necessary_condition,
     family_from_factors,
     gen_fourier_channel,
     gen_ladder_channel,
     gen_product_unitary_channel,
     gen_projective_basis,
+    gen_tight_family,
     pairwise_proportionality_scan,
+    party_pairs,
     random_product_family,
     vectorize,
     verify_completeness,
 )
+import sepcert.certify
 from sepcert.certify import SUBSET_BLOCK, SplitSums
+from sepcert.linalg import stacked_ranks
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,11 +143,13 @@ def _reference_rank(m, tol):
     return int(np.count_nonzero(sigma > cut))
 
 
-def _reference_certificate(fam, tol, fail_fast=False):
+def _reference_certificate(fam, tol, fail_fast=False, splits=None):
     """Witnesses and subsets examined, from one SVD per side of each split
-    of each subset, on the uncompressed side matrices."""
+    of each subset, on the uncompressed side matrices.  ``splits`` defaults
+    to all bipartitions."""
     n = fam.n_members
-    splits = [(bp.side_a, bp.side_b) for bp in all_bipartitions(fam.n_parties)]
+    if splits is None:
+        splits = [(bp.side_a, bp.side_b) for bp in all_bipartitions(fam.n_parties)]
     sides = {
         side: np.hstack([vectorize(g) for g in fam.grouped_factors(side)])
         for split in splits
@@ -236,6 +241,28 @@ def test_fail_fast_witness_past_the_first_block(tol):
     assert cert.subsets_examined == examined == 78 > SUBSET_BLOCK
 
 
+def test_pairs_rank_each_side_once_per_subset(monkeypatch):
+    # Four parties: each single-party side belongs to three of the six pair
+    # splits.  Of the four subsets of three members, (1, 2) and (0, 1, 2)
+    # survive every split; ranking a side once per subset takes 8 stacked
+    # SVD calls on 12 matrices, where one call per split side took 24 on 28.
+    fam, _ = gen_tight_family(1, n_parties=4)
+    stack_sizes = []
+
+    def counting(stack, rows, tol):
+        stack_sizes.append(len(stack))
+        return stacked_ranks(stack, rows, tol)
+
+    monkeypatch.setattr(sepcert.certify, "stacked_ranks", counting)
+    cert = certify_unique(fam, strategy=STRATEGY_PAIRS)
+    assert (len(stack_sizes), sum(stack_sizes)) == (8, 12)
+    pairs = [((a,), (b,)) for a, b in party_pairs(fam.n_parties)]
+    witnesses, examined = _reference_certificate(fam, cert.tol, splits=pairs)
+    assert [w.members for w in witnesses] == [(1, 2), (0, 1, 2)]
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined == 4
+
+
 def test_svd_failure_is_a_numeric_error(monkeypatch):
     def broken_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -318,8 +345,8 @@ def test_planted_pair_sum_violation():
 
 
 def test_completeness_necessary_condition_wrapper():
-    assert completeness_necessary_condition(gen_ladder_channel(0.5))
-    assert completeness_necessary_condition(gen_projective_basis(2, 2))
+    assert verify_completeness(gen_ladder_channel(0.5)).necessary_condition_holds
+    assert verify_completeness(gen_projective_basis(2, 2)).necessary_condition_holds
 
 
 # ---------------------------------------------------------------------------

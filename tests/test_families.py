@@ -16,12 +16,10 @@ from sepcert import (
     all_bipartitions,
     family_from_factors,
     gen_ladder_channel,
-    local_span_dims,
     party_pairs,
     span_bound_report,
     span_dimension,
 )
-from sepcert.families import regroup_bipartite
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -207,18 +205,25 @@ def test_assembled_stacks_members():
 
 def test_ladder_local_span_dims():
     fam = gen_ladder_channel(0.5)
-    split = Bipartition((0,), (1,))
-    assert local_span_dims(fam, (0, 1, 2), split) == (3, 3)
-    assert local_span_dims(fam, (0, 1), split) == (2, 2)
+    for party in (0, 1):
+        assert fam.span_dim((party,)) == 3
+        assert fam.span_dim((party,), (0, 1, 2)) == 3
+        assert fam.span_dim((party,), (0, 1)) == 2
+        assert fam.span_dim((party,), ()) == 0
+    # Both parties grouped: the assembled members, independent.
+    assert fam.span_dim((0, 1), range(3)) == 3
 
 
-def test_local_span_dims_accepts_bare_party_pair():
+def test_side_matrix_columns_are_vectorized_grouped_factors():
     fam = gen_ladder_channel(0.5)
-    assert local_span_dims(fam, (0, 1, 2), (0, 1)) == (3, 3)
+    for side in [(0,), (1,), (1, 0)]:
+        for include_weight in (False, True):
+            m = fam.side_matrix(side, include_weight)
+            assert m.shape == (16 if len(side) == 2 else 4, fam.n_members)
+            for j, g in enumerate(fam.grouped_factors(side, include_weight)):
+                np.testing.assert_array_equal(m[:, j], g.reshape(-1, order="F"))
     with pytest.raises(UsageError):
-        local_span_dims(fam, (0, 1), (1, 1))
-    with pytest.raises(UsageError):
-        local_span_dims(fam, (), (0, 1))
+        fam.side_matrix((1, 1))
 
 
 def test_span_bound_report_validation():
@@ -250,26 +255,6 @@ def test_span_bound_report_fields():
     assert d["schmidt_rank"] == 3
     assert d["holds"] is True
     assert report.equality is True
-
-
-# ---------------------------------------------------------------------------
-# regroup_bipartite: matrix-level regrouping must agree with factor-level
-
-
-@pytest.mark.parametrize(
-    "local_dims,side_a",
-    [((2, 2), (0,)), ((2, 3, 2), (0, 2)), ((2, 2, 2), (1,)), ((3, 2), (1,))],
-)
-def test_regroup_matches_grouped_factors(local_dims, side_a):
-    rng = np.random.default_rng(sum(local_dims) + len(side_a))
-    spec = PartySpec(tuple((d, d) for d in local_dims))
-    factors = tuple(crand(rng, d, d) for d in local_dims)
-    op = ProductOperator(1.0, factors)
-    side_b = tuple(p for p in range(len(local_dims)) if p not in side_a)
-    grouped, dims = regroup_bipartite(op.assemble(), spec, side_a)
-    direct = np.kron(op.grouped(side_a), op.grouped(side_b))
-    np.testing.assert_allclose(grouped, direct, atol=1e-13)
-    assert dims[0] * dims[2] == grouped.shape[0]
 
 
 def test_grouping_dominance():

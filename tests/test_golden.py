@@ -1,0 +1,69 @@
+"""Byte-identity guard: ``sepcert certify`` JSON on the reference catalog.
+
+Each file in ``tests/golden/`` holds the stdout of ``sepcert certify`` on one
+catalog family, without the ``file`` key (it names a temporary path).  A
+refactor of the certifier must reproduce every file byte for byte.  Hunt
+reports are left out: their float residuals depend on the BLAS library.
+
+Regenerate the files (only when the certificate is meant to change) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from sepcert import save_family
+from sepcert.cli import main
+from test_acceptance import _zoo
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _cases():
+    """(golden file stem, family, extra certify flags), in catalog order.
+
+    Families with three or more parties are also certified on party pairs,
+    where a single-party side belongs to several splits.
+    """
+    out = []
+    for name, fam in _zoo().items():
+        out.append((name, fam, []))
+        if fam.n_parties >= 3:
+            out.append((f"{name}.pairs", fam, ["--strategy", "pairs"]))
+    return out
+
+
+def _certify_json(fam, flags, tmp_dir: Path) -> str:
+    path = tmp_dir / "family.json"
+    save_family(path, fam)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(["certify", str(path), *flags])
+    payload = json.loads(buf.getvalue())
+    del payload["file"]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("stem,fam,flags", CASES, ids=[c[0] for c in CASES])
+def test_certify_reproduces_golden_json(stem, fam, flags, tmp_path):
+    expected = (GOLDEN / f"{stem}.json").read_text()
+    assert _certify_json(fam, flags, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, fam, flags in CASES:
+            (GOLDEN / f"{stem}.json").write_text(_certify_json(fam, flags, Path(tmp)))
+            print(f"wrote {stem}.json", file=sys.stderr)

@@ -5,8 +5,11 @@ import pytest
 
 from sepcert import (
     DegenerateInputError,
+    OperatorFamily,
     ParameterError,
     PartySpec,
+    ProductOperator,
+    ShapeError,
     UsageError,
     apply_mixing,
     fuzz_span_bound,
@@ -142,16 +145,34 @@ def test_recover_product_rejects_zero():
 def test_product_residual_cases():
     rng = np.random.default_rng(31)
     spec2 = PartySpec(((2, 2), (2, 2)))
-    prod = np.kron(crand(rng, 2, 2), crand(rng, 2, 2))
-    assert product_residual(prod, spec2) < 1e-14
-    # An entangled-rank combination has residual of order one.
-    mixed = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + np.kron(
-        np.diag([0.0, 1.0]), np.diag([0.0, 1.0])
+    single_member = OperatorFamily(
+        spec2, (ProductOperator(1.0, (crand(rng, 2, 2), crand(rng, 2, 2))),)
     )
-    assert product_residual(mixed, spec2) == pytest.approx(1.0)
-    # Single party: any nonzero matrix is trivially a product.
-    assert product_residual(crand(rng, 3, 3), PartySpec(((3, 3),))) == 0.0
-    assert product_residual(np.zeros((2, 2)), PartySpec(((2, 2),))) == 1.0
+    assert product_residual(single_member, [0.3 - 2j]) < 1e-14
+    proj = gen_projective_basis(2, 2)
+    # |00><00| + |01><01| shares its left factor: a product.
+    assert product_residual(proj.subfamily((0, 1)), [1.0, 1j]) < 1e-14
+    # |00><00| + |11><11| has Schmidt rank two with equal weights.
+    assert product_residual(proj.subfamily((0, 3)), [1.0, 1.0]) == pytest.approx(1.0)
+    # A vanishing combination is no product.
+    assert product_residual(proj.subfamily((0, 3)), [0.0, 0.0]) == 1.0
+    # Single party: no split, so every combination counts as a product.
+    one_party = OperatorFamily(
+        PartySpec(((3, 3),)),
+        tuple(ProductOperator(1.0, (crand(rng, 3, 3),)) for _ in range(2)),
+    )
+    assert product_residual(one_party, [1.0, 0.5j]) == 0.0
+    assert product_residual(one_party, [0.0, 0.0]) == 0.0
+    with pytest.raises(ShapeError):
+        product_residual(proj, [1.0, 1.0])
+
+
+def test_product_residual_is_the_hunt_residual():
+    fam = gen_projective_basis(2, 2)
+    for subset in [(0, 1), (1, 2)]:
+        result = hunt_product(fam, subset=subset, seed=0, restarts=4)
+        residual = product_residual(fam.subfamily(result.subset), result.coefficients)
+        assert residual == result.residual
 
 
 # ---------------------------------------------------------------------------
