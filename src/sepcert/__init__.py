@@ -21,14 +21,12 @@ from .certify import (
     certify_unique,
     certify_unique_ensemble,
     default_strategy,
-    pairwise_proportionality_scan,
     verify_completeness,
 )
 from .choi import (
     DensityMatrix,
     channel_to_choi_ensemble,
     channels_equal,
-    choi_state,
     ensemble_to_state,
 )
 from .errors import (

@@ -22,7 +22,6 @@ from .linalg import (
     TolerancePolicy,
     frobenius,
     numerical_rank,  # noqa: F401  (perfbench/spans.py traces this name)
-    proportional,
     span_dimension,
     stacked_ranks,
 )
@@ -246,12 +245,12 @@ def certify_unique_ensemble(
     Identical subset logic, applied to the spans of the local kets.  Every
     factor must be a single-column matrix.
     """
-    for p in range(ens.n_parties):
-        if ens.spec.d_in(p) != 1:
-            raise UsageError(
-                f"ensemble certification requires ket members; party {p} has "
-                f"d_in = {ens.spec.d_in(p)}"
-            )
+    if ens.spec.total_d_in != 1:
+        p = next(p for p in range(ens.n_parties) if ens.spec.d_in(p) != 1)
+        raise UsageError(
+            f"ensemble certification requires ket members; party {p} has "
+            f"d_in = {ens.spec.d_in(p)}"
+        )
     return certify_unique(ens, strategy, tol, max_members, fail_fast)
 
 
@@ -284,10 +283,6 @@ class CompletenessReport:
         }
 
 
-def _positive_parts(fam: OperatorFamily, party: int) -> list[np.ndarray]:
-    return [f.conj().T @ f for f in fam.local_factors(party)]
-
-
 def verify_completeness(
     fam: OperatorFamily,
     tol: float = 1e-10,
@@ -302,7 +297,7 @@ def verify_completeness(
     is_complete = bool(residual <= tol * np.sqrt(d_in))
 
     spans = tuple(
-        span_dimension(_positive_parts(fam, p), rank_tol)
+        span_dimension([f.conj().T @ f for f in fam.local_factors(p)], rank_tol)
         for p in range(fam.n_parties)
     )
     n = fam.n_members
@@ -316,22 +311,3 @@ def verify_completeness(
                 holds = False
     return CompletenessReport(is_complete, residual, holds, pair_sums, spans, n)
 
-
-def pairwise_proportionality_scan(
-    fam: OperatorFamily, tol: float = 1e-10
-) -> dict[int, list[tuple[int, int]]]:
-    """Per party, all unordered member pairs with proportional positive parts.
-
-    A family whose local positives are pairwise non-proportional for some
-    party leaves no room for trivially regrouped representations; the scan
-    is a cheap diagnostic to run before the heavier certificate machinery.
-    """
-    out: dict[int, list[tuple[int, int]]] = {}
-    for p in range(fam.n_parties):
-        positives = _positive_parts(fam, p)
-        pairs = []
-        for i, j in itertools.combinations(range(fam.n_members), 2):
-            if proportional(positives[i], positives[j], tol) is not None:
-                pairs.append((i, j))
-        out[p] = pairs
-    return out

@@ -81,7 +81,7 @@ def channel_to_choi_ensemble(fam: OperatorFamily) -> OperatorFamily:
 
 def ensemble_to_state(ens: OperatorFamily, tol: float = 1e-10) -> DensityMatrix:
     """Gram sum rho = sum_j |psi_j><psi_j| over the assembled product kets."""
-    if any(ens.spec.d_in(p) != 1 for p in range(ens.n_parties)):
+    if ens.spec.total_d_in != 1:
         raise UsageError("ensemble_to_state expects a ket family (all d_in = 1)")
     total = ens.spec.total_d_out
     rho = np.zeros((total, total), dtype=np.complex128)
@@ -90,11 +90,6 @@ def ensemble_to_state(ens: OperatorFamily, tol: float = 1e-10) -> DensityMatrix:
         rho += ket @ ket.conj().T
     dims = tuple(ens.spec.d_out(p) for p in range(ens.n_parties))
     return DensityMatrix(rho, dims, tol)
-
-
-def choi_state(fam: OperatorFamily, tol: float = 1e-10) -> DensityMatrix:
-    """Unnormalized Choi matrix of the channel (no 1/d factor)."""
-    return ensemble_to_state(channel_to_choi_ensemble(fam), tol)
 
 
 def channels_equal(fam_a: OperatorFamily, fam_b: OperatorFamily, tol: float = 1e-10) -> bool:
@@ -109,7 +104,7 @@ def channels_equal(fam_a: OperatorFamily, fam_b: OperatorFamily, tol: float = 1e
         raise UsageError(
             f"party specs differ: {fam_a.spec.parties} vs {fam_b.spec.parties}"
         )
-    rho_a = choi_state(fam_a).matrix
-    rho_b = choi_state(fam_b).matrix
+    rho_a = ensemble_to_state(channel_to_choi_ensemble(fam_a)).matrix
+    rho_b = ensemble_to_state(channel_to_choi_ensemble(fam_b)).matrix
     scale = max(1.0, frobenius(rho_a), frobenius(rho_b))
     return frobenius(rho_a - rho_b) <= tol * scale

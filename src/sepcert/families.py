@@ -30,9 +30,7 @@ from .linalg import (
     as_matrix,
     kron,
     numerical_rank,
-    schmidt_rank,
-    span_dimension,
-    vectorize,
+    vectorized_columns,
 )
 
 
@@ -119,10 +117,6 @@ class ProductOperator:
     def n_parties(self) -> int:
         return len(self.factors)
 
-    def party_dims(self) -> tuple[tuple[int, int], ...]:
-        """(d_in, d_out) per party, read off the factor shapes."""
-        return tuple((f.shape[1], f.shape[0]) for f in self.factors)
-
     def assemble(self) -> np.ndarray:
         """weight times the Kronecker product of all factors, in party order."""
         return self.weight * reduce(kron, self.factors)
@@ -187,9 +181,6 @@ class Bipartition:
         a = _validated_side(side_a, n_parties)
         b = tuple(p for p in range(n_parties) if p not in a)
         return Bipartition(a, b)
-
-    def __str__(self):
-        return f"{{{','.join(map(str, self.side_a))}}}|{{{','.join(map(str, self.side_b))}}}"
 
 
 def all_bipartitions(n_parties: int) -> tuple[Bipartition, ...]:
@@ -256,21 +247,24 @@ class OperatorFamily:
     def grouped_factors(self, side, include_weight: bool = False) -> list[np.ndarray]:
         return [m.grouped(side, include_weight) for m in self.members]
 
-    def subfamily(self, indices) -> "OperatorFamily":
+    def member_indices(self, indices, minimum: int = 1) -> tuple[int, ...]:
+        """``indices`` as distinct, in-range member indices, at least ``minimum``."""
         idx = tuple(int(i) for i in indices)
-        if not idx:
-            raise UsageError("subfamily needs at least one member index")
+        if len(idx) < minimum:
+            raise UsageError(f"need at least {minimum} member indices, got {idx}")
         if len(set(idx)) != len(idx):
             raise UsageError(f"repeated member index in {idx}")
         if any(i < 0 or i >= self.n_members for i in idx):
             raise UsageError(f"member index out of range in {idx}")
+        return idx
+
+    def subfamily(self, indices) -> "OperatorFamily":
+        idx = self.member_indices(indices)
         return OperatorFamily(self.spec, tuple(self.members[i] for i in idx))
 
     def side_matrix(self, side, include_weight: bool = False) -> np.ndarray:
         """Vectorized grouped ``side`` factors of every member, one column each."""
-        return np.hstack(
-            [vectorize(g) for g in self.grouped_factors(side, include_weight)]
-        )
+        return vectorized_columns(self.grouped_factors(side, include_weight))
 
     def span_dim(self, side, subset=None, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
         """Dimension of the span of the grouped ``side`` factors.
@@ -339,6 +333,8 @@ def span_bound_report(
 
     Every coefficient must be nonzero — the bound is stated for genuinely
     N-term combinations.  ``split`` defaults to party 0 versus the rest.
+    The spans are the ranks of the two side matrices, and the combination's
+    realignment is (B * c) @ A^T, so no operator is assembled.
     """
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.size != fam.n_members:
@@ -349,14 +345,11 @@ def span_bound_report(
         split = Bipartition.of((0,), fam.n_parties)
     split.validate_for(fam.n_parties)
 
-    a_groups = fam.grouped_factors(split.side_a, include_weight=True)
-    b_groups = fam.grouped_factors(split.side_b)
-    s = sum(cj * kron(aj, bj) for cj, aj, bj in zip(c, a_groups, b_groups))
-    a_out, a_in = a_groups[0].shape
-    b_out, b_in = b_groups[0].shape
-    r_s = schmidt_rank(s, (a_out, a_in, b_out, b_in), tol)
-    delta_a = span_dimension(a_groups, tol)
-    delta_b = span_dimension(b_groups, tol)
+    a = fam.side_matrix(split.side_a, include_weight=True)
+    b = fam.side_matrix(split.side_b)
+    r_s = numerical_rank((b * c) @ a.T, tol)
+    delta_a = numerical_rank(a, tol)
+    delta_b = numerical_rank(b, tol)
     return SpanBoundReport(
         split=split,
         delta_a=delta_a,

@@ -2,7 +2,8 @@
 
 The certifier proves uniqueness; this module attacks it.  ``hunt_product``
 searches a member subset for coefficients (all bounded away from zero) whose
-linear combination is a product operator across every examined bipartition.
+linear combination is a product operator: a product across each cut
+{p} | rest of one party from the others.
 ``mixing_search`` scans two-member isometric remixings, which by construction
 preserve the represented channel.  ``fuzz_span_bound`` hammers the bipartite
 span inequality with random and planted instances.
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError, UsageError
 from .families import (
-    Bipartition,
     OperatorFamily,
     PartySpec,
     ProductOperator,
@@ -27,14 +27,13 @@ from .families import (
     span_bound_report,
 )
 from .linalg import (
-    DEFAULT_TOLERANCE,
     as_matrix,
     frobenius,
     proportional,
     realign_bipartite,
-    span_dimension,
     unvectorize,
     vectorize,
+    vectorized_columns,
 )
 from .sampling import (
     complex_randn,
@@ -46,35 +45,41 @@ from .sampling import (
 _ZERO_CUTOFF = 1e-150
 
 
-def _examined_bipartitions(n_parties: int) -> list[Bipartition]:
+def _product_cuts(n_parties: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The cuts {p} | rest as (side_a, side_b), party 0 always on side A.
+
+    An operator is a product exactly when it is a product across each of
+    these P cuts (one cut when P = 2, none when P = 1).
+    """
     if n_parties < 2:
         return []
-    if n_parties <= 6:
-        return list(all_bipartitions(n_parties))
-    return [Bipartition.of((p,), n_parties) for p in range(n_parties)]
+    parties = range(n_parties)
+    cuts = [((0,), tuple(parties[1:]))]
+    if n_parties > 2:
+        cuts += [(tuple(q for q in parties if q != p), (p,)) for p in parties[1:]]
+    return cuts
 
 
-def _split_stacks(fam: OperatorFamily, subset, splits) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per split, the weighted side-A and the side-B matrices of ``subset``.
+def _split_stacks(fam: OperatorFamily, subset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per product cut, the weighted side-A and the side-B matrices of ``subset``.
 
     Column k of each holds member ``subset[k]``; a combination with
-    coefficients c realigns across the split to (B * c) @ A^T.
+    coefficients c realigns across the cut to (B * c) @ A^T.
     """
     cols = list(subset)
     return [
         (
-            fam.side_matrix(bp.side_a, include_weight=True)[:, cols],
-            fam.side_matrix(bp.side_b)[:, cols],
+            fam.side_matrix(side_a, include_weight=True)[:, cols],
+            fam.side_matrix(side_b)[:, cols],
         )
-        for bp in splits
+        for side_a, side_b in _product_cuts(fam.n_parties)
     ]
 
 
 def _worst_ratio(stacks, c: np.ndarray) -> float:
-    """Worst sigma_2/sigma_1 over the splits of the combination ``c``.
+    """Worst sigma_2/sigma_1 over the cuts of the combination ``c``.
 
-    Zero for a product operator across every split; 1.0 for a combination
-    that vanishes.
+    Zero for a product operator; 1.0 for a combination that vanishes.
     """
     worst = 0.0
     for a_mat, b_mat in stacks:
@@ -91,15 +96,14 @@ def product_residual(fam: OperatorFamily, coeffs) -> float:
     """Scale-free product-ness of sum_j coeffs[j] * (member j).
 
     The worst sigma_2/sigma_1 of the combination's realignments over the
-    examined bipartitions: zero for an exact product operator, 1.0 for a
-    combination that vanishes.  A one-party family has no split, so every
+    cuts {p} | rest: zero for an exact product operator, 1.0 for a
+    combination that vanishes.  A one-party family has no cut, so every
     combination counts as a product (0.0).
     """
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.size != fam.n_members:
         raise ShapeError(f"got {c.size} coefficients for {fam.n_members} members")
-    splits = _examined_bipartitions(fam.n_parties)
-    return _worst_ratio(_split_stacks(fam, range(fam.n_members), splits), c)
+    return _worst_ratio(_split_stacks(fam, range(fam.n_members)), c)
 
 
 def recover_product(matrix, spec: PartySpec) -> ProductOperator:
@@ -170,19 +174,6 @@ class SearchResult:
         return out
 
 
-def _validated_subset(subset, n_members: int) -> tuple[int, ...]:
-    if subset is None:
-        return tuple(range(n_members))
-    idx = tuple(int(i) for i in subset)
-    if len(idx) < 2:
-        raise UsageError("a product hunt needs a subset of at least two members")
-    if len(set(idx)) != len(idx):
-        raise UsageError(f"repeated member index in subset {idx}")
-    if any(i < 0 or i >= n_members for i in idx):
-        raise UsageError(f"member index out of range in subset {idx}")
-    return idx
-
-
 def hunt_product(
     fam: OperatorFamily,
     subset=None,
@@ -199,8 +190,8 @@ def hunt_product(
     """Search a member subset for a product operator in its span.
 
     Minimizes, over unit-norm coefficient vectors with every magnitude kept
-    at or above ``coefficient_floor``, the worst sigma_2/sigma_1 over the
-    examined bipartitions of the realigned combination.  Local refinement
+    at or above ``coefficient_floor``, the worst sigma_2/sigma_1 of the
+    combination realigned across each cut {p} | rest.  Local refinement
     alternates between projecting the current combination to its nearest
     product (leading-singular-vector peeling) and re-fitting coefficients by
     least squares.  ``initial_coefficients``, when given, replaces restart 0.
@@ -211,7 +202,10 @@ def hunt_product(
     without the pinned members (they wanted to be zero, which the
     all-nonzero-coefficients requirement forbids).
     """
-    subset = _validated_subset(subset, fam.n_members)
+    if subset is None:
+        subset = tuple(range(fam.n_members))
+    else:
+        subset = fam.member_indices(subset, minimum=2)
     if restarts < 1:
         raise UsageError("restarts must be at least 1")
     if max_iters < 1:
@@ -219,12 +213,10 @@ def hunt_product(
     if not (0 < coefficient_floor < 0.5):
         raise ParameterError(f"coefficient_floor out of range: {coefficient_floor}")
 
-    members = [fam.members[i] for i in subset]
-    ns = len(members)
+    ns = len(subset)
     d_out, d_in = fam.spec.total_d_out, fam.spec.total_d_in
-    full = np.hstack([vectorize(m.assemble()) for m in members])
-
-    stacks = _split_stacks(fam, subset, _examined_bipartitions(fam.n_parties))
+    full = vectorized_columns(fam.members[i].assemble() for i in subset)
+    stacks = _split_stacks(fam, subset)
 
     def project(c: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(c)
@@ -334,6 +326,13 @@ def mixing_unitary(theta: float, phi: float) -> np.ndarray:
     )
 
 
+def _member_pair(fam: OperatorFamily, pair) -> tuple[int, int]:
+    idx = fam.member_indices(pair, minimum=2)
+    if len(idx) != 2:
+        raise UsageError(f"mixing needs a pair of member indices, got {idx}")
+    return idx
+
+
 @dataclass(frozen=True)
 class MixingPoint:
     """A grid point at which both remixed operators are products."""
@@ -355,23 +354,18 @@ def mixing_search(
 
     Remixing members i and j by any unitary leaves the represented channel
     untouched; a grid point where both remixed operators are products (within
-    ``tol`` in the sigma_2/sigma_1 sense, across every examined bipartition)
+    ``tol`` in the sigma_2/sigma_1 sense, across every cut {p} | rest)
     therefore exhibits an alternative product representation of the same
     channel.
     """
-    i, j = int(pair[0]), int(pair[1])
-    if i == j:
-        raise UsageError("mixing requires two distinct member indices")
-    n = fam.n_members
-    if not (0 <= i < n and 0 <= j < n):
-        raise UsageError(f"member pair {(i, j)} out of range for {n} members")
+    i, j = _member_pair(fam, pair)
     if angles is None:
         angles = np.linspace(0.0, np.pi / 2, 17)
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
 
     # Row k of a remix unitary is the coefficient vector on members (i, j).
-    stacks = _split_stacks(fam, (i, j), _examined_bipartitions(fam.n_parties))
+    stacks = _split_stacks(fam, (i, j))
     hits = []
     for theta in np.atleast_1d(angles):
         for phi in np.atleast_1d(phases):
@@ -395,7 +389,7 @@ def apply_mixing(
     reported by :func:`mixing_search` (or unitaries known to work) make sense
     here.  The result represents the same channel as ``fam``.
     """
-    i, j = int(pair[0]), int(pair[1])
+    i, j = _member_pair(fam, pair)
     u = as_matrix(unitary)
     if u.shape != (2, 2):
         raise ParameterError(f"mixing unitary must be 2x2, got {u.shape}")
@@ -403,7 +397,7 @@ def apply_mixing(
         raise ParameterError("mixing matrix is not unitary")
     ki = fam.members[i].assemble()
     kj = fam.members[j].assemble()
-    stacks = _split_stacks(fam, (i, j), _examined_bipartitions(fam.n_parties))
+    stacks = _split_stacks(fam, (i, j))
     new_members = list(fam.members)
     for idx, row in zip((i, j), u):
         res = _worst_ratio(stacks, row)
@@ -458,7 +452,6 @@ def fuzz_span_bound(
         raise ParameterError("trials must be at least 1")
     dims = tuple(int(d) for d in local_dims)
     n_parties = len(dims)
-    splits = all_bipartitions(n_parties) if n_parties >= 2 else ()
 
     violations = 0
     equality_hits = 0
@@ -484,8 +477,8 @@ def fuzz_span_bound(
             fam = random_product_family(rng, dims, n_members)
             coeffs = random_nonzero_coefficients(rng, n_members)
 
-        fam_splits = all_bipartitions(fam.n_parties) if fam.n_parties >= 2 else splits
-        split = fam_splits[int(rng.integers(len(fam_splits)))]
+        splits = all_bipartitions(fam.n_parties)
+        split = splits[int(rng.integers(len(splits)))]
         rep = span_bound_report(fam, coeffs, split)
         if not rep.holds:
             violations += 1
@@ -494,10 +487,7 @@ def fuzz_span_bound(
         histogram[rep.delta_sum] = histogram.get(rep.delta_sum, 0) + 1
 
         if probe:
-            sum_local = sum(
-                span_dimension(fam.local_factors(p), DEFAULT_TOLERANCE)
-                for p in range(fam.n_parties)
-            )
+            sum_local = sum(fam.span_dim((p,)) for p in range(fam.n_parties))
             conjecture_checked += 1
             if sum_local > fam.n_members + fam.n_parties - 1:
                 conjecture_violations += 1

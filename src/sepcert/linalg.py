@@ -112,6 +112,11 @@ def unvectorize(v, shape: tuple[int, int]) -> np.ndarray:
     return arr.reshape((rows, cols), order="F")
 
 
+def vectorized_columns(matrices) -> np.ndarray:
+    """One column per matrix: the (rows*cols, len) matrix of their vectorizations."""
+    return np.hstack([vectorize(m) for m in matrices])
+
+
 def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
@@ -189,8 +194,7 @@ def span_dimension(matrices, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     for m in mats[1:]:
         if m.shape != shape:
             raise ShapeError(f"span members disagree in shape: {shape} vs {m.shape}")
-    stacked = np.hstack([vectorize(m) for m in mats])
-    return numerical_rank(stacked, tol)
+    return numerical_rank(vectorized_columns(mats), tol)
 
 
 def proportional(a, b, tol: float = 1e-10) -> complex | None:

@@ -87,7 +87,7 @@ class LoadedFile:
 
 def detect_kind(fam: OperatorFamily) -> str:
     """"ensemble" when every party is a ket (d_in = 1), else "channel"."""
-    if all(fam.spec.d_in(p) == 1 for p in range(fam.n_parties)):
+    if fam.spec.total_d_in == 1:
         return KIND_ENSEMBLE
     return KIND_CHANNEL
 
@@ -99,9 +99,7 @@ def family_to_dict(
         kind = detect_kind(fam)
     if kind not in _KINDS:
         raise UsageError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if kind == KIND_ENSEMBLE and any(
-        fam.spec.d_in(p) != 1 for p in range(fam.n_parties)
-    ):
+    if kind == KIND_ENSEMBLE and fam.spec.total_d_in != 1:
         raise UsageError("kind 'ensemble' requires every factor to be a single column")
     return {
         "format_version": FORMAT_VERSION,
@@ -152,7 +150,7 @@ def family_from_dict(data, where: str = "channel file") -> LoadedFile:
     kind = _require(data, "kind", where)
     if kind not in _KINDS:
         raise UsageError(f"{where}: kind must be one of {_KINDS}, got {kind!r}")
-    if kind == KIND_ENSEMBLE and any(d_in != 1 for d_in, _ in parties):
+    if kind == KIND_ENSEMBLE and spec.total_d_in != 1:
         raise UsageError(
             f"{where}: kind 'ensemble' requires d_in = 1 for every party"
         )

@@ -21,10 +21,8 @@ from sepcert import (
     family_from_factors,
     gen_fourier_channel,
     gen_ladder_channel,
-    gen_product_unitary_channel,
     gen_projective_basis,
     gen_tight_family,
-    pairwise_proportionality_scan,
     party_pairs,
     random_product_family,
     vectorize,
@@ -348,29 +346,3 @@ def test_completeness_necessary_condition_wrapper():
     assert verify_completeness(gen_ladder_channel(0.5)).necessary_condition_holds
     assert verify_completeness(gen_projective_basis(2, 2)).necessary_condition_holds
 
-
-# ---------------------------------------------------------------------------
-# Proportionality scan
-
-
-def test_proportionality_scan_on_projective_basis():
-    scan = pairwise_proportionality_scan(gen_projective_basis(2, 2))
-    assert scan[0] == [(0, 1), (2, 3)]
-    assert scan[1] == [(0, 2), (1, 3)]
-
-
-def test_proportionality_scan_on_ladder_is_empty():
-    scan = pairwise_proportionality_scan(gen_ladder_channel(0.5))
-    assert scan == {0: [], 1: []}
-
-
-def test_proportionality_scan_on_unitary_family_is_total():
-    rng = np.random.default_rng(21)
-    from sepcert import haar_unitary
-
-    us = [[haar_unitary(rng, 2) for _ in range(3)], [haar_unitary(rng, 2) for _ in range(3)]]
-    fam = gen_product_unitary_channel(us, [0.2, 0.3, 0.5])
-    scan = pairwise_proportionality_scan(fam)
-    # K^dag K is proportional to the identity for every unitary member.
-    assert scan[0] == [(0, 1), (0, 2), (1, 2)]
-    assert scan[1] == [(0, 1), (0, 2), (1, 2)]

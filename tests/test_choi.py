@@ -12,7 +12,6 @@ from sepcert import (
     certify_unique_ensemble,
     channel_to_choi_ensemble,
     channels_equal,
-    choi_state,
     ensemble_to_state,
     family_from_factors,
     gen_fourier_channel,
@@ -98,7 +97,7 @@ def test_gram_state_invariant_under_isometric_remix():
 
 
 def test_choi_state_is_positive_and_unnormalized():
-    rho = choi_state(gen_ladder_channel(0.5))
+    rho = ensemble_to_state(channel_to_choi_ensemble(gen_ladder_channel(0.5)))
     evals = np.linalg.eigvalsh(rho.matrix)
     assert evals.min() > -1e-12
     # Trace equals sum_j w_j^2 ||K_j||_F^2, not 1: 1.75 + 1.25 + 1 at mu = 1/2.

@@ -17,9 +17,13 @@ from sepcert import (
     family_from_factors,
     gen_ladder_channel,
     party_pairs,
+    planted_dependent_family,
+    random_product_family,
+    schmidt_rank,
     span_bound_report,
     span_dimension,
 )
+from sepcert.sampling import random_nonzero_coefficients
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -192,6 +196,15 @@ def test_subfamily():
         fam.subfamily((0, 7))
 
 
+def test_member_indices():
+    fam = gen_ladder_channel(0.5)
+    assert fam.member_indices([2, 0]) == (2, 0)
+    assert fam.member_indices(np.array([1, 2]), minimum=2) == (1, 2)
+    for bad, minimum in [((), 1), ((1,), 2), ((0, 0), 1), ((0, 3), 1), ((-1,), 1)]:
+        with pytest.raises(UsageError):
+            fam.member_indices(bad, minimum)
+
+
 def test_assembled_stacks_members():
     fam = gen_ladder_channel(0.5)
     mats = fam.assembled()
@@ -255,6 +268,43 @@ def test_span_bound_report_fields():
     assert d["schmidt_rank"] == 3
     assert d["holds"] is True
     assert report.equality is True
+
+
+def kronecker_span_bound(fam, coeffs, split):
+    """(delta_a, delta_b, r_s) from the assembled combination and grouped lists."""
+    a_groups = fam.grouped_factors(split.side_a, include_weight=True)
+    b_groups = fam.grouped_factors(split.side_b)
+    s = sum(c * np.kron(a, b) for c, a, b in zip(coeffs, a_groups, b_groups))
+    dims = a_groups[0].shape + b_groups[0].shape
+    return span_dimension(a_groups), span_dimension(b_groups), schmidt_rank(s, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 2, 2)])
+def test_span_bound_report_matches_kronecker_reference(dims):
+    n_parties = len(dims)
+    cases = []
+    for seed in range(6):
+        rng = np.random.default_rng([17, n_parties, seed])
+        fam = random_product_family(rng, dims, 2 + seed % 4)
+        coeffs = random_nonzero_coefficients(rng, fam.n_members)
+        cases.append((fam, coeffs))
+        # A repeated member whose two copies cancel: the combination has
+        # fewer terms than members, so r_s depends on the coefficients.
+        twins = OperatorFamily(fam.spec, fam.members + fam.members[-1:])
+        cases.append((twins, np.r_[coeffs, -coeffs[-1]]))
+        cases.append((twins, np.r_[coeffs, coeffs[-1]]))
+        if len(set(dims)) == 1:
+            planted, planted_coeffs = planted_dependent_family(
+                rng, n_parties, seed % n_parties, 1 + seed % 3, 1 + seed % 2, dims[0]
+            )
+            cases.append((planted, planted_coeffs))
+            cases.append((planted, random_nonzero_coefficients(rng, planted.n_members)))
+    for fam, coeffs in cases:
+        for split in all_bipartitions(n_parties):
+            report = span_bound_report(fam, coeffs, split)
+            reference = kronecker_span_bound(fam, coeffs, split)
+            assert (report.delta_a, report.delta_b, report.schmidt_rank) == reference
+            assert report.holds
 
 
 def test_grouping_dominance():

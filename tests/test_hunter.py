@@ -18,12 +18,17 @@ from sepcert import (
     gen_tight_family,
     hunt_product,
     mixing_search,
+    all_bipartitions,
     mixing_unitary,
+    planted_dependent_family,
     product_residual,
     proportional,
+    random_product_family,
     recover_product,
     schmidt_rank,
 )
+from sepcert.hunter import _product_cuts
+from sepcert.sampling import random_nonzero_coefficients
 
 E00 = np.diag([1.0, 0.0])
 
@@ -167,6 +172,40 @@ def test_product_residual_cases():
         product_residual(proj, [1.0, 1.0])
 
 
+def test_product_cuts_are_the_bipartitions_up_to_three_parties():
+    for n_parties in (2, 3):
+        expected = {(bp.side_a, bp.side_b) for bp in all_bipartitions(n_parties)}
+        cuts = _product_cuts(n_parties)
+        assert len(cuts) == len(expected)
+        assert set(cuts) == expected
+    assert _product_cuts(1) == []
+
+
+def test_product_cuts_single_out_each_party():
+    for n_parties in (4, 5):
+        cuts = _product_cuts(n_parties)
+        assert len(cuts) == n_parties
+        singles = set()
+        for side_a, side_b in cuts:
+            assert 0 in side_a
+            assert sorted(side_a + side_b) == list(range(n_parties))
+            singles.add(side_a if len(side_a) == 1 else side_b)
+        assert singles == {(p,) for p in range(n_parties)}
+
+
+def test_product_residual_on_four_party_planted_family():
+    # Every combination of a planted family is a product, so random product
+    # members are appended: with them a random combination is no product.
+    for varying in range(4):
+        rng = np.random.default_rng([41, varying])
+        planted, coeffs = planted_dependent_family(rng, 4, varying, 3, 2, 2)
+        extra = random_product_family(rng, (2, 2, 2, 2), 2)
+        fam = OperatorFamily(planted.spec, planted.members + extra.members)
+        assert product_residual(fam, np.r_[coeffs, 0.0, 0.0]) < 1e-12
+        random_coeffs = random_nonzero_coefficients(rng, fam.n_members)
+        assert product_residual(fam, random_coeffs) > 1e-3
+
+
 def test_product_residual_is_the_hunt_residual():
     fam = gen_projective_basis(2, 2)
     for subset in [(0, 1), (1, 2)]:
@@ -211,6 +250,16 @@ def test_mixing_search_validation():
         mixing_search(fam, (1, 1))
     with pytest.raises(UsageError):
         mixing_search(fam, (0, 5))
+
+
+def test_mixing_validates_the_pair():
+    fam = gen_projective_basis(2, 2)
+    u = mixing_unitary(np.pi / 4, 0.0)
+    for pair in [(0, 0), (0, 9), (0, 1, 2), (1,)]:
+        with pytest.raises(UsageError):
+            apply_mixing(fam, pair, u)
+        with pytest.raises(UsageError):
+            mixing_search(fam, pair)
 
 
 def test_apply_mixing_identity_returns_same_members():
