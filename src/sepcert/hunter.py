@@ -32,7 +32,6 @@ from .linalg import (
     proportional,
     realign_bipartite,
     unvectorize,
-    vectorize,
     vectorized_columns,
 )
 from .sampling import (
@@ -43,6 +42,10 @@ from .sampling import (
 )
 
 _ZERO_CUTOFF = 1e-150
+
+# hunt_product runs its restarts as one stack of at most this many rows;
+# restarts are independent, so the block size bounds memory and nothing else.
+RESTART_BLOCK = 64
 
 
 def _product_cuts(n_parties: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -76,19 +79,24 @@ def _split_stacks(fam: OperatorFamily, subset) -> list[tuple[np.ndarray, np.ndar
     ]
 
 
-def _worst_ratio(stacks, c: np.ndarray) -> float:
-    """Worst sigma_2/sigma_1 over the cuts of the combination ``c``.
+def _worst_ratio(stacks, coeffs: np.ndarray) -> np.ndarray:
+    """Worst sigma_2/sigma_1 over the cuts, one entry per row of ``coeffs``.
 
-    Zero for a product operator; 1.0 for a combination that vanishes.
+    Row k of the (R, n) ``coeffs`` is one combination.  Its entry is zero
+    for a product operator and 1.0 for a combination that vanishes.  Each
+    cut costs one stacked SVD of the R realignments.
     """
-    worst = 0.0
+    worst = np.zeros(len(coeffs))
     for a_mat, b_mat in stacks:
-        r = (b_mat * c) @ a_mat.T
-        sigma = np.linalg.svd(r, compute_uv=False)
-        if sigma[0] <= _ZERO_CUTOFF:
-            return 1.0
-        if sigma.size > 1:
-            worst = max(worst, float(sigma[1] / sigma[0]))
+        sigma = np.linalg.svd(
+            (b_mat * coeffs[:, None, :]) @ a_mat.T, compute_uv=False
+        )
+        lead = sigma[:, 0]
+        second = sigma[:, 1] if sigma.shape[1] > 1 else np.zeros_like(lead)
+        ratio = np.divide(
+            second, lead, out=np.ones_like(lead), where=lead > _ZERO_CUTOFF
+        )
+        worst = np.maximum(worst, ratio)
     return worst
 
 
@@ -103,7 +111,59 @@ def product_residual(fam: OperatorFamily, coeffs) -> float:
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.size != fam.n_members:
         raise ShapeError(f"got {c.size} coefficients for {fam.n_members} members")
-    return _worst_ratio(_split_stacks(fam, range(fam.n_members)), c)
+    return float(_worst_ratio(_split_stacks(fam, range(fam.n_members)), c[None])[0])
+
+
+def _unvectorize_rows(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Row-wise :func:`unvectorize` of a (R, rows*cols) stack."""
+    rows, cols = shape
+    return v.reshape(len(v), cols, rows).transpose(0, 2, 1)
+
+
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (R, n) stack.
+
+    Two dot products per row, as ``np.linalg.norm`` takes them for a single
+    vector; ``norm(axis=1)`` rounds differently.
+    """
+    re, im = c.real, c.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _peel(stack: np.ndarray, spec: PartySpec) -> list[np.ndarray]:
+    """Leading-singular-vector peel of each operator in a (R, d_out, d_in) stack.
+
+    Returns one (R, d_out(p), d_in(p)) factor stack per party; the scale of
+    each operator ends up on its last factor.  Each party split costs one
+    stacked SVD.
+    """
+    factors = []
+    rest = stack
+    for lead in range(spec.n_parties - 1):
+        tail = range(lead + 1, spec.n_parties)
+        a_out, a_in = spec.d_out(lead), spec.d_in(lead)
+        b_out = int(np.prod([spec.d_out(p) for p in tail]))
+        b_in = int(np.prod([spec.d_in(p) for p in tail]))
+        r = realign_bipartite(rest, (a_out, a_in, b_out, b_in))
+        # The thin SVD of a tall realignment has the same leading vectors
+        # and a far smaller U; on a wide one it rounds differently.
+        u, s, vh = np.linalg.svd(r, full_matrices=r.shape[1] <= r.shape[2])
+        factors.append(_unvectorize_rows(vh[:, 0], (a_out, a_in)))
+        rest = _unvectorize_rows(s[:, :1] * u[:, :, 0], (b_out, b_in))
+    factors.append(rest)
+    return factors
+
+
+def _assemble_rows(factors: list[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of per-party (R, rows, cols) factor stacks."""
+    out = factors[0]
+    for f in factors[1:]:
+        (n, ra, ca), (_, rb, cb) = out.shape, f.shape
+        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
+            n, ra * rb, ca * cb
+        )
+    return out
 
 
 def recover_product(matrix, spec: PartySpec) -> ProductOperator:
@@ -117,21 +177,7 @@ def recover_product(matrix, spec: PartySpec) -> ProductOperator:
     m = as_matrix(matrix)
     if frobenius(m) <= _ZERO_CUTOFF:
         raise DegenerateInputError("cannot recover a product from the zero matrix")
-    remaining = list(range(spec.n_parties))
-    factors = []
-    rest = m
-    while len(remaining) > 1:
-        lead, tail = remaining[0], remaining[1:]
-        a_out, a_in = spec.d_out(lead), spec.d_in(lead)
-        b_out = int(np.prod([spec.d_out(p) for p in tail]))
-        b_in = int(np.prod([spec.d_in(p) for p in tail]))
-        r = realign_bipartite(rest, (a_out, a_in, b_out, b_in))
-        u, s, vh = np.linalg.svd(r)
-        factors.append(unvectorize(vh[0], (a_out, a_in)))
-        rest = unvectorize(s[0] * u[:, 0], (b_out, b_in))
-        remaining = tail
-    factors.append(rest)
-    return ProductOperator(1.0, tuple(factors))
+    return ProductOperator(1.0, tuple(f[0] for f in _peel(m[None], spec)))
 
 
 @dataclass(frozen=True)
@@ -195,6 +241,11 @@ def hunt_product(
     alternates between projecting the current combination to its nearest
     product (leading-singular-vector peeling) and re-fitting coefficients by
     least squares.  ``initial_coefficients``, when given, replaces restart 0.
+    The restarts iterate together, up to ``RESTART_BLOCK`` at a time, with
+    one stacked SVD per cut and one multi-right-hand-side least-squares
+    solve per iteration; each restart still takes the steps it would take
+    alone.  ``threshold`` must lie strictly between 0 and 1, the range of
+    the residual.
 
     The reported result is the minimum-residual restart, ties broken by
     restart index, so identical inputs reproduce bit for bit.  When the best
@@ -212,6 +263,8 @@ def hunt_product(
         raise UsageError("max_iters must be at least 1")
     if not (0 < coefficient_floor < 0.5):
         raise ParameterError(f"coefficient_floor out of range: {coefficient_floor}")
+    if not (0 < threshold < 1):
+        raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
 
     ns = len(subset)
     d_out, d_in = fam.spec.total_d_out, fam.spec.total_d_in
@@ -219,38 +272,53 @@ def hunt_product(
     stacks = _split_stacks(fam, subset)
 
     def project(c: np.ndarray) -> np.ndarray:
-        nrm = np.linalg.norm(c)
-        if nrm <= _ZERO_CUTOFF:
-            return np.full(ns, 1.0 / np.sqrt(ns), dtype=np.complex128)
-        c = c / nrm
+        """Each row scaled to unit norm with every magnitude at the floor or above."""
+        nrm = _row_norms(c)
+        vanished = nrm <= _ZERO_CUTOFF
+        c = c / np.where(vanished, 1.0, nrm)[:, None]
         mags = np.abs(c)
         small = mags < coefficient_floor
-        if np.any(small):
+        fix = small.any(axis=1) & ~vanished
+        if fix.any():
             phases = np.where(mags > _ZERO_CUTOFF, c / np.maximum(mags, _ZERO_CUTOFF), 1.0)
             c = np.where(small, coefficient_floor * phases, c)
-            c = c / np.linalg.norm(c)
+            c[fix] = c[fix] / _row_norms(c[fix])[:, None]
+        c[vanished] = 1.0 / np.sqrt(ns)
         return c
 
-    def refine(c: np.ndarray) -> tuple[float, np.ndarray]:
+    def refine(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best objective and coefficients of each restart started at a row of ``c``.
+
+        All restarts iterate together; a restart leaves the stack when its
+        combination vanishes or its objective moves by less than
+        ``convergence``, so each runs the iterations it would run alone.
+        """
         best_obj = _worst_ratio(stacks, c)
-        best_c = c
-        prev = best_obj
+        best_c = c.copy()
+        prev = best_obj.copy()
+        rows = np.arange(len(c))
         for _ in range(max_iters):
-            s_vec = full @ c
-            s_norm = np.linalg.norm(s_vec)
-            if s_norm <= _ZERO_CUTOFF:
+            # A stack of matrix-vector products rounds as full @ c does for
+            # one vector; c @ full.T would not.
+            s_vec = (full @ c[:, :, None])[:, :, 0]
+            live = _row_norms(s_vec) > _ZERO_CUTOFF
+            rows, s_vec = rows[live], s_vec[live]
+            if rows.size == 0:
                 break
-            target = recover_product(
-                unvectorize(s_vec, (d_out, d_in)), fam.spec
-            ).assemble()
-            c, *_ = np.linalg.lstsq(full, vectorize(target).ravel(), rcond=None)
-            c = project(c)
+            target = _assemble_rows(
+                _peel(_unvectorize_rows(s_vec, (d_out, d_in)), fam.spec)
+            )
+            # Column k of the right-hand side is vectorize(target[k]).
+            rhs = target.transpose(0, 2, 1).reshape(len(rows), -1).T
+            c, *_ = np.linalg.lstsq(full, rhs, rcond=None)
+            c = project(c.T)
             obj = _worst_ratio(stacks, c)
-            if obj < best_obj:
-                best_obj, best_c = obj, c
-            if abs(prev - obj) < convergence:
-                break
-            prev = obj
+            better = obj < best_obj[rows]
+            best_obj[rows[better]] = obj[better]
+            best_c[rows[better]] = c[better]
+            moving = ~(np.abs(prev[rows] - obj) < convergence)
+            prev[rows] = obj
+            rows, c = rows[moving], c[moving]
         return best_obj, best_c
 
     if initial_coefficients is not None:
@@ -262,19 +330,18 @@ def hunt_product(
         if np.linalg.norm(init) <= _ZERO_CUTOFF:
             raise ParameterError("initial_coefficients must not be the zero vector")
 
-    def run_restart(r: int) -> tuple[float, np.ndarray]:
+    def start(r: int) -> np.ndarray:
         if r == 0 and initial_coefficients is not None:
-            c0 = project(init.copy())
-        else:
-            rng = np.random.default_rng([seed, r])
-            c0 = project(complex_randn(rng, ns))
-        return refine(c0)
+            return init
+        return complex_randn(np.random.default_rng([seed, r]), ns)
 
-    results = [run_restart(r) for r in range(restarts)]
-    best_obj, best_c = results[0]
-    for obj, c in results[1:]:
-        if obj < best_obj:
-            best_obj, best_c = obj, c
+    best_obj, best_c = np.inf, None
+    for first in range(0, restarts, RESTART_BLOCK):
+        block = range(first, min(first + RESTART_BLOCK, restarts))
+        objs, coeffs = refine(project(np.array([start(r) for r in block])))
+        k = int(np.argmin(objs))
+        if best_c is None or objs[k] < best_obj:
+            best_obj, best_c = float(objs[k]), coeffs[k].copy()
 
     found = best_obj < threshold
     candidate = None
@@ -364,17 +431,21 @@ def mixing_search(
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
 
-    # Row k of a remix unitary is the coefficient vector on members (i, j).
-    stacks = _split_stacks(fam, (i, j))
-    hits = []
-    for theta in np.atleast_1d(angles):
-        for phi in np.atleast_1d(phases):
-            u = mixing_unitary(float(theta), float(phi))
-            ri = _worst_ratio(stacks, u[0])
-            rj = _worst_ratio(stacks, u[1])
-            if ri <= tol and rj <= tol:
-                hits.append(MixingPoint(float(theta), float(phi), u, (ri, rj)))
-    return hits
+    # Row k of a remix unitary is the coefficient vector on members (i, j),
+    # so the rows of all grid unitaries are scored by one objective call.
+    grid = [
+        (float(theta), float(phi))
+        for theta in np.atleast_1d(angles)
+        for phi in np.atleast_1d(phases)
+    ]
+    unitaries = [mixing_unitary(theta, phi) for theta, phi in grid]
+    rows = np.array(unitaries, dtype=np.complex128).reshape(-1, 2)
+    ratios = _worst_ratio(_split_stacks(fam, (i, j)), rows).reshape(-1, 2)
+    return [
+        MixingPoint(theta, phi, u, (float(ri), float(rj)))
+        for (theta, phi), u, (ri, rj) in zip(grid, unitaries, ratios)
+        if ri <= tol and rj <= tol
+    ]
 
 
 def apply_mixing(
@@ -397,10 +468,9 @@ def apply_mixing(
         raise ParameterError("mixing matrix is not unitary")
     ki = fam.members[i].assemble()
     kj = fam.members[j].assemble()
-    stacks = _split_stacks(fam, (i, j))
+    residuals = _worst_ratio(_split_stacks(fam, (i, j)), u)
     new_members = list(fam.members)
-    for idx, row in zip((i, j), u):
-        res = _worst_ratio(stacks, row)
+    for idx, row, res in zip((i, j), u, residuals):
         if res > tol:
             raise ParameterError(
                 f"remixed member {idx} is not a product operator "

@@ -161,21 +161,26 @@ def realign_bipartite(s, dims: tuple[int, int, int, int]) -> np.ndarray:
     tensor index of ``s``.  The output has shape ``(b_out*b_in, a_out*a_in)``
     and satisfies ``out[vec(b_out,b_in) index of (k,l), vec(a_out,a_in) index
     of (m,n)] == s[(m,k), (n,l)]``, so each A-indexed block of ``s`` becomes
-    one column of the result.
+    one column of the result.  A stack ``(..., rows, cols)`` of operators is
+    realigned matrix by matrix.
     """
-    s = as_matrix(s)
+    s = np.asarray(s, dtype=np.complex128)
     a_out, a_in, b_out, b_in = dims
     if min(dims) < 1:
         raise ShapeError(f"dimensions must be positive, got {dims}")
-    if s.shape != (a_out * b_out, a_in * b_in):
+    if s.shape[-2:] != (a_out * b_out, a_in * b_in):
         raise ShapeError(
             f"matrix shape {s.shape} does not match dims {dims} "
             f"(expected {(a_out * b_out, a_in * b_in)})"
         )
-    blocks = s.reshape(a_out, b_out, a_in, b_in)
+    lead = s.shape[:-2]
+    blocks = s.reshape(*lead, a_out, b_out, a_in, b_in)
     # Row of the result is the column-stacked (k, l) pair, column the
     # column-stacked (m, n) pair; both match the vectorize() layout.
-    return blocks.transpose(3, 1, 2, 0).reshape(b_out * b_in, a_out * a_in)
+    n = len(lead)
+    return blocks.transpose(*range(n), n + 3, n + 1, n + 2, n).reshape(
+        *lead, b_out * b_in, a_out * a_in
+    )
 
 
 def schmidt_rank(

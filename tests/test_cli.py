@@ -260,6 +260,15 @@ def test_hunt_rejects_zero_restarts(capsys, tmp_path):
     assert code == 2
 
 
+def test_hunt_rejects_negative_threshold(capsys, tmp_path):
+    path = tmp_path / "proj.json"
+    run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(path))
+    code, out, err = run_cli(capsys, "hunt", str(path), "--subset", "0,1", "--threshold", "-1")
+    assert code == 2
+    assert out == ""
+    assert "threshold" in err
+
+
 # ---------------------------------------------------------------------------
 # choi
 

@@ -24,11 +24,15 @@ from sepcert import (
     product_residual,
     proportional,
     random_product_family,
+    realign_bipartite,
     recover_product,
     schmidt_rank,
+    unvectorize,
+    vectorize,
 )
-from sepcert.hunter import _product_cuts
-from sepcert.sampling import random_nonzero_coefficients
+from sepcert.hunter import RESTART_BLOCK, _product_cuts, _split_stacks
+from sepcert.linalg import vectorized_columns
+from sepcert.sampling import complex_randn, random_nonzero_coefficients
 
 E00 = np.diag([1.0, 0.0])
 
@@ -126,6 +130,201 @@ def test_hunt_argument_validation():
         hunt_product(fam, subset=(0, 1), initial_coefficients=[0.0, 0.0])
     with pytest.raises(UsageError):
         hunt_product(fam, subset=(0, 1), initial_coefficients=[1.0, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# serial reference: one restart at a time, one vector per call
+
+
+def reference_ratio(stacks, c):
+    worst = 0.0
+    for a_mat, b_mat in stacks:
+        sigma = np.linalg.svd((b_mat * c) @ a_mat.T, compute_uv=False)
+        if sigma[0] <= 1e-150:
+            return 1.0
+        if sigma.size > 1:
+            worst = max(worst, float(sigma[1] / sigma[0]))
+    return worst
+
+
+def reference_peel(m, spec):
+    remaining = list(range(spec.n_parties))
+    factors = []
+    rest = m
+    while len(remaining) > 1:
+        lead, tail = remaining[0], remaining[1:]
+        a_out, a_in = spec.d_out(lead), spec.d_in(lead)
+        b_out = int(np.prod([spec.d_out(p) for p in tail]))
+        b_in = int(np.prod([spec.d_in(p) for p in tail]))
+        u, s, vh = np.linalg.svd(realign_bipartite(rest, (a_out, a_in, b_out, b_in)))
+        factors.append(unvectorize(vh[0], (a_out, a_in)))
+        rest = unvectorize(s[0] * u[:, 0], (b_out, b_in))
+        remaining = tail
+    factors.append(rest)
+    return ProductOperator(1.0, tuple(factors))
+
+
+def reference_search(fam, subset, restarts, max_iters, seed, init=None,
+                     floor=1e-6, convergence=1e-12):
+    """Best (objective, coefficients) over restarts, each run alone."""
+    ns = len(subset)
+    full = vectorized_columns(fam.members[i].assemble() for i in subset)
+    stacks = _split_stacks(fam, subset)
+    shape = (fam.spec.total_d_out, fam.spec.total_d_in)
+
+    def project(c):
+        nrm = np.linalg.norm(c)
+        if nrm <= 1e-150:
+            return np.full(ns, 1.0 / np.sqrt(ns), dtype=np.complex128)
+        c = c / nrm
+        mags = np.abs(c)
+        small = mags < floor
+        if np.any(small):
+            phases = np.where(mags > 1e-150, c / np.maximum(mags, 1e-150), 1.0)
+            c = np.where(small, floor * phases, c)
+            c = c / np.linalg.norm(c)
+        return c
+
+    best = None
+    for r in range(restarts):
+        if r == 0 and init is not None:
+            c = project(np.asarray(init, dtype=np.complex128))
+        else:
+            c = project(complex_randn(np.random.default_rng([seed, r]), ns))
+        obj_best, c_best = reference_ratio(stacks, c), c
+        prev = obj_best
+        for _ in range(max_iters):
+            s_vec = full @ c
+            if np.linalg.norm(s_vec) <= 1e-150:
+                break
+            target = reference_peel(unvectorize(s_vec, shape), fam.spec).assemble()
+            c, *_ = np.linalg.lstsq(full, vectorize(target).ravel(), rcond=None)
+            c = project(c)
+            obj = reference_ratio(stacks, c)
+            if obj < obj_best:
+                obj_best, c_best = obj, c
+            if abs(prev - obj) < convergence:
+                break
+            prev = obj
+        if best is None or obj_best < best[0]:
+            best = (obj_best, c_best)
+    return best
+
+
+def reference_hunt(fam, subset, restarts=64, max_iters=500, seed=0, init=None,
+                   threshold=1e-8, floor=1e-6):
+    """(subset, objective, coefficients) as hunt_product reports them."""
+    obj, c = reference_search(fam, subset, restarts, max_iters, seed, init, floor)
+    pinned = np.abs(c) <= 2.0 * floor
+    if obj < threshold and pinned.any() and np.count_nonzero(~pinned) >= 2:
+        reduced = tuple(i for i, p in zip(subset, pinned) if not p)
+        retried = reference_hunt(fam, reduced, restarts, max_iters, seed,
+                                 threshold=threshold, floor=floor)
+        if retried[1] < threshold:
+            return retried
+    return subset, obj, c
+
+
+def _tight_four_party():
+    return gen_tight_family(1, seed=0, n_parties=4)[0]
+
+
+def _random_222():
+    return random_product_family(np.random.default_rng([99, 0]), (2, 2, 2), 6)
+
+
+def _random_32():
+    # Party 0 is the larger one, so the peel's realignment is wide.
+    return random_product_family(np.random.default_rng([7, 2, 3]), (3, 2), 5)
+
+
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (lambda: gen_tight_family(2, seed=0)[0],
+         dict(seed=1, initial_coefficients=gen_tight_family(2, seed=0)[1])),
+        (_tight_four_party, dict(seed=0, restarts=20)),
+        (lambda: gen_projective_basis(3, 3),
+         dict(subset=(0, 1, 5), seed=0, restarts=16, threshold=1e-5)),
+        (lambda: gen_ladder_channel(0.5), dict(seed=7)),
+        (_random_222, dict(seed=0, restarts=20, max_iters=3)),
+        (_random_32, dict(seed=1, restarts=12)),
+        (lambda: gen_ladder_channel(0.5), dict(seed=2, restarts=RESTART_BLOCK + 1)),
+    ],
+    ids=[
+        "tight-n2-init", "tight-n1-4p", "projective-33", "ladder", "random-222",
+        "random-32", "ladder-65",
+    ],
+)
+def test_stacked_restarts_match_the_serial_loop(make, kwargs):
+    fam = make()
+    result = hunt_product(fam, **kwargs)
+    subset, obj, c = reference_hunt(
+        fam,
+        kwargs.get("subset", tuple(range(fam.n_members))),
+        restarts=kwargs.get("restarts", 64),
+        max_iters=kwargs.get("max_iters", 500),
+        seed=kwargs["seed"],
+        init=kwargs.get("initial_coefficients"),
+        threshold=kwargs.get("threshold", 1e-8),
+    )
+    assert result.subset == subset
+    assert result.residual == obj
+    assert np.array_equal(result.coefficients, c)
+    assert result.found == (obj < kwargs.get("threshold", 1e-8))
+    if result.found:
+        full = vectorized_columns(fam.members[i].assemble() for i in subset)
+        shape = (fam.spec.total_d_out, fam.spec.total_d_in)
+        expected = reference_peel(unvectorize(full @ c, shape), fam.spec)
+        for got, want in zip(result.candidate.factors, expected.factors):
+            assert np.array_equal(got, want)
+
+
+def test_projective_33_hunt_reruns_without_pinned_members():
+    # |00><00| and |01><01| share a left factor; |12><12| shares none, so the
+    # best combination pins it at the floor (residual ~1e-6, accepted at
+    # 1e-5) and the re-hunt drops it.
+    fam = gen_projective_basis(3, 3)
+    result = hunt_product(fam, subset=(0, 1, 5), seed=0, restarts=16, threshold=1e-5)
+    assert result.found and result.novel
+    assert result.subset == (0, 1)
+    assert result.residual < 1e-10
+
+
+def test_vanishing_start_stops_at_once():
+    # With member 0 twice, the start (1, -1) combines to the zero operator:
+    # that restart keeps its start and the objective of a vanishing
+    # combination, while the other restarts still search.
+    proj = gen_projective_basis(2, 2)
+    twin = OperatorFamily(proj.spec, (proj.members[0], proj.members[0], proj.members[1]))
+    alone = hunt_product(twin, subset=(0, 1), initial_coefficients=[1.0, -1.0], restarts=1)
+    assert not alone.found
+    assert alone.residual == 1.0
+    np.testing.assert_allclose(alone.coefficients, [2**-0.5, -(2**-0.5)], atol=0)
+    for kwargs in [dict(subset=(0, 1), restarts=3), dict(restarts=RESTART_BLOCK + 6)]:
+        subset = kwargs.get("subset", (0, 1, 2))
+        init = [1.0, -1.0, 0.0][: len(subset)]
+        result = hunt_product(twin, initial_coefficients=init, seed=0, **kwargs)
+        subset_ref, obj, c = reference_hunt(
+            twin, subset, restarts=kwargs["restarts"], seed=0, init=init
+        )
+        assert (result.subset, result.residual) == (subset_ref, obj)
+        assert np.array_equal(result.coefficients, c)
+
+
+def test_restart_blocks_do_not_change_the_result(monkeypatch):
+    fam = gen_projective_basis(2, 2)
+    whole = hunt_product(fam, subset=(1, 2), seed=5, restarts=10)
+    monkeypatch.setattr("sepcert.hunter.RESTART_BLOCK", 3)
+    split = hunt_product(fam, subset=(1, 2), seed=5, restarts=10)
+    assert split.to_dict() == whole.to_dict()
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.0, float("nan"), float("inf")])
+def test_hunt_rejects_thresholds_outside_the_unit_interval(threshold):
+    fam = gen_projective_basis(2, 2)
+    with pytest.raises(ParameterError):
+        hunt_product(fam, subset=(0, 1), threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
