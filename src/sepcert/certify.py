@@ -1,22 +1,29 @@
 """Uniqueness certificates for product Kraus families and product ensembles.
 
-The certifier enumerates member subsets and eliminates each one by finding a
-party split whose local span dimensions are too large for the subset to admit
-a product linear combination with all coefficients nonzero.  If every subset
-of size >= 2 is eliminated, no alternative product representation of the same
-channel (or state) can exist and the certificate is Unique.  Surviving
+The certifier decides every member subset of size >= 2 and eliminates it by
+finding a party split whose local span dimensions are too large for the
+subset to admit a product linear combination with all coefficients nonzero.
+If every subset is eliminated, no alternative product representation of the
+same channel (or state) can exist and the certificate is Unique.  Surviving
 subsets are returned as witnesses; they mean the certificate is Inconclusive,
 never that the representation is actually non-unique.
+
+Subsets are decided top down, from the full set to the pairs.  Removing one
+member lowers a span dimension by at most one, also numerically (singular
+values interlace and the rank cutoff can only shrink), so the ranks of the
+larger subsets bound those of the smaller ones from below, and a subset is
+ranked on a side only when those bounds cannot decide it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError, UsageError
+from .errors import EnumerationCapError, ParameterError, SizeBudgetError, UsageError
 from .linalg import (
     DEFAULT_TOLERANCE,
     TolerancePolicy,
@@ -35,9 +42,12 @@ from .families import (
 #: raises the cap explicitly; subset enumeration is exponential in N.
 DEFAULT_ENUMERATION_CAP = 20
 
-#: Subsets of one size ranked per stacked SVD.  Larger blocks save little
+#: Column selections ranked per stacked SVD.  Larger stacks save little
 #: call overhead and raise peak memory.
 SUBSET_BLOCK = 64
+
+#: Subsets of one size whose bounds are gathered and decided together.
+LEVEL_BLOCK = 1024
 
 STRATEGY_PAIRS = "pairs"
 STRATEGY_ALL_BIPARTITIONS = "all_bipartitions"
@@ -142,34 +152,68 @@ def _side_matrix(fam: OperatorFamily, side: tuple[int, ...]) -> tuple[np.ndarray
     return m, rows
 
 
-def _block_survivors(
-    block: np.ndarray,
+def _decide_block(
+    members: np.ndarray,
+    n: int,
     splits: list[tuple[tuple[int, ...], tuple[int, ...]]],
     sides: dict[tuple[int, ...], tuple[np.ndarray, int]],
+    known: dict[tuple[int, ...], np.ndarray],
     tol: TolerancePolicy,
 ) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
-    """Eliminate a (B, n) block of n-member subsets split by split.
+    """Eliminate a (B, m) block of m-member subsets of n members split by split.
 
-    Returns the positions in ``block`` of the subsets no split eliminated,
-    and per side a (B,) array of span dimensions.  A side is ranked once
-    for each subset still alive when a split first needs it, so a side
-    shared by several splits costs one SVD per subset; entries never
-    needed stay -1.  Every survivor has the ranks of every side.
+    ``known`` maps each side to an array over member bitmasks holding the
+    exact rank of each subset ranked so far and the lower bound of every
+    other decided subset; all subsets of m + 1 members must be decided.  A
+    subset starts from ``max_x known(T | x) - 1`` on each side and is ranked
+    on a side only when its bounds leave a split undecided: first the side
+    with more headroom (fewer compressed rows on a tie), then the other side
+    if the subset is still alive.  The block's entries of ``known`` are
+    written on return.
+
+    Returns the positions in ``members`` of the subsets no split eliminated,
+    and per side a (B,) array of rank bounds that is exact for every survivor.
     """
-    size = block.shape[1]
-    alive = np.arange(len(block))
-    ranks: dict[tuple[int, ...], np.ndarray] = {}
+    size = members.shape[1]
+    masks = np.left_shift(1, members).sum(axis=1)
+    supersets = masks[:, None] | np.left_shift(1, np.arange(n))
+    # For x in T, T | x is T itself, still 0 here, so it only adds the -1
+    # that the clip at 0 removes; the full set thus starts at 0.
+    val = {
+        side: np.maximum(k[supersets].max(axis=1).astype(np.int64) - 1, 0)
+        for side, k in known.items()
+    }
+    exact = {side: np.zeros(len(members), dtype=bool) for side in sides}
+
+    def rank(side, todo):
+        m, rows = sides[side]
+        for i in range(0, len(todo), SUBSET_BLOCK):
+            sel = todo[i : i + SUBSET_BLOCK]
+            val[side][sel] = stacked_ranks(np.moveaxis(m[:, members[sel]], 1, 0), rows, tol)
+        exact[side][todo] = True
+
+    alive = np.arange(len(members))
     for side_a, side_b in splits:
-        for side in (side_a, side_b):
-            r = ranks.setdefault(side, np.full(len(block), -1, dtype=np.int64))
-            todo = alive[r[alive] < 0]
-            if todo.size:
-                m, rows = sides[side]
-                r[todo] = stacked_ranks(np.moveaxis(m[:, block[todo]], 1, 0), rows, tol)
-        alive = alive[ranks[side_a][alive] + ranks[side_b][alive] <= size + 1]
+        rows_a, rows_b = len(sides[side_a][0]), len(sides[side_b][0])
+        # Two rounds: each subset's first side, then the other for those the
+        # first rank left alive.  After the first round a subset needs at most
+        # one side, so the headroom comparison no longer matters.
+        for _ in range(2):
+            alive = alive[val[side_a][alive] + val[side_b][alive] <= size + 1]
+            need_a, need_b = ~exact[side_a][alive], ~exact[side_b][alive]
+            room_a = min(size, rows_a) - val[side_a][alive]
+            room_b = min(size, rows_b) - val[side_b][alive]
+            b_first = need_b & (
+                ~need_a | (room_b > room_a) | ((room_b == room_a) & (rows_b < rows_a))
+            )
+            rank(side_a, alive[need_a & ~b_first])
+            rank(side_b, alive[b_first])
+        alive = alive[val[side_a][alive] + val[side_b][alive] <= size + 1]
         if alive.size == 0:
             break
-    return alive, ranks
+    for side, k in known.items():
+        k[masks] = val[side]
+    return alive, val
 
 
 def certify_unique(
@@ -181,19 +225,31 @@ def certify_unique(
 ) -> Certificate:
     """Certify that ``fam`` is the unique product representation of its channel.
 
-    Enumerates every subset T of members with |T| = n >= 2 (increasing size,
-    lexicographic within a size).  A subset is eliminated when some examined
-    split has delta_A + delta_B > n + 1; any subset that survives every split
-    is reported as a witness and the status is Inconclusive.  With
-    ``fail_fast`` the scan stops at the first witness.
+    Decides every subset T of members with |T| = n >= 2.  A subset is
+    eliminated when some examined split has delta_A + delta_B > n + 1; any
+    subset that survives every split is reported as a witness and the status
+    is Inconclusive.  Witnesses come in increasing size, lexicographic within
+    a size.  With ``fail_fast`` only the first witness is reported, and
+    ``subsets_examined`` is its position in that order plus one; the pass
+    itself still decides every subset.
 
-    The subsets of each size are streamed in blocks of ``SUBSET_BLOCK``.
-    Per split side, the block's surviving subsets not yet ranked on that
-    side gather their column selections of the side matrix into one stack,
-    and a single SVD call ranks them all with the per-matrix cutoff of
-    ``tol``.  Side matrices taller than N are first compressed to their
-    thin-QR R factor, which keeps every selection's singular values;
-    cutoffs still use the original row count.
+    The pass runs top down, from the full set to the pairs, and keeps per
+    split side a rank lower bound for every subset: removing a member lowers
+    a side's numerical rank by at most one, since singular values interlace
+    and the cutoff of ``tol`` can only shrink when a column goes (its
+    sigma_max and max(rows, k) shrink, the row count stays).  So the rank of
+    a superset bounds the rank of each subset one member smaller, and most
+    subsets die on their bounds with no SVD.  Bounds propagate downward only:
+    under a relative cutoff, a subset's rank says nothing sound about its
+    supersets.  A survivor is ranked exactly on every side.  The bounds take
+    2**N bytes per split side.
+
+    The subsets of each size are streamed in blocks of ``LEVEL_BLOCK``, and
+    the sides left undecided are ranked in stacks of at most
+    ``SUBSET_BLOCK`` column selections of the side matrix, one SVD call per
+    stack with the per-matrix cutoff of ``tol``.  Side matrices taller than
+    N are first compressed to their thin-QR R factor, which keeps every
+    selection's singular values; cutoffs still use the original row count.
     """
     n = fam.n_members
     if n > max_members:
@@ -210,27 +266,37 @@ def certify_unique(
         return Certificate("Unique", (), strategy, tol, 0, n)
 
     sides = {side: _side_matrix(fam, side) for split in splits for side in split}
-    witnesses: list[Witness] = []
-    examined = 0
-    for size in range(2, n + 1):
-        subsets = itertools.combinations(range(n), size)
-        while block := list(itertools.islice(subsets, SUBSET_BLOCK)):
-            alive, ranks = _block_survivors(np.array(block), splits, sides, tol)
+    try:
+        known = {side: np.zeros(1 << n, dtype=np.int8) for side in sides}
+    except (MemoryError, ValueError):
+        raise SizeBudgetError(
+            f"rank bounds for {n} members need 2**{n} bytes per split side"
+        ) from None
+    levels = []  # the witnesses of each size, largest size first
+    first = 0  # ascending position of the first witness of the smallest size
+    for size in range(n, 1, -1):
+        level = []
+        pos = sum(math.comb(n, s) for s in range(2, size))
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+        while (block := np.fromiter(itertools.islice(flat, LEVEL_BLOCK * size), np.intp)).size:
+            block = block.reshape(-1, size)
+            alive, ranks = _decide_block(block, n, splits, sides, known, tol)
+            if alive.size and not level:
+                first = pos + int(alive[0])
             for i in alive.tolist():
                 sums = tuple(
                     SplitSums(side_a, side_b, int(ranks[side_a][i]), int(ranks[side_b][i]))
                     for side_a, side_b in splits
                 )
-                w = Witness(block[i], sums)
-                if fail_fast:
-                    return Certificate(
-                        "Inconclusive", (w,), strategy, tol, examined + i + 1, n
-                    )
-                witnesses.append(w)
-            examined += len(block)
+                level.append(Witness(tuple(block[i].tolist()), sums))
+            pos += len(block)
+        levels.append(level)
 
+    witnesses = tuple(w for level in reversed(levels) for w in level)
+    if fail_fast and witnesses:
+        return Certificate("Inconclusive", witnesses[:1], strategy, tol, first + 1, n)
     status = "Unique" if not witnesses else "Inconclusive"
-    return Certificate(status, tuple(witnesses), strategy, tol, examined, n)
+    return Certificate(status, witnesses, strategy, tol, (1 << n) - n - 1, n)
 
 
 def certify_unique_ensemble(
@@ -289,6 +355,8 @@ def verify_completeness(
     rank_tol: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> CompletenessReport:
     """Check sum_j K_j^dag K_j = I and the local-positive-span pair bounds."""
+    if not (0.0 <= tol < np.inf):
+        raise ParameterError(f"completeness tolerance must be finite and nonnegative, got {tol}")
     d_in = fam.spec.total_d_in
     gram = np.zeros((d_in, d_in), dtype=np.complex128)
     for k in fam.assembled():

@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_ENUMERATION_CAP})")
     p.add_argument("--report", choices=("json", "text"), default="json")
     p.add_argument("--fail-fast", action="store_true",
-                   help="stop at the first witness subset")
+                   help="report only the first witness subset")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("hunt", help="search a subset for product combinations")

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError, ShapeError, SizeBudgetError
+from .errors import (
+    DegenerateInputError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+    SizeBudgetError,
+)
 
 # Hard cap on the number of entries any single matrix produced by kron/assemble
 # may have.  Guards against accidentally tensoring up astronomically large
@@ -58,9 +64,11 @@ class TolerancePolicy:
     def __post_init__(self):
         rel = self.relative_rank_threshold
         if rel is not None and not (0.0 <= rel < 1.0):
-            raise ValueError(f"relative_rank_threshold must lie in [0, 1), got {rel}")
-        if self.absolute_floor < 0.0:
-            raise ValueError("absolute_floor must be nonnegative")
+            raise ParameterError(f"relative_rank_threshold must lie in [0, 1), got {rel}")
+        if not (0.0 <= self.absolute_floor < np.inf):
+            raise ParameterError(
+                f"absolute_floor must be finite and nonnegative, got {self.absolute_floor}"
+            )
 
     def relative_for(self, rows: int, cols: int) -> float:
         if self.relative_rank_threshold is not None:

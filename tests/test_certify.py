@@ -11,7 +11,9 @@ from sepcert import (
     EnumerationCapError,
     NumericError,
     OperatorFamily,
+    ParameterError,
     ProductOperator,
+    SizeBudgetError,
     TolerancePolicy,
     UsageError,
     Witness,
@@ -128,6 +130,13 @@ def test_enumeration_cap():
         certify_unique(gen_projective_basis(2, 2), max_members=3)
 
 
+def test_raised_cap_beyond_addressable_bounds_is_a_size_budget_error():
+    # 2**62 bytes of rank bounds per side cannot be allocated anywhere.
+    fam = random_product_family(np.random.default_rng(0), (2, 2), 62)
+    with pytest.raises(SizeBudgetError, match=r"2\*\*62 bytes per split side"):
+        certify_unique(fam, max_members=62)
+
+
 def test_fail_fast_stops_at_first_witness():
     cert = certify_unique(gen_projective_basis(2, 2), fail_fast=True)
     assert cert.status == "Inconclusive"
@@ -194,22 +203,40 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0):
     ids=["default", "rel1e-10"],
 )
 @pytest.mark.parametrize(
-    "make",
+    "make, strategy",
     [
-        lambda: gen_fourier_channel((2, 2, 2)),  # 88-row sides are compressed
-        lambda: _with_duplicate(9, seed=3),
-        lambda: gen_projective_basis(2, 4),
+        (lambda: gen_fourier_channel((2, 2, 2)), None),  # 88-row sides are compressed
+        (lambda: _with_duplicate(9, seed=3), None),
+        (lambda: gen_projective_basis(2, 4), None),
         # The twins' noise lies above the default cutoff for the compressed
         # row count and below the one for the original 16 and 256 rows, so
         # only the latter keeps the pair (4, 5) as a witness.
-        lambda: _with_duplicate(5, seed=0, dims=(2, 4, 4), noise=5e-12),
+        (lambda: _with_duplicate(5, seed=0, dims=(2, 4, 4), noise=5e-12), None),
+        # Generic families: the ranks of the largest subsets decide most
+        # smaller ones through their bounds.
+        (lambda: random_product_family(np.random.default_rng(1), (3, 3), 13), None),
+        (lambda: random_product_family(np.random.default_rng(2), (2, 2, 2), 12), None),
+        # Six pair splits share four single-party sides; every subset of
+        # seven or more members survives, so survivors need exact ranks.
+        (lambda: _with_duplicate(8, seed=5, dims=(2, 2, 2, 2)), STRATEGY_PAIRS),
     ],
-    ids=["fourier-222", "twins-222-n10", "projective-24", "near-twins-244"],
+    ids=[
+        "fourier-222",
+        "twins-222-n10",
+        "projective-24",
+        "near-twins-244",
+        "random-33-n13",
+        "random-222-n12",
+        "pairs-twins-2222-n9",
+    ],
 )
-def test_block_oracle_matches_per_subset_reference(make, tol):
+def test_block_oracle_matches_per_subset_reference(make, strategy, tol):
     fam = make()
-    cert = certify_unique(fam, tol=tol)
-    witnesses, examined = _reference_certificate(fam, tol)
+    cert = certify_unique(fam, strategy=strategy, tol=tol)
+    splits = None
+    if strategy == STRATEGY_PAIRS:
+        splits = [((a,), (b,)) for a, b in party_pairs(fam.n_parties)]
+    witnesses, examined = _reference_certificate(fam, tol, splits=splits)
     assert cert.witnesses == witnesses
     assert cert.subsets_examined == examined
     assert cert.status == ("Inconclusive" if witnesses else "Unique")
@@ -239,6 +266,18 @@ def test_fail_fast_witness_past_the_first_block(tol):
     assert cert.subsets_examined == examined == 78 > SUBSET_BLOCK
 
 
+def test_fail_fast_reports_the_first_witness_of_the_smallest_size():
+    # Generic (2,2) spans reach at most 4 + 4, so every subset of seven or
+    # more members survives: the first witness comes after all 456 subsets
+    # of two to six members, which the top-down pass decides after it.
+    fam = random_product_family(np.random.default_rng(0), (2, 2), 9)
+    cert = certify_unique(fam, fail_fast=True)
+    witnesses, examined = _reference_certificate(fam, cert.tol, fail_fast=True)
+    assert cert.witnesses == witnesses
+    assert witnesses[0].members == tuple(range(7))
+    assert cert.subsets_examined == examined == 457
+
+
 def test_pairs_rank_each_side_once_per_subset(monkeypatch):
     # Four parties: each single-party side belongs to three of the six pair
     # splits.  Of the four subsets of three members, (1, 2) and (0, 1, 2)
@@ -261,13 +300,30 @@ def test_pairs_rank_each_side_once_per_subset(monkeypatch):
     assert cert.subsets_examined == examined == 4
 
 
+def test_bounds_skip_most_side_ranks(monkeypatch):
+    # One split, two sides: ranking every side of every subset takes
+    # 2 * (2**13 - 13 - 1) = 16,356 matrices.
+    ranked = []
+
+    def counting(stack, rows, tol):
+        ranked.append(len(stack))
+        return stacked_ranks(stack, rows, tol)
+
+    monkeypatch.setattr(sepcert.certify, "stacked_ranks", counting)
+    cert = certify_unique(random_product_family(np.random.default_rng(1), (3, 3), 13))
+    assert cert.status == "Unique"
+    assert cert.subsets_examined == 2**13 - 13 - 1
+    assert sum(ranked) <= 16_356 // 4
+
+
 def test_svd_failure_is_a_numeric_error(monkeypatch):
     def broken_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", broken_svd)
-    # The first block stacks the six pairs of the 4x4 side matrix.
-    with pytest.raises(NumericError, match="6x4x2 matrix stack"):
+    # The pass starts at the full set: one selection of all four columns of
+    # the 4x4 side matrix.
+    with pytest.raises(NumericError, match="1x4x4 matrix stack"):
         certify_unique(gen_projective_basis(2, 2))
 
 
@@ -340,6 +396,12 @@ def test_planted_pair_sum_violation():
     report = verify_completeness(fam)
     assert not report.is_complete
     assert not report.necessary_condition_holds
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-10, np.inf])
+def test_completeness_rejects_invalid_tolerance(tol):
+    with pytest.raises(ParameterError):
+        verify_completeness(gen_ladder_channel(0.5), tol=tol)
 
 
 def test_completeness_necessary_condition_wrapper():

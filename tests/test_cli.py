@@ -162,8 +162,28 @@ def test_verify_incomplete_channel_exits_3(capsys, tmp_path):
     assert payload["residual"] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_rejects_invalid_tol(capsys, tmp_path, tol):
+    path = tmp_path / "ladder.json"
+    run_json(capsys, "gen", "eq701", "--out", str(path))
+    code, out, err = run_cli(capsys, "verify", str(path), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tolerance" in err
+
+
 # ---------------------------------------------------------------------------
 # certify
+
+
+@pytest.mark.parametrize("tol", ["2", "-1", "nan"])
+def test_certify_rejects_invalid_tol(capsys, tmp_path, tol):
+    path = tmp_path / "ladder.json"
+    run_json(capsys, "gen", "eq701", "--out", str(path))
+    code, out, err = run_cli(capsys, "certify", str(path), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "relative_rank_threshold" in err
 
 
 def test_certify_unique_channel(capsys, tmp_path):
