@@ -18,6 +18,7 @@ ranked on a side only when those bounds cannot decide it.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -104,15 +105,65 @@ class Certificate:
     def unique(self) -> bool:
         return self.status == "Unique"
 
-    def to_dict(self) -> dict:
+    def _fields(self, witnesses: list) -> dict:
         return {
             "status": self.status,
-            "witnesses": [w.to_dict() for w in self.witnesses],
+            "witnesses": witnesses,
             "strategy": self.strategy,
             "tolerance": self.tol.to_dict(),
             "subsets_examined": self.subsets_examined,
             "n_members": self.n_members,
         }
+
+    def to_dict(self) -> dict:
+        return self._fields([w.to_dict() for w in self.witnesses])
+
+    def to_json(self, head: dict) -> str:
+        """The report ``{**head, **self.to_dict()}`` as indent-2 JSON text.
+
+        Equals ``json.dumps({**head, **self.to_dict()}, indent=2)`` byte for
+        byte.  ``json.dumps`` still renders everything but the witness array.
+        Each witness is filled into one template per split list
+        (``certify_unique`` gives all witnesses the same one): a join of its
+        members and a ``%`` format of its deltas, instead of a walk of its
+        dicts through the stdlib's pure-Python indent encoder.  Witnesses
+        must have members, as every witness of ``certify_unique`` has.
+        """
+        text = json.dumps({**head, **self._fields([])}, indent=2)
+        if not self.witnesses:
+            return text
+        # JSON strings hold no raw newline, so this is the top-level key.
+        before, _, after = text.partition('\n  "witnesses": []')
+        templates = {}
+        items = []
+        for w in self.witnesses:
+            sides = tuple((s.side_a, s.side_b) for s in w.split_sums)
+            template = templates.get(sides)
+            if template is None:
+                template = templates[sides] = _witness_template(sides)
+            deltas = [d for s in w.split_sums for d in (s.delta_a, s.delta_b)]
+            items.append(template % (",\n        ".join(map(str, w.members)), *deltas))
+        witnesses = ",\n    ".join(items)
+        return f'{before}\n  "witnesses": [\n    {witnesses}\n  ]{after}'
+
+
+def _witness_template(
+    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+) -> str:
+    """One witness of the indent-2 report as a ``%`` format over its
+    members (already joined) and then delta_a, delta_b of each split.
+
+    ``json.dumps`` lays it out with placeholder strings, which become the
+    slots, so keys and layout are those of ``SplitSums.to_dict``.
+    """
+    sums = [
+        {**SplitSums(a, b, 0, 0).to_dict(), "delta_a": "\x00", "delta_b": "\x00"}
+        for a, b in sides
+    ]
+    text = json.dumps({"members": ["\x01"], "split_sums": sums}, indent=2)
+    # A witness sits two levels deep in the report.
+    text = text.replace("\n", "\n    ")
+    return text.replace('"\\u0001"', "%s").replace('"\\u0000"', "%d")
 
 
 def _examined_splits(n_parties: int, strategy: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -252,6 +303,8 @@ def certify_unique(
     selection's singular values; cutoffs still use the original row count.
     """
     n = fam.n_members
+    if max_members < 1:
+        raise ParameterError(f"max_members must be at least 1, got {max_members}")
     if n > max_members:
         raise EnumerationCapError(
             f"family has {n} members; exhaustive subset enumeration is capped "

@@ -105,6 +105,17 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         ) from None
 
 
+def _seed(text: str) -> int:
+    """``--seed`` value: numpy's generators take only nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
+
+
 def cmd_verify(args) -> int:
     loaded = load_family(args.file)
     report = verify_completeness(loaded.family, tol=args.tol)
@@ -148,15 +159,13 @@ def cmd_certify(args) -> int:
             )
             print(f"witness {{{','.join(map(str, w.members))}}}: {sums}")
     else:
-        _emit(
-            {
-                "command": "certify",
-                "tool_version": __version__,
-                "file": str(args.file),
-                "kind": loaded.kind,
-                **cert.to_dict(),
-            }
-        )
+        head = {
+            "command": "certify",
+            "tool_version": __version__,
+            "file": str(args.file),
+            "kind": loaded.kind,
+        }
+        print(cert.to_json(head))
     return EXIT_OK if cert.unique else EXIT_NEGATIVE
 
 
@@ -344,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hunt", help="search a subset for product combinations")
     p.add_argument("file", help="channel or ensemble JSON file")
     p.add_argument("--subset", help="comma-separated member indices (default: all)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--threshold", type=float, default=1e-8,
@@ -364,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int,
                    help="tight: local dimension (default n+1); "
                         "augment: appended-party dimension")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--file", help="augment: base channel JSON file")
     p.set_defaults(func=cmd_gen)
 

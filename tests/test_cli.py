@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from sepcert import (
+    TolerancePolicy,
+    __version__,
+    certify_unique,
     family_from_factors,
     gen_ladder_channel,
+    gen_projective_basis,
+    gen_tight_family,
     load_family,
+    random_product_family,
     save_family,
 )
 from sepcert.cli import main
@@ -223,6 +229,47 @@ def test_certify_cap_exits_5(capsys, tmp_path):
     assert "cap" in err or "enumeration" in err.lower()
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_certify_rejects_non_positive_cap(capsys, tmp_path, cap):
+    path = tmp_path / "ladder.json"
+    run_json(capsys, "gen", "eq701", "--out", str(path))
+    code, out, err = run_cli(capsys, "certify", str(path), "--max-subset", cap)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "max_members" in err
+
+
+# (id, family, certify_unique keywords, the same as CLI flags, file name)
+BYTE_CASES = [
+    ("one-party", random_product_family(np.random.default_rng(0), (3,), 4), {}, [],
+     "family.json"),
+    ("unique", gen_ladder_channel(0.5), {}, [], "family.json"),
+    ("fail-fast", gen_projective_basis(2, 3), {"fail_fast": True}, ["--fail-fast"],
+     "family.json"),
+    ("four-party-pairs", gen_tight_family(2, n_parties=4)[0], {"strategy": "pairs"},
+     ["--strategy", "pairs"], "family.json"),
+    ("three-party", gen_tight_family(2, n_parties=3)[0], {}, [], "family.json"),
+    ("quoted-path", gen_projective_basis(2, 2), {}, [], 'fa"mil\u00e9.json'),
+]
+
+
+@pytest.mark.parametrize(
+    "fam,kwargs,flags,name", [c[1:] for c in BYTE_CASES], ids=[c[0] for c in BYTE_CASES]
+)
+def test_certify_json_is_json_dumps_byte_for_byte(capsys, tmp_path, fam, kwargs, flags, name):
+    path = tmp_path / name
+    save_family(path, fam)
+    # The CLI's --tol default, which the library's default policy leaves unset.
+    cert = certify_unique(fam, tol=TolerancePolicy(relative_rank_threshold=1e-10), **kwargs)
+    head = {"command": "certify", "tool_version": __version__, "file": str(path),
+            "kind": "channel"}
+    expected = json.dumps({**head, **cert.to_dict()}, indent=2)
+    assert cert.to_json(head) == expected
+    code, out, _ = run_cli(capsys, "certify", str(path), *flags)
+    assert code == (0 if cert.unique else 4)
+    assert out == expected + "\n"
+
+
 def test_certify_text_report(capsys, tmp_path):
     path = tmp_path / "proj.json"
     run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(path))
@@ -271,6 +318,23 @@ def test_hunt_rejects_bad_subsets(capsys, tmp_path, subset):
     code, _, err = run_cli(capsys, "hunt", str(path), "--subset", subset)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("command", ["hunt", "gen-product-unitary", "gen-tight"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "ladder.json"
+    run_json(capsys, "gen", "eq701", "--out", str(path))
+    out_path = tmp_path / "out.json"
+    argv = {
+        "hunt": ["hunt", str(path)],
+        "gen-product-unitary": ["gen", "product-unitary", "--dims", "2,2", "--out", str(out_path)],
+        "gen-tight": ["gen", "tight", "--n", "2", "--out", str(out_path)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err and "nonnegative" in err
+    assert not out_path.exists()
 
 
 def test_hunt_rejects_zero_restarts(capsys, tmp_path):

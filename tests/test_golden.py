@@ -1,9 +1,10 @@
 """Byte-identity guard: ``sepcert certify`` JSON on the reference catalog.
 
-Each file in ``tests/golden/`` holds the stdout of ``sepcert certify`` on one
-catalog family, without the ``file`` key (it names a temporary path).  A
-refactor of the certifier must reproduce every file byte for byte.  Hunt
-reports are left out: their float residuals depend on the BLAS library.
+Each file in ``tests/golden/`` holds the raw stdout of ``sepcert certify`` on
+one catalog family, without the line of the ``file`` key (it names a
+temporary path).  A refactor of the certifier or of its JSON writer must
+reproduce every file byte for byte, whitespace included.  Hunt reports are
+left out: their float residuals depend on the BLAS library.
 
 Regenerate the files (only when the certificate is meant to change) with::
 
@@ -45,9 +46,11 @@ def _certify_json(fam, flags, tmp_dir: Path) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
         main(["certify", str(path), *flags])
-    payload = json.loads(buf.getvalue())
-    del payload["file"]
-    return json.dumps(payload, indent=2) + "\n"
+    out = buf.getvalue()
+    assert json.loads(out)["file"] == str(path)
+    file_line = f'  "file": {json.dumps(str(path))},\n'
+    assert out.count(file_line) == 1
+    return out.replace(file_line, "")
 
 
 CASES = _cases()
