@@ -19,7 +19,6 @@ from .certify import (
     CompletenessReport,
     Witness,
     certify_unique,
-    certify_unique_ensemble,
     default_strategy,
     verify_completeness,
 )

@@ -352,27 +352,6 @@ def certify_unique(
     return Certificate(status, witnesses, strategy, tol, (1 << n) - n - 1, n)
 
 
-def certify_unique_ensemble(
-    ens: OperatorFamily,
-    strategy: str | None = None,
-    tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    max_members: int = DEFAULT_ENUMERATION_CAP,
-    fail_fast: bool = False,
-) -> Certificate:
-    """Uniqueness certificate for a product ensemble of (unnormalized) kets.
-
-    Identical subset logic, applied to the spans of the local kets.  Every
-    factor must be a single-column matrix.
-    """
-    if ens.spec.total_d_in != 1:
-        p = next(p for p in range(ens.n_parties) if ens.spec.d_in(p) != 1)
-        raise UsageError(
-            f"ensemble certification requires ket members; party {p} has "
-            f"d_in = {ens.spec.d_in(p)}"
-        )
-    return certify_unique(ens, strategy, tol, max_members, fail_fast)
-
-
 @dataclass(frozen=True)
 class CompletenessReport:
     """Trace-preservation residual plus the local-positive-span condition.
@@ -402,11 +381,7 @@ class CompletenessReport:
         }
 
 
-def verify_completeness(
-    fam: OperatorFamily,
-    tol: float = 1e-10,
-    rank_tol: TolerancePolicy = DEFAULT_TOLERANCE,
-) -> CompletenessReport:
+def verify_completeness(fam: OperatorFamily, tol: float = 1e-10) -> CompletenessReport:
     """Check sum_j K_j^dag K_j = I and the local-positive-span pair bounds."""
     if not (0.0 <= tol < np.inf):
         raise ParameterError(f"completeness tolerance must be finite and nonnegative, got {tol}")
@@ -418,7 +393,7 @@ def verify_completeness(
     is_complete = bool(residual <= tol * np.sqrt(d_in))
 
     spans = tuple(
-        span_dimension([f.conj().T @ f for f in fam.local_factors(p)], rank_tol)
+        span_dimension([f.conj().T @ f for f in fam.local_factors(p)])
         for p in range(fam.n_parties)
     )
     n = fam.n_members

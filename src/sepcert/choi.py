@@ -10,7 +10,7 @@ local span dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,20 +18,22 @@ from .errors import ParameterError, ShapeError, UsageError
 from .families import OperatorFamily, PartySpec, ProductOperator
 from .linalg import frobenius, vectorize
 
+#: Hermiticity and PSD slack of a DensityMatrix, relative to max(1, |rho|_F).
+STATE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unnormalized density matrix over a composite of party dimensions.
 
     Hermiticity and positive semidefiniteness are checked at construction
-    (eigenvalues may dip to ``-tol`` times the scale before we complain).
+    (eigenvalues may dip to ``-STATE_TOL`` times the scale before we complain).
     Trace normalization is deliberately not enforced; ensembles of
     non-normalized kets are the working currency here.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -44,10 +46,10 @@ class DensityMatrix:
                 f"(product {total})"
             )
         scale = max(1.0, frobenius(m))
-        if frobenius(m - m.conj().T) > self.tol * scale:
+        if frobenius(m - m.conj().T) > STATE_TOL * scale:
             raise ParameterError("density matrix is not Hermitian within tolerance")
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if eigs.size and eigs.min() < -self.tol * scale:
+        if eigs.size and eigs.min() < -STATE_TOL * scale:
             raise ParameterError(
                 f"density matrix has negative eigenvalue {eigs.min():.3e}"
             )
@@ -79,7 +81,7 @@ def channel_to_choi_ensemble(fam: OperatorFamily) -> OperatorFamily:
     return OperatorFamily(spec, members)
 
 
-def ensemble_to_state(ens: OperatorFamily, tol: float = 1e-10) -> DensityMatrix:
+def ensemble_to_state(ens: OperatorFamily) -> DensityMatrix:
     """Gram sum rho = sum_j |psi_j><psi_j| over the assembled product kets."""
     if ens.spec.total_d_in != 1:
         raise UsageError("ensemble_to_state expects a ket family (all d_in = 1)")
@@ -89,7 +91,7 @@ def ensemble_to_state(ens: OperatorFamily, tol: float = 1e-10) -> DensityMatrix:
         ket = m.assemble()
         rho += ket @ ket.conj().T
     dims = tuple(ens.spec.d_out(p) for p in range(ens.n_parties))
-    return DensityMatrix(rho, dims, tol)
+    return DensityMatrix(rho, dims)
 
 
 def channels_equal(fam_a: OperatorFamily, fam_b: OperatorFamily, tol: float = 1e-10) -> bool:

@@ -43,7 +43,7 @@ from .linalg import TolerancePolicy
 from .sampling import haar_unitary
 from .serialize import (
     KIND_CHANNEL,
-    KIND_ENSEMBLE,
+    complex_to_json,
     dump_json,
     load_family,
     matrix_to_json,
@@ -136,15 +136,12 @@ def cmd_certify(args) -> int:
     loaded = load_family(args.file)
     strategy = _STRATEGY_FLAGS[args.strategy] if args.strategy else None
     tol = TolerancePolicy(relative_rank_threshold=args.tol)
-    max_members = (
-        args.max_subset if args.max_subset is not None else DEFAULT_ENUMERATION_CAP
-    )
     # load_family already rejects ensembles whose parties have d_in != 1.
     cert = certify_unique(
         loaded.family,
         strategy=strategy,
         tol=tol,
-        max_members=max_members,
+        max_members=args.max_subset,
         fail_fast=args.fail_fast,
     )
     if args.report == "text":
@@ -199,7 +196,7 @@ def _gen_dispatch(args):
     if name == "eq701":
         mu = _parse_complex(args.mu)
         fam = gen_ladder_channel(mu, args.phi)
-        return fam, {"mu": [mu.real, mu.imag], "phi": args.phi}, {}
+        return fam, {"mu": complex_to_json(mu), "phi": args.phi}, {}
     if name == "fourier":
         if args.dims is None:
             raise UsageError("gen fourier requires --dims (e.g. --dims 2,2)")
@@ -254,8 +251,7 @@ def _gen_dispatch(args):
             "dim": args.dim if args.dim is not None else args.n + 1,
             "seed": args.seed,
         }
-        pairs = [[c.real, c.imag] for c in coeffs]
-        return fam, params, {"coefficients": pairs}
+        return fam, params, {"coefficients": [complex_to_json(c) for c in coeffs]}
     raise UsageError(f"unknown generator {name!r}")  # pragma: no cover
 
 
@@ -294,7 +290,7 @@ def cmd_choi(args) -> int:
         "transform": "choi_ensemble",
         "source_metadata": loaded.metadata,
     }
-    save_family(args.out, ens, kind=KIND_ENSEMBLE, metadata=metadata)
+    save_family(args.out, ens, metadata=metadata)
     if args.state_out:
         state = ensemble_to_state(ens)
         dump_json(
@@ -342,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "six parties, pairs beyond)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="relative rank threshold (default 1e-10)")
-    p.add_argument("--max-subset", type=int, default=None,
+    p.add_argument("--max-subset", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help=f"member-count cap for exhaustive enumeration "
                         f"(default {DEFAULT_ENUMERATION_CAP})")
     p.add_argument("--report", choices=("json", "text"), default="json")

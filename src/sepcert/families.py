@@ -24,9 +24,7 @@ from .errors import (
     UsageError,
 )
 from .linalg import (
-    DEFAULT_TOLERANCE,
     MAX_MATRIX_ELEMENTS,
-    TolerancePolicy,
     as_matrix,
     kron,
     numerical_rank,
@@ -266,7 +264,7 @@ class OperatorFamily:
         """Vectorized grouped ``side`` factors of every member, one column each."""
         return vectorized_columns(self.grouped_factors(side, include_weight))
 
-    def span_dim(self, side, subset=None, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
+    def span_dim(self, side, subset=None) -> int:
         """Dimension of the span of the grouped ``side`` factors.
 
         ``subset`` restricts to the given member indices (default: all).
@@ -274,7 +272,7 @@ class OperatorFamily:
         m = self.side_matrix(side)
         if subset is not None:
             m = m[:, list(subset)]
-        return numerical_rank(m, tol)
+        return numerical_rank(m)
 
 
 def family_from_factors(party_dims, members) -> OperatorFamily:
@@ -324,10 +322,7 @@ class SpanBoundReport:
 
 
 def span_bound_report(
-    fam: OperatorFamily,
-    coeffs,
-    split: Bipartition | None = None,
-    tol: TolerancePolicy = DEFAULT_TOLERANCE,
+    fam: OperatorFamily, coeffs, split: Bipartition | None = None
 ) -> SpanBoundReport:
     """Evaluate delta_A + delta_B against N + schmidt_rank(sum_j c_j M_j).
 
@@ -347,9 +342,9 @@ def span_bound_report(
 
     a = fam.side_matrix(split.side_a, include_weight=True)
     b = fam.side_matrix(split.side_b)
-    r_s = numerical_rank((b * c) @ a.T, tol)
-    delta_a = numerical_rank(a, tol)
-    delta_b = numerical_rank(b, tol)
+    r_s = numerical_rank((b * c) @ a.T)
+    delta_a = numerical_rank(a)
+    delta_b = numerical_rank(b)
     return SpanBoundReport(
         split=split,
         delta_a=delta_a,

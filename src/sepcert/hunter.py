@@ -35,17 +35,31 @@ from .linalg import (
     vectorized_columns,
 )
 from .sampling import (
+    check_seed,
     complex_randn,
     random_nonzero_coefficients,
     random_product_family,
     shared_factor_family,
 )
+from .serialize import complex_to_json, matrix_to_json
 
 _ZERO_CUTOFF = 1e-150
 
 # hunt_product runs its restarts as one stack of at most this many rows;
 # restarts are independent, so the block size bounds memory and nothing else.
 RESTART_BLOCK = 64
+
+#: Every hunted coefficient keeps at least this magnitude (unit-norm vector).
+COEFFICIENT_FLOOR = 1e-6
+
+#: A restart stops when its objective moves by less than this.
+CONVERGENCE = 1e-12
+
+#: A found product is novel unless it is proportional to a member within this.
+NOVELTY_TOL = 1e-6
+
+#: Both remixed operators of a mixing pass as products at residual <= this.
+MIXING_TOL = 1e-8
 
 
 def _product_cuts(n_parties: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -202,20 +216,14 @@ class SearchResult:
             "seed": self.seed,
             "subset": list(self.subset),
             "restarts_used": self.restarts_used,
-            "coefficients": [[float(c.real), float(c.imag)] for c in self.coefficients],
+            "coefficients": [complex_to_json(c) for c in self.coefficients],
             "novel": self.novel,
             "candidate": None,
         }
         if self.candidate is not None:
             out["candidate"] = {
-                "weight": [
-                    float(self.candidate.weight.real),
-                    float(self.candidate.weight.imag),
-                ],
-                "factors": [
-                    [[[float(z.real), float(z.imag)] for z in row] for row in f]
-                    for f in self.candidate.factors
-                ],
+                "weight": complex_to_json(self.candidate.weight),
+                "factors": [matrix_to_json(f) for f in self.candidate.factors],
             }
         return out
 
@@ -229,14 +237,11 @@ def hunt_product(
     threshold: float = 1e-8,
     seed: int = 0,
     initial_coefficients=None,
-    coefficient_floor: float = 1e-6,
-    convergence: float = 1e-12,
-    novelty_tol: float = 1e-6,
 ) -> SearchResult:
     """Search a member subset for a product operator in its span.
 
     Minimizes, over unit-norm coefficient vectors with every magnitude kept
-    at or above ``coefficient_floor``, the worst sigma_2/sigma_1 of the
+    at or above ``COEFFICIENT_FLOOR``, the worst sigma_2/sigma_1 of the
     combination realigned across each cut {p} | rest.  Local refinement
     alternates between projecting the current combination to its nearest
     product (leading-singular-vector peeling) and re-fitting coefficients by
@@ -261,10 +266,9 @@ def hunt_product(
         raise UsageError("restarts must be at least 1")
     if max_iters < 1:
         raise UsageError("max_iters must be at least 1")
-    if not (0 < coefficient_floor < 0.5):
-        raise ParameterError(f"coefficient_floor out of range: {coefficient_floor}")
     if not (0 < threshold < 1):
         raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
+    check_seed(seed)
 
     ns = len(subset)
     d_out, d_in = fam.spec.total_d_out, fam.spec.total_d_in
@@ -277,11 +281,11 @@ def hunt_product(
         vanished = nrm <= _ZERO_CUTOFF
         c = c / np.where(vanished, 1.0, nrm)[:, None]
         mags = np.abs(c)
-        small = mags < coefficient_floor
+        small = mags < COEFFICIENT_FLOOR
         fix = small.any(axis=1) & ~vanished
         if fix.any():
             phases = np.where(mags > _ZERO_CUTOFF, c / np.maximum(mags, _ZERO_CUTOFF), 1.0)
-            c = np.where(small, coefficient_floor * phases, c)
+            c = np.where(small, COEFFICIENT_FLOOR * phases, c)
             c[fix] = c[fix] / _row_norms(c[fix])[:, None]
         c[vanished] = 1.0 / np.sqrt(ns)
         return c
@@ -291,7 +295,7 @@ def hunt_product(
 
         All restarts iterate together; a restart leaves the stack when its
         combination vanishes or its objective moves by less than
-        ``convergence``, so each runs the iterations it would run alone.
+        ``CONVERGENCE``, so each runs the iterations it would run alone.
         """
         best_obj = _worst_ratio(stacks, c)
         best_c = c.copy()
@@ -316,7 +320,7 @@ def hunt_product(
             better = obj < best_obj[rows]
             best_obj[rows[better]] = obj[better]
             best_c[rows[better]] = c[better]
-            moving = ~(np.abs(prev[rows] - obj) < convergence)
+            moving = ~(np.abs(prev[rows] - obj) < CONVERGENCE)
             prev[rows] = obj
             rows, c = rows[moving], c[moving]
         return best_obj, best_c
@@ -352,9 +356,9 @@ def hunt_product(
         )
         cand = candidate.assemble()
         novel = all(
-            proportional(cand, k, novelty_tol) is None for k in fam.assembled()
+            proportional(cand, k, NOVELTY_TOL) is None for k in fam.assembled()
         )
-        pinned = np.abs(best_c) <= 2.0 * coefficient_floor
+        pinned = np.abs(best_c) <= 2.0 * COEFFICIENT_FLOOR
         if np.any(pinned) and ns - int(np.count_nonzero(pinned)) >= 2:
             reduced = tuple(subset[k] for k in range(ns) if not pinned[k])
             retried = hunt_product(
@@ -364,9 +368,6 @@ def hunt_product(
                 max_iters=max_iters,
                 threshold=threshold,
                 seed=seed,
-                coefficient_floor=coefficient_floor,
-                convergence=convergence,
-                novelty_tol=novelty_tol,
             )
             if retried.found:
                 return retried
@@ -410,33 +411,23 @@ class MixingPoint:
     residuals: tuple[float, float]
 
 
-def mixing_search(
-    fam: OperatorFamily,
-    pair: tuple[int, int],
-    angles=None,
-    phases=None,
-    tol: float = 1e-8,
-) -> list[MixingPoint]:
+def mixing_search(fam: OperatorFamily, pair: tuple[int, int]) -> list[MixingPoint]:
     """Scan 2x2 unitary remixings of two members for all-product outcomes.
 
     Remixing members i and j by any unitary leaves the represented channel
     untouched; a grid point where both remixed operators are products (within
-    ``tol`` in the sigma_2/sigma_1 sense, across every cut {p} | rest)
+    ``MIXING_TOL`` in the sigma_2/sigma_1 sense, across every cut {p} | rest)
     therefore exhibits an alternative product representation of the same
-    channel.
+    channel.  The grid is 17 angles in [0, pi/2] by 8 phases in [0, 2 pi).
     """
     i, j = _member_pair(fam, pair)
-    if angles is None:
-        angles = np.linspace(0.0, np.pi / 2, 17)
-    if phases is None:
-        phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
 
     # Row k of a remix unitary is the coefficient vector on members (i, j),
     # so the rows of all grid unitaries are scored by one objective call.
     grid = [
         (float(theta), float(phi))
-        for theta in np.atleast_1d(angles)
-        for phi in np.atleast_1d(phases)
+        for theta in np.linspace(0.0, np.pi / 2, 17)
+        for phi in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     ]
     unitaries = [mixing_unitary(theta, phi) for theta, phi in grid]
     rows = np.array(unitaries, dtype=np.complex128).reshape(-1, 2)
@@ -444,16 +435,11 @@ def mixing_search(
     return [
         MixingPoint(theta, phi, u, (float(ri), float(rj)))
         for (theta, phi), u, (ri, rj) in zip(grid, unitaries, ratios)
-        if ri <= tol and rj <= tol
+        if ri <= MIXING_TOL and rj <= MIXING_TOL
     ]
 
 
-def apply_mixing(
-    fam: OperatorFamily,
-    pair: tuple[int, int],
-    unitary,
-    tol: float = 1e-8,
-) -> OperatorFamily:
+def apply_mixing(fam: OperatorFamily, pair: tuple[int, int], unitary) -> OperatorFamily:
     """Replace members i, j by their unitary remix, refactored into products.
 
     Raises if the remixed operators fail the product test — only grid points
@@ -471,10 +457,10 @@ def apply_mixing(
     residuals = _worst_ratio(_split_stacks(fam, (i, j)), u)
     new_members = list(fam.members)
     for idx, row, res in zip((i, j), u, residuals):
-        if res > tol:
+        if res > MIXING_TOL:
             raise ParameterError(
                 f"remixed member {idx} is not a product operator "
-                f"(residual {res:.3e} > {tol:.1e})"
+                f"(residual {res:.3e} > {MIXING_TOL:.1e})"
             )
         new_members[idx] = recover_product(row[0] * ki + row[1] * kj, fam.spec)
     return OperatorFamily(fam.spec, tuple(new_members))
@@ -496,7 +482,6 @@ class SpanBoundStats:
     violations: int
     equality_hits: int
     delta_sum_histogram: dict[int, int]
-    injected: int
     conjecture_checked: int
     conjecture_violations: int
 
@@ -506,26 +491,23 @@ def fuzz_span_bound(
     n_members: int,
     trials: int,
     seed: int = 0,
-    inject_every: int = 0,
-    inject=None,
     conjecture_probe_every: int = 0,
 ) -> SpanBoundStats:
     """Fuzz delta_A + delta_B <= N + r_s on random product families.
 
     Each trial samples a family, an all-nonzero coefficient vector, and a
-    random bipartition, then checks the bound.  ``inject`` (with
-    ``inject_every``) splices planted (family, coefficients) instances into
-    the stream; ``conjecture_probe_every`` splices single-varying-party
-    independent families to track the conjectured per-party sum bound.
+    random bipartition, then checks the bound.  ``conjecture_probe_every``
+    splices single-varying-party independent families into the stream to
+    track the conjectured per-party sum bound.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    check_seed(seed)
     dims = tuple(int(d) for d in local_dims)
     n_parties = len(dims)
 
     violations = 0
     equality_hits = 0
-    injected = 0
     conjecture_checked = 0
     conjecture_violations = 0
     histogram: dict[int, int] = {}
@@ -533,10 +515,7 @@ def fuzz_span_bound(
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         probe = False
-        if inject is not None and inject_every > 0 and t % inject_every == inject_every - 1:
-            fam, coeffs = inject(rng)
-            injected += 1
-        elif conjecture_probe_every > 0 and t % conjecture_probe_every == 0:
+        if conjecture_probe_every > 0 and t % conjecture_probe_every == 0:
             count = min(n_members, min(dims) ** 2)
             fam = shared_factor_family(
                 rng, n_parties, int(rng.integers(n_parties)), count, min(dims)
@@ -567,7 +546,6 @@ def fuzz_span_bound(
         violations=violations,
         equality_hits=equality_hits,
         delta_sum_histogram=histogram,
-        injected=injected,
         conjecture_checked=conjecture_checked,
         conjecture_violations=conjecture_violations,
     )

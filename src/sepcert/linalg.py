@@ -191,14 +191,12 @@ def realign_bipartite(s, dims: tuple[int, int, int, int]) -> np.ndarray:
     )
 
 
-def schmidt_rank(
-    s, dims: tuple[int, int, int, int], tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> int:
+def schmidt_rank(s, dims: tuple[int, int, int, int]) -> int:
     """Numerical rank of the bipartite realignment of ``s``."""
-    return numerical_rank(realign_bipartite(s, dims), tol)
+    return numerical_rank(realign_bipartite(s, dims))
 
 
-def span_dimension(matrices, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
+def span_dimension(matrices) -> int:
     """Dimension of the linear span of a list of same-shaped matrices."""
     mats = [as_matrix(m) for m in matrices]
     if not mats:
@@ -207,7 +205,7 @@ def span_dimension(matrices, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     for m in mats[1:]:
         if m.shape != shape:
             raise ShapeError(f"span members disagree in shape: {shape} vs {m.shape}")
-    return numerical_rank(vectorized_columns(mats), tol)
+    return numerical_rank(vectorized_columns(mats))
 
 
 def proportional(a, b, tol: float = 1e-10) -> complex | None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .families import OperatorFamily, PartySpec, ProductOperator
-from .linalg import DEFAULT_TOLERANCE, span_dimension
+from .linalg import span_dimension
 
 _RESAMPLE_LIMIT = 100
 
@@ -20,11 +20,15 @@ def complex_randn(rng: np.random.Generator, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def random_nonzero_coefficients(
-    rng: np.random.Generator, n: int, min_magnitude: float = 0.2
-) -> np.ndarray:
-    """Complex coefficients with magnitudes bounded away from zero."""
-    mags = rng.uniform(min_magnitude, 1.0, size=n)
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generators refuse."""
+    if seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def random_nonzero_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Complex coefficients with magnitudes uniform in [0.2, 1)."""
+    mags = rng.uniform(0.2, 1.0, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return mags * np.exp(1j * phases)
 
@@ -116,7 +120,7 @@ def independent_matrices(
         raise ParameterError(f"cannot fit {count} independent matrices in dim {d}x{d}")
     for _ in range(_RESAMPLE_LIMIT):
         mats = [complex_randn(rng, d, d) for _ in range(count)]
-        if span_dimension(mats, DEFAULT_TOLERANCE) == count:
+        if span_dimension(mats) == count:
             return mats
     raise NumericError("failed to sample linearly independent matrices")
 

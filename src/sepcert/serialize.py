@@ -37,7 +37,7 @@ KIND_ENSEMBLE = "ensemble"
 _KINDS = (KIND_CHANNEL, KIND_ENSEMBLE)
 
 
-def _pair(z: complex) -> list[float]:
+def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
 
@@ -54,7 +54,7 @@ def _complex_from(obj, where: str) -> complex:
 
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=np.complex128)
-    return [[_pair(z) for z in row] for row in m]
+    return [[complex_to_json(z) for z in row] for row in m]
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
@@ -92,21 +92,17 @@ def detect_kind(fam: OperatorFamily) -> str:
     return KIND_CHANNEL
 
 
-def family_to_dict(
-    fam: OperatorFamily, kind: str | None = None, metadata: dict | None = None
-) -> dict:
-    if kind is None:
-        kind = detect_kind(fam)
-    if kind not in _KINDS:
-        raise UsageError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if kind == KIND_ENSEMBLE and fam.spec.total_d_in != 1:
-        raise UsageError("kind 'ensemble' requires every factor to be a single column")
+def family_to_dict(fam: OperatorFamily, metadata: dict | None = None) -> dict:
+    """The file document of ``fam``; its kind is :func:`detect_kind`."""
     return {
         "format_version": FORMAT_VERSION,
         "parties": fam.spec.to_dicts(),
-        "kind": kind,
+        "kind": detect_kind(fam),
         "members": [
-            {"weight": _pair(m.weight), "factors": [matrix_to_json(f) for f in m.factors]}
+            {
+                "weight": complex_to_json(m.weight),
+                "factors": [matrix_to_json(f) for f in m.factors],
+            }
             for m in fam.members
         ],
         "metadata": dict(metadata) if metadata else {},
@@ -216,11 +212,9 @@ def dump_json(path, payload: dict) -> None:
         raise
 
 
-def save_family(
-    path, fam: OperatorFamily, kind: str | None = None, metadata: dict | None = None
-) -> None:
+def save_family(path, fam: OperatorFamily, metadata: dict | None = None) -> None:
     """Serialize and write atomically."""
-    dump_json(path, family_to_dict(fam, kind, metadata))
+    dump_json(path, family_to_dict(fam, metadata))
 
 
 def load_family(path) -> LoadedFile:

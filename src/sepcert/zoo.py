@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .families import OperatorFamily, PartySpec, ProductOperator
-from .linalg import DEFAULT_TOLERANCE, as_matrix, frobenius, proportional, span_dimension
-from .sampling import independent_matrices
+from .linalg import as_matrix, frobenius, span_dimension
+from .sampling import check_seed, independent_matrices
+
+#: A matrix u of side d is unitary when |u^dag u - I|_F <= UNITARY_TOL sqrt(d).
+UNITARY_TOL = 1e-10
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -104,20 +107,10 @@ def gen_fourier_channel(dims) -> OperatorFamily:
             ket[j if alpha == n_parties - 1 else 0, 0] = 1.0
             factors.append(ket @ psi.conj()[None, :])
         members.append(ProductOperator(weight, tuple(factors)))
-    fam = OperatorFamily(spec, tuple(members))
-
-    first = fam.local_factors(0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if proportional(first[a], first[b], 1e-10) is not None:
-                raise NumericError(
-                    f"first-party factors {a} and {b} came out proportional; "
-                    "the construction is broken"
-                )
-    return fam
+    return OperatorFamily(spec, tuple(members))
 
 
-def gen_product_unitary_channel(unitaries, q, tol: float = 1e-10) -> OperatorFamily:
+def gen_product_unitary_channel(unitaries, q) -> OperatorFamily:
     """Random-unitary-style channel: K_j = sqrt(q_j) U_j^(1) (x) ... (x) U_j^(P).
 
     ``unitaries`` is one list of N unitary matrices per party; ``q`` is a
@@ -143,7 +136,7 @@ def gen_product_unitary_channel(unitaries, q, tol: float = 1e-10) -> OperatorFam
             if u.shape[0] != u.shape[1]:
                 raise ParameterError(f"party {p}, member {j}: unitary must be square")
             d = u.shape[0]
-            if frobenius(u.conj().T @ u - np.eye(d)) > tol * np.sqrt(d):
+            if frobenius(u.conj().T @ u - np.eye(d)) > UNITARY_TOL * np.sqrt(d):
                 raise ParameterError(f"party {p}, member {j}: matrix is not unitary")
     spec = PartySpec(tuple((party[0].shape[0], party[0].shape[0]) for party in per_party))
     members = tuple(
@@ -181,6 +174,8 @@ def gen_projective_basis(d1: int, d2: int) -> OperatorFamily:
     d1, d2 = int(d1), int(d2)
     if d1 < 2 or d2 < 2:
         raise ParameterError("projective example needs both dimensions >= 2")
+    # The spec enforces the element budget before any member is built.
+    spec = PartySpec(((d1, d1), (d2, d2)))
     members = []
     for i in range(d1):
         for j in range(d2):
@@ -189,10 +184,10 @@ def gen_projective_basis(d1: int, d2: int) -> OperatorFamily:
             p2 = np.zeros((d2, d2), dtype=np.complex128)
             p2[j, j] = 1.0
             members.append(ProductOperator(1.0, (p1, p2)))
-    return OperatorFamily(PartySpec(((d1, d1), (d2, d2))), tuple(members))
+    return OperatorFamily(spec, tuple(members))
 
 
-def heisenberg_weyl_unitaries(d: int, count: int | None = None) -> list[np.ndarray]:
+def heisenberg_weyl_unitaries(d: int) -> list[np.ndarray]:
     """Shift/clock unitaries X^a Z^b in (a, b) lexicographic order.
 
     All d*d of them are unitary and mutually orthogonal in the
@@ -202,24 +197,18 @@ def heisenberg_weyl_unitaries(d: int, count: int | None = None) -> list[np.ndarr
     d = int(d)
     if d < 1:
         raise ParameterError("dimension must be positive")
-    if count is None:
-        count = d * d
-    if not (1 <= count <= d * d):
-        raise ParameterError(f"count must lie in [1, {d * d}], got {count}")
     shift = np.zeros((d, d), dtype=np.complex128)
     for m in range(d):
         shift[(m + 1) % d, m] = 1.0
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d)).astype(np.complex128)
-    out = []
-    for a in range(d):
-        for b in range(d):
-            if len(out) == count:
-                return out
-            out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return out
+    return [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(d)
+        for b in range(d)
+    ]
 
 
-def augment_channel(fam: OperatorFamily, u1, u2, tol: float = 1e-10) -> OperatorFamily:
+def augment_channel(fam: OperatorFamily, u1, u2) -> OperatorFamily:
     """Tensor two independent unitaries onto each member: K_j (x) U_j (x) V_j.
 
     Both unitary lists must be linearly independent sets of length N.  The
@@ -240,9 +229,9 @@ def augment_channel(fam: OperatorFamily, u1, u2, tol: float = 1e-10) -> Operator
         for j, u in enumerate(lst):
             if u.shape != (d, d):
                 raise ParameterError(f"{name} appended party: member {j} shape mismatch")
-            if frobenius(u.conj().T @ u - np.eye(d)) > tol * np.sqrt(d):
+            if frobenius(u.conj().T @ u - np.eye(d)) > UNITARY_TOL * np.sqrt(d):
                 raise ParameterError(f"{name} appended party: member {j} is not unitary")
-        if span_dimension(lst, DEFAULT_TOLERANCE) != n:
+        if span_dimension(lst) != n:
             raise ParameterError(
                 f"{name} appended party: the unitaries must be linearly independent"
             )
@@ -282,11 +271,13 @@ def gen_tight_family(
             f"local_dim must be at least n + 1 = {n + 1} so the local sets "
             "can be linearly independent"
         )
+    check_seed(seed)
+    # The spec enforces the element budget before any factor is sampled.
+    spec = PartySpec(tuple((local_dim, local_dim) for _ in range(n_parties)))
     rng = np.random.default_rng(seed)
     locals_per_party = [
         independent_matrices(rng, local_dim, n + 1) for _ in range(n_parties)
     ]
-    spec = PartySpec(tuple((local_dim, local_dim) for _ in range(n_parties)))
     members = [
         ProductOperator(1.0, tuple(locals_per_party[p][0] for p in range(n_parties)))
     ]

@@ -18,7 +18,6 @@ from sepcert import (
     apply_mixing,
     augment_channel,
     certify_unique,
-    certify_unique_ensemble,
     channel_to_choi_ensemble,
     channels_equal,
     family_from_factors,
@@ -242,7 +241,7 @@ def test_criterion_10_pauli_channel_profile():
 def test_criterion_11_certificates_transfer_to_state_ensembles():
     for name, fam in _zoo().items():
         channel_cert = certify_unique(fam)
-        ensemble_cert = certify_unique_ensemble(channel_to_choi_ensemble(fam))
+        ensemble_cert = certify_unique(channel_to_choi_ensemble(fam))
         assert channel_cert.status == ensemble_cert.status, name
 
 

@@ -15,11 +15,9 @@ from sepcert import (
     ProductOperator,
     SizeBudgetError,
     TolerancePolicy,
-    UsageError,
     Witness,
     all_bipartitions,
     certify_unique,
-    certify_unique_ensemble,
     family_from_factors,
     gen_fourier_channel,
     gen_ladder_channel,
@@ -327,18 +325,12 @@ def test_svd_failure_is_a_numeric_error(monkeypatch):
         certify_unique(gen_projective_basis(2, 2))
 
 
-def test_certify_ensemble_requires_kets():
-    fam = gen_ladder_channel(0.5)
-    with pytest.raises(UsageError):
-        certify_unique_ensemble(fam)
-
-
 def test_certify_ensemble_on_product_kets():
     # Four product kets |i>|j>: same elimination pattern as the projector basis.
     kets = [np.eye(2)[:, [i]] for i in range(2)]
     members = [(1.0, [kets[i], kets[j]]) for i in range(2) for j in range(2)]
     fam = family_from_factors([(1, 2), (1, 2)], members)
-    cert = certify_unique_ensemble(fam)
+    cert = certify_unique(fam)
     assert cert.status == "Inconclusive"
     assert [w.members for w in cert.witnesses] == PROJECTIVE_WITNESSES
 

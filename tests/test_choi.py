@@ -9,7 +9,6 @@ from sepcert import (
     ShapeError,
     UsageError,
     certify_unique,
-    certify_unique_ensemble,
     channel_to_choi_ensemble,
     channels_equal,
     ensemble_to_state,
@@ -172,7 +171,7 @@ def test_certificate_transfers_to_choi_ensemble(fam, status):
     # Local spans are preserved by vectorization, so the channel-level and
     # ensemble-level certificates must agree subset for subset.
     cert_channel = certify_unique(fam)
-    cert_ensemble = certify_unique_ensemble(channel_to_choi_ensemble(fam))
+    cert_ensemble = certify_unique(channel_to_choi_ensemble(fam))
     assert cert_channel.status == cert_ensemble.status == status
     assert [w.members for w in cert_channel.witnesses] == [
         w.members for w in cert_ensemble.witnesses

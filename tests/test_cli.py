@@ -130,6 +130,16 @@ def test_gen_projective_and_pauli(capsys, tmp_path):
     assert code == 0
 
 
+def test_gen_over_the_element_budget_exits_5(capsys, tmp_path):
+    out = tmp_path / "p.json"
+    code, stdout, err = run_cli(
+        capsys, "gen", "projective", "--dims", "65,65", "--out", str(out)
+    )
+    assert code == 5
+    assert stdout == "" and "element budget" in err
+    assert not out.exists()
+
+
 def test_gen_augment_from_file(capsys, tmp_path):
     base = tmp_path / "base.json"
     run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(base))

@@ -1,5 +1,7 @@
 """Alternative-family search: coefficient hunts, mixing scans, fuzzing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from sepcert import (
 from sepcert.hunter import RESTART_BLOCK, _product_cuts, _split_stacks
 from sepcert.linalg import vectorized_columns
 from sepcert.sampling import complex_randn, random_nonzero_coefficients
+from sepcert.serialize import matrix_from_json
 
 E00 = np.diag([1.0, 0.0])
 
@@ -112,6 +115,41 @@ def test_hunt_result_dict():
     assert "residual" in d and "restarts_used" in d
 
 
+@pytest.mark.parametrize(
+    "fam,subset,found",
+    [(gen_projective_basis(2, 2), (0, 1), True), (gen_ladder_channel(0.5), None, False)],
+    ids=["projective-22-pair", "ladder"],
+)
+def test_hunt_report_round_trips_exactly(fam, subset, found):
+    result = hunt_product(fam, subset, restarts=8, seed=0)
+    d = json.loads(json.dumps(result.to_dict()))
+    assert d["found"] is found
+    coeffs = np.array([complex(re, im) for re, im in d["coefficients"]])
+    assert np.array_equal(coeffs, result.coefficients)
+    if not found:
+        assert result.candidate is None and d["candidate"] is None
+        return
+    assert np.array_equal(complex(*d["candidate"]["weight"]), result.candidate.weight)
+    factors = d["candidate"]["factors"]
+    assert len(factors) == len(result.candidate.factors)
+    for got, want in zip(factors, result.candidate.factors):
+        assert np.array_equal(matrix_from_json(got, "factor"), want)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hunt_product(gen_ladder_channel(0.5), seed=-1),
+        lambda: gen_tight_family(2, seed=-1),
+        lambda: fuzz_span_bound((2, 2), 3, 2, seed=-1),
+    ],
+    ids=["hunt_product", "gen_tight_family", "fuzz_span_bound"],
+)
+def test_negative_seed_is_a_parameter_error(call):
+    with pytest.raises(ParameterError, match="nonnegative"):
+        call()
+
+
 def test_hunt_argument_validation():
     fam = gen_projective_basis(2, 2)
     with pytest.raises(UsageError):
@@ -124,8 +162,6 @@ def test_hunt_argument_validation():
         hunt_product(fam, subset=(0, 0))
     with pytest.raises(UsageError):
         hunt_product(fam, subset=(0, 9))
-    with pytest.raises(ParameterError):
-        hunt_product(fam, coefficient_floor=0.7)
     with pytest.raises(ParameterError):
         hunt_product(fam, subset=(0, 1), initial_coefficients=[0.0, 0.0])
     with pytest.raises(UsageError):
@@ -502,19 +538,6 @@ def test_fuzz_span_bound_no_violations():
     assert stats.trials == 40
     assert stats.violations == 0
     assert sum(stats.delta_sum_histogram.values()) == 40
-
-
-def test_fuzz_span_bound_with_injection():
-    def inject(rng):
-        return gen_tight_family(2, seed=int(rng.integers(1 << 31)))
-
-    stats = fuzz_span_bound(
-        (3, 3), n_members=5, trials=30, seed=1, inject_every=3, inject=inject
-    )
-    assert stats.violations == 0
-    assert stats.injected == 10
-    # Injected families sit exactly at the bound, so equality shows up.
-    assert stats.equality_hits >= stats.injected
 
 
 def test_fuzz_span_bound_conjecture_probes():

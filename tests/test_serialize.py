@@ -57,12 +57,6 @@ def test_family_to_dict_schema():
     json.dumps(data)  # everything must already be JSON-native
 
 
-def test_ensemble_kind_rejected_for_kraus_family():
-    fam = gen_ladder_channel(0.5)
-    with pytest.raises(UsageError):
-        family_to_dict(fam, kind="ensemble")
-
-
 def test_dump_json_writes_trailing_newline(tmp_path):
     path = tmp_path / "doc.json"
     dump_json(path, {"x": 1})

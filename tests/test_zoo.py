@@ -1,10 +1,14 @@
 """Generator zoo: construction contracts for every built-in family."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import sepcert.zoo
 from sepcert import (
     ParameterError,
+    SizeBudgetError,
     augment_channel,
     certify_unique,
     gen_fourier_channel,
@@ -179,12 +183,13 @@ def test_fourier_character_sum_by_explicit_loops():
     np.testing.assert_allclose(acc, np.eye(big_d), atol=1e-13)
 
 
-def test_fourier_first_party_factors_pairwise_independent():
-    fam = gen_fourier_channel((2, 2))
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3)])
+def test_fourier_first_party_factors_pairwise_independent(dims):
+    # 0 < |j - j'| < N with N prime, so no two first-party phases coincide.
+    fam = gen_fourier_channel(dims)
     factors = fam.local_factors(0)
-    for a in range(5):
-        for b in range(a + 1, 5):
-            assert proportional(factors[a], factors[b]) is None
+    for a, b in itertools.combinations(range(fam.n_members), 2):
+        assert proportional(factors[a], factors[b]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +238,18 @@ def test_projective_members_are_basis_projectors():
         i, j = divmod(idx, 3)
         np.testing.assert_array_equal(m.factors[0], np.diag(np.eye(2)[i]))
         np.testing.assert_array_equal(m.factors[1], np.diag(np.eye(3)[j]))
+
+
+def test_generators_check_the_element_budget_before_building(monkeypatch):
+    # A 65x65 pair of parties is a 4225x4225 operator, over the 2**24 budget.
+    built = []
+    monkeypatch.setattr(sepcert.zoo, "ProductOperator", lambda *a: built.append(1))
+    monkeypatch.setattr(sepcert.zoo, "independent_matrices", lambda *a: built.append(1))
+    with pytest.raises(SizeBudgetError):
+        gen_projective_basis(65, 65)
+    with pytest.raises(SizeBudgetError):
+        gen_tight_family(1, local_dim=65)
+    assert built == []
 
 
 def test_projective_validation():
@@ -293,14 +310,6 @@ def test_heisenberg_weyl_unitary_and_orthogonal(d):
     gram = np.array([[np.trace(a.conj().T @ b) for b in hw] for a in hw])
     np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-10)
     assert span_dimension(list(hw)) == d * d
-
-
-def test_heisenberg_weyl_count():
-    assert len(heisenberg_weyl_unitaries(3, count=5)) == 5
-    with pytest.raises(ParameterError):
-        heisenberg_weyl_unitaries(2, count=0)
-    with pytest.raises(ParameterError):
-        heisenberg_weyl_unitaries(2, count=5)
 
 
 def test_augment_projective_basis_to_unique():
