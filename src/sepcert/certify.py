@@ -12,7 +12,10 @@ Subsets are decided top down, from the full set to the pairs.  Removing one
 member lowers a span dimension by at most one, also numerically (singular
 values interlace and the rank cutoff can only shrink), so the ranks of the
 larger subsets bound those of the smaller ones from below, and a subset is
-ranked on a side only when those bounds cannot decide it.
+ranked on a side only when those bounds cannot decide it.  Subsets that
+select the same multiset of a side's columns share one SVD: their side
+matrices are column permutations of each other, so they have the same
+singular values, and the same size fixes the same cutoff.
 """
 
 from __future__ import annotations
@@ -189,26 +192,44 @@ def default_strategy(n_parties: int) -> str:
     return STRATEGY_ALL_BIPARTITIONS if n_parties <= 6 else STRATEGY_PAIRS
 
 
-def _side_matrix(fam: OperatorFamily, side: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Vectorized grouped ``side`` factors as columns, and their row count.
+def _side_matrix(
+    fam: OperatorFamily, side: tuple[int, ...]
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """Vectorized grouped ``side`` factors as columns, their row count, and
+    the members' multiset weights when some columns are equal.
 
     A matrix with more rows than columns is replaced by the R factor of its
     thin QR: every column selection keeps its singular values, so ranks are
     unchanged while each SVD shrinks to at most N rows.
+
+    Members whose columns are equal bit for bit form a class.  When some
+    class has two or more members, member j gets the mixed-radix weight
+    prod over classes c < class(j) of (size(c) + 1), so ``weights[T].sum()``
+    names the multiset of T's columns uniquely and lies below prod over c of
+    (size(c) + 1).  Subsets sharing a multiset select the same columns in
+    another order and thus share one rank; with every column distinct the
+    weights are None.
     """
     m = fam.side_matrix(side)
-    rows = m.shape[0]
-    if rows > m.shape[1]:
+    rows, n = m.shape
+    ids: dict[bytes, int] = {}
+    cls = np.array([ids.setdefault(col.tobytes(), len(ids)) for col in m.T])
+    weights = None
+    if len(ids) < n:
+        sizes = np.bincount(cls)
+        weights = np.concatenate(([1], np.cumprod(sizes[:-1] + 1)))[cls]
+    if rows > n:
         m = np.linalg.qr(m, mode="r")
-    return m, rows
+    return m, rows, weights
 
 
 def _decide_block(
     members: np.ndarray,
     n: int,
     splits: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    sides: dict[tuple[int, ...], tuple[np.ndarray, int]],
+    sides: dict[tuple[int, ...], tuple[np.ndarray, int, np.ndarray | None]],
     known: dict[tuple[int, ...], np.ndarray],
+    tables: dict[tuple[int, ...], np.ndarray],
     tol: TolerancePolicy,
 ) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
     """Eliminate a (B, m) block of m-member subsets of n members split by split.
@@ -221,6 +242,11 @@ def _decide_block(
     with more headroom (fewer compressed rows on a tie), then the other side
     if the subset is still alive.  The block's entries of ``known`` are
     written on return.
+
+    ``tables`` maps each side with multiset weights (see ``_side_matrix``)
+    to the ranks of the column multisets ranked so far, -1 elsewhere; a side
+    ranks one subset per multiset not yet in its table and reads every
+    other rank from there.
 
     Returns the positions in ``members`` of the subsets no split eliminated,
     and per side a (B,) array of rank bounds that is exact for every survivor.
@@ -237,10 +263,20 @@ def _decide_block(
     exact = {side: np.zeros(len(members), dtype=bool) for side in sides}
 
     def rank(side, todo):
-        m, rows = sides[side]
-        for i in range(0, len(todo), SUBSET_BLOCK):
-            sel = todo[i : i + SUBSET_BLOCK]
+        m, rows, weights = sides[side]
+        reps = todo
+        if weights is not None:
+            table = tables[side]
+            keys = weights[members[todo]].sum(axis=1)
+            missing = table[keys] < 0
+            new, first = np.unique(keys[missing], return_index=True)
+            reps = todo[missing][first]
+        for i in range(0, len(reps), SUBSET_BLOCK):
+            sel = reps[i : i + SUBSET_BLOCK]
             val[side][sel] = stacked_ranks(np.moveaxis(m[:, members[sel]], 1, 0), rows, tol)
+        if weights is not None:
+            table[new] = val[side][reps]
+            val[side][todo] = table[keys]
         exact[side][todo] = True
 
     alive = np.arange(len(members))
@@ -301,6 +337,10 @@ def certify_unique(
     stack with the per-matrix cutoff of ``tol``.  Side matrices taller than
     N are first compressed to their thin-QR R factor, which keeps every
     selection's singular values; cutoffs still use the original row count.
+    On a side where some members have equal columns, each column multiset
+    is ranked once for all subsets selecting it, which is exact: reordering
+    columns keeps the singular values, and the cutoff depends only on the
+    row count and the subset size.
     """
     n = fam.n_members
     if max_members < 1:
@@ -321,6 +361,12 @@ def certify_unique(
     sides = {side: _side_matrix(fam, side) for split in splits for side in split}
     try:
         known = {side: np.zeros(1 << n, dtype=np.int8) for side in sides}
+        # The full set has the largest key, prod over classes of (size + 1) - 1.
+        tables = {
+            side: np.full(int(weights.sum()) + 1, -1, dtype=np.int8)
+            for side, (_, _, weights) in sides.items()
+            if weights is not None
+        }
     except (MemoryError, ValueError):
         raise SizeBudgetError(
             f"rank bounds for {n} members need 2**{n} bytes per split side"
@@ -333,7 +379,7 @@ def certify_unique(
         flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
         while (block := np.fromiter(itertools.islice(flat, LEVEL_BLOCK * size), np.intp)).size:
             block = block.reshape(-1, size)
-            alive, ranks = _decide_block(block, n, splits, sides, known, tol)
+            alive, ranks = _decide_block(block, n, splits, sides, known, tables, tol)
             if alive.size and not level:
                 first = pos + int(alive[0])
             for i in alive.tolist():

@@ -125,6 +125,8 @@ def product_residual(fam: OperatorFamily, coeffs) -> float:
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.size != fam.n_members:
         raise ShapeError(f"got {c.size} coefficients for {fam.n_members} members")
+    if not np.isfinite(c).all():
+        raise ParameterError("coefficients must be finite")
     return float(_worst_ratio(_split_stacks(fam, range(fam.n_members)), c[None])[0])
 
 
@@ -331,6 +333,8 @@ def hunt_product(
             raise UsageError(
                 f"initial_coefficients has length {init.size}, subset has {ns}"
             )
+        if not np.isfinite(init).all():
+            raise ParameterError("initial_coefficients must be finite")
         if np.linalg.norm(init) <= _ZERO_CUTOFF:
             raise ParameterError("initial_coefficients must not be the zero vector")
 

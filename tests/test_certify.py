@@ -25,12 +25,14 @@ from sepcert import (
     gen_tight_family,
     party_pairs,
     random_product_family,
+    shared_factor_family,
     vectorize,
     verify_completeness,
 )
 import sepcert.certify
-from sepcert.certify import SUBSET_BLOCK, SplitSums
+from sepcert.certify import SUBSET_BLOCK, SplitSums, _side_matrix
 from sepcert.linalg import stacked_ranks
+from test_acceptance import _zoo
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -276,12 +278,8 @@ def test_fail_fast_reports_the_first_witness_of_the_smallest_size():
     assert cert.subsets_examined == examined == 457
 
 
-def test_pairs_rank_each_side_once_per_subset(monkeypatch):
-    # Four parties: each single-party side belongs to three of the six pair
-    # splits.  Of the four subsets of three members, (1, 2) and (0, 1, 2)
-    # survive every split; ranking a side once per subset takes 8 stacked
-    # SVD calls on 12 matrices, where one call per split side took 24 on 28.
-    fam, _ = gen_tight_family(1, n_parties=4)
+def _counting_stacked_ranks(monkeypatch):
+    """Patch the certifier's rank oracle; returns the list of stack sizes."""
     stack_sizes = []
 
     def counting(stack, rows, tol):
@@ -289,8 +287,21 @@ def test_pairs_rank_each_side_once_per_subset(monkeypatch):
         return stacked_ranks(stack, rows, tol)
 
     monkeypatch.setattr(sepcert.certify, "stacked_ranks", counting)
+    return stack_sizes
+
+
+def test_pairs_rank_each_side_once_per_subset(monkeypatch):
+    # Four parties: each single-party side belongs to three of the six pair
+    # splits.  Of the four subsets of three members, (1, 2) and (0, 1, 2)
+    # survive every split.  Members 1 and 2 are the twin M, so the pairs
+    # (0, 1) and (0, 2) select the same columns {S, M} on every side and
+    # share one rank: ranking a side once per column multiset takes 8
+    # stacked SVD calls on 10 matrices (12 when every subset was ranked on
+    # its own, and 24 calls on 28 with one call per split side).
+    fam, _ = gen_tight_family(1, n_parties=4)
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
     cert = certify_unique(fam, strategy=STRATEGY_PAIRS)
-    assert (len(stack_sizes), sum(stack_sizes)) == (8, 12)
+    assert (len(stack_sizes), sum(stack_sizes)) == (8, 10)
     pairs = [((a,), (b,)) for a, b in party_pairs(fam.n_parties)]
     witnesses, examined = _reference_certificate(fam, cert.tol, splits=pairs)
     assert [w.members for w in witnesses] == [(1, 2), (0, 1, 2)]
@@ -312,6 +323,97 @@ def test_bounds_skip_most_side_ranks(monkeypatch):
     assert cert.status == "Unique"
     assert cert.subsets_examined == 2**13 - 13 - 1
     assert sum(ranked) <= 16_356 // 4
+
+
+def _relabelled(fam, seed):
+    """``fam`` with a seeded member permutation and unit phases on the weights."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(fam.n_members)
+    phases = np.exp(2j * np.pi * rng.random(fam.n_members))
+    members = tuple(fam.members[k].scaled(p) for k, p in zip(order, phases))
+    return OperatorFamily(fam.spec, members)
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [
+        TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
+        TolerancePolicy(relative_rank_threshold=1e-3),
+    ],
+    ids=["default", "rel1e-10", "rel1e-3"],
+)
+@pytest.mark.parametrize(
+    "make, strategy",
+    [
+        (lambda: _relabelled(gen_projective_basis(3, 4), seed=11), None),
+        (lambda: gen_tight_family(2, n_parties=3, seed=0)[0], None),
+        (lambda: gen_tight_family(2, n_parties=3, seed=0)[0], STRATEGY_PAIRS),
+        (lambda: _zoo()["augmented-projective"], STRATEGY_PAIRS),
+        # Parties 0 and 2 hold one factor for all six members.
+        (
+            lambda: shared_factor_family(
+                np.random.default_rng(3), n_parties=3, varying_party=1, n_members=6, local_dim=3
+            ),
+            None,
+        ),
+    ],
+    ids=[
+        "projective-34-relabelled",
+        "tight-n2-3party",
+        "tight-n2-3party-pairs",
+        "augmented-projective-pairs",
+        "shared-factor-3party",
+    ],
+)
+def test_shared_column_multisets_match_per_subset_reference(make, strategy, tol):
+    fam = make()
+    cert = certify_unique(fam, strategy=strategy, tol=tol)
+    splits = None
+    if strategy == STRATEGY_PAIRS:
+        splits = [((a,), (b,)) for a, b in party_pairs(fam.n_parties)]
+    witnesses, examined = _reference_certificate(fam, tol, splits=splits)
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined
+    assert cert.status == ("Inconclusive" if witnesses else "Unique")
+
+
+def test_relabelled_projective_ranks_each_column_multiset_once(monkeypatch):
+    # Side 0 of projective (3,4) has three classes of four equal columns and
+    # side 1 four classes of three, so its 4,083 subsets select at most
+    # 5**3 + 4**4 = 381 column multisets; ranking every subset on its own
+    # took 7,674 matrices.
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
+    cert = certify_unique(_relabelled(gen_projective_basis(3, 4), seed=11))
+    assert cert.status == "Inconclusive" and len(cert.witnesses) == 3429
+    assert sum(stack_sizes) <= 400
+
+
+def _one_shared_factor(perturb: bool):
+    """Random (2,2) family whose last member takes the first member's party-0
+    factor, shifted by one ulp in one entry when ``perturb``."""
+    fam = random_product_family(np.random.default_rng(8), (2, 2), 8)
+    shared = fam.members[0].factors[0].copy()
+    if perturb:
+        shared[0, 0] = complex(np.nextafter(shared[0, 0].real, np.inf), shared[0, 0].imag)
+    last = fam.members[-1]
+    return OperatorFamily(
+        fam.spec, fam.members[:-1] + (ProductOperator(last.weight, (shared, last.factors[1])),)
+    )
+
+
+def test_one_ulp_apart_columns_form_no_class(monkeypatch):
+    assert _side_matrix(_one_shared_factor(False), (0,))[2] is not None
+    fam = _one_shared_factor(True)
+    assert all(_side_matrix(fam, side)[2] is None for side in ((0,), (1,)))
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
+    cert = certify_unique(fam)
+    # Every subset is ranked on its own, as without the shared factor; the
+    # unperturbed family shares ranks and needs 201 matrices.
+    assert (len(stack_sizes), sum(stack_sizes)) == (11, 229)
+    witnesses, examined = _reference_certificate(fam, cert.tol)
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined
 
 
 def test_svd_failure_is_a_numeric_error(monkeypatch):

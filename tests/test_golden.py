@@ -1,10 +1,11 @@
 """Byte-identity guard: ``sepcert certify`` JSON on the reference catalog.
 
 Each file in ``tests/golden/`` holds the raw stdout of ``sepcert certify`` on
-one catalog family, without the line of the ``file`` key (it names a
-temporary path).  A refactor of the certifier or of its JSON writer must
-reproduce every file byte for byte, whitespace included.  Hunt reports are
-left out: their float residuals depend on the BLAS library.
+one catalog family or one family with repeated local factors, without the
+line of the ``file`` key (it names a temporary path).  A refactor of the
+certifier or of its JSON writer must reproduce every file byte for byte,
+whitespace included.  Hunt reports are left out: their float residuals
+depend on the BLAS library.
 
 Regenerate the files (only when the certificate is meant to change) with::
 
@@ -19,21 +20,32 @@ from pathlib import Path
 
 import pytest
 
-from sepcert import save_family
+from sepcert import gen_projective_basis, gen_tight_family, save_family
 from sepcert.cli import main
 from test_acceptance import _zoo
+from test_certify import _relabelled
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _repeated_factors():
+    """Families whose members share local factors, so that many subsets
+    select the same side columns in another order."""
+    return {
+        "projective-34-relabelled": _relabelled(gen_projective_basis(3, 4), seed=11),
+        "tight-n2-3party": gen_tight_family(2, n_parties=3, seed=0)[0],
+    }
+
+
 def _cases():
-    """(golden file stem, family, extra certify flags), in catalog order.
+    """(golden file stem, family, extra certify flags), in catalog order,
+    then the families with repeated factors.
 
     Families with three or more parties are also certified on party pairs,
     where a single-party side belongs to several splits.
     """
     out = []
-    for name, fam in _zoo().items():
+    for name, fam in {**_zoo(), **_repeated_factors()}.items():
         out.append((name, fam, []))
         if fam.n_parties >= 3:
             out.append((f"{name}.pairs", fam, ["--strategy", "pairs"]))

@@ -168,6 +168,20 @@ def test_hunt_argument_validation():
         hunt_product(fam, subset=(0, 1), initial_coefficients=[1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [np.inf, 0, 0, 0], [1, 1, complex(0, np.nan), 1]],
+    ids=["nan", "inf", "inf-zeros", "nan-imag"],
+)
+def test_non_finite_coefficients_are_rejected(coeffs):
+    # Unchecked, they reach LAPACK, which fails with "SVD did not converge".
+    fam = gen_projective_basis(2, 2)
+    with pytest.raises(ParameterError, match="finite"):
+        product_residual(fam, coeffs)
+    with pytest.raises(ParameterError, match="finite"):
+        hunt_product(fam, restarts=1, initial_coefficients=coeffs)
+
+
 # ---------------------------------------------------------------------------
 # serial reference: one restart at a time, one vector per call
 
