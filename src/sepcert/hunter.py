@@ -8,8 +8,14 @@ linear combination is a product operator: a product across each cut
 preserve the represented channel.  ``fuzz_span_bound`` hammers the bipartite
 span inequality with random and planted instances.
 
-A hunt that finds nothing is evidence, not proof: the objective is nonconvex
-and the search is restarted, not certified.
+Before it searches, ``hunt_product`` bounds its objective from below over
+the whole feasible set by the smallest singular value of the subset's
+second-compound matrix (``_residual_floor``).  A bound at or above the
+threshold proves that no combination with every coefficient nonzero is a
+product, and the hunt returns with ``restarts_used`` 0.  The bound is
+one-sided: below the threshold it proves nothing, and a search that then
+finds nothing is evidence, not proof, since the objective is nonconvex and
+the search is restarted, not certified.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .families import (
     span_bound_report,
 )
 from .linalg import (
+    MAX_MATRIX_ELEMENTS,
     as_matrix,
     frobenius,
     proportional,
@@ -230,67 +237,111 @@ class SearchResult:
         return out
 
 
-def hunt_product(
-    fam: OperatorFamily,
-    subset=None,
-    *,
-    restarts: int = 64,
-    max_iters: int = 500,
-    threshold: float = 1e-8,
-    seed: int = 0,
-    initial_coefficients=None,
-) -> SearchResult:
-    """Search a member subset for a product operator in its span.
+def _compound_gram(stacks) -> np.ndarray:
+    """Gram matrix W^H W of the second-compound matrix W of a member subset.
 
-    Minimizes, over unit-norm coefficient vectors with every magnitude kept
-    at or above ``COEFFICIENT_FLOOR``, the worst sigma_2/sigma_1 of the
-    combination realigned across each cut {p} | rest.  Local refinement
-    alternates between projecting the current combination to its nearest
-    product (leading-singular-vector peeling) and re-fitting coefficients by
-    least squares.  ``initial_coefficients``, when given, replaces restart 0.
-    The restarts iterate together, up to ``RESTART_BLOCK`` at a time, with
-    one stacked SVD per cut and one multi-right-hand-side least-squares
-    solve per iteration; each restart still takes the steps it would take
-    alone.  ``threshold`` must lie strictly between 0 and 1, the range of
-    the residual.
-
-    The reported result is the minimum-residual restart, ties broken by
-    restart index, so identical inputs reproduce bit for bit.  When the best
-    coefficients converge pinned at the floor the hunt re-runs on the subset
-    without the pinned members (they wanted to be zero, which the
-    all-nonzero-coefficients requirement forbids).
+    W stacks one block per cut; column (j, k) of a block, pairs j < k in
+    ``np.triu_indices`` order, is (a_j ^ a_k) (x) (b_j ^ b_k) for the side
+    columns a, b of ``stacks``.  By Cauchy-Binet C_2((B * c) @ A^T) is then
+    W_cut p(c) with p(c) = (c_j c_k)_{j<k}, so W p(c) = 0 exactly when the
+    combination c is a product (or vanishes).  Each wedge inner product
+    <a_j ^ a_k, a_l ^ a_m> is the 2x2 minor G[j,l] G[k,m] - G[j,m] G[k,l]
+    of the side Gram G = A^H A, so no wedge column is formed.
     """
-    if subset is None:
-        subset = tuple(range(fam.n_members))
-    else:
-        subset = fam.member_indices(subset, minimum=2)
-    if restarts < 1:
-        raise UsageError("restarts must be at least 1")
-    if max_iters < 1:
-        raise UsageError("max_iters must be at least 1")
-    if not (0 < threshold < 1):
-        raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
-    check_seed(seed)
+    j, k = np.triu_indices(stacks[0][0].shape[1], 1)
+    gram = 0.0
+    for a_mat, b_mat in stacks:
+        block = 1.0
+        for side in (a_mat, b_mat):
+            g = side.conj().T @ side
+            block = block * (
+                g[np.ix_(j, j)] * g[np.ix_(k, k)] - g[np.ix_(j, k)] * g[np.ix_(k, j)]
+            )
+        gram = gram + block
+    return gram
 
-    ns = len(subset)
-    d_out, d_in = fam.spec.total_d_out, fam.spec.total_d_in
-    full = vectorized_columns(fam.members[i].assemble() for i in subset)
-    stacks = _split_stacks(fam, subset)
 
-    def project(c: np.ndarray) -> np.ndarray:
-        """Each row scaled to unit norm with every magnitude at the floor or above."""
-        nrm = _row_norms(c)
-        vanished = nrm <= _ZERO_CUTOFF
-        c = c / np.where(vanished, 1.0, nrm)[:, None]
-        mags = np.abs(c)
-        small = mags < COEFFICIENT_FLOOR
-        fix = small.any(axis=1) & ~vanished
-        if fix.any():
-            phases = np.where(mags > _ZERO_CUTOFF, c / np.maximum(mags, _ZERO_CUTOFF), 1.0)
-            c = np.where(small, COEFFICIENT_FLOOR * phases, c)
-            c[fix] = c[fix] / _row_norms(c[fix])[:, None]
-        c[vanished] = 1.0 / np.sqrt(ns)
-        return c
+def _residual_floor(stacks, full: np.ndarray) -> float:
+    """A certified lower bound of the hunt objective over its feasible set.
+
+    Let c be unit with every |c_j| >= f, P the number of cuts, R(c) the
+    realignment across a cut, r the largest rank R can have and m = C(r, 2).
+    Then sigma_1 sigma_2 >= |C_2 R(c)|_F / sqrt(m) and sigma_1 <= |R(c)|_F
+    = |full @ c| <= sigma_max(full), while over the cuts together
+    |W p(c)| >= sigma_min(W) |p(c)| (see ``_compound_gram``).  So the worst
+    sigma_2 / sigma_1 is at least
+
+        sigma_min(W) p_min / (sqrt(P m) sigma_max(full)^2),
+
+    with p_min = sqrt(x (2 - x - f^2) / 2), x = (n - 1) f^2, the least
+    |p(c)| on the feasible set.  ``_project`` clamps magnitudes to
+    COEFFICIENT_FLOOR and then renormalizes, so f = COEFFICIENT_FLOOR / 2.
+    The bound is one-sided: 0.0 claims nothing, and it is 0.0 when W is
+    rank deficient, for one party or one member, and when the C(n, 2)-square
+    Gram would exceed MAX_MATRIX_ELEMENTS.
+    """
+    n = full.shape[1]
+    pairs = n * (n - 1) // 2
+    if not stacks or not 0 < pairs * pairs <= MAX_MATRIX_ELEMENTS:
+        return 0.0
+    gram = _compound_gram(stacks)
+    # Rounding moves the Gram's entries by O(eps * rows) and its SVD by
+    # O(eps * pairs), times products |M_j| |M_k| |M_l| |M_m| that sum to at
+    # most P |full|_F^4; a residual's own SVD moves it by O(eps).
+    rows = max(max(len(a_mat), len(b_mat)) for a_mat, b_mat in stacks)
+    slack = 16 * np.finfo(np.float64).eps * (rows + pairs)
+    smallest = np.linalg.svd(gram, compute_uv=False)[-1]
+    smallest -= slack * len(stacks) * frobenius(full) ** 4
+    if smallest <= 0:
+        return 0.0
+    f = COEFFICIENT_FLOOR / 2
+    x = (n - 1) * f * f
+    p_min = np.sqrt(x * (2 - x - f * f) / 2)
+    r = max(min(len(a_mat), len(b_mat), n) for a_mat, b_mat in stacks)
+    sigma_max = np.linalg.svd(full, compute_uv=False)[0]
+    scale = np.sqrt(len(stacks) * r * (r - 1) / 2) * sigma_max**2
+    return float(np.sqrt(smallest) * p_min / scale - slack)
+
+
+def _project(c: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit norm with every magnitude at the floor or above."""
+    nrm = _row_norms(c)
+    vanished = nrm <= _ZERO_CUTOFF
+    c = c / np.where(vanished, 1.0, nrm)[:, None]
+    mags = np.abs(c)
+    small = mags < COEFFICIENT_FLOOR
+    fix = small.any(axis=1) & ~vanished
+    if fix.any():
+        phases = np.where(mags > _ZERO_CUTOFF, c / np.maximum(mags, _ZERO_CUTOFF), 1.0)
+        c = np.where(small, COEFFICIENT_FLOOR * phases, c)
+        c[fix] = c[fix] / _row_norms(c[fix])[:, None]
+    c[vanished] = 1.0 / np.sqrt(c.shape[1])
+    return c
+
+
+def _start(ns: int, seed: int, r: int, init: np.ndarray | None) -> np.ndarray:
+    """Restart r's unprojected start: ``init`` for restart 0 when given."""
+    if r == 0 and init is not None:
+        return init
+    return complex_randn(np.random.default_rng([seed, r]), ns)
+
+
+def _search(
+    spec: PartySpec,
+    full: np.ndarray,
+    stacks,
+    *,
+    restarts: int,
+    max_iters: int,
+    seed: int,
+    init: np.ndarray | None,
+) -> tuple[float, np.ndarray]:
+    """Lowest objective and its coefficients over the stacked ALS restarts.
+
+    ``full`` holds the vectorized subset members as columns and ``stacks``
+    their ``_split_stacks``.  Ties go to the lower restart index.
+    """
+    d_out, d_in = spec.total_d_out, spec.total_d_in
 
     def refine(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best objective and coefficients of each restart started at a row of ``c``.
@@ -312,12 +363,12 @@ def hunt_product(
             if rows.size == 0:
                 break
             target = _assemble_rows(
-                _peel(_unvectorize_rows(s_vec, (d_out, d_in)), fam.spec)
+                _peel(_unvectorize_rows(s_vec, (d_out, d_in)), spec)
             )
             # Column k of the right-hand side is vectorize(target[k]).
             rhs = target.transpose(0, 2, 1).reshape(len(rows), -1).T
             c, *_ = np.linalg.lstsq(full, rhs, rcond=None)
-            c = project(c.T)
+            c = _project(c.T)
             obj = _worst_ratio(stacks, c)
             better = obj < best_obj[rows]
             best_obj[rows[better]] = obj[better]
@@ -327,6 +378,75 @@ def hunt_product(
             rows, c = rows[moving], c[moving]
         return best_obj, best_c
 
+    ns = full.shape[1]
+    best_obj, best_c = np.inf, None
+    for first in range(0, restarts, RESTART_BLOCK):
+        block = range(first, min(first + RESTART_BLOCK, restarts))
+        objs, coeffs = refine(_project(np.array([_start(ns, seed, r, init) for r in block])))
+        k = int(np.argmin(objs))
+        if best_c is None or objs[k] < best_obj:
+            best_obj, best_c = float(objs[k]), coeffs[k].copy()
+    return best_obj, best_c
+
+
+def hunt_product(
+    fam: OperatorFamily,
+    subset=None,
+    *,
+    restarts: int = 64,
+    max_iters: int = 500,
+    threshold: float = 1e-8,
+    seed: int = 0,
+    initial_coefficients=None,
+) -> SearchResult:
+    """Search a member subset for a product operator in its span.
+
+    Minimizes, over unit-norm coefficient vectors with every magnitude kept
+    at or above ``COEFFICIENT_FLOOR``, the worst sigma_2/sigma_1 of the
+    combination realigned across each cut {p} | rest.  ``threshold`` must
+    lie strictly between 0 and 1, the range of the residual.
+
+    The hunt first computes a certified lower bound of that objective over
+    the whole feasible set from the second-compound matrix of the subset
+    (``_residual_floor``).  When the bound reaches ``threshold`` no
+    combination with every coefficient nonzero is a product: the hunt
+    returns at once, not found, with ``restarts_used`` 0, restart 0's
+    projected start as ``coefficients`` and its objective as ``residual``.
+    The bound is one-sided: below ``threshold`` it proves nothing, and the
+    search runs.  ``found``, ``novel`` and the residual's side of
+    ``threshold`` are thus what the search would have given.
+
+    The search alternates between projecting the current combination to
+    its nearest product (leading-singular-vector peeling) and re-fitting
+    coefficients by least squares.  ``initial_coefficients``, when given,
+    replaces restart 0.  The restarts iterate together, up to
+    ``RESTART_BLOCK`` at a time, with one stacked SVD per cut and one
+    multi-right-hand-side least-squares solve per iteration; each restart
+    still takes the steps it would take alone.
+
+    The reported result is the minimum-residual restart, ties broken by
+    restart index, so identical inputs reproduce bit for bit.  When the best
+    coefficients converge pinned at the floor the hunt re-runs on the subset
+    without the pinned members (they wanted to be zero, which the
+    all-nonzero-coefficients requirement forbids).
+    """
+    if subset is None:
+        subset = tuple(range(fam.n_members))
+    else:
+        subset = fam.member_indices(subset, minimum=2)
+    if restarts < 1:
+        raise UsageError("restarts must be at least 1")
+    if max_iters < 1:
+        raise UsageError("max_iters must be at least 1")
+    if not (0 < threshold < 1):
+        raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
+    check_seed(seed)
+
+    ns = len(subset)
+    full = vectorized_columns(fam.members[i].assemble() for i in subset)
+    stacks = _split_stacks(fam, subset)
+
+    init = None
     if initial_coefficients is not None:
         init = np.asarray(initial_coefficients, dtype=np.complex128).reshape(-1)
         if init.size != ns:
@@ -338,25 +458,31 @@ def hunt_product(
         if np.linalg.norm(init) <= _ZERO_CUTOFF:
             raise ParameterError("initial_coefficients must not be the zero vector")
 
-    def start(r: int) -> np.ndarray:
-        if r == 0 and initial_coefficients is not None:
-            return init
-        return complex_randn(np.random.default_rng([seed, r]), ns)
+    if _residual_floor(stacks, full) >= threshold:
+        c = _project(_start(ns, seed, 0, init)[None])
+        return SearchResult(
+            found=False,
+            coefficients=c[0],
+            residual=float(_worst_ratio(stacks, c)[0]),
+            candidate=None,
+            novel=False,
+            restarts_used=0,
+            seed=seed,
+            subset=subset,
+            threshold=threshold,
+        )
 
-    best_obj, best_c = np.inf, None
-    for first in range(0, restarts, RESTART_BLOCK):
-        block = range(first, min(first + RESTART_BLOCK, restarts))
-        objs, coeffs = refine(project(np.array([start(r) for r in block])))
-        k = int(np.argmin(objs))
-        if best_c is None or objs[k] < best_obj:
-            best_obj, best_c = float(objs[k]), coeffs[k].copy()
-
+    best_obj, best_c = _search(
+        fam.spec, full, stacks,
+        restarts=restarts, max_iters=max_iters, seed=seed, init=init,
+    )
     found = best_obj < threshold
     candidate = None
     novel = False
     if found:
         candidate = recover_product(
-            unvectorize(full @ best_c, (d_out, d_in)), fam.spec
+            unvectorize(full @ best_c, (fam.spec.total_d_out, fam.spec.total_d_in)),
+            fam.spec,
         )
         cand = candidate.assemble()
         novel = all(

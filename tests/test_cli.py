@@ -363,6 +363,34 @@ def test_hunt_rejects_negative_threshold(capsys, tmp_path):
     assert "threshold" in err
 
 
+def test_hunt_on_fourier_222_is_settled_by_the_compound_bound(capsys, tmp_path):
+    path = tmp_path / "fourier.json"
+    run_json(capsys, "gen", "fourier", "--dims", "2,2,2", "--out", str(path))
+    code, payload, _ = run_json(capsys, "hunt", str(path), "--restarts", "16")
+    assert code == 4
+    assert payload["restarts_used"] == 0
+    assert payload["found"] is False and payload["novel"] is False
+    assert payload["candidate"] is None
+    assert payload["residual"] >= payload["threshold"]
+    assert set(payload) == {
+        "command", "tool_version", "file", "found", "residual", "threshold", "seed",
+        "subset", "restarts_used", "coefficients", "novel", "candidate",
+    }
+
+
+def test_one_parser_serves_consecutive_calls(capsys, tmp_path):
+    # Options given to one call must not leak into the next.
+    path = tmp_path / "proj.json"
+    run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(path))
+    code, first, _ = run_json(capsys, "hunt", str(path), "--subset", "0,1", "--seed", "3")
+    assert (code, first["subset"], first["seed"]) == (0, [0, 1], 3)
+    code, second, _ = run_json(capsys, "hunt", str(path), "--restarts", "2")
+    assert (code, second["subset"], second["seed"]) == (0, [0, 1, 2, 3], 0)
+    assert run_cli(capsys, "hunt")[0] == 2
+    code, out, _ = run_cli(capsys, "--version")
+    assert (code, out) == (0, f"sepcert {__version__}\n")
+
+
 # ---------------------------------------------------------------------------
 # choi
 

@@ -1,5 +1,6 @@
 """Alternative-family search: coefficient hunts, mixing scans, fuzzing."""
 
+import itertools
 import json
 
 import numpy as np
@@ -14,10 +15,16 @@ from sepcert import (
     ShapeError,
     UsageError,
     apply_mixing,
+    augment_channel,
     fuzz_span_bound,
+    gen_fourier_channel,
     gen_ladder_channel,
+    gen_pauli_pair_channel,
+    gen_product_unitary_channel,
     gen_projective_basis,
     gen_tight_family,
+    haar_unitary,
+    heisenberg_weyl_unitaries,
     hunt_product,
     mixing_search,
     all_bipartitions,
@@ -32,7 +39,17 @@ from sepcert import (
     unvectorize,
     vectorize,
 )
-from sepcert.hunter import RESTART_BLOCK, _product_cuts, _split_stacks
+from sepcert.hunter import (
+    COEFFICIENT_FLOOR,
+    RESTART_BLOCK,
+    _compound_gram,
+    _product_cuts,
+    _project,
+    _residual_floor,
+    _search,
+    _split_stacks,
+    _worst_ratio,
+)
 from sepcert.linalg import vectorized_columns
 from sepcert.sampling import complex_randn, random_nonzero_coefficients
 from sepcert.serialize import matrix_from_json
@@ -82,7 +99,8 @@ def test_hunt_fails_on_ladder_channel():
     fam = gen_ladder_channel(0.5)
     result = hunt_product(fam, seed=7)
     assert not result.found
-    assert result.restarts_used == 64
+    # The compound bound proves the ladder holds no product: no restart runs.
+    assert result.restarts_used == 0
     for subset in [(0, 1), (0, 2), (1, 2)]:
         assert not hunt_product(fam, subset=subset, seed=7).found
 
@@ -289,39 +307,52 @@ def _random_32():
 
 
 @pytest.mark.parametrize(
-    "make, kwargs",
+    "make, kwargs, screened",
     [
         (lambda: gen_tight_family(2, seed=0)[0],
-         dict(seed=1, initial_coefficients=gen_tight_family(2, seed=0)[1])),
-        (_tight_four_party, dict(seed=0, restarts=20)),
+         dict(seed=1, initial_coefficients=gen_tight_family(2, seed=0)[1]), False),
+        (_tight_four_party, dict(seed=0, restarts=20), False),
         (lambda: gen_projective_basis(3, 3),
-         dict(subset=(0, 1, 5), seed=0, restarts=16, threshold=1e-5)),
-        (lambda: gen_ladder_channel(0.5), dict(seed=7)),
-        (_random_222, dict(seed=0, restarts=20, max_iters=3)),
-        (_random_32, dict(seed=1, restarts=12)),
-        (lambda: gen_ladder_channel(0.5), dict(seed=2, restarts=RESTART_BLOCK + 1)),
+         dict(subset=(0, 1, 5), seed=0, restarts=16, threshold=1e-5), False),
+        (lambda: gen_ladder_channel(0.5), dict(seed=7), True),
+        (_random_222, dict(seed=0, restarts=20, max_iters=3), True),
+        (_random_32, dict(seed=1, restarts=12), True),
+        (lambda: gen_ladder_channel(0.5), dict(seed=2, restarts=RESTART_BLOCK + 1), True),
     ],
     ids=[
         "tight-n2-init", "tight-n1-4p", "projective-33", "ladder", "random-222",
         "random-32", "ladder-65",
     ],
 )
-def test_stacked_restarts_match_the_serial_loop(make, kwargs):
+def test_stacked_restarts_match_the_serial_loop(make, kwargs, screened):
     fam = make()
+    subset = kwargs.get("subset", tuple(range(fam.n_members)))
+    restarts = kwargs.get("restarts", 64)
+    max_iters = kwargs.get("max_iters", 500)
+    init = kwargs.get("initial_coefficients")
+    threshold = kwargs.get("threshold", 1e-8)
+    full = vectorized_columns(fam.members[i].assemble() for i in subset)
+    stacks = _split_stacks(fam, subset)
+    assert (_residual_floor(stacks, full) >= threshold) is screened
+    if screened:
+        # hunt_product returns before its search here, so the search itself
+        # is compared with the serial loop.
+        obj, c = _search(fam.spec, full, stacks, restarts=restarts,
+                         max_iters=max_iters, seed=kwargs["seed"], init=init)
+        ref_obj, ref_c = reference_search(fam, subset, restarts, max_iters,
+                                          kwargs["seed"], init)
+        assert obj == ref_obj
+        assert np.array_equal(c, ref_c)
+        return
     result = hunt_product(fam, **kwargs)
     subset, obj, c = reference_hunt(
-        fam,
-        kwargs.get("subset", tuple(range(fam.n_members))),
-        restarts=kwargs.get("restarts", 64),
-        max_iters=kwargs.get("max_iters", 500),
-        seed=kwargs["seed"],
-        init=kwargs.get("initial_coefficients"),
-        threshold=kwargs.get("threshold", 1e-8),
+        fam, subset, restarts=restarts, max_iters=max_iters, seed=kwargs["seed"],
+        init=init, threshold=threshold,
     )
     assert result.subset == subset
     assert result.residual == obj
     assert np.array_equal(result.coefficients, c)
-    assert result.found == (obj < kwargs.get("threshold", 1e-8))
+    assert result.found == (obj < threshold)
     if result.found:
         full = vectorized_columns(fam.members[i].assemble() for i in subset)
         shape = (fam.spec.total_d_out, fam.spec.total_d_in)
@@ -375,6 +406,144 @@ def test_hunt_rejects_thresholds_outside_the_unit_interval(threshold):
     fam = gen_projective_basis(2, 2)
     with pytest.raises(ParameterError):
         hunt_product(fam, subset=(0, 1), threshold=threshold)
+
+
+# ---------------------------------------------------------------------------
+# compound screen
+
+
+def _hunt_inputs(fam, subset=None):
+    """The vectorized members and cut stacks hunt_product builds for ``subset``."""
+    subset = tuple(range(fam.n_members)) if subset is None else subset
+    full = vectorized_columns(fam.members[i].assemble() for i in subset)
+    return full, _split_stacks(fam, subset)
+
+
+def _unique_catalog():
+    rng = np.random.default_rng(7)
+    unitaries = [[haar_unitary(rng, 2) for _ in range(3)] for _ in range(2)]
+    hw = list(heisenberg_weyl_unitaries(2))
+    return {
+        "ladder-half": gen_ladder_channel(0.5),
+        "ladder-complex": gen_ladder_channel(0.9 * np.exp(1j * np.pi / 3), phi=np.pi / 7),
+        "fourier-22": gen_fourier_channel((2, 2)),
+        "fourier-23": gen_fourier_channel((2, 3)),
+        "fourier-222": gen_fourier_channel((2, 2, 2)),
+        "pauli": gen_pauli_pair_channel(),
+        "product-unitary": gen_product_unitary_channel(unitaries, [0.5, 0.25, 0.25]),
+        "augmented-projective": augment_channel(gen_projective_basis(2, 2), hw, hw[::-1]),
+    }
+
+
+def test_compound_gram_gives_the_realignment_compound_norm():
+    # p(c)^H G p(c) = sum over cuts of |C_2 R(c)|_F^2 = sum_{i<j} s_i^2 s_j^2.
+    rng = np.random.default_rng(12)
+    for fam in [
+        gen_fourier_channel((2, 2, 2)),
+        gen_ladder_channel(0.5),
+        random_product_family(rng, (2, 3), 6),
+        gen_projective_basis(2, 2),
+    ]:
+        _, stacks = _hunt_inputs(fam)
+        gram = _compound_gram(stacks)
+        n = fam.n_members
+        assert gram.shape == (n * (n - 1) // 2,) * 2
+        np.testing.assert_allclose(gram, gram.conj().T, rtol=1e-14)
+        c = complex_randn(rng, n)
+        j, k = np.triu_indices(n, 1)
+        p = c[j] * c[k]
+        expected = 0.0
+        for a_mat, b_mat in stacks:
+            s2 = np.linalg.svd((b_mat * c) @ a_mat.T, compute_uv=False) ** 2
+            expected += (s2.sum() ** 2 - (s2**2).sum()) / 2
+        assert np.vdot(p, gram @ p).real == pytest.approx(expected, rel=1e-10)
+
+
+def _bound_cases():
+    cases = {name: (fam, None) for name, fam in _unique_catalog().items()}
+    for dims, n in [((2, 2), 7), ((2, 2), 8), ((2, 3), 14)]:
+        fam = random_product_family(np.random.default_rng([5, n]), dims, n)
+        cases[f"random-{dims[0]}{dims[1]}-n{n}"] = (fam, None)
+    for varying in range(3):
+        planted, _ = planted_dependent_family(
+            np.random.default_rng([42, varying]), 3, varying, 3, 2, 2
+        )
+        cases[f"planted-{varying}"] = (planted, None)
+    cases["projective-22-pair"] = (gen_projective_basis(2, 2), (0, 1))
+    return cases
+
+
+BOUND_CASES = _bound_cases()
+
+
+@pytest.mark.parametrize("name", list(BOUND_CASES))
+def test_residual_floor_is_a_lower_bound(name):
+    fam, subset = BOUND_CASES[name]
+    full, stacks = _hunt_inputs(fam, subset)
+    floor = _residual_floor(stacks, full)
+    obj, _ = _search(fam.spec, full, stacks, restarts=8, max_iters=500, seed=0, init=None)
+    assert floor <= obj
+    # Corners of the feasible set, where |p(c)| is least: one coefficient
+    # large and every other one clamped to the floor by the projection.
+    n = full.shape[1]
+    rng = np.random.default_rng(3)
+    corners = 1e-3 * COEFFICIENT_FLOOR * complex_randn(rng, 4 * n, n)
+    corners[np.arange(4 * n), np.arange(4 * n) % n] = np.exp(2j * np.pi * rng.random(4 * n))
+    corners = np.vstack([_project(corners), _project(complex_randn(rng, 32, n))])
+    assert np.abs(corners).min() >= COEFFICIENT_FLOOR / 2
+    assert floor <= _worst_ratio(stacks, corners).min()
+    # The catalog and the random families hold no product: the bound says so
+    # where certify_unique is Inconclusive for (2,2)/N7, N8 and (2,3)/N14.
+    if not name.startswith(("planted", "projective")):
+        assert floor > 0
+    if name in _unique_catalog():
+        assert floor >= 1e-8
+
+
+def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
+    # A pair of projectors holds a product iff the two share a factor; the
+    # compound matrix of a pair is 1x1 and vanishes exactly then.
+    for dims in [(2, 2), (2, 3)]:
+        fam = gen_projective_basis(*dims)
+        for pair in itertools.combinations(range(fam.n_members), 2):
+            result = hunt_product(fam, pair, restarts=4, seed=0)
+            subset, obj, c = reference_hunt(fam, pair, restarts=4, seed=0)
+            shares = len({i // dims[1] for i in pair}) == 1 or len({i % dims[1] for i in pair}) == 1
+            assert result.found is shares is bool(obj < 1e-8)
+            assert (result.restarts_used == 0) is not shares
+            if shares:
+                assert (result.subset, result.residual) == (subset, obj)
+                assert np.array_equal(result.coefficients, c)
+
+
+def _deficient_cases():
+    cases = {f"tight-n{n}": (gen_tight_family(n, seed=0)[0], None, 1e-8) for n in (1, 2, 3)}
+    for varying in range(3):
+        planted, _ = planted_dependent_family(
+            np.random.default_rng([42, varying]), 3, varying, 3, 2, 2
+        )
+        cases[f"planted-{varying}"] = (planted, None, 1e-8)
+    proj33 = gen_projective_basis(3, 3)
+    cases["projective-33"] = (proj33, (0, 1, 5), 1e-5)
+    cases["projective-33-rehunt"] = (proj33, (0, 1), 1e-5)
+    return cases
+
+
+DEFICIENT_CASES = _deficient_cases()
+
+
+@pytest.mark.parametrize("name", list(DEFICIENT_CASES))
+def test_screen_never_fires_on_deficient_subsets(name):
+    fam, subset, threshold = DEFICIENT_CASES[name]
+    full, stacks = _hunt_inputs(fam, subset)
+    assert _residual_floor(stacks, full) < threshold
+    result = hunt_product(fam, subset, restarts=8, seed=0, threshold=threshold)
+    assert result.restarts_used == 8
+    subset_ref, obj, c = reference_hunt(
+        fam, subset or tuple(range(fam.n_members)), restarts=8, seed=0, threshold=threshold
+    )
+    assert (result.subset, result.residual) == (subset_ref, obj)
+    assert np.array_equal(result.coefficients, c)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +630,29 @@ def test_product_residual_is_the_hunt_residual():
         result = hunt_product(fam, subset=subset, seed=0, restarts=4)
         residual = product_residual(fam.subfamily(result.subset), result.coefficients)
         assert residual == result.residual
+
+
+def test_screened_hunt_reports_its_projected_start():
+    fourier = gen_fourier_channel((2, 2, 2))
+    ladder = gen_ladder_channel(0.5)
+    for fam, kwargs in [
+        (fourier, dict(seed=3)),
+        (fourier, dict(subset=(1, 4, 6), seed=0)),
+        (ladder, dict(seed=1, initial_coefficients=[1.0, 1e-9, -2j])),
+    ]:
+        result = hunt_product(fam, **kwargs)
+        assert result.restarts_used == 0
+        assert not result.found and not result.novel and result.candidate is None
+        residual = product_residual(fam.subfamily(result.subset), result.coefficients)
+        assert residual == result.residual
+        assert result.residual >= result.threshold
+        assert np.abs(result.coefficients).min() >= COEFFICIENT_FLOOR / 2
+        assert np.linalg.norm(result.coefficients) == pytest.approx(1.0, abs=1e-15)
+    init = hunt_product(ladder, seed=1, initial_coefficients=[1.0, 1e-9, -2j])
+    # Normalized first, then the small entry is clamped to the floor.
+    np.testing.assert_allclose(
+        init.coefficients, [5**-0.5, COEFFICIENT_FLOOR, -2j * 5**-0.5], rtol=1e-11
+    )
 
 
 # ---------------------------------------------------------------------------
