@@ -420,6 +420,7 @@ def _hunt_inputs(fam, subset=None):
 
 
 def _unique_catalog():
+    """The Unique families of the acceptance tests' hunter gate."""
     rng = np.random.default_rng(7)
     unitaries = [[haar_unitary(rng, 2) for _ in range(3)] for _ in range(2)]
     hw = list(heisenberg_weyl_unitaries(2))
@@ -433,6 +434,9 @@ def _unique_catalog():
         "product-unitary": gen_product_unitary_channel(unitaries, [0.5, 0.25, 0.25]),
         "augmented-projective": augment_channel(gen_projective_basis(2, 2), hw, hw[::-1]),
     }
+
+
+UNIQUE_CATALOG = _unique_catalog()
 
 
 def test_compound_gram_gives_the_realignment_compound_norm():
@@ -460,7 +464,7 @@ def test_compound_gram_gives_the_realignment_compound_norm():
 
 
 def _bound_cases():
-    cases = {name: (fam, None) for name, fam in _unique_catalog().items()}
+    cases = {name: (fam, None) for name, fam in UNIQUE_CATALOG.items()}
     for dims, n in [((2, 2), 7), ((2, 2), 8), ((2, 3), 14)]:
         fam = random_product_family(np.random.default_rng([5, n]), dims, n)
         cases[f"random-{dims[0]}{dims[1]}-n{n}"] = (fam, None)
@@ -496,7 +500,7 @@ def test_residual_floor_is_a_lower_bound(name):
     # where certify_unique is Inconclusive for (2,2)/N7, N8 and (2,3)/N14.
     if not name.startswith(("planted", "projective")):
         assert floor > 0
-    if name in _unique_catalog():
+    if name in UNIQUE_CATALOG:
         assert floor >= 1e-8
 
 
@@ -508,7 +512,8 @@ def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
         for pair in itertools.combinations(range(fam.n_members), 2):
             result = hunt_product(fam, pair, restarts=4, seed=0)
             subset, obj, c = reference_hunt(fam, pair, restarts=4, seed=0)
-            shares = len({i // dims[1] for i in pair}) == 1 or len({i % dims[1] for i in pair}) == 1
+            (i, j), cols = pair, dims[1]
+            shares = i // cols == j // cols or i % cols == j % cols
             assert result.found is shares is bool(obj < 1e-8)
             assert (result.restarts_used == 0) is not shares
             if shares:
