@@ -57,56 +57,44 @@ STRATEGY_PAIRS = "pairs"
 STRATEGY_ALL_BIPARTITIONS = "all_bipartitions"
 
 
-@dataclass(frozen=True)
-class SplitSums:
-    """Span dimensions of one examined split, restricted to a witness subset."""
-
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-    delta_a: int
-    delta_b: int
-
-    def to_dict(self) -> dict:
-        return {
-            "side_a": list(self.side_a),
-            "side_b": list(self.side_b),
-            "delta_a": self.delta_a,
-            "delta_b": self.delta_b,
-        }
+Split = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class Witness:
     """A member subset that no examined split could eliminate.
 
-    For every recorded split, delta_a + delta_b <= len(members) + 1, so a
-    product linear combination over this subset is not ruled out.
+    ``deltas`` holds delta_a, delta_b of each of its certificate's splits, in
+    split order.  Each pair sums to at most len(members) + 1, so a product
+    linear combination over this subset is not ruled out.
     """
 
     members: tuple[int, ...]
-    split_sums: tuple[SplitSums, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "members": list(self.members),
-            "split_sums": [s.to_dict() for s in self.split_sums],
-        }
+    deltas: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the uniqueness check."""
+    """Outcome of the uniqueness check: Unique iff no witness survives.
 
-    status: str  # "Unique" | "Inconclusive"
+    ``splits`` lists the examined splits as (side_a, side_b) party tuples,
+    once for all witnesses.
+    """
+
     witnesses: tuple[Witness, ...]
+    splits: tuple[Split, ...]
     strategy: str
     tol: TolerancePolicy
     subsets_examined: int
     n_members: int
 
     @property
+    def status(self) -> str:
+        return "Inconclusive" if self.witnesses else "Unique"
+
+    @property
     def unique(self) -> bool:
-        return self.status == "Unique"
+        return not self.witnesses
 
     def _fields(self, witnesses: list) -> dict:
         return {
@@ -119,64 +107,68 @@ class Certificate:
         }
 
     def to_dict(self) -> dict:
-        return self._fields([w.to_dict() for w in self.witnesses])
+        return self._fields([
+            {
+                "members": list(w.members),
+                "split_sums": [
+                    _split_sum(a, b, da, db)
+                    for (a, b), da, db in zip(self.splits, w.deltas[::2], w.deltas[1::2])
+                ],
+            }
+            for w in self.witnesses
+        ])
 
     def to_json(self, head: dict) -> str:
         """The report ``{**head, **self.to_dict()}`` as indent-2 JSON text.
 
         Equals ``json.dumps({**head, **self.to_dict()}, indent=2)`` byte for
         byte.  ``json.dumps`` still renders everything but the witness array.
-        Each witness is filled into one template per split list
-        (``certify_unique`` gives all witnesses the same one): a join of its
-        members and a ``%`` format of its deltas, instead of a walk of its
-        dicts through the stdlib's pure-Python indent encoder.  Witnesses
-        must have members, as every witness of ``certify_unique`` has.
+        The certificate's splits make one template, and each witness fills it
+        with a join of its members and a ``%`` format of its deltas, instead
+        of a walk of its dicts through the stdlib's pure-Python indent
+        encoder.  Witnesses must have members, as every witness of
+        ``certify_unique`` has.
         """
         text = json.dumps({**head, **self._fields([])}, indent=2)
         if not self.witnesses:
             return text
         # JSON strings hold no raw newline, so this is the top-level key.
         before, _, after = text.partition('\n  "witnesses": []')
-        templates = {}
-        items = []
-        for w in self.witnesses:
-            sides = tuple((s.side_a, s.side_b) for s in w.split_sums)
-            template = templates.get(sides)
-            if template is None:
-                template = templates[sides] = _witness_template(sides)
-            deltas = [d for s in w.split_sums for d in (s.delta_a, s.delta_b)]
-            items.append(template % (",\n        ".join(map(str, w.members)), *deltas))
-        witnesses = ",\n    ".join(items)
+        template = _witness_template(self.splits)
+        witnesses = ",\n    ".join(
+            template % (",\n        ".join(map(str, w.members)), *w.deltas)
+            for w in self.witnesses
+        )
         return f'{before}\n  "witnesses": [\n    {witnesses}\n  ]{after}'
 
 
-def _witness_template(
-    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-) -> str:
+def _split_sum(side_a, side_b, delta_a, delta_b) -> dict:
+    """One entry of a witness's ``split_sums`` in the JSON report."""
+    return {"side_a": list(side_a), "side_b": list(side_b), "delta_a": delta_a, "delta_b": delta_b}
+
+
+def _witness_template(splits: tuple[Split, ...]) -> str:
     """One witness of the indent-2 report as a ``%`` format over its
     members (already joined) and then delta_a, delta_b of each split.
 
     ``json.dumps`` lays it out with placeholder strings, which become the
-    slots, so keys and layout are those of ``SplitSums.to_dict``.
+    slots, so keys and layout are those of ``Certificate.to_dict``.
     """
-    sums = [
-        {**SplitSums(a, b, 0, 0).to_dict(), "delta_a": "\x00", "delta_b": "\x00"}
-        for a, b in sides
-    ]
+    sums = [_split_sum(a, b, "\x00", "\x00") for a, b in splits]
     text = json.dumps({"members": ["\x01"], "split_sums": sums}, indent=2)
     # A witness sits two levels deep in the report.
     text = text.replace("\n", "\n    ")
     return text.replace('"\\u0001"', "%s").replace('"\\u0000"', "%d")
 
 
-def _examined_splits(n_parties: int, strategy: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _examined_splits(n_parties: int, strategy: str) -> tuple[Split, ...]:
     if n_parties == 1:
         # A single party cannot be split; no subset is ever eliminated.
-        return []
+        return ()
     if strategy == STRATEGY_PAIRS:
-        return [((a,), (b,)) for a, b in party_pairs(n_parties)]
+        return tuple(((a,), (b,)) for a, b in party_pairs(n_parties))
     if strategy == STRATEGY_ALL_BIPARTITIONS:
-        return [(bp.side_a, bp.side_b) for bp in all_bipartitions(n_parties)]
+        return tuple((bp.side_a, bp.side_b) for bp in all_bipartitions(n_parties))
     raise UsageError(
         f"unknown strategy {strategy!r}; expected "
         f"{STRATEGY_PAIRS!r} or {STRATEGY_ALL_BIPARTITIONS!r}"
@@ -226,7 +218,7 @@ def _side_matrix(
 def _decide_block(
     members: np.ndarray,
     n: int,
-    splits: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    splits: tuple[Split, ...],
     sides: dict[tuple[int, ...], tuple[np.ndarray, int, np.ndarray | None]],
     known: dict[tuple[int, ...], np.ndarray],
     tables: dict[tuple[int, ...], np.ndarray],
@@ -356,7 +348,7 @@ def certify_unique(
     splits = _examined_splits(fam.n_parties, strategy)
 
     if n < 2:
-        return Certificate("Unique", (), strategy, tol, 0, n)
+        return Certificate((), splits, strategy, tol, 0, n)
 
     sides = {side: _side_matrix(fam, side) for split in splits for side in split}
     try:
@@ -382,20 +374,17 @@ def certify_unique(
             alive, ranks = _decide_block(block, n, splits, sides, known, tables, tol)
             if alive.size and not level:
                 first = pos + int(alive[0])
-            for i in alive.tolist():
-                sums = tuple(
-                    SplitSums(side_a, side_b, int(ranks[side_a][i]), int(ranks[side_b][i]))
-                    for side_a, side_b in splits
-                )
-                level.append(Witness(tuple(block[i].tolist()), sums))
+            exact = [ranks[side][alive] for split in splits for side in split]
+            # A single party has no split, so its witnesses have no deltas.
+            deltas = np.stack(exact, axis=1).tolist() if exact else [()] * alive.size
+            level += map(Witness, map(tuple, block[alive].tolist()), map(tuple, deltas))
             pos += len(block)
         levels.append(level)
 
     witnesses = tuple(w for level in reversed(levels) for w in level)
     if fail_fast and witnesses:
-        return Certificate("Inconclusive", witnesses[:1], strategy, tol, first + 1, n)
-    status = "Unique" if not witnesses else "Inconclusive"
-    return Certificate(status, witnesses, strategy, tol, (1 << n) - n - 1, n)
+        return Certificate(witnesses[:1], splits, strategy, tol, first + 1, n)
+    return Certificate(witnesses, splits, strategy, tol, (1 << n) - n - 1, n)
 
 
 @dataclass(frozen=True)

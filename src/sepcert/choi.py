@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, UsageError
 from .families import OperatorFamily, PartySpec, ProductOperator
-from .linalg import frobenius, vectorize
+from .linalg import frobenius, vectorize, vectorized_columns
 
 #: Hermiticity and PSD slack of a DensityMatrix, relative to max(1, |rho|_F).
 STATE_TOL = 1e-10
@@ -94,19 +94,27 @@ def ensemble_to_state(ens: OperatorFamily) -> DensityMatrix:
     return DensityMatrix(rho, dims)
 
 
+def _choi_gram(fam: OperatorFamily) -> np.ndarray:
+    """F F^H for F the vectorized assembled members: the Choi matrix of
+    ``fam`` under a fixed permutation of its indices."""
+    f = vectorized_columns(fam.assembled())
+    return f @ f.conj().T
+
+
 def channels_equal(fam_a: OperatorFamily, fam_b: OperatorFamily, tol: float = 1e-10) -> bool:
     """Whether two Kraus families implement the same channel.
 
     Compares the unnormalized Choi matrices in Frobenius norm, relative to
     ``max(1, |rho_a|_F, |rho_b|_F)``.  This is the operational sense in which
     a remixed family is "the same channel" while e.g. different damping
-    parameters are not.
+    parameters are not.  Both sides are taken as ``F F^H``: vectorizing the
+    assembled members instead of each factor permutes the Choi indices, which
+    keeps every Frobenius norm.
     """
     if fam_a.spec != fam_b.spec:
         raise UsageError(
             f"party specs differ: {fam_a.spec.parties} vs {fam_b.spec.parties}"
         )
-    rho_a = ensemble_to_state(channel_to_choi_ensemble(fam_a)).matrix
-    rho_b = ensemble_to_state(channel_to_choi_ensemble(fam_b)).matrix
+    rho_a, rho_b = _choi_gram(fam_a), _choi_gram(fam_b)
     scale = max(1.0, frobenius(rho_a), frobenius(rho_b))
     return frobenius(rho_a - rho_b) <= tol * scale

@@ -33,7 +33,6 @@ from .certify import (
 )
 from .choi import channel_to_choi_ensemble, ensemble_to_state
 from .errors import (
-    EnumerationCapError,
     ParameterError,
     SepcertError,
     SizeBudgetError,
@@ -152,8 +151,8 @@ def cmd_certify(args) -> int:
         print(f"subsets examined: {cert.subsets_examined}")
         for w in cert.witnesses:
             sums = "; ".join(
-                f"{list(s.side_a)}|{list(s.side_b)} -> {s.delta_a}+{s.delta_b}"
-                for s in w.split_sums
+                f"{list(a)}|{list(b)} -> {da}+{db}"
+                for (a, b), da, db in zip(cert.splits, w.deltas[::2], w.deltas[1::2])
             )
             print(f"witness {{{','.join(map(str, w.members))}}}: {sums}")
     else:
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (EnumerationCapError, SizeBudgetError) as exc:
+    except SizeBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (SepcertError, OSError) as exc:

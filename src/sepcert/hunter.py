@@ -46,7 +46,6 @@ from .sampling import (
     complex_randn,
     random_nonzero_coefficients,
     random_product_family,
-    shared_factor_family,
 )
 from .serialize import complex_to_json, matrix_to_json
 
@@ -602,18 +601,12 @@ class SpanBoundStats:
 
     ``violations`` must be zero on every run — the bound is a theorem, so a
     nonzero count means the numerical rank thresholds misjudged an instance.
-    The conjectured sum bound (every party's span dimensions adding to at
-    most N + P - 1) is tallied only on probe trials that are linearly
-    independent by construction and admit a product combination; it is
-    reported, never asserted.
     """
 
     trials: int
     violations: int
     equality_hits: int
     delta_sum_histogram: dict[int, int]
-    conjecture_checked: int
-    conjecture_violations: int
 
 
 def fuzz_span_bound(
@@ -621,41 +614,25 @@ def fuzz_span_bound(
     n_members: int,
     trials: int,
     seed: int = 0,
-    conjecture_probe_every: int = 0,
 ) -> SpanBoundStats:
     """Fuzz delta_A + delta_B <= N + r_s on random product families.
 
     Each trial samples a family, an all-nonzero coefficient vector, and a
-    random bipartition, then checks the bound.  ``conjecture_probe_every``
-    splices single-varying-party independent families into the stream to
-    track the conjectured per-party sum bound.
+    random bipartition, then checks the bound.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     check_seed(seed)
     dims = tuple(int(d) for d in local_dims)
-    n_parties = len(dims)
 
     violations = 0
     equality_hits = 0
-    conjecture_checked = 0
-    conjecture_violations = 0
     histogram: dict[int, int] = {}
 
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        probe = False
-        if conjecture_probe_every > 0 and t % conjecture_probe_every == 0:
-            count = min(n_members, min(dims) ** 2)
-            fam = shared_factor_family(
-                rng, n_parties, int(rng.integers(n_parties)), count, min(dims)
-            )
-            coeffs = random_nonzero_coefficients(rng, fam.n_members)
-            probe = True
-        else:
-            fam = random_product_family(rng, dims, n_members)
-            coeffs = random_nonzero_coefficients(rng, n_members)
-
+        fam = random_product_family(rng, dims, n_members)
+        coeffs = random_nonzero_coefficients(rng, n_members)
         splits = all_bipartitions(fam.n_parties)
         split = splits[int(rng.integers(len(splits)))]
         rep = span_bound_report(fam, coeffs, split)
@@ -665,17 +642,9 @@ def fuzz_span_bound(
             equality_hits += 1
         histogram[rep.delta_sum] = histogram.get(rep.delta_sum, 0) + 1
 
-        if probe:
-            sum_local = sum(fam.span_dim((p,)) for p in range(fam.n_parties))
-            conjecture_checked += 1
-            if sum_local > fam.n_members + fam.n_parties - 1:
-                conjecture_violations += 1
-
     return SpanBoundStats(
         trials=trials,
         violations=violations,
         equality_hits=equality_hits,
         delta_sum_histogram=histogram,
-        conjecture_checked=conjecture_checked,
-        conjecture_violations=conjecture_violations,
     )

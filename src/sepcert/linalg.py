@@ -37,6 +37,9 @@ MAX_MATRIX_ELEMENTS = 1 << 24
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: Singular values at or below this count as zero under every policy.
+ABSOLUTE_FLOOR = 1e-14
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-D complex ndarray, rejecting non-finite entries."""
@@ -55,20 +58,15 @@ class TolerancePolicy:
     ``relative_rank_threshold`` is the fraction of the largest singular value
     below which singular values count as zero.  ``None`` selects the
     dimension-scaled default ``max(rows, cols) * eps * 1e3`` (about
-    ``1e-12 * dim``).  ``absolute_floor`` is an unconditional lower cutoff.
+    ``1e-12 * dim``).  ``ABSOLUTE_FLOOR`` is an unconditional lower cutoff.
     """
 
     relative_rank_threshold: float | None = None
-    absolute_floor: float = 1e-14
 
     def __post_init__(self):
         rel = self.relative_rank_threshold
         if rel is not None and not (0.0 <= rel < 1.0):
             raise ParameterError(f"relative_rank_threshold must lie in [0, 1), got {rel}")
-        if not (0.0 <= self.absolute_floor < np.inf):
-            raise ParameterError(
-                f"absolute_floor must be finite and nonnegative, got {self.absolute_floor}"
-            )
 
     def relative_for(self, rows: int, cols: int) -> float:
         if self.relative_rank_threshold is not None:
@@ -81,12 +79,12 @@ class TolerancePolicy:
         ``sigma_max`` may be an array holding the largest singular value of
         each of several rows x cols matrices; the result is then per matrix.
         """
-        return np.maximum(self.relative_for(rows, cols) * sigma_max, self.absolute_floor)
+        return np.maximum(self.relative_for(rows, cols) * sigma_max, ABSOLUTE_FLOOR)
 
     def to_dict(self) -> dict:
         return {
             "relative_rank_threshold": self.relative_rank_threshold,
-            "absolute_floor": self.absolute_floor,
+            "absolute_floor": ABSOLUTE_FLOOR,
         }
 
 

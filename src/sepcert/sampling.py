@@ -149,28 +149,17 @@ def planted_dependent_family(
     """
     if n_independent < 1 or n_extra < 1:
         raise ParameterError("need at least one independent and one extra member")
-    if local_dim * local_dim < n_independent:
-        raise ParameterError("local_dim too small for the requested independent set")
-    if not (0 <= varying_party < n_parties):
-        raise ParameterError(f"varying_party {varying_party} out of range")
-
-    fixed = [complex_randn(rng, local_dim, local_dim) for _ in range(n_parties)]
-    basis = independent_matrices(rng, local_dim, n_independent)
-
-    def member_with(varying_factor: np.ndarray) -> ProductOperator:
-        factors = [fixed[p] for p in range(n_parties)]
-        factors[varying_party] = varying_factor
-        return ProductOperator(1.0, tuple(factors))
-
-    members = [member_with(b) for b in basis]
+    base = shared_factor_family(rng, n_parties, varying_party, n_independent, local_dim)
+    basis = [m.factors[varying_party] for m in base.members]
+    factors = list(base.members[0].factors)
+    members = list(base.members)
     expansions = []
     for _ in range(n_extra):
         gamma = random_nonzero_coefficients(rng, n_independent)
         expansions.append(gamma)
-        members.append(member_with(sum(g * b for g, b in zip(gamma, basis))))
-
-    spec = PartySpec(tuple((local_dim, local_dim) for _ in range(n_parties)))
-    fam = OperatorFamily(spec, tuple(members))
+        factors[varying_party] = sum(g * b for g, b in zip(gamma, basis))
+        members.append(ProductOperator(1.0, tuple(factors)))
+    fam = OperatorFamily(base.spec, tuple(members))
 
     # One known all-nonzero combination: weights mu_t on the extras, folded
     # back onto the basis members, with the extras scaled so the total does
@@ -194,11 +183,12 @@ def shared_factor_family(
     """Linearly independent family in which only one party's factor varies.
 
     Every linear combination of the members is automatically a product
-    operator, which makes these the natural probes for conjectured
-    span-sum bounds on independent families.
+    operator.  ``varying_party`` must name one of the ``n_parties``.
     """
     if local_dim * local_dim < n_members:
         raise ParameterError("local_dim too small for an independent family")
+    if not (0 <= varying_party < n_parties):
+        raise ParameterError(f"varying_party {varying_party} out of range")
     fixed = [complex_randn(rng, local_dim, local_dim) for _ in range(n_parties)]
     varying = independent_matrices(rng, local_dim, n_members)
     members = []

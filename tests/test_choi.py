@@ -1,5 +1,7 @@
 """Channel/ensemble correspondence and density-matrix plumbing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from sepcert import (
     random_isometry,
     vectorize,
 )
+from sepcert.choi import _choi_gram
+from sepcert.linalg import frobenius
 
 I2 = np.eye(2)
 
@@ -152,6 +156,25 @@ def test_remixed_kraus_family_is_the_same_channel():
     remixed = apply_mixing(fam, (0, 1), mixing_unitary(np.pi / 4, 0.3))
     assert channels_equal(fam, remixed)
     assert not channels_equal(fam, gen_pauli_pair_channel())
+
+
+def test_choi_gram_distances_match_the_state_reference():
+    # Catalog pairs of equal spec, each family with itself, plus a remix.
+    from sepcert import apply_mixing, mixing_unitary
+    from test_acceptance import _zoo
+
+    zoo = list(_zoo().values())
+    proj = gen_projective_basis(2, 2)
+    pairs = [(a, b) for a, b in itertools.product(zoo, zoo) if a.spec == b.spec]
+    pairs.append((proj, apply_mixing(proj, (0, 1), mixing_unitary(np.pi / 4, 0.3))))
+    for fam_a, fam_b in pairs:
+        ref_a, ref_b = (
+            ensemble_to_state(channel_to_choi_ensemble(f)).matrix for f in (fam_a, fam_b)
+        )
+        gram_a, gram_b = _choi_gram(fam_a), _choi_gram(fam_b)
+        scale = max(frobenius(ref_a), frobenius(ref_b))
+        assert abs(frobenius(gram_a) - frobenius(ref_a)) <= 1e-12 * scale
+        assert abs(frobenius(gram_a - gram_b) - frobenius(ref_a - ref_b)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

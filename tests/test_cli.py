@@ -280,13 +280,30 @@ def test_certify_json_is_json_dumps_byte_for_byte(capsys, tmp_path, fam, kwargs,
     assert out == expected + "\n"
 
 
+# Tight n=2 on three parties: each witness's members and its delta on every
+# side of every split (both strategies agree on both).
+TIGHT3_WITNESSES = [
+    ("1,2", 1), ("3,4", 1), ("0,1,2", 2), ("0,3,4", 2), ("1,2,3", 2),
+    ("1,2,4", 2), ("1,3,4", 2), ("2,3,4", 2), ("1,2,3,4", 2), ("0,1,2,3,4", 3),
+]
+
+
 def test_certify_text_report(capsys, tmp_path):
-    path = tmp_path / "proj.json"
-    run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(path))
-    code, out, _ = run_cli(capsys, "certify", str(path), "--report", "text")
-    assert code == 4
-    assert "status:" in out
-    assert "witness" in out
+    path = tmp_path / "tight.json"
+    save_family(path, gen_tight_family(2, n_parties=3)[0])
+    for flag, strategy, splits in [
+        ("pairs", "pairs", ["[0]|[1]", "[0]|[2]", "[1]|[2]"]),
+        ("bipartitions", "all_bipartitions", ["[0]|[1, 2]", "[0, 1]|[2]", "[0, 2]|[1]"]),
+    ]:
+        code, out, _ = run_cli(capsys, "certify", str(path), "--report", "text",
+                               "--strategy", flag)
+        lines = ["status: Inconclusive", f"strategy: {strategy}", "members: 5",
+                 "subsets examined: 26"]
+        for members, delta in TIGHT3_WITNESSES:
+            sums = "; ".join(f"{split} -> {delta}+{delta}" for split in splits)
+            lines.append(f"witness {{{members}}}: {sums}")
+        assert code == 4
+        assert out == "\n".join(lines) + "\n"
 
 
 def test_certify_ensemble_kind(capsys, tmp_path):

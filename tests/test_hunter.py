@@ -751,14 +751,6 @@ def test_fuzz_span_bound_no_violations():
     assert sum(stats.delta_sum_histogram.values()) == 40
 
 
-def test_fuzz_span_bound_conjecture_probes():
-    stats = fuzz_span_bound(
-        (2, 2, 2), n_members=4, trials=20, seed=2, conjecture_probe_every=4
-    )
-    assert stats.conjecture_checked == 5
-    assert stats.conjecture_violations == 0
-
-
 def test_fuzz_span_bound_rejects_bad_trials():
     with pytest.raises(ParameterError):
         fuzz_span_bound((2, 2), n_members=3, trials=0)

@@ -92,3 +92,9 @@ def test_shared_factor_family_is_degenerate_on_fixed_parties():
     for party in (0, 2):
         assert fam.span_dim((party,)) == 1
     assert fam.span_dim((1,)) == 4
+
+
+@pytest.mark.parametrize("varying_party", [5, -1])
+def test_shared_factor_family_rejects_out_of_range_varying_party(varying_party):
+    with pytest.raises(ParameterError, match="out of range"):
+        shared_factor_family(np.random.default_rng(0), 3, varying_party, 4, 2)
