@@ -240,6 +240,10 @@ def _decide_block(
     ranks one subset per multiset not yet in its table and reads every
     other rank from there.
 
+    A side tries the full-rank screen of ``stacked_ranks`` only when the
+    full set, decided first, was ranked on it and found full rank,
+    min(rows, n): on a deficient side the screen cannot succeed.
+
     Returns the positions in ``members`` of the subsets no split eliminated,
     and per side a (B,) array of rank bounds that is exact for every survivor.
     """
@@ -263,9 +267,12 @@ def _decide_block(
             missing = table[keys] < 0
             new, first = np.unique(keys[missing], return_index=True)
             reps = todo[missing][first]
+        # The full set's entry holds its rank, or 0 while it is unranked.
+        screen = bool(known[side][-1] == min(rows, n))
         for i in range(0, len(reps), SUBSET_BLOCK):
             sel = reps[i : i + SUBSET_BLOCK]
-            val[side][sel] = stacked_ranks(np.moveaxis(m[:, members[sel]], 1, 0), rows, tol)
+            stack = np.moveaxis(m[:, members[sel]], 1, 0)
+            val[side][sel] = stacked_ranks(stack, rows, tol, screen=screen)
         if weights is not None:
             table[new] = val[side][reps]
             val[side][todo] = table[keys]

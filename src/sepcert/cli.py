@@ -146,7 +146,8 @@ def cmd_certify(args) -> int:
     )
     if args.report == "text":
         print(f"status: {cert.status}")
-        print(f"strategy: {cert.strategy}")
+        # A single party has no split, so no strategy was applied.
+        print(f"strategy: {cert.strategy if cert.splits else 'none, one party has no split'}")
         print(f"members: {cert.n_members}")
         print(f"subsets examined: {cert.subsets_examined}")
         for w in cert.witnesses:
@@ -154,7 +155,7 @@ def cmd_certify(args) -> int:
                 f"{list(a)}|{list(b)} -> {da}+{db}"
                 for (a, b), da, db in zip(cert.splits, w.deltas[::2], w.deltas[1::2])
             )
-            print(f"witness {{{','.join(map(str, w.members))}}}: {sums}")
+            print(f"witness {{{','.join(map(str, w.members))}}}" + (f": {sums}" if sums else ""))
     else:
         head = {
             "command": "certify",

@@ -137,8 +137,72 @@ def _svdvals(stack: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> bool:
+    """True when a shifted Gram-Cholesky factorization proves that the SVD
+    rank of every matrix in the (B, r, k) stack is p = min(r, k).
+
+    Each matrix M gives its p x p Gram matrix G (``M^H M`` when k <= r, else
+    ``M M^H``), f = trace G >= sigma_max^2, and the shift
+    ``tau = (c + d)^2 + e``.  One batched Cholesky factorization of
+    ``G - tau I`` then succeeds only if sigma_min(M) > c + d, where
+    c = ``tol.cutoff(s + d, rows, k)``.  With n = max(r, k), u = eps / 2
+    and kappa = (n + p + 6)^2 eps, s = sqrt(f) (1 + kappa), d = kappa s and
+    e = kappa s^2.  The bound holds by the standard backward-error analysis
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.6 and ch. 10), with F = ||M||_F^2:
+
+    * the computed G, as LAPACK reads it (lower triangle, real diagonal),
+      is off by at most sqrt(2) gamma_{n+2} F in norm (complex inner
+      products), and f is off from F by about as much, so s >= sqrt(F)
+      >= sigma_max;
+    * subtracting tau rounds each diagonal entry by at most u (f + tau)
+      <= 2 u s^2; a larger tau makes every pivot negative, and the
+      factorization fails;
+    * a Cholesky factorization that runs to completion on A is exact for
+      A + E with ||E|| <= gamma_{p+1} ||R||_F^2 / (1 - gamma_{p+1}), and
+      ||R||_F^2 is trace A <= s^2 up to the same factor (Higham Thm 10.5;
+      complex arithmetic adds a small constant factor);
+    * LAPACK's SVD is backward stable: its singular values are those of
+      M + E' with ||E'|| of order p n u sigma_max, at most d.
+
+    Their sum is at most (n + p + 6) eps s^2, which e exceeds at least
+    eightfold, so success gives sigma_min(M)^2 > tau - e = (c + d)^2.  The
+    SVD's sigma_max is at most sigma_max + d <= s + d, so its cutoff is at
+    most c, and by Weyl its sigma_min exceeds sigma_min - d > c: it counts
+    all p singular values as well.
+
+    False sends the stack to the SVD: an empty stack, p == 0, a
+    non-finite f (Gram overflow) or a failed factorization.  LAPACK fails
+    the whole stack when any one matrix fails.
+    """
+    count, r, k = stack.shape
+    p, n = min(r, k), max(r, k)
+    if count == 0 or p == 0:
+        return False
+    h = stack.conj().swapaxes(1, 2)
+    with np.errstate(all="ignore"):
+        gram = h @ stack if k <= r else stack @ h
+        diag = gram.reshape(count, p * p)[:, :: p + 1]
+        f = diag.real.sum(axis=1)
+        if not np.isfinite(f).all():
+            return False
+        kappa = (n + p + 6) ** 2 * _EPS
+        s = np.sqrt(f) * (1 + kappa)
+        d = kappa * s
+        tau = (tol.cutoff(s + d, rows, k) + d) ** 2 + kappa * s * s
+        diag -= tau[:, None]
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
 def stacked_ranks(
-    stack: np.ndarray, rows: int, tol: TolerancePolicy = DEFAULT_TOLERANCE
+    stack: np.ndarray,
+    rows: int,
+    tol: TolerancePolicy = DEFAULT_TOLERANCE,
+    screen: bool = False,
 ) -> np.ndarray:
     """Numerical rank of each matrix in a (B, r, k) stack, from one SVD call.
 
@@ -146,7 +210,16 @@ def stacked_ranks(
     of compressed matrices (say R factors of a thin QR, which keep the
     singular values of the taller originals) is judged by the original
     row count.  Entries must be finite.
+
+    With ``screen``, full rank is first proven by a shifted Gram-Cholesky
+    factorization (``_proves_full_rank``), which costs a fraction of the
+    SVD.  When it succeeds every rank is min(r, k), the same verdict the SVD
+    gives; when it does not, the SVD decides the whole stack.  Screen stacks
+    that are likely full rank: on a deficient one it always fails and only
+    adds its cost.
     """
+    if screen and _proves_full_rank(stack, rows, tol):
+        return np.full(len(stack), min(stack.shape[1:]), dtype=np.intp)
     sigma = _svdvals(stack)
     cut = tol.cutoff(sigma[:, 0], rows, stack.shape[2])
     return np.count_nonzero(sigma > cut[:, None], axis=1)

@@ -282,9 +282,9 @@ def _counting_stacked_ranks(monkeypatch):
     """Patch the certifier's rank oracle; returns the list of stack sizes."""
     stack_sizes = []
 
-    def counting(stack, rows, tol):
+    def counting(stack, rows, tol, screen=False):
         stack_sizes.append(len(stack))
-        return stacked_ranks(stack, rows, tol)
+        return stacked_ranks(stack, rows, tol, screen=screen)
 
     monkeypatch.setattr(sepcert.certify, "stacked_ranks", counting)
     return stack_sizes
@@ -314,15 +314,61 @@ def test_bounds_skip_most_side_ranks(monkeypatch):
     # 2 * (2**13 - 13 - 1) = 16,356 matrices.
     ranked = []
 
-    def counting(stack, rows, tol):
+    def counting(stack, rows, tol, screen=False):
         ranked.append(len(stack))
-        return stacked_ranks(stack, rows, tol)
+        return stacked_ranks(stack, rows, tol, screen=screen)
 
     monkeypatch.setattr(sepcert.certify, "stacked_ranks", counting)
     cert = certify_unique(random_product_family(np.random.default_rng(1), (3, 3), 13))
     assert cert.status == "Unique"
     assert cert.subsets_examined == 2**13 - 13 - 1
     assert sum(ranked) <= 16_356 // 4
+
+
+def _counting_linalg(monkeypatch):
+    """Count numpy's SVD calls and its Cholesky calls and failures."""
+    counts = {"svd": 0, "cholesky": 0, "failed": 0}
+    svd, cholesky = np.linalg.svd, np.linalg.cholesky
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_cholesky(*args, **kwargs):
+        counts["cholesky"] += 1
+        try:
+            return cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            counts["failed"] += 1
+            raise
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return counts
+
+
+def test_full_rank_screen_replaces_the_svds(monkeypatch):
+    # Both sides of the one split have 9 rows and generic columns, so the
+    # full set (ranked first, by SVD) is full rank on each, and every later
+    # stack tries the screen first: the SVD only ranks the full set and
+    # whatever stack the screen cannot prove full rank.
+    fam = random_product_family(np.random.default_rng(1), (3, 3), 13)
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
+    counts = _counting_linalg(monkeypatch)
+    cert = certify_unique(fam)
+    assert cert.status == "Unique"
+    assert counts["cholesky"] == len(stack_sizes) - 2
+    assert counts["svd"] == 2 + counts["failed"]
+    assert counts["svd"] < len(stack_sizes) // 4
+
+
+def test_deficient_sides_skip_the_screen(monkeypatch):
+    # Every side of projective (3,4) is rank deficient on the full set
+    # (three or four distinct columns out of twelve), so no stack is screened.
+    counts = _counting_linalg(monkeypatch)
+    cert = certify_unique(_relabelled(gen_projective_basis(3, 4), seed=11))
+    assert len(cert.witnesses) == 3429
+    assert counts["cholesky"] == 0 and counts["svd"] > 0
 
 
 def _relabelled(fam, seed):

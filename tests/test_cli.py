@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON payloads, file round trips."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -304,6 +305,18 @@ def test_certify_text_report(capsys, tmp_path):
             lines.append(f"witness {{{members}}}: {sums}")
         assert code == 4
         assert out == "\n".join(lines) + "\n"
+
+
+def test_certify_text_report_of_one_party(capsys, tmp_path):
+    # One party has no split: every subset survives, with no split sums.
+    path = tmp_path / "one-party.json"
+    save_family(path, random_product_family(np.random.default_rng(0), (3,), 4))
+    code, out, _ = run_cli(capsys, "certify", str(path), "--report", "text")
+    subsets = [s for size in (2, 3, 4) for s in itertools.combinations("0123", size)]
+    lines = ["status: Inconclusive", "strategy: none, one party has no split", "members: 4",
+             "subsets examined: 11"] + [f"witness {{{','.join(s)}}}" for s in subsets]
+    assert code == 4
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_certify_ensemble_kind(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from sepcert import (
     unvectorize,
     vectorize,
 )
-from sepcert.linalg import as_matrix
+from sepcert.linalg import ABSOLUTE_FLOOR, _proves_full_rank, as_matrix, stacked_ranks
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,3 +207,100 @@ def test_span_dimension_invariant_under_nonzero_scaling(seed, n):
     scales = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.5, 2.0, n)
     scaled = [s * m for s, m in zip(scales, mats)]
     assert span_dimension(scaled) == span_dimension(mats)
+
+
+POLICIES = [DEFAULT_TOLERANCE] + [
+    TolerancePolicy(relative_rank_threshold=t) for t in (0.0, 1e-10, 1e-3, 0.5)
+]
+POLICY_IDS = ["default", "rel0", "rel1e-10", "rel1e-3", "rel0.5"]
+# (r, k, rows): tall, tall compressed from 11 rows, square, wide, one column.
+SHAPES = [(6, 3, 6), (6, 3, 11), (4, 4, 4), (3, 7, 3), (5, 1, 5)]
+
+
+def _svd_ranks(stack, rows, tol):
+    """The SVD-only rank: singular values above the cutoff of each matrix's
+    largest one, for ``rows`` x k."""
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    cut = tol.cutoff(sigma[:, 0], rows, stack.shape[2])
+    return np.count_nonzero(sigma > cut[:, None], axis=1)
+
+
+def _check_screen(stack, rows, tol):
+    """The screened ranks equal the SVD-only ones, and a proof of full rank
+    is only ever given where the SVD finds full rank; returns the proof."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranks = stacked_ranks(stack, rows, tol, screen=True)
+        proved = _proves_full_rank(stack, rows, tol)
+    reference = _svd_ranks(stack, rows, tol)
+    np.testing.assert_array_equal(ranks, reference)
+    if proved:
+        assert (reference == min(stack.shape[1:])).all()
+    return proved
+
+
+def _planted(rng, r, k, sigma_min):
+    """r x k matrix with Haar singular vectors and singular values spaced
+    geometrically from 1 down to ``sigma_min`` (just ``sigma_min`` if
+    min(r, k) == 1)."""
+    p = min(r, k)
+    sigma = np.geomspace(1.0, sigma_min, p) if p > 1 else np.array([sigma_min])
+    u = np.linalg.qr(crand(rng, r, p))[0]
+    v = np.linalg.qr(crand(rng, k, p))[0]
+    return (u * sigma) @ v.conj().T
+
+
+@pytest.mark.parametrize("r, k, rows", SHAPES, ids=["tall", "compressed", "square", "wide", "k1"])
+@pytest.mark.parametrize("tol", POLICIES, ids=POLICY_IDS)
+def test_screened_ranks_equal_svd_ranks_near_the_cutoff(r, k, rows, tol):
+    rng = np.random.default_rng(13)
+    # With one singular value the relative part cancels: the floor decides.
+    cut = float(tol.cutoff(1.0, rows, k)) if min(r, k) > 1 else ABSOLUTE_FLOOR
+    targets = [cut * (1 - 1e-6), cut * (1 + 1e-6)] + [cut * 10.0**j for j in range(-3, 9)]
+    if min(r, k) > 1:
+        targets = [t for t in targets if t < 1.0]
+    planted = np.stack([_planted(rng, r, k, t) for t in targets])
+    proofs = [_check_screen(m[None], rows, tol) for m in planted]
+    # Just below the cutoff the rank is deficient, so no proof.  Just above
+    # it a proof needs an absolute cutoff and one singular value: the
+    # screen's margin is relative to sigma_max.
+    assert not proofs[0]
+    assert proofs[1] == (min(r, k) == 1)
+    if tol.relative_rank_threshold in (None, 0.0, 1e-10):
+        # Eight orders above the cutoff, full rank is proven.
+        assert proofs[-1]
+    # A stack mixing provable and unprovable matrices goes to the SVD whole.
+    assert not _check_screen(planted, rows, tol)
+    assert _check_screen(planted[proofs], rows, tol) == any(proofs)
+
+
+@pytest.mark.parametrize("tol", POLICIES, ids=POLICY_IDS)
+def test_screen_defers_degenerate_stacks_to_the_svd(tol):
+    rng = np.random.default_rng(14)
+    full = crand(rng, 5, 4)
+    repeated = full.copy()
+    repeated[:, 3] = repeated[:, 0]
+    zero = np.zeros((5, 4), dtype=complex)
+    for stack in (repeated[None], zero[None], np.stack([full, repeated])):
+        assert not _check_screen(stack, 5, tol)
+    # Scaled by 1e-160 the Gram matrix underflows, by 1e+160 it overflows.
+    for scale in (1e-160, 1e160):
+        assert not _check_screen(scale * full[None], 5, tol)
+        assert not _check_screen(scale * full.T[None], 5, tol)
+    empty = np.zeros((0, 5, 4), dtype=complex)
+    assert _check_screen(empty, 5, tol) is False
+    assert stacked_ranks(empty, 5, tol, screen=True).shape == (0,)
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.floats(-18.0, 0.0),
+    st.sampled_from(range(len(POLICIES))),
+)
+@settings(max_examples=150, deadline=None)
+def test_screen_proves_full_rank_only_where_the_svd_finds_it(seed, r, k, log_sigma, policy):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_planted(rng, r, k, 10.0**log_sigma) for _ in range(3)])
+    _check_screen(stack, r + int(rng.integers(0, 4)), POLICIES[policy])
