@@ -336,6 +336,14 @@ def certify_unique(
     stack with the per-matrix cutoff of ``tol``.  Side matrices taller than
     N are first compressed to their thin-QR R factor, which keeps every
     selection's singular values; cutoffs still use the original row count.
+    On a side where the full set, decided first, was ranked and found full
+    rank (min(rows, N)), each stack first tries the full-rank screen of
+    ``stacked_ranks``: one batched Cholesky factorization of the
+    selections' Gram matrices, shifted by (cutoff + d)^2 + e, where d
+    bounds the SVD's error and e the rounding of the Gram product and the
+    factorization.  Its success proves sigma_min > cutoff + d, so the SVD
+    would count every singular value as well and the ranks are the same;
+    when it fails, and on every other side, the SVD decides.
     On a side where some members have equal columns, each column multiset
     is ranked once for all subsets selecting it, which is exact: reordering
     columns keeps the singular values, and the cutoff depends only on the

@@ -2,6 +2,15 @@
 vectorization, bipartite realignment, tolerance-based numerical rank,
 Schmidt rank, span dimension, and proportionality testing.
 
+Numerical rank is decided in one place, ``stacked_ranks``: the count of
+singular values above the cutoff of a ``TolerancePolicy``.  On request it
+first tries to prove full rank with a shifted Gram-Cholesky factorization,
+a fraction of an SVD's cost.  The shift is the cutoff plus bounds on the
+rounding errors of the Gram product, the factorization and the SVD, so a
+success means the SVD would count every singular value too; the SVD
+decides everything the screen does not, and the verdict is the same either
+way (the bound is written out in ``_proves_full_rank``).
+
 Conventions used throughout the package:
 
 * Matrices are 2-D ``numpy.ndarray`` objects with ``complex128`` entries.
@@ -151,7 +160,7 @@ def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> boo
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
     section 3.6 and ch. 10), with F = ||M||_F^2:
 
-    * the computed G, as LAPACK reads it (lower triangle, real diagonal),
+    * the computed G, as LAPACK reads it (one triangle, real diagonal),
       is off by at most sqrt(2) gamma_{n+2} F in norm (complex inner
       products), and f is off from F by about as much, so s >= sqrt(F)
       >= sigma_max;
@@ -204,7 +213,7 @@ def stacked_ranks(
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
     screen: bool = False,
 ) -> np.ndarray:
-    """Numerical rank of each matrix in a (B, r, k) stack, from one SVD call.
+    """Numerical rank of each matrix in a (B, r, k) stack, from at most one SVD call.
 
     The cutoff of each matrix is ``tol.cutoff`` for ``rows`` x k, so a stack
     of compressed matrices (say R factors of a thin QR, which keep the
