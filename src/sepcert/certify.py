@@ -8,22 +8,25 @@ same channel (or state) can exist and the certificate is Unique.  Surviving
 subsets are returned as witnesses; they mean the certificate is Inconclusive,
 never that the representation is actually non-unique.
 
-Subsets are decided top down, from the full set to the pairs.  Removing one
-member lowers a span dimension by at most one, also numerically (singular
-values interlace and the rank cutoff can only shrink), so the ranks of the
-larger subsets bound those of the smaller ones from below, and a subset is
-ranked on a side only when those bounds cannot decide it.  Subsets that
-select the same multiset of a side's columns share one SVD: their side
-matrices are column permutations of each other, so they have the same
-singular values, and the same size fixes the same cutoff.
+Subsets are enumerated as member bitmasks and decided top down, one size at
+a time, from the full set to the pairs.  Removing one member lowers a span
+dimension by at most one, also numerically (singular values interlace and
+the rank cutoff can only shrink), so the ranks of the larger subsets bound
+those of the smaller ones from below, and a subset is ranked on a side only
+when those bounds cannot decide it.  Subsets that select the same multiset
+of a side's columns share one SVD: their side matrices are column
+permutations of each other, so they have the same singular values, and the
+same size fixes the same cutoff.  The witnesses of each size stay one
+integer array of members and deltas from the pass to the JSON report, which
+fills one text template per size.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,28 +76,53 @@ class Witness:
     deltas: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Outcome of the uniqueness check: Unique iff no witness survives.
 
-    ``splits`` lists the examined splits as (side_a, side_b) party tuples,
-    once for all witnesses.
+    ``levels`` holds the witnesses of each size that has any, in increasing
+    size: one (B, size + 2 * len(splits)) int array per size whose rows are
+    the B witnesses in lexicographic order, each its members and then its
+    deltas.  ``splits`` lists the examined splits as (side_a, side_b) party
+    tuples, once for all witnesses.  Certificates are equal when their
+    witnesses, splits, strategy, tolerance and counts are.
     """
 
-    witnesses: tuple[Witness, ...]
+    levels: tuple[np.ndarray, ...]
     splits: tuple[Split, ...]
     strategy: str
     tol: TolerancePolicy
     subsets_examined: int
     n_members: int
 
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        """The rows of ``levels`` as ``Witness`` objects, smallest size first."""
+        deltas = 2 * len(self.splits)
+        return tuple(
+            Witness(tuple(row[: len(row) - deltas]), tuple(row[len(row) - deltas :]))
+            for level in self.levels
+            for row in level.tolist()
+        )
+
     @property
     def status(self) -> str:
-        return "Inconclusive" if self.witnesses else "Unique"
+        return "Unique" if self.unique else "Inconclusive"
 
     @property
     def unique(self) -> bool:
-        return not self.witnesses
+        return not any(len(level) for level in self.levels)
+
+    def _scalars(self) -> tuple:
+        return (self.splits, self.strategy, self.tol, self.subsets_examined, self.n_members)
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return self._scalars() == other._scalars() and self.witnesses == other.witnesses
+
+    def __hash__(self):
+        return hash(self._scalars())
 
     def _fields(self, witnesses: list) -> dict:
         return {
@@ -123,22 +151,24 @@ class Certificate:
 
         Equals ``json.dumps({**head, **self.to_dict()}, indent=2)`` byte for
         byte.  ``json.dumps`` still renders everything but the witness array.
-        The certificate's splits make one template, and each witness fills it
-        with a join of its members and a ``%`` format of its deltas, instead
-        of a walk of its dicts through the stdlib's pure-Python indent
-        encoder.  Witnesses must have members, as every witness of
-        ``certify_unique`` has.
+        Each size of ``levels`` makes one witness template with a ``%d`` slot
+        per member and per delta; the template is repeated once per witness
+        of that size and filled from the level's flattened ints in one ``%``
+        call, with no ``Witness`` object built and no walk of dicts through
+        the stdlib's pure-Python indent encoder.
         """
         text = json.dumps({**head, **self._fields([])}, indent=2)
-        if not self.witnesses:
+        deltas = 2 * len(self.splits)
+        witnesses = ",\n    ".join(
+            ",\n    ".join([_witness_template(self.splits, level.shape[1] - deltas)] * len(level))
+            % tuple(level.ravel().tolist())
+            for level in self.levels
+            if len(level)
+        )
+        if not witnesses:
             return text
         # JSON strings hold no raw newline, so this is the top-level key.
         before, _, after = text.partition('\n  "witnesses": []')
-        template = _witness_template(self.splits)
-        witnesses = ",\n    ".join(
-            template % (",\n        ".join(map(str, w.members)), *w.deltas)
-            for w in self.witnesses
-        )
         return f'{before}\n  "witnesses": [\n    {witnesses}\n  ]{after}'
 
 
@@ -147,18 +177,17 @@ def _split_sum(side_a, side_b, delta_a, delta_b) -> dict:
     return {"side_a": list(side_a), "side_b": list(side_b), "delta_a": delta_a, "delta_b": delta_b}
 
 
-def _witness_template(splits: tuple[Split, ...]) -> str:
-    """One witness of the indent-2 report as a ``%`` format over its
-    members (already joined) and then delta_a, delta_b of each split.
+def _witness_template(splits: tuple[Split, ...], size: int) -> str:
+    """One witness of ``size`` members in the indent-2 report as a ``%``
+    format over its members and then delta_a, delta_b of each split.
 
     ``json.dumps`` lays it out with placeholder strings, which become the
-    slots, so keys and layout are those of ``Certificate.to_dict``.
+    ``%d`` slots, so keys and layout are those of ``Certificate.to_dict``.
     """
     sums = [_split_sum(a, b, "\x00", "\x00") for a, b in splits]
-    text = json.dumps({"members": ["\x01"], "split_sums": sums}, indent=2)
+    text = json.dumps({"members": ["\x00"] * size, "split_sums": sums}, indent=2)
     # A witness sits two levels deep in the report.
-    text = text.replace("\n", "\n    ")
-    return text.replace('"\\u0001"', "%s").replace('"\\u0000"', "%d")
+    return text.replace("\n", "\n    ").replace('"\\u0000"', "%d")
 
 
 def _examined_splits(n_parties: int, strategy: str) -> tuple[Split, ...]:
@@ -215,18 +244,52 @@ def _side_matrix(
     return m, rows, weights
 
 
+def _member_bits(n: int) -> np.ndarray:
+    """The bit of each of n members in a subset's bitmask: member i is bit
+    n-1-i, so the bitmasks of one size in descending order list its subsets
+    in lexicographic order."""
+    return np.left_shift(1, np.arange(n - 1, -1, -1))
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """The number of members in each bitmask below 2**n, as uint8."""
+    popcount = np.zeros(1 << n, dtype=np.uint8)
+    for k in range(n):
+        popcount[1 << k : 2 << k] = popcount[: 1 << k] + 1
+    return popcount
+
+
+def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
+    """The subsets of ``size`` members in lexicographic order, in blocks of at
+    most ``LEVEL_BLOCK``: per block its position in the order, its (B,)
+    bitmasks and its (B, size) member indices.
+
+    ``popcount`` is ``_popcounts(n)`` and ``bits`` is ``_member_bits(n)``.
+    """
+    n = len(bits)
+    masks = np.flatnonzero(popcount == size)[::-1]
+    for start in range(0, len(masks), LEVEL_BLOCK):
+        block = masks[start : start + LEVEL_BLOCK]
+        # Row-major order lists each subset's members in increasing order.
+        members = np.flatnonzero((block[:, None] & bits) != 0) % n
+        yield start, block, members.reshape(-1, size)
+
+
 def _decide_block(
+    masks: np.ndarray,
     members: np.ndarray,
-    n: int,
+    bits: np.ndarray,
     splits: tuple[Split, ...],
     sides: dict[tuple[int, ...], tuple[np.ndarray, int, np.ndarray | None]],
     known: dict[tuple[int, ...], np.ndarray],
     tables: dict[tuple[int, ...], np.ndarray],
     tol: TolerancePolicy,
 ) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
-    """Eliminate a (B, m) block of m-member subsets of n members split by split.
+    """Eliminate a (B, m) block of m-member subsets split by split.
 
-    ``known`` maps each side to an array over member bitmasks holding the
+    ``masks`` holds the subsets' member bitmasks, with ``bits[i]`` the bit
+    of member i, and ``members`` their (B, m) member indices.  ``known``
+    maps each side to an array over member bitmasks holding the
     exact rank of each subset ranked so far and the lower bound of every
     other decided subset; all subsets of m + 1 members must be decided.  A
     subset starts from ``max_x known(T | x) - 1`` on each side and is ranked
@@ -248,8 +311,8 @@ def _decide_block(
     and per side a (B,) array of rank bounds that is exact for every survivor.
     """
     size = members.shape[1]
-    masks = np.left_shift(1, members).sum(axis=1)
-    supersets = masks[:, None] | np.left_shift(1, np.arange(n))
+    n = len(bits)
+    supersets = masks[:, None] | bits
     # For x in T, T | x is T itself, still 0 here, so it only adds the -1
     # that the clip at 0 removes; the full set thus starts at 0.
     val = {
@@ -330,8 +393,11 @@ def certify_unique(
     supersets.  A survivor is ranked exactly on every side.  The bounds take
     2**N bytes per split side.
 
-    The subsets of each size are streamed in blocks of ``LEVEL_BLOCK``, and
-    the sides left undecided are ranked in stacks of at most
+    The subsets of one size are the bitmasks below 2**N with that many set
+    bits, read off a uint8 popcount table; with member i as bit N-1-i they
+    come in lexicographic order when taken in descending order, and each
+    block of ``LEVEL_BLOCK`` of them yields its member indices with one bit
+    test.  The sides left undecided are ranked in stacks of at most
     ``SUBSET_BLOCK`` column selections of the side matrix, one SVD call per
     stack with the per-matrix cutoff of ``tol``.  Side matrices taller than
     N are first compressed to their thin-QR R factor, which keeps every
@@ -348,6 +414,10 @@ def certify_unique(
     is ranked once for all subsets selecting it, which is exact: reordering
     columns keeps the singular values, and the cutoff depends only on the
     row count and the subset size.
+
+    The survivors of each size stay one int array of members and exact
+    deltas, which ``Certificate.levels`` holds; ``Certificate.witnesses``
+    builds ``Witness`` objects from it only when asked.
     """
     n = fam.n_members
     if max_members < 1:
@@ -374,32 +444,31 @@ def certify_unique(
             for side, (_, _, weights) in sides.items()
             if weights is not None
         }
+        popcount = _popcounts(n)
     except (MemoryError, ValueError):
         raise SizeBudgetError(
             f"rank bounds for {n} members need 2**{n} bytes per split side"
         ) from None
-    levels = []  # the witnesses of each size, largest size first
+    bits = _member_bits(n)
+    levels = []  # the witnesses of each size with any, largest size first
     first = 0  # ascending position of the first witness of the smallest size
     for size in range(n, 1, -1):
         level = []
-        pos = sum(math.comb(n, s) for s in range(2, size))
-        flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
-        while (block := np.fromiter(itertools.islice(flat, LEVEL_BLOCK * size), np.intp)).size:
-            block = block.reshape(-1, size)
-            alive, ranks = _decide_block(block, n, splits, sides, known, tables, tol)
-            if alive.size and not level:
-                first = pos + int(alive[0])
+        for start, block, members in _subset_blocks(popcount, bits, size):
+            alive, ranks = _decide_block(block, members, bits, splits, sides, known, tables, tol)
+            if alive.size == 0:
+                continue
+            if not level:
+                first = sum(math.comb(n, s) for s in range(2, size)) + start + int(alive[0])
             exact = [ranks[side][alive] for split in splits for side in split]
-            # A single party has no split, so its witnesses have no deltas.
-            deltas = np.stack(exact, axis=1).tolist() if exact else [()] * alive.size
-            level += map(Witness, map(tuple, block[alive].tolist()), map(tuple, deltas))
-            pos += len(block)
-        levels.append(level)
+            level.append(np.column_stack([members[alive], *exact]))
+        if level:
+            levels.append(np.concatenate(level))
 
-    witnesses = tuple(w for level in reversed(levels) for w in level)
-    if fail_fast and witnesses:
-        return Certificate(witnesses[:1], splits, strategy, tol, first + 1, n)
-    return Certificate(witnesses, splits, strategy, tol, (1 << n) - n - 1, n)
+    levels.reverse()
+    if fail_fast and levels:
+        return Certificate((levels[0][:1],), splits, strategy, tol, first + 1, n)
+    return Certificate(tuple(levels), splits, strategy, tol, (1 << n) - n - 1, n)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,12 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def _complex_from(obj, where: str) -> complex:
+    # What json.loads gives for a valid pair, decided without the ABC checks;
+    # anything else takes the general path below.
+    if type(obj) is list and len(obj) == 2:
+        re, im = obj
+        if type(re) in (float, int) and type(im) in (float, int):
+            return complex(float(re), float(im))
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2

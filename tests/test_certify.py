@@ -1,6 +1,9 @@
 """Uniqueness certification and completeness checks on known channels."""
 
+import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +33,14 @@ from sepcert import (
     verify_completeness,
 )
 import sepcert.certify
-from sepcert.certify import SUBSET_BLOCK, _side_matrix
+from sepcert.certify import (
+    LEVEL_BLOCK,
+    SUBSET_BLOCK,
+    _member_bits,
+    _popcounts,
+    _side_matrix,
+    _subset_blocks,
+)
 from sepcert.linalg import ABSOLUTE_FLOOR, stacked_ranks
 from test_acceptance import _zoo
 
@@ -276,6 +286,67 @@ def test_fail_fast_reports_the_first_witness_of_the_smallest_size():
     assert cert.witnesses == witnesses
     assert witnesses[0].members == tuple(range(7))
     assert cert.subsets_examined == examined == 457
+
+
+@pytest.mark.parametrize("fail_fast", [False, True], ids=["all", "fail-fast"])
+def test_witness_levels_spanning_two_level_blocks(fail_fast):
+    # Generic (2,2) spans reach at most 4 + 4, so every subset of seven or
+    # more of 13 members survives; the 1,716 of size 7 fill two level blocks.
+    fam = random_product_family(np.random.default_rng(6), (2, 2), 13)
+    assert LEVEL_BLOCK < 1716 <= 2 * LEVEL_BLOCK
+    cert = certify_unique(fam, fail_fast=fail_fast)
+    witnesses, examined = _reference_certificate(fam, cert.tol, fail_fast=fail_fast)
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined
+    if not fail_fast:
+        assert [len(level) for level in cert.levels] == [
+            math.comb(13, size) for size in range(7, 14)
+        ]
+    head = {"command": "certify", "file": "random-22-n13.json"}
+    assert cert.to_json(head) == json.dumps({**head, **cert.to_dict()}, indent=2)
+
+
+def test_popcounts_count_the_set_bits():
+    for n in range(13):
+        assert _popcounts(n).tolist() == [bin(x).count("1") for x in range(1 << n)]
+
+
+@pytest.mark.parametrize("block", [LEVEL_BLOCK, 7], ids=["default", "seven"])
+def test_subset_blocks_list_combinations_in_order(monkeypatch, block):
+    monkeypatch.setattr(sepcert.certify, "LEVEL_BLOCK", block)
+    for n in range(1, 13):
+        popcount, bits = _popcounts(n), _member_bits(n)
+        for size in range(1, n + 1):
+            subsets, masks, starts = [], [], []
+            for start, block_masks, members in _subset_blocks(popcount, bits, size):
+                assert members.shape == (len(block_masks), size)
+                assert len(block_masks) <= block
+                starts.append(start)
+                subsets += map(tuple, members.tolist())
+                masks += block_masks.tolist()
+            assert subsets == list(itertools.combinations(range(n), size))
+            assert masks == [int(bits[list(t)].sum()) for t in subsets]
+            assert starts == list(range(0, len(subsets), block))
+
+
+def test_certificates_compare_by_value():
+    fam = gen_projective_basis(2, 3)
+    cert = certify_unique(fam)
+    assert len(cert.levels) > 1
+    again = certify_unique(fam)
+    assert cert == again and hash(cert) == hash(again)
+    assert cert != certify_unique(fam, fail_fast=True)
+    # Two parties: the one pair split is the one bipartition, so only the
+    # strategy's name differs, and the tolerance only by its policy.
+    assert cert != certify_unique(fam, strategy=STRATEGY_PAIRS)
+    assert cert != certify_unique(fam, tol=TolerancePolicy(relative_rank_threshold=1e-10))
+    # Equal witnesses held in arrays of another dtype are equal; other
+    # members are not.
+    narrow = dataclasses.replace(cert, levels=tuple(a.astype(np.int32) for a in cert.levels))
+    assert narrow == cert and hash(narrow) == hash(cert)
+    shifted = dataclasses.replace(cert, levels=tuple(a + 1 for a in cert.levels))
+    assert shifted != cert
+    assert cert != cert.witnesses and cert != None  # noqa: E711
 
 
 def _counting_stacked_ranks(monkeypatch):

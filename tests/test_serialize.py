@@ -19,7 +19,7 @@ from sepcert import (
     load_family,
     save_family,
 )
-from sepcert.serialize import dump_json
+from sepcert.serialize import _complex_from, dump_json
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -156,3 +156,35 @@ def test_complex_entries_survive_exactly(tmp_path):
         assert complex(a.weight) == complex(b.weight)
         for fa, fb in zip(a.factors, b.factors):
             np.testing.assert_array_equal(fa, fb)
+
+
+@pytest.mark.parametrize(
+    "pair,value",
+    [
+        ([1.5, -2], 1.5 - 2j),
+        ([3, 4], 3 + 4j),
+        ((1.0, 2.0), 1 + 2j),
+        ([np.float64(0.25), 2.0], 0.25 + 2j),
+        ([1.0, np.int64(-3)], 1 - 3j),
+    ],
+)
+def test_number_pairs_load_as_complex(pair, value):
+    z = _complex_from(pair, "w")
+    assert type(z) is complex and z == value
+
+
+def test_signed_zeros_load_exactly():
+    z = _complex_from([-0.0, -0.0], "w")
+    assert np.signbit(z.real) and np.signbit(z.imag)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[True, 0.0], [1.0, False], ["1", 0.0], [1.0, None], [1.0, 2.0, 3.0], [1.0], [], 1.0,
+     {"re": 1.0, "im": 0.0}, [1j, 0.0]],
+    ids=["bool-re", "bool-im", "str", "none", "three", "one", "empty", "scalar", "dict", "complex"],
+)
+def test_non_number_pairs_are_usage_errors(pair):
+    with pytest.raises(UsageError) as err:
+        _complex_from(pair, "m, weight")
+    assert str(err.value) == f"m, weight: expected a [re, im] number pair, got {pair!r}"
