@@ -276,6 +276,17 @@ def test_fail_fast_witness_past_the_first_block(tol):
     assert cert.subsets_examined == examined == 78 > SUBSET_BLOCK
 
 
+def test_fail_fast_position_counts_the_earlier_level_blocks(monkeypatch):
+    # With blocks of seven subsets the twins (11, 12), the last of the 78
+    # pairs, are decided in the twelfth block of their size.
+    monkeypatch.setattr(sepcert.certify, "LEVEL_BLOCK", 7)
+    fam = _with_duplicate(12, seed=4)
+    cert = certify_unique(fam, fail_fast=True)
+    witnesses, examined = _reference_certificate(fam, cert.tol, fail_fast=True)
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined == 78
+
+
 def test_fail_fast_reports_the_first_witness_of_the_smallest_size():
     # Generic (2,2) spans reach at most 4 + 4, so every subset of seven or
     # more members survives: the first witness comes after all 456 subsets
