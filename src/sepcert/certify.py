@@ -12,8 +12,12 @@ Subsets are enumerated as member bitmasks and decided top down, one size at
 a time, from the full set to the pairs.  Removing one member lowers a span
 dimension by at most one, also numerically (singular values interlace and
 the rank cutoff can only shrink), so the ranks of the larger subsets bound
-those of the smaller ones from below, and a subset is ranked on a side only
-when those bounds cannot decide it.  Subsets that select the same multiset
+those of the smaller ones from below.  Adding members never lowers a
+singular value, so the robust rank of each member pair, counted against the
+cutoff of the whole side matrix plus the SVD's error, bounds every subset
+holding the pair from below as well.  A subset is ranked on a side only
+when those bounds cannot decide it, and a side is built only when the pass
+reaches one of its splits.  Subsets that select the same multiset
 of a side's columns share one SVD: their side matrices are column
 permutations of each other, so they have the same singular values, and the
 same size fixes the same cutoff.  The witnesses of each size stay one
@@ -34,10 +38,12 @@ from .errors import EnumerationCapError, ParameterError, SizeBudgetError, UsageE
 from .linalg import (
     DEFAULT_TOLERANCE,
     TolerancePolicy,
+    _svdvals,
     frobenius,
     numerical_rank,  # noqa: F401  (perfbench/spans.py traces this name)
     span_dimension,
     stacked_ranks,
+    svd_error_scale,
 )
 from .families import (
     OperatorFamily,
@@ -275,75 +281,167 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
         yield start, block, members.reshape(-1, size)
 
 
+@dataclass
+class _Side:
+    """A split side's matrix and the pass's rank state on it.
+
+    ``m``, ``rows`` and ``weights`` are those of ``_side_matrix``.  ``known``
+    and ``floor`` are int8 arrays over member bitmasks: ``known`` holds the
+    exact rank of each subset ranked on the side so far and the lower bound
+    of every other decided subset, 0 elsewhere, and ``floor`` the pair
+    floors of ``_pair_floors`` once ``floored``, 0 before.  With multiset
+    weights, ``table`` holds the rank of each column multiset ranked so far,
+    -1 elsewhere; else it is None.
+    """
+
+    m: np.ndarray
+    rows: int
+    weights: np.ndarray | None
+    known: np.ndarray
+    floor: np.ndarray
+    table: np.ndarray | None
+    floored: bool = False
+
+
+def _size_budget_error(n: int) -> SizeBudgetError:
+    return SizeBudgetError(f"rank bounds for {n} members need 2 * 2**{n} bytes per split side")
+
+
+def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
+    """The side matrix of ``side`` and its rank state before any subset of
+    the n members is decided: no rank known, no floor, no multiset ranked."""
+    m, rows, weights = _side_matrix(fam, side)
+    try:
+        known, floor = np.zeros((2, 1 << n), dtype=np.int8)
+        # The full set has the largest key, prod over classes of (size + 1) - 1.
+        table = None if weights is None else np.full(int(weights.sum()) + 1, -1, dtype=np.int8)
+    except (MemoryError, ValueError):
+        raise _size_budget_error(n) from None
+    return _Side(m, rows, weights, known, floor, table)
+
+
+def _pair_floors(
+    m: np.ndarray, rows: int, bits: np.ndarray, tol: TolerancePolicy, floor: np.ndarray
+) -> None:
+    """Write into ``floor`` a lower bound on the rank of every subset's
+    selection of ``m``'s columns: the largest robust rank of a member pair
+    that the subset holds, 0 for subsets of fewer than two members.
+
+    ``m`` is an r x N side matrix of a ``rows``-row side.  One SVD call
+    ranks all C(N, 2) pairs; a pair's robust rank counts its singular values
+    above C + 2d, with s = ||m||_F (1 + kappa), kappa the
+    ``svd_error_scale`` of ``m``'s shape, d = kappa s and the global cap
+    C = ``tol.cutoff(s + d, rows, N)``.  For a subset T holding the pair S,
+    sigma_k(m_T) >= sigma_k(m_S) (adding columns never lowers a singular
+    value), and each computed singular value is within d of the exact one
+    (Weyl).  The SVD of m_T finds sigma_max <= s + d, and the relative
+    cutoff does not decrease with the column count, so T's cutoff is at
+    most C: every singular value the pair's robust rank counts lies above
+    C + 2d, hence T's computed one above C, and T's rank counts it as well.
+    The pair ranks reach every superset in one max pass per member bit.
+    """
+    r, n = m.shape
+    kappa = svd_error_scale(max(r, n), min(r, n))
+    s = np.linalg.norm(m) * (1 + kappa)
+    d = kappa * s
+    i, j = np.triu_indices(n, 1)
+    sigma = _svdvals(np.moveaxis(m[:, np.column_stack([i, j])], 1, 0))
+    floor[bits[i] | bits[j]] = np.count_nonzero(sigma > tol.cutoff(s + d, rows, n) + 2 * d, axis=1)
+    for b in range(n):
+        # Axis 1 is bit b: each mask with the bit set takes its floor without it.
+        half = floor.reshape(-1, 2, 1 << b)
+        np.maximum(half[:, 0], half[:, 1], out=half[:, 1])
+
+
 def _decide_block(
     masks: np.ndarray,
     members: np.ndarray,
     bits: np.ndarray,
     splits: tuple[Split, ...],
-    sides: dict[tuple[int, ...], tuple[np.ndarray, int, np.ndarray | None]],
-    known: dict[tuple[int, ...], np.ndarray],
-    tables: dict[tuple[int, ...], np.ndarray],
+    fam: OperatorFamily,
+    sides: dict[tuple[int, ...], _Side],
     tol: TolerancePolicy,
 ) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
     """Eliminate a (B, m) block of m-member subsets split by split.
 
     ``masks`` holds the subsets' member bitmasks, with ``bits[i]`` the bit
-    of member i, and ``members`` their (B, m) member indices.  ``known``
-    maps each side to an array over member bitmasks holding the
-    exact rank of each subset ranked so far and the lower bound of every
-    other decided subset; all subsets of m + 1 members must be decided.  A
-    subset starts from ``max_x known(T | x) - 1`` on each side and is ranked
-    on a side only when its bounds leave a split undecided: first the side
-    with more headroom (fewer compressed rows on a tie), then the other side
-    if the subset is still alive.  The block's entries of ``known`` are
-    written on return.
+    of member i, and ``members`` their (B, m) member indices; all subsets of
+    m + 1 members must be decided.  ``sides`` maps each side opened so far
+    to its ``_Side``.  A side is opened here (``_open_side`` of ``fam``)
+    when a block first reaches one of its splits, its pair floors are
+    written when a block below the full set first reaches it, and a block
+    gathers a side's start values only when it reaches the side.
 
-    ``tables`` maps each side with multiset weights (see ``_side_matrix``)
-    to the ranks of the column multisets ranked so far, -1 elsewhere; a side
-    ranks one subset per multiset not yet in its table and reads every
-    other rank from there.
+    On each side a subset T starts from max(``max_x known(T | x) - 1``,
+    ``floor(T)``): its supersets' bounds fall by one per member removed,
+    and the pair floors, counted against the cap C of the whole side
+    matrix, hold at every size.  A start value of min(m, compressed rows)
+    is exact, since no rank exceeds it.  A subset is ranked on a side only
+    when its bounds leave a split undecided: first the side with more
+    headroom (fewer compressed rows on a tie), then the other side if the
+    subset is still alive.  The block's entries of ``known`` on the sides
+    it reached are written on return; the others keep 0, still a lower
+    bound.
+
+    A side with multiset weights (see ``_side_matrix``) ranks one subset
+    per column multiset not yet in its table and reads every other rank
+    from there.
 
     A side tries the full-rank screen of ``stacked_ranks`` only when the
-    full set, decided first, was ranked on it and found full rank,
-    min(rows, n): on a deficient side the screen cannot succeed.
+    full set was ranked on it and found full rank, min(rows, n): on a
+    deficient side the screen cannot succeed.
 
     Returns the positions in ``members`` of the subsets no split eliminated,
-    and per side a (B,) array of rank bounds that is exact for every survivor.
+    and per reached side a (B,) array of rank bounds that is exact for every
+    survivor.
     """
     size = members.shape[1]
     n = len(bits)
     supersets = masks[:, None] | bits
-    # For x in T, T | x is T itself, still 0 here, so it only adds the -1
-    # that the clip at 0 removes; the full set thus starts at 0.
-    val = {
-        side: np.maximum(k[supersets].max(axis=1).astype(np.int64) - 1, 0)
-        for side, k in known.items()
-    }
-    exact = {side: np.zeros(len(members), dtype=bool) for side in sides}
+    val: dict[tuple[int, ...], np.ndarray] = {}
+    exact: dict[tuple[int, ...], np.ndarray] = {}
+
+    def reach(side) -> int:
+        """Open ``side`` and gather its start values; returns its compressed rows."""
+        if side not in sides:
+            sides[side] = _open_side(fam, side, n)
+        state = sides[side]
+        if size < n and not state.floored:
+            # Floors bound the full set by at most 2, and two members have no
+            # other subset, so the full set is decided without them.
+            _pair_floors(state.m, state.rows, bits, tol, state.floor)
+            state.floored = True
+        if side not in val:
+            # For x in T, T | x is T itself, still 0 here, so it only adds the
+            # -1 that the floor (>= 0) removes.
+            val[side] = np.maximum(
+                state.known[supersets].max(axis=1).astype(np.int64) - 1, state.floor[masks]
+            )
+            exact[side] = val[side] >= min(size, len(state.m))
+        return len(state.m)
 
     def rank(side, todo):
-        m, rows, weights = sides[side]
+        state = sides[side]
         reps = todo
-        if weights is not None:
-            table = tables[side]
-            keys = weights[members[todo]].sum(axis=1)
-            missing = table[keys] < 0
+        if state.weights is not None:
+            keys = state.weights[members[todo]].sum(axis=1)
+            missing = state.table[keys] < 0
             new, first = np.unique(keys[missing], return_index=True)
             reps = todo[missing][first]
-        # The full set's entry holds its rank, or 0 while it is unranked.
-        screen = bool(known[side][-1] == min(rows, n))
+        # The full set's entry holds its rank, or its start value while unranked.
+        screen = bool(state.known[-1] == min(state.rows, n))
         for i in range(0, len(reps), SUBSET_BLOCK):
             sel = reps[i : i + SUBSET_BLOCK]
-            stack = np.moveaxis(m[:, members[sel]], 1, 0)
-            val[side][sel] = stacked_ranks(stack, rows, tol, screen=screen)
-        if weights is not None:
-            table[new] = val[side][reps]
-            val[side][todo] = table[keys]
+            stack = np.moveaxis(state.m[:, members[sel]], 1, 0)
+            val[side][sel] = stacked_ranks(stack, state.rows, tol, screen=screen)
+        if state.weights is not None:
+            state.table[new] = val[side][reps]
+            val[side][todo] = state.table[keys]
         exact[side][todo] = True
 
     alive = np.arange(len(members))
     for side_a, side_b in splits:
-        rows_a, rows_b = len(sides[side_a][0]), len(sides[side_b][0])
+        rows_a, rows_b = reach(side_a), reach(side_b)
         # Two rounds: each subset's first side, then the other for those the
         # first rank left alive.  After the first round a subset needs at most
         # one side, so the headroom comparison no longer matters.
@@ -360,8 +458,8 @@ def _decide_block(
         alive = alive[val[side_a][alive] + val[side_b][alive] <= size + 1]
         if alive.size == 0:
             break
-    for side, k in known.items():
-        k[masks] = val[side]
+    for side, v in val.items():
+        sides[side].known[masks] = v
     return alive, val
 
 
@@ -388,10 +486,19 @@ def certify_unique(
     and the cutoff of ``tol`` can only shrink when a column goes (its
     sigma_max and max(rows, k) shrink, the row count stays).  So the rank of
     a superset bounds the rank of each subset one member smaller, and most
-    subsets die on their bounds with no SVD.  Bounds propagate downward only:
-    under a relative cutoff, a subset's rank says nothing sound about its
-    supersets.  A survivor is ranked exactly on every side.  The bounds take
-    2**N bytes per split side.
+    subsets die on their bounds with no SVD.  Those bounds fall by one per
+    size, so each side also keeps pair floors (``_pair_floors``), which
+    bound ranks upward: one SVD call ranks all C(N, 2) member pairs, counting
+    singular values above C + 2d, where d bounds the SVD's error and C is the
+    cutoff of the whole side matrix, which caps the cutoff of every subset.
+    Adding columns never lowers a singular value, so a pair's floor bounds
+    the rank of every subset holding it, under any policy.  A subset starts
+    from the larger of the two bounds, and a start value of min(n,
+    compressed rows) is already exact.  A survivor is ranked exactly on
+    every side.  A side is built, its floors computed and its bounds
+    gathered only when the pass first reaches one of its splits; a bound
+    never written stays 0, still sound.  Each side's bounds and floors take
+    2 * 2**N bytes.
 
     The subsets of one size are the bitmasks below 2**N with that many set
     bits, read off a uint8 popcount table; with member i as bit N-1-i they
@@ -435,27 +542,18 @@ def certify_unique(
     if n < 2:
         return Certificate((), splits, strategy, tol, 0, n)
 
-    sides = {side: _side_matrix(fam, side) for split in splits for side in split}
     try:
-        known = {side: np.zeros(1 << n, dtype=np.int8) for side in sides}
-        # The full set has the largest key, prod over classes of (size + 1) - 1.
-        tables = {
-            side: np.full(int(weights.sum()) + 1, -1, dtype=np.int8)
-            for side, (_, _, weights) in sides.items()
-            if weights is not None
-        }
         popcount = _popcounts(n)
     except (MemoryError, ValueError):
-        raise SizeBudgetError(
-            f"rank bounds for {n} members need 2**{n} bytes per split side"
-        ) from None
+        raise _size_budget_error(n) from None
     bits = _member_bits(n)
+    sides: dict[tuple[int, ...], _Side] = {}
     levels = []  # the witnesses of each size with any, largest size first
     first = 0  # ascending position of the first witness of the smallest size
     for size in range(n, 1, -1):
         level = []
         for start, block, members in _subset_blocks(popcount, bits, size):
-            alive, ranks = _decide_block(block, members, bits, splits, sides, known, tables, tol)
+            alive, ranks = _decide_block(block, members, bits, splits, fam, sides, tol)
             if alive.size == 0:
                 continue
             if not level:

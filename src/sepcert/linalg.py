@@ -146,6 +146,15 @@ def _svdvals(stack: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def svd_error_scale(n: int, p: int) -> float:
+    """kappa = (n + p + 6)^2 eps for matrices of at most n rows and columns
+    and at most p of the smaller: ``kappa * s`` bounds the SVD's error on
+    each singular value of such a matrix whose Frobenius norm is at most s,
+    and ``1 + kappa`` covers the rounding of a computed Frobenius norm (the
+    bound is written out in ``_proves_full_rank``)."""
+    return (n + p + 6) ** 2 * _EPS
+
+
 def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> bool:
     """True when a shifted Gram-Cholesky factorization proves that the SVD
     rank of every matrix in the (B, r, k) stack is p = min(r, k).
@@ -195,7 +204,7 @@ def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> boo
         f = diag.real.sum(axis=1)
         if not np.isfinite(f).all():
             return False
-        kappa = (n + p + 6) ** 2 * _EPS
+        kappa = svd_error_scale(n, p)
         s = np.sqrt(f) * (1 + kappa)
         d = kappa * s
         tau = (tol.cutoff(s + d, rows, k) + d) ** 2 + kappa * s * s

@@ -204,8 +204,12 @@ def dump_json(path, payload: dict) -> None:
     path = Path(path)
     text = json.dumps(payload, indent=2) + "\n"
     tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
-    # O_EXCL refuses an existing name or symlink; the kernel applies the umask.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        # O_EXCL refuses an existing name or symlink; the kernel applies the umask.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # Name the file the caller asked for, not the temp file.
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcert import (
     STRATEGY_ALL_BIPARTITIONS,
@@ -37,11 +39,14 @@ from sepcert.certify import (
     LEVEL_BLOCK,
     SUBSET_BLOCK,
     _member_bits,
+    _pair_floors,
     _popcounts,
     _side_matrix,
     _subset_blocks,
 )
-from sepcert.linalg import ABSOLUTE_FLOOR, stacked_ranks
+from sepcert.cli import main
+from sepcert.linalg import ABSOLUTE_FLOOR, stacked_ranks, svd_error_scale
+from sepcert.serialize import save_family
 from test_acceptance import _zoo
 
 I2 = np.eye(2)
@@ -191,9 +196,10 @@ def _reference_certificate(fam, tol, fail_fast=False, splits=None):
     return tuple(witnesses), examined
 
 
-def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0):
+def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
     """Random family whose last member is a multiple of the one before, its
-    factors perturbed by ``noise``.
+    factors perturbed by ``noise``; with ``party``, only that party's factor
+    is copied and the others are drawn afresh.
 
     Without noise, only subsets holding both twins survive on (2,2,2): the
     pair and every triple with it.
@@ -201,7 +207,12 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0):
     rng = np.random.default_rng(seed)
     fam = random_product_family(rng, dims, n_distinct)
     twin = fam.members[-1]
-    factors = tuple(f + noise * rng.standard_normal(f.shape) for f in twin.factors)
+    factors = tuple(
+        f + noise * rng.standard_normal(f.shape)
+        if party in (None, p)
+        else random_product_family(rng, (f.shape[0],), 1).members[0].factors[0]
+        for p, f in enumerate(twin.factors)
+    )
     return OperatorFamily(
         fam.spec, fam.members + (ProductOperator(0.5j * twin.weight, factors),)
     )
@@ -375,15 +386,22 @@ def _counting_stacked_ranks(monkeypatch):
 def test_pairs_rank_each_side_once_per_subset(monkeypatch):
     # Four parties: each single-party side belongs to three of the six pair
     # splits.  Of the four subsets of three members, (1, 2) and (0, 1, 2)
-    # survive every split.  Members 1 and 2 are the twin M, so the pairs
-    # (0, 1) and (0, 2) select the same columns {S, M} on every side and
-    # share one rank: ranking a side once per column multiset takes 8
-    # stacked SVD calls on 10 matrices (12 when every subset was ranked on
-    # its own, and 24 calls on 28 with one call per split side).
+    # survive every split.  The full set is ranked once on each of the four
+    # sides: 4 calls.  Then each side ranks its three member pairs for its
+    # pair floors in one more SVD, outside the rank oracle: 4 SVDs.  Members
+    # 1 and 2 are the twin M, so the pairs (0, 1) and (0, 2) have floor 2,
+    # the most two columns can reach, which is exact: they die on their
+    # floors.  The twins' floor is 1, so (1, 2) is ranked once per side:
+    # 4 calls on one matrix each.  That is 8 oracle calls on 8 matrices and
+    # 12 SVDs (the full set is rank deficient, so no stack is screened);
+    # without pair floors it took 8 calls on 10 matrices, and 24 calls on
+    # 28 with one call per split side.
     fam, _ = gen_tight_family(1, n_parties=4)
     stack_sizes = _counting_stacked_ranks(monkeypatch)
+    counts = _counting_linalg(monkeypatch)
     cert = certify_unique(fam, strategy=STRATEGY_PAIRS)
-    assert (len(stack_sizes), sum(stack_sizes)) == (8, 10)
+    assert (len(stack_sizes), sum(stack_sizes)) == (8, 8)
+    assert (counts["svd"], counts["cholesky"]) == (12, 0)
     pairs = [((a,), (b,)) for a, b in party_pairs(fam.n_parties)]
     witnesses, examined = _reference_certificate(fam, cert.tol, splits=pairs)
     assert [w.members for w in witnesses] == [(1, 2), (0, 1, 2)]
@@ -432,16 +450,17 @@ def _counting_linalg(monkeypatch):
 def test_full_rank_screen_replaces_the_svds(monkeypatch):
     # Both sides of the one split have 9 rows and generic columns, so the
     # full set (ranked first, by SVD) is full rank on each, and every later
-    # stack tries the screen first: the SVD only ranks the full set and
-    # whatever stack the screen cannot prove full rank.
+    # stack tries the screen first.  The SVD runs 4 times: the full set on
+    # each side, and each side's 78 member pairs for its pair floors, one
+    # call per side outside the rank oracle.  The other 12 oracle calls are
+    # all screened, and each screen proves full rank.
     fam = random_product_family(np.random.default_rng(1), (3, 3), 13)
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     counts = _counting_linalg(monkeypatch)
     cert = certify_unique(fam)
     assert cert.status == "Unique"
-    assert counts["cholesky"] == len(stack_sizes) - 2
-    assert counts["svd"] == 2 + counts["failed"]
-    assert counts["svd"] < len(stack_sizes) // 4
+    assert len(stack_sizes) == 14
+    assert (counts["cholesky"], counts["failed"], counts["svd"]) == (12, 0, 4)
 
 
 def test_deficient_sides_skip_the_screen(monkeypatch):
@@ -451,6 +470,166 @@ def test_deficient_sides_skip_the_screen(monkeypatch):
     cert = certify_unique(_relabelled(gen_projective_basis(3, 4), seed=11))
     assert len(cert.witnesses) == 3429
     assert counts["cholesky"] == 0 and counts["svd"] > 0
+
+
+def _recording_side_builds(monkeypatch):
+    """Record each side matrix the certifier builds with the subset size of
+    the block that built it."""
+    built, sizes = [], []
+    decide, side_matrix = sepcert.certify._decide_block, sepcert.certify._side_matrix
+
+    def recording_decide(masks, members, *args):
+        sizes.append(members.shape[1])
+        return decide(masks, members, *args)
+
+    def recording_side(fam, side):
+        built.append((side, sizes[-1]))
+        return side_matrix(fam, side)
+
+    monkeypatch.setattr(sepcert.certify, "_decide_block", recording_decide)
+    monkeypatch.setattr(sepcert.certify, "_side_matrix", recording_side)
+    return built
+
+
+def test_pair_floors_leave_only_the_full_sets_to_rank(monkeypatch):
+    # Fourier (2,2,2) has 11 members.  The first split ({0}, {1, 2}) has a
+    # 4-row side and an 88-row side compressed to 11 rows; the full set is
+    # ranked on both (4 + 11 > 12).  Below it, the 11-row side's bound stays
+    # min(size, 11), which is exact, and the 4-row side's pair floor of 2
+    # keeps every sum above size + 1, so no other subset is ranked, and the
+    # other two splits are never reached: their sides are never built.
+    fam = gen_fourier_channel((2, 2, 2))
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
+    built = _recording_side_builds(monkeypatch)
+    cert = certify_unique(fam)
+    assert stack_sizes == [1, 1]
+    assert built == [((0,), 11), ((1, 2), 11)]
+    witnesses, examined = _reference_certificate(fam, cert.tol)
+    assert cert.status == "Unique" and cert.witnesses == witnesses == ()
+    assert cert.subsets_examined == examined
+
+
+def test_later_splits_are_built_when_the_pass_reaches_them(monkeypatch):
+    # The twins (8, 9) share their party-0 factor only.  The first split
+    # eliminates every subset but the twin pair, whose party-0 side has rank
+    # 1; the second split, reached only in the block of pairs, then
+    # eliminates it on sides built there, whose entries for the larger
+    # subsets were never written.
+    fam = _with_duplicate(9, seed=0, party=0)
+    built = _recording_side_builds(monkeypatch)
+    cert = certify_unique(fam)
+    assert built == [((0,), 10), ((1, 2), 10), ((0, 1), 2), ((2,), 2)]
+    for tol in (cert.tol, TolerancePolicy(relative_rank_threshold=1e-10)):
+        again = certify_unique(fam, tol=tol)
+        witnesses, examined = _reference_certificate(fam, tol)
+        assert again.witnesses == witnesses
+        assert again.subsets_examined == examined
+    assert cert.status == "Unique"
+
+
+def _planted_pair(t):
+    """Random (2,2) family of six members whose first two have party-0
+    factors with orthogonal vectorizations of norms 1 and ``t``, so their
+    two-column side matrix has singular values 1 and t exactly."""
+    fam = random_product_family(np.random.default_rng(9), (2, 2), 6)
+    first = np.array([[1, 0], [0, 0]], dtype=complex)
+    second = np.array([[0, 0], [t, 0]], dtype=complex)
+    members = tuple(
+        ProductOperator(m.weight, (f, m.factors[1]))
+        for m, f in zip(fam.members[:2], (first, second))
+    )
+    return OperatorFamily(fam.spec, members + fam.members[2:])
+
+
+def _pair_floor_margin(fam, tol):
+    """C + 2d of ``_pair_floors`` on party 0's side matrix of ``fam``."""
+    m, rows, _ = _side_matrix(fam, (0,))
+    r, n = m.shape
+    kappa = svd_error_scale(max(r, n), min(r, n))
+    s = np.linalg.norm(m) * (1 + kappa)
+    d = kappa * s
+    return tol.cutoff(s + d, rows, n) + 2 * d, tol.cutoff(s + d, rows, n)
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-10)],
+    ids=["default", "rel1e-10"],
+)
+def test_pair_floor_margin(tol):
+    # t does not change ||m||_F in double precision, so the margin computed
+    # at a negligible t holds for every planted t.
+    margin, cap = _pair_floor_margin(_planted_pair(1e-20), tol)
+    pair = int(_member_bits(6)[[0, 1]].sum())
+    planted = [(margin * (1 + 1e-6), 2), (margin * (1 - 1e-6), 1)]
+    planted += [(cap * 10.0**j, None) for j in range(-3, 3)]
+    references = set()
+    for t, expected in planted:
+        fam = _planted_pair(t)
+        assert _pair_floor_margin(fam, tol) == (margin, cap)
+        m, rows, _ = _side_matrix(fam, (0,))
+        floor = np.zeros(1 << 6, dtype=np.int8)
+        _pair_floors(m, rows, _member_bits(6), tol, floor)
+        reference = _reference_rank(fam.side_matrix((0,))[:, :2], tol)
+        references.add(reference)
+        assert floor[pair] <= reference
+        if expected is not None:
+            assert floor[pair] == expected
+        witnesses, examined = _reference_certificate(fam, tol)
+        cert = certify_unique(fam, tol=tol)
+        assert cert.witnesses == witnesses
+        assert cert.subsets_examined == examined
+    # The sweep crosses the pair's own cutoff, which lies below C.
+    assert references == {1, 2}
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 7),
+    st.floats(-16.0, -8.0),
+    st.sampled_from([None, 0, 1]),
+    st.sampled_from([None, 1e-10, 1e-6]),
+)
+@settings(max_examples=30, deadline=None)
+def test_pair_floors_never_exceed_the_reference_rank(seed, n_distinct, log_noise, party, rel):
+    fam = _with_duplicate(n_distinct, seed, noise=10.0**log_noise, party=party)
+    tol = TolerancePolicy(relative_rank_threshold=rel)
+    n = fam.n_members
+    bits = _member_bits(n)
+    for side in ((0,), (1, 2), (0, 1)):
+        m, rows, _ = _side_matrix(fam, side)
+        floor = np.zeros(1 << n, dtype=np.int8)
+        _pair_floors(m, rows, bits, tol, floor)
+        full = fam.side_matrix(side)
+        for size in range(2, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                mask = int(bits[list(subset)].sum())
+                assert floor[mask] <= _reference_rank(full[:, subset], tol)
+
+
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_later_side_over_budget_is_a_size_budget_error(monkeypatch, capsys, tmp_path, error):
+    # Each side takes one (2, 2**N) int8 allocation when the pass first
+    # reaches it; the second side's fails here, after the first succeeded.
+    fam = random_product_family(np.random.default_rng(0), (2, 2), 9)
+    path = tmp_path / "random-22-n9.json"
+    save_family(path, fam)
+    zeros, allocated = np.zeros, []
+
+    def failing(shape, *args, **kwargs):
+        if shape == (2, 1 << 9):
+            allocated.append(shape)
+            if len(allocated) % 2 == 0:
+                raise error("no room")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", failing)
+    with pytest.raises(SizeBudgetError, match=r"2 \* 2\*\*9 bytes per split side"):
+        certify_unique(fam)
+    assert len(allocated) == 2
+    assert main(["certify", str(path)]) == 5
+    assert "2**9 bytes per split side" in capsys.readouterr().err
+    assert len(allocated) == 4
 
 
 def _relabelled(fam, seed):
@@ -536,9 +715,12 @@ def test_one_ulp_apart_columns_form_no_class(monkeypatch):
     assert all(_side_matrix(fam, side)[2] is None for side in ((0,), (1,)))
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     cert = certify_unique(fam)
-    # Every subset is ranked on its own, as without the shared factor; the
-    # unperturbed family shares ranks and needs 201 matrices.
-    assert (len(stack_sizes), sum(stack_sizes)) == (11, 229)
+    # Every subset the bounds leave undecided is ranked on its own, as
+    # without the shared factor: 9 calls on 200 matrices, the full set on
+    # each side and sizes 7 to 4 in stacks of at most 64.  Of the 28 pairs,
+    # the pair floors leave one pair to rank: 1 call on 1 matrix.  The
+    # unperturbed family shares ranks and needs 179 matrices.
+    assert (len(stack_sizes), sum(stack_sizes)) == (10, 201)
     witnesses, examined = _reference_certificate(fam, cert.tol)
     assert cert.witnesses == witnesses
     assert cert.subsets_examined == examined

@@ -442,6 +442,17 @@ def test_choi_writes_ensemble_and_state(capsys, tmp_path):
     assert doc["trace"] == pytest.approx(4.0)
 
 
+def test_choi_state_out_in_a_missing_directory_names_the_target(capsys, tmp_path):
+    channel = tmp_path / "ladder.json"
+    state = tmp_path / "missing" / "state.json"
+    run_json(capsys, "gen", "eq701", "--out", str(channel))
+    code, _, err = run_cli(
+        capsys, "choi", str(channel), "--out", str(tmp_path / "ens.json"), "--state-out", str(state)
+    )
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{state}'\n"
+
+
 def test_choi_rejects_ensemble_input(capsys, tmp_path):
     channel = tmp_path / "ladder.json"
     ensemble = tmp_path / "ens.json"
