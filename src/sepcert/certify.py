@@ -334,10 +334,11 @@ def _pair_floors(
     C = ``tol.cutoff(s + d, rows, N)``.  For a subset T holding the pair S,
     sigma_k(m_T) >= sigma_k(m_S) (adding columns never lowers a singular
     value), and each computed singular value is within d of the exact one
-    (Weyl).  The SVD of m_T finds sigma_max <= s + d, and the relative
-    cutoff does not decrease with the column count, so T's cutoff is at
-    most C: every singular value the pair's robust rank counts lies above
-    C + 2d, hence T's computed one above C, and T's rank counts it as well.
+    (Weyl): no column selection of m is larger or has a larger norm.  The
+    SVD of m_T finds sigma_max <= s + d, and the relative cutoff does not
+    decrease with the column count, so T's cutoff is at most C: every
+    singular value the pair's robust rank counts lies above C + 2d, hence
+    T's computed one above C, and T's rank counts it as well.
     The pair ranks reach every superset in one max pass per member bit.
     """
     r, n = m.shape
@@ -368,9 +369,12 @@ def _decide_block(
     of member i, and ``members`` their (B, m) member indices; all subsets of
     m + 1 members must be decided.  ``sides`` maps each side opened so far
     to its ``_Side``.  A side is opened here (``_open_side`` of ``fam``)
-    when a block first reaches one of its splits, its pair floors are
-    written when a block below the full set first reaches it, and a block
-    gathers a side's start values only when it reaches the side.
+    when a block first reaches one of its splits, and a block gathers a
+    side's start values only when it reaches the side.  No floor exceeds 2,
+    so a side's pair floors are written only when, in a block of three or
+    more members below the full set, the subsets whose start value from the
+    supersets lies below 2 hold at least as many columns as the member
+    pairs do, n (n - 1); until then those subsets are ranked instead.
 
     On each side a subset T starts from max(``max_x known(T | x) - 1``,
     ``floor(T)``): its supersets' bounds fall by one per member removed,
@@ -406,17 +410,23 @@ def _decide_block(
         if side not in sides:
             sides[side] = _open_side(fam, side, n)
         state = sides[side]
-        if size < n and not state.floored:
-            # Floors bound the full set by at most 2, and two members have no
-            # other subset, so the full set is decided without them.
-            _pair_floors(state.m, state.rows, bits, tol, state.floor)
-            state.floored = True
         if side not in val:
             # For x in T, T | x is T itself, still 0 here, so it only adds the
-            # -1 that the floor (>= 0) removes.
-            val[side] = np.maximum(
-                state.known[supersets].max(axis=1).astype(np.int64) - 1, state.floor[masks]
-            )
+            # -1 that the clip at 0 (or the floor) removes.
+            lower = state.known[supersets].max(axis=1).astype(np.int64) - 1
+            # Floors raise only start values below 2, and cost one SVD over
+            # the n (n - 1) columns of the member pairs, so they are built once
+            # the subsets starting below 2 in a block hold as many columns;
+            # fewer are ranked for no more, and pairs rank themselves as
+            # cheaply.  The full set, alone in its block, never qualifies.
+            if (
+                not state.floored
+                and size > 2
+                and np.count_nonzero(lower < 2) * size >= n * (n - 1)
+            ):
+                _pair_floors(state.m, state.rows, bits, tol, state.floor)
+                state.floored = True
+            val[side] = np.maximum(lower, state.floor[masks] if state.floored else 0)
             exact[side] = val[side] >= min(size, len(state.m))
         return len(state.m)
 
@@ -487,18 +497,22 @@ def certify_unique(
     sigma_max and max(rows, k) shrink, the row count stays).  So the rank of
     a superset bounds the rank of each subset one member smaller, and most
     subsets die on their bounds with no SVD.  Those bounds fall by one per
-    size, so each side also keeps pair floors (``_pair_floors``), which
-    bound ranks upward: one SVD call ranks all C(N, 2) member pairs, counting
+    size, so each side also keeps pair floors (``_pair_floors``), lower
+    bounds that run the other way, from each member pair up to every subset
+    holding it: one SVD call ranks all C(N, 2) member pairs, counting
     singular values above C + 2d, where d bounds the SVD's error and C is the
     cutoff of the whole side matrix, which caps the cutoff of every subset.
     Adding columns never lowers a singular value, so a pair's floor bounds
     the rank of every subset holding it, under any policy.  A subset starts
     from the larger of the two bounds, and a start value of min(n,
     compressed rows) is already exact.  A survivor is ranked exactly on
-    every side.  A side is built, its floors computed and its bounds
-    gathered only when the pass first reaches one of its splits; a bound
-    never written stays 0, still sound.  Each side's bounds and floors take
-    2 * 2**N bytes.
+    every side.  A side is built and its bounds gathered only when the pass
+    reaches one of its splits; a bound never written stays 0, still sound.
+    Its floors are computed only once the subsets of a block (of three or
+    more members) whose bounds from the supersets lie below 2, the most a
+    floor gives, hold at least the N (N - 1) columns of the member pairs;
+    fewer such subsets are ranked for no more.  Each side's bounds and
+    floors take 2 * 2**N bytes.
 
     The subsets of one size are the bitmasks below 2**N with that many set
     bits, read off a uint8 popcount table; with member i as bit N-1-i they

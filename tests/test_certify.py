@@ -386,22 +386,15 @@ def _counting_stacked_ranks(monkeypatch):
 def test_pairs_rank_each_side_once_per_subset(monkeypatch):
     # Four parties: each single-party side belongs to three of the six pair
     # splits.  Of the four subsets of three members, (1, 2) and (0, 1, 2)
-    # survive every split.  The full set is ranked once on each of the four
-    # sides: 4 calls.  Then each side ranks its three member pairs for its
-    # pair floors in one more SVD, outside the rank oracle: 4 SVDs.  Members
-    # 1 and 2 are the twin M, so the pairs (0, 1) and (0, 2) have floor 2,
-    # the most two columns can reach, which is exact: they die on their
-    # floors.  The twins' floor is 1, so (1, 2) is ranked once per side:
-    # 4 calls on one matrix each.  That is 8 oracle calls on 8 matrices and
-    # 12 SVDs (the full set is rank deficient, so no stack is screened);
-    # without pair floors it took 8 calls on 10 matrices, and 24 calls on
-    # 28 with one call per split side.
+    # survive every split.  Members 1 and 2 are the twin M, so the pairs
+    # (0, 1) and (0, 2) select the same columns {S, M} on every side and
+    # share one rank: ranking a side once per column multiset takes 8
+    # stacked SVD calls on 10 matrices (12 when every subset was ranked on
+    # its own, and 24 calls on 28 with one call per split side).
     fam, _ = gen_tight_family(1, n_parties=4)
     stack_sizes = _counting_stacked_ranks(monkeypatch)
-    counts = _counting_linalg(monkeypatch)
     cert = certify_unique(fam, strategy=STRATEGY_PAIRS)
-    assert (len(stack_sizes), sum(stack_sizes)) == (8, 8)
-    assert (counts["svd"], counts["cholesky"]) == (12, 0)
+    assert (len(stack_sizes), sum(stack_sizes)) == (8, 10)
     pairs = [((a,), (b,)) for a, b in party_pairs(fam.n_parties)]
     witnesses, examined = _reference_certificate(fam, cert.tol, splits=pairs)
     assert [w.members for w in witnesses] == [(1, 2), (0, 1, 2)]
@@ -450,17 +443,20 @@ def _counting_linalg(monkeypatch):
 def test_full_rank_screen_replaces_the_svds(monkeypatch):
     # Both sides of the one split have 9 rows and generic columns, so the
     # full set (ranked first, by SVD) is full rank on each, and every later
-    # stack tries the screen first.  The SVD runs 4 times: the full set on
-    # each side, and each side's 78 member pairs for its pair floors, one
-    # call per side outside the rank oracle.  The other 12 oracle calls are
-    # all screened, and each screen proves full rank.
+    # stack tries the screen first.  Side (0,) then ranks the 715 subsets of
+    # nine members in 12 screened stacks, each proven full rank, so every
+    # smaller subset starts at min(size, 9) there, which is exact.  Side
+    # (1,) is never ranked again: its bounds fall by one per size and reach
+    # 1 at five members, where it builds its pair floors with one SVD of
+    # its 78 member pairs, outside the rank oracle.  So the SVD runs 3
+    # times: the two full sets and those pairs.
     fam = random_product_family(np.random.default_rng(1), (3, 3), 13)
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     counts = _counting_linalg(monkeypatch)
     cert = certify_unique(fam)
     assert cert.status == "Unique"
-    assert len(stack_sizes) == 14
-    assert (counts["cholesky"], counts["failed"], counts["svd"]) == (12, 0, 4)
+    assert (len(stack_sizes), sum(stack_sizes)) == (14, 717)
+    assert (counts["cholesky"], counts["failed"], counts["svd"]) == (12, 0, 3)
 
 
 def test_deficient_sides_skip_the_screen(monkeypatch):
@@ -494,10 +490,13 @@ def _recording_side_builds(monkeypatch):
 def test_pair_floors_leave_only_the_full_sets_to_rank(monkeypatch):
     # Fourier (2,2,2) has 11 members.  The first split ({0}, {1, 2}) has a
     # 4-row side and an 88-row side compressed to 11 rows; the full set is
-    # ranked on both (4 + 11 > 12).  Below it, the 11-row side's bound stays
-    # min(size, 11), which is exact, and the 4-row side's pair floor of 2
-    # keeps every sum above size + 1, so no other subset is ranked, and the
-    # other two splits are never reached: their sides are never built.
+    # ranked on both, with ranks 2 and 11 (2 + 11 > 12).  Below it, the
+    # 11-row side's bound stays min(size, 11), which is exact.  The 4-row
+    # side's bound reaches 1 at ten members, where the 11 subsets hold 110
+    # columns, as many as the 55 member pairs: there it builds its pair
+    # floors, and their 2 keeps every sum above size + 1.  So no other
+    # subset is ranked, and the other two splits are never reached: their
+    # sides are never built.
     fam = gen_fourier_channel((2, 2, 2))
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     built = _recording_side_builds(monkeypatch)
@@ -716,11 +715,12 @@ def test_one_ulp_apart_columns_form_no_class(monkeypatch):
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     cert = certify_unique(fam)
     # Every subset the bounds leave undecided is ranked on its own, as
-    # without the shared factor: 9 calls on 200 matrices, the full set on
-    # each side and sizes 7 to 4 in stacks of at most 64.  Of the 28 pairs,
-    # the pair floors leave one pair to rank: 1 call on 1 matrix.  The
-    # unperturbed family shares ranks and needs 179 matrices.
-    assert (len(stack_sizes), sum(stack_sizes)) == (10, 201)
+    # without the shared factor: the full set on each side, sizes 7 to 4 in
+    # stacks of at most 64, and the 28 pairs on one side.  The other side's
+    # pair ranks start at 2, the most two columns reach, which is exact, so
+    # no pair is ranked twice.  The unperturbed family shares ranks and
+    # needs 200 matrices.
+    assert (len(stack_sizes), sum(stack_sizes)) == (10, 228)
     witnesses, examined = _reference_certificate(fam, cert.tol)
     assert cert.witnesses == witnesses
     assert cert.subsets_examined == examined
