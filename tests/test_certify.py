@@ -46,6 +46,7 @@ from sepcert.certify import (
 )
 from sepcert.cli import main
 from sepcert.linalg import ABSOLUTE_FLOOR, stacked_ranks, svd_error_scale
+from sepcert.sampling import complex_randn
 from sepcert.serialize import save_family
 from test_acceptance import _zoo
 
@@ -210,7 +211,7 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
     factors = tuple(
         f + noise * rng.standard_normal(f.shape)
         if party in (None, p)
-        else random_product_family(rng, (f.shape[0],), 1).members[0].factors[0]
+        else complex_randn(rng, *f.shape)
         for p, f in enumerate(twin.factors)
     )
     return OperatorFamily(
@@ -541,7 +542,7 @@ def _planted_pair(t):
 
 
 def _pair_floor_margin(fam, tol):
-    """C + 2d of ``_pair_floors`` on party 0's side matrix of ``fam``."""
+    """C + 2d and C of ``_pair_floors`` on party 0's side matrix of ``fam``."""
     m, rows, _ = _side_matrix(fam, (0,))
     r, n = m.shape
     kappa = svd_error_scale(max(r, n), min(r, n))
