@@ -528,14 +528,14 @@ def test_later_splits_are_built_when_the_pass_reaches_them(monkeypatch):
 
 
 def _planted_pair(t):
-    """Random (2,2) family of six members whose first two have party-0
+    """Random (2,2,2) family of nine members whose first two have party-0
     factors with orthogonal vectorizations of norms 1 and ``t``, so their
     two-column side matrix has singular values 1 and t exactly."""
-    fam = random_product_family(np.random.default_rng(9), (2, 2), 6)
+    fam = random_product_family(np.random.default_rng(9), (2, 2, 2), 9)
     first = np.array([[1, 0], [0, 0]], dtype=complex)
     second = np.array([[0, 0], [t, 0]], dtype=complex)
     members = tuple(
-        ProductOperator(m.weight, (f, m.factors[1]))
+        ProductOperator(m.weight, (f, *m.factors[1:]))
         for m, f in zip(fam.members[:2], (first, second))
     )
     return OperatorFamily(fam.spec, members + fam.members[2:])
@@ -556,11 +556,22 @@ def _pair_floor_margin(fam, tol):
     [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-10)],
     ids=["default", "rel1e-10"],
 )
-def test_pair_floor_margin(tol):
+def test_pair_floor_margin(monkeypatch, tol):
     # t does not change ||m||_F in double precision, so the margin computed
-    # at a negligible t holds for every planted t.
+    # at a negligible t holds for every planted t.  The pass builds party
+    # 0's floors at six members, where its bounds from the supersets have
+    # fallen to 1, so they decide every smaller subset there, the planted
+    # pair among them.
     margin, cap = _pair_floor_margin(_planted_pair(1e-20), tol)
-    pair = int(_member_bits(6)[[0, 1]].sum())
+    pair = int(_member_bits(9)[[0, 1]].sum())
+    floored = []
+    pair_floors = sepcert.certify._pair_floors
+
+    def recording(m, rows, bits, tol, floor):
+        floored.append(len(m))
+        return pair_floors(m, rows, bits, tol, floor)
+
+    monkeypatch.setattr(sepcert.certify, "_pair_floors", recording)
     planted = [(margin * (1 + 1e-6), 2), (margin * (1 - 1e-6), 1)]
     planted += [(cap * 10.0**j, None) for j in range(-3, 3)]
     references = set()
@@ -568,15 +579,17 @@ def test_pair_floor_margin(tol):
         fam = _planted_pair(t)
         assert _pair_floor_margin(fam, tol) == (margin, cap)
         m, rows, _ = _side_matrix(fam, (0,))
-        floor = np.zeros(1 << 6, dtype=np.int8)
-        _pair_floors(m, rows, _member_bits(6), tol, floor)
+        floor = np.zeros(1 << 9, dtype=np.int8)
+        _pair_floors(m, rows, _member_bits(9), tol, floor)
         reference = _reference_rank(fam.side_matrix((0,))[:, :2], tol)
         references.add(reference)
         assert floor[pair] <= reference
         if expected is not None:
             assert floor[pair] == expected
         witnesses, examined = _reference_certificate(fam, tol)
+        floored.clear()
         cert = certify_unique(fam, tol=tol)
+        assert floored == [4]
         assert cert.witnesses == witnesses
         assert cert.subsets_examined == examined
     # The sweep crosses the pair's own cutoff, which lies below C.
