@@ -10,12 +10,13 @@ span inequality with random and planted instances.
 
 Before it searches, ``hunt_product`` bounds its objective from below over
 the whole feasible set by the smallest singular value of the subset's
-second-compound matrix (``_residual_floor``).  A bound at or above the
-threshold proves that no combination with every coefficient nonzero is a
-product, and the hunt returns with ``restarts_used`` 0.  The bound is
-one-sided: below the threshold it proves nothing, and a search that then
-finds nothing is evidence, not proof, since the objective is nonconvex and
-the search is restarted, not certified.
+second-compound matrix (``_screens``, a shifted-Cholesky proof).  A bound
+at or above the threshold proves that no combination with every
+coefficient nonzero is a product, and the hunt returns with
+``restarts_used`` 0.  The proof is one-sided: when it fails it proves
+nothing, and a search that then finds nothing is evidence, not proof,
+since the objective is nonconvex and the search is restarted, not
+certified.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ from .families import (
 )
 from .linalg import (
     MAX_MATRIX_ELEMENTS,
+    _compound_gram,
+    _proves_gram_floor,
     as_matrix,
     frobenius,
     proportional,
     realign_bipartite,
+    svd_error_scale,
     unvectorize,
     vectorized_columns,
 )
@@ -236,32 +240,9 @@ class SearchResult:
         return out
 
 
-def _compound_gram(stacks) -> np.ndarray:
-    """Gram matrix W^H W of the second-compound matrix W of a member subset.
-
-    W stacks one block per cut; column (j, k) of a block, pairs j < k in
-    ``np.triu_indices`` order, is (a_j ^ a_k) (x) (b_j ^ b_k) for the side
-    columns a, b of ``stacks``.  By Cauchy-Binet C_2((B * c) @ A^T) is then
-    W_cut p(c) with p(c) = (c_j c_k)_{j<k}, so W p(c) = 0 exactly when the
-    combination c is a product (or vanishes).  Each wedge inner product
-    <a_j ^ a_k, a_l ^ a_m> is the 2x2 minor G[j,l] G[k,m] - G[j,m] G[k,l]
-    of the side Gram G = A^H A, so no wedge column is formed.
-    """
-    j, k = np.triu_indices(stacks[0][0].shape[1], 1)
-    gram = 0.0
-    for a_mat, b_mat in stacks:
-        block = 1.0
-        for side in (a_mat, b_mat):
-            g = side.conj().T @ side
-            block = block * (
-                g[np.ix_(j, j)] * g[np.ix_(k, k)] - g[np.ix_(j, k)] * g[np.ix_(k, j)]
-            )
-        gram = gram + block
-    return gram
-
-
-def _residual_floor(stacks, full: np.ndarray) -> float:
-    """A certified lower bound of the hunt objective over its feasible set.
+def _screens(stacks, full: np.ndarray, threshold: float) -> bool:
+    """True when the subset's second-compound matrix W proves that the hunt
+    objective reaches ``threshold`` on all of its feasible set.
 
     Let c be unit with every |c_j| >= f, P the number of cuts, R(c) the
     realignment across a cut, r the largest rank R can have and m = C(r, 2).
@@ -275,31 +256,30 @@ def _residual_floor(stacks, full: np.ndarray) -> float:
     with p_min = sqrt(x (2 - x - f^2) / 2), x = (n - 1) f^2, the least
     |p(c)| on the feasible set.  ``_project`` clamps magnitudes to
     COEFFICIENT_FLOOR and then renormalizes, so f = COEFFICIENT_FLOOR / 2.
-    The bound is one-sided: 0.0 claims nothing, and it is 0.0 when W is
-    rank deficient, for one party or one member, and when the C(n, 2)-square
-    Gram would exceed MAX_MATRIX_ELEMENTS.
+    ``_proves_gram_floor`` proves that the bound exceeds threshold + kappa
+    (kappa = ``svd_error_scale`` of (rows, pairs) tops a computed residual's
+    O(rows^2 eps) rounding), given the Gram's rounding kappa P |full|_F^4
+    (``_compound_gram``) and sigma_max(full) raised by its SVD's error.
+    False claims nothing: W deficient, one party, past MAX_MATRIX_ELEMENTS.
     """
     n = full.shape[1]
     pairs = n * (n - 1) // 2
     if not stacks or not 0 < pairs * pairs <= MAX_MATRIX_ELEMENTS:
-        return 0.0
-    gram = _compound_gram(stacks)
-    # Rounding moves the Gram's entries by O(eps * rows) and its SVD by
-    # O(eps * pairs), times products |M_j| |M_k| |M_l| |M_m| that sum to at
-    # most P |full|_F^4; a residual's own SVD moves it by O(eps).
-    rows = max(max(len(a_mat), len(b_mat)) for a_mat, b_mat in stacks)
-    slack = 16 * np.finfo(np.float64).eps * (rows + pairs)
-    smallest = np.linalg.svd(gram, compute_uv=False)[-1]
-    smallest -= slack * len(stacks) * frobenius(full) ** 4
-    if smallest <= 0:
-        return 0.0
+        return False
     f = COEFFICIENT_FLOOR / 2
     x = (n - 1) * f * f
     p_min = np.sqrt(x * (2 - x - f * f) / 2)
+    rows = max(max(len(a_mat), len(b_mat)) for a_mat, b_mat in stacks)
     r = max(min(len(a_mat), len(b_mat), n) for a_mat, b_mat in stacks)
+    kappa = svd_error_scale(max(rows, pairs), min(rows, pairs))
+    kappa_full = svd_error_scale(max(full.shape), min(full.shape))
+    norm = frobenius(full)
     sigma_max = np.linalg.svd(full, compute_uv=False)[0]
+    sigma_max += kappa_full * norm * (1 + kappa_full)
     scale = np.sqrt(len(stacks) * r * (r - 1) / 2) * sigma_max**2
-    return float(np.sqrt(smallest) * p_min / scale - slack)
+    needed = (threshold + kappa) * scale / p_min
+    err = kappa * len(stacks) * norm**4
+    return _proves_gram_floor(_compound_gram(stacks), needed**2, err)
 
 
 def _project(c: np.ndarray) -> np.ndarray:
@@ -405,14 +385,13 @@ def hunt_product(
     combination realigned across each cut {p} | rest.  ``threshold`` must
     lie strictly between 0 and 1, the range of the residual.
 
-    The hunt first computes a certified lower bound of that objective over
-    the whole feasible set from the second-compound matrix of the subset
-    (``_residual_floor``).  When the bound reaches ``threshold`` no
-    combination with every coefficient nonzero is a product: the hunt
-    returns at once, not found, with ``restarts_used`` 0, restart 0's
-    projected start as ``coefficients`` and its objective as ``residual``.
-    The bound is one-sided: below ``threshold`` it proves nothing, and the
-    search runs.  ``found``, ``novel`` and the residual's side of
+    The hunt first tries to prove that a lower bound of that objective
+    over the whole feasible set reaches ``threshold``, rounding included
+    (``_screens``).  Then no combination with every coefficient nonzero is
+    a product: the hunt returns at once, not found, with ``restarts_used``
+    0, restart 0's projected start as ``coefficients`` and its objective as
+    ``residual``.  The proof is one-sided: when it fails it proves nothing,
+    and the search runs.  ``found``, ``novel`` and the residual's side of
     ``threshold`` are thus what the search would have given.
 
     The search alternates between projecting the current combination to
@@ -457,24 +436,15 @@ def hunt_product(
         if np.linalg.norm(init) <= _ZERO_CUTOFF:
             raise ParameterError("initial_coefficients must not be the zero vector")
 
-    if _residual_floor(stacks, full) >= threshold:
+    screened = _screens(stacks, full, threshold)
+    if screened:
         c = _project(_start(ns, seed, 0, init)[None])
-        return SearchResult(
-            found=False,
-            coefficients=c[0],
-            residual=float(_worst_ratio(stacks, c)[0]),
-            candidate=None,
-            novel=False,
-            restarts_used=0,
-            seed=seed,
-            subset=subset,
-            threshold=threshold,
+        best_obj, best_c = float(_worst_ratio(stacks, c)[0]), c[0]
+    else:
+        best_obj, best_c = _search(
+            fam.spec, full, stacks,
+            restarts=restarts, max_iters=max_iters, seed=seed, init=init,
         )
-
-    best_obj, best_c = _search(
-        fam.spec, full, stacks,
-        restarts=restarts, max_iters=max_iters, seed=seed, init=init,
-    )
     found = best_obj < threshold
     candidate = None
     novel = False
@@ -507,7 +477,7 @@ def hunt_product(
         residual=best_obj,
         candidate=candidate,
         novel=novel,
-        restarts_used=restarts,
+        restarts_used=0 if screened else restarts,
         seed=seed,
         subset=subset,
         threshold=threshold,

@@ -4,12 +4,10 @@ Schmidt rank, span dimension, and proportionality testing.
 
 Numerical rank is decided in one place, ``stacked_ranks``: the count of
 singular values above the cutoff of a ``TolerancePolicy``.  On request it
-first tries to prove full rank with a shifted Gram-Cholesky factorization,
-a fraction of an SVD's cost.  The shift is the cutoff plus bounds on the
-rounding errors of the Gram product, the factorization and the SVD, so a
-success means the SVD would count every singular value too; the SVD
-decides everything the screen does not, and the verdict is the same either
-way (the bound is written out in ``_proves_full_rank``).
+first tries to prove full rank with a shifted Gram-Cholesky factorization
+(``_proves_full_rank``), a fraction of an SVD's cost, with the same
+verdict; the hunter's compound screen rests on the same proof,
+``_proves_gram_floor``.
 
 Conventions used throughout the package:
 
@@ -155,43 +153,49 @@ def svd_error_scale(n: int, p: int) -> float:
     return (n + p + 6) ** 2 * _EPS
 
 
+def _proves_gram_floor(gram: np.ndarray, floor, err) -> bool:
+    """True only when a Cholesky factorization of ``G - (floor + err) I``
+    succeeds for each Hermitian p x p matrix G of the (..., p, p) stack
+    ``gram``, whose diagonals it overwrites.  Success proves lambda_min >
+    floor >= 0 for the exact matrix that G approximates, when err bounds
+    ||G - exact|| plus (p + 4) eps trace G (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 3.6 and ch. 10): subtracting
+    tau = floor + err rounds each diagonal entry by at most
+    u (G_ii + tau) <= eps trace G, u = eps / 2, as a larger tau fails a
+    pivot; and a Cholesky factorization that completes on A is exact for
+    A + E with ||E|| <= gamma_{p+1} trace A / (1 - gamma_{p+1})^2 (Thm 10.5;
+    complex arithmetic adds a small constant factor).  So G - tau I, moved
+    by less than err, is positive definite, and by Weyl lambda_min >
+    tau - err.  A non-finite G or shift returns False, as OpenBLAS factors
+    NaNs without failing; one failing matrix fails the whole stack.
+    """
+    shift = np.asarray(floor + err)
+    with np.errstate(all="ignore"):
+        np.einsum("...ii->...i", gram)[...] -= shift[..., None]
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        # A NaN or infinity in G or the shift reaches the factor's diagonal.
+        return bool(np.isfinite(factor.diagonal(0, -2, -1)).all())
+
+
 def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> bool:
     """True when a shifted Gram-Cholesky factorization proves that the SVD
-    rank of every matrix in the (B, r, k) stack is p = min(r, k).
+    rank of every matrix M in the (B, r, k) stack is p = min(r, k).
 
-    Each matrix M gives its p x p Gram matrix G (``M^H M`` when k <= r, else
-    ``M M^H``), f = trace G >= sigma_max^2, and the shift
-    ``tau = (c + d)^2 + e``.  One batched Cholesky factorization of
-    ``G - tau I`` then succeeds only if sigma_min(M) > c + d, where
-    c = ``tol.cutoff(s + d, rows, k)``.  With n = max(r, k), u = eps / 2
-    and kappa = (n + p + 6)^2 eps, s = sqrt(f) (1 + kappa), d = kappa s and
-    e = kappa s^2.  The bound holds by the standard backward-error analysis
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    section 3.6 and ch. 10), with F = ||M||_F^2:
-
-    * the computed G, as LAPACK reads it (one triangle, real diagonal),
-      is off by at most sqrt(2) gamma_{n+2} F in norm (complex inner
-      products), and f is off from F by about as much, so s >= sqrt(F)
-      >= sigma_max;
-    * subtracting tau rounds each diagonal entry by at most u (f + tau)
-      <= 2 u s^2; a larger tau makes every pivot negative, and the
-      factorization fails;
-    * a Cholesky factorization that runs to completion on A is exact for
-      A + E with ||E|| <= gamma_{p+1} ||R||_F^2 / (1 - gamma_{p+1}), and
-      ||R||_F^2 is trace A <= s^2 up to the same factor (Higham Thm 10.5;
-      complex arithmetic adds a small constant factor);
-    * LAPACK's SVD is backward stable: its singular values are those of
-      M + E' with ||E'|| of order p n u sigma_max, at most d.
-
-    Their sum is at most (n + p + 6) eps s^2, which e exceeds at least
-    eightfold, so success gives sigma_min(M)^2 > tau - e = (c + d)^2.  The
-    SVD's sigma_max is at most sigma_max + d <= s + d, so its cutoff is at
-    most c, and by Weyl its sigma_min exceeds sigma_min - d > c: it counts
-    all p singular values as well.
-
-    False sends the stack to the SVD: an empty stack, p == 0, a
-    non-finite f (Gram overflow) or a failed factorization.  LAPACK fails
-    the whole stack when any one matrix fails.
+    Its p x p Gram G (``M^H M`` when k <= r, else ``M M^H``) is off by at
+    most sqrt(2) gamma_{n+2} ||M||_F^2, n = max(r, k) (Higham section 3.6),
+    and f = trace G by about as much.  With kappa = ``svd_error_scale(n,
+    p)`` and s = sqrt(f) (1 + kappa) >= sigma_max, that and the
+    factorization's (p + 4) eps f sum to at most (n + p + 6) eps s^2, an
+    eighth of err = kappa s^2 at most, so ``_proves_gram_floor`` proves
+    sigma_min > c + d for d = kappa s and c = ``tol.cutoff(s + d, rows, k)``.
+    LAPACK's SVD is backward stable, with an error of order p n u sigma_max,
+    at most d: its sigma_max is at most s + d, so its cutoff is at most c,
+    and by Weyl its sigma_min exceeds c, so it counts all p singular values
+    as well.  False sends the stack to the SVD: an empty stack, p == 0, a
+    non-finite f (Gram overflow) or a failed factorization.
     """
     count, r, k = stack.shape
     p, n = min(r, k), max(r, k)
@@ -200,20 +204,48 @@ def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> boo
     h = stack.conj().swapaxes(1, 2)
     with np.errstate(all="ignore"):
         gram = h @ stack if k <= r else stack @ h
-        diag = gram.reshape(count, p * p)[:, :: p + 1]
-        f = diag.real.sum(axis=1)
-        if not np.isfinite(f).all():
-            return False
+        f = gram.reshape(count, p * p)[:, :: p + 1].real.sum(axis=1)
         kappa = svd_error_scale(n, p)
         s = np.sqrt(f) * (1 + kappa)
         d = kappa * s
-        tau = (tol.cutoff(s + d, rows, k) + d) ** 2 + kappa * s * s
-        diag -= tau[:, None]
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return False
-    return True
+        floor = (tol.cutoff(s + d, rows, k) + d) ** 2
+    return _proves_gram_floor(gram, floor, kappa * s * s)
+
+
+def _compound_gram(stacks) -> np.ndarray:
+    """Gram matrix W^H W of the second-compound matrix W of a member subset.
+
+    W stacks one block per cut; column (j, k) of a block, pairs j < k in
+    ``np.triu_indices`` order, is (a_j ^ a_k) (x) (b_j ^ b_k) for the side
+    columns a, b of ``stacks``.  By Cauchy-Binet C_2((B * c) @ A^T) is then
+    W_cut p(c) with p(c) = (c_j c_k)_{j<k}, so W p(c) = 0 exactly when the
+    combination c is a product (or vanishes).  Each wedge inner product
+    <a_j ^ a_k, a_l ^ a_m> is the 2x2 minor G[j,l] G[k,m] - G[j,m] G[k,l]
+    of the side Gram G = A^H A, so no wedge column is formed.
+
+    Rounding, for ``_proves_gram_floor``: with sides of at most ``rows``
+    rows, P cuts, m_j = |a_j| |b_j| = |F_j| (F the vectorized members) and
+    delta = sqrt(2) gamma_{rows+2} (Higham section 3.6), side-Gram entries
+    are off by at most delta |a_j| |a_l|, minors (each at most
+    |a_j| |a_k| |a_l| |a_m|) by 6 delta times that, and Gram entries by
+    14 delta P m_j m_k m_l m_m.  As sum_{j<k} m_j^2 m_k^2 <= |F|_F^4 / 2, the
+    Gram is off by less than 5 (rows + 2) eps P |F|_F^4.  With the
+    factorization's (pairs + 4) eps trace, pairs = C(n, 2), and a trace of
+    about P |F|_F^4 / 2 at most, that stays below 5 (rows + pairs + 6) eps
+    P |F|_F^4, which kappa P |F|_F^4 covers, kappa = ``svd_error_scale`` of
+    (rows, pairs).
+    """
+    j, k = np.triu_indices(stacks[0][0].shape[1], 1)
+    gram = 0.0
+    for a_mat, b_mat in stacks:
+        block = 1.0
+        for side in (a_mat, b_mat):
+            g = side.conj().T @ side
+            block = block * (
+                g[np.ix_(j, j)] * g[np.ix_(k, k)] - g[np.ix_(j, k)] * g[np.ix_(k, j)]
+            )
+        gram = gram + block
+    return gram
 
 
 def stacked_ranks(

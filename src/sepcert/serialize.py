@@ -18,6 +18,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import secrets
@@ -204,22 +205,20 @@ def dump_json(path, payload: dict) -> None:
     path = Path(path)
     text = json.dumps(payload, indent=2) + "\n"
     tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
+    # Errors name the file the caller asked for, not the temp file.
     try:
         # O_EXCL refuses an existing name or symlink; the kernel applies the umask.
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        # Name the file the caller asked for, not the temp file.
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def save_family(path, fam: OperatorFamily, metadata: dict | None = None) -> None:

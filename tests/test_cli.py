@@ -453,6 +453,21 @@ def test_choi_state_out_in_a_missing_directory_names_the_target(capsys, tmp_path
     assert err == f"error: [Errno 2] No such file or directory: '{state}'\n"
 
 
+def test_choi_state_out_onto_a_directory_names_the_target(capsys, tmp_path):
+    channel = tmp_path / "ladder.json"
+    state = tmp_path / "state.json"
+    state.mkdir()
+    run_json(capsys, "gen", "eq701", "--out", str(channel))
+    code, _, err = run_cli(
+        capsys, "choi", str(channel), "--out", str(tmp_path / "ens.json"), "--state-out", str(state)
+    )
+    assert code == 2
+    assert err == f"error: [Errno 21] Is a directory: '{state}'\n"
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.json", "ladder.json", "state.json"]
+    assert not any(state.iterdir())
+
+
 def test_choi_rejects_ensemble_input(capsys, tmp_path):
     channel = tmp_path / "ladder.json"
     ensemble = tmp_path / "ens.json"

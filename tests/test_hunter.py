@@ -42,15 +42,14 @@ from sepcert import (
 from sepcert.hunter import (
     COEFFICIENT_FLOOR,
     RESTART_BLOCK,
-    _compound_gram,
     _product_cuts,
     _project,
-    _residual_floor,
+    _screens,
     _search,
     _split_stacks,
     _worst_ratio,
 )
-from sepcert.linalg import vectorized_columns
+from sepcert.linalg import _compound_gram, _proves_gram_floor, vectorized_columns
 from sepcert.sampling import complex_randn, random_nonzero_coefficients
 from sepcert.serialize import matrix_from_json
 
@@ -333,7 +332,7 @@ def test_stacked_restarts_match_the_serial_loop(make, kwargs, screened):
     threshold = kwargs.get("threshold", 1e-8)
     full = vectorized_columns(fam.members[i].assemble() for i in subset)
     stacks = _split_stacks(fam, subset)
-    assert (_residual_floor(stacks, full) >= threshold) is screened
+    assert _screens(stacks, full, threshold) is screened
     if screened:
         # hunt_product returns before its search here, so the search itself
         # is compared with the serial loop.
@@ -463,6 +462,35 @@ def test_compound_gram_gives_the_realignment_compound_norm():
         assert np.vdot(p, gram @ p).real == pytest.approx(expected, rel=1e-10)
 
 
+def test_screen_error_bounds_the_compound_gram_rounding(monkeypatch):
+    # The err that _screens passes covers the Gram's rounding, measured
+    # against the same Gram built in extended precision, plus the
+    # factorization's (pairs + 4) eps trace; members scaled by 10^-3 and
+    # 10^3 move |full|_F^4 by 24 orders.
+    calls = []
+    prove = _proves_gram_floor
+
+    def spy(gram, floor, err):
+        calls.append((gram.copy(), err))
+        return prove(gram, floor, err)
+
+    monkeypatch.setattr("sepcert.hunter._proves_gram_floor", spy)
+    rng = np.random.default_rng(8)
+    for fam in [gen_fourier_channel((2, 2, 2)), gen_ladder_channel(0.5),
+                random_product_family(rng, (2, 3), 7), random_product_family(rng, (2, 2, 2), 6)]:
+        for scale in (1e-3, 1.0, 1e3):
+            scaled = OperatorFamily(fam.spec, tuple(m.scaled(scale) for m in fam.members))
+            full, stacks = _hunt_inputs(scaled)
+            _screens(stacks, full, 1e-8)
+            gram, err = calls.pop()
+            wide = _compound_gram([(a.astype(np.clongdouble), b.astype(np.clongdouble))
+                                   for a, b in stacks])
+            rounding = np.linalg.norm((gram - wide).astype(complex), 2)
+            eps = np.finfo(float).eps
+            assert rounding > 0
+            assert err >= rounding + (len(gram) + 4) * eps * np.trace(gram).real
+
+
 def _bound_cases():
     cases = {name: (fam, None) for name, fam in UNIQUE_CATALOG.items()}
     for dims, n in [((2, 2), 7), ((2, 2), 8), ((2, 3), 14)]:
@@ -484,9 +512,7 @@ BOUND_CASES = _bound_cases()
 def test_residual_floor_is_a_lower_bound(name):
     fam, subset = BOUND_CASES[name]
     full, stacks = _hunt_inputs(fam, subset)
-    floor = _residual_floor(stacks, full)
     obj, _ = _search(fam.spec, full, stacks, restarts=8, max_iters=500, seed=0, init=None)
-    assert floor <= obj
     # Corners of the feasible set, where |p(c)| is least: one coefficient
     # large and every other one clamped to the floor by the projection.
     n = full.shape[1]
@@ -495,13 +521,16 @@ def test_residual_floor_is_a_lower_bound(name):
     corners[np.arange(4 * n), np.arange(4 * n) % n] = np.exp(2j * np.pi * rng.random(4 * n))
     corners = np.vstack([_project(corners), _project(complex_randn(rng, 32, n))])
     assert np.abs(corners).min() >= COEFFICIENT_FLOOR / 2
-    assert floor <= _worst_ratio(stacks, corners).min()
-    # The catalog and the random families hold no product: the bound says so
-    # where certify_unique is Inconclusive for (2,2)/N7, N8 and (2,3)/N14.
-    if not name.startswith(("planted", "projective")):
-        assert floor > 0
+    # No threshold above an objective that the search or a corner reaches
+    # is ever proven.
+    reached = min(obj, _worst_ratio(stacks, corners).min())
+    assert not _screens(stacks, full, np.nextafter(reached, 1))
+    # The catalog and the random families hold no product: the screen says
+    # so where certify_unique is Inconclusive for (2,2)/N7, N8 and (2,3)/N14.
     if name in UNIQUE_CATALOG:
-        assert floor >= 1e-8
+        assert _screens(stacks, full, 1e-8)
+    elif name.startswith("random"):
+        assert _screens(stacks, full, 1e-9)
 
 
 def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
@@ -519,6 +548,21 @@ def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
             if shares:
                 assert (result.subset, result.residual) == (subset, obj)
                 assert np.array_equal(result.coefficients, c)
+
+
+def test_overflowing_side_grams_are_not_screened():
+    # Party factors scaled by 1e160 and 1e-160 keep every member's norm but
+    # overflow the side Grams; a non-finite compound Gram proves nothing.
+    proj = gen_projective_basis(2, 2)
+    fam = OperatorFamily(proj.spec, tuple(
+        ProductOperator(m.weight, (1e160 * m.factors[0], 1e-160 * m.factors[1]))
+        for m in proj.members
+    ))
+    full, stacks = _hunt_inputs(fam, (0, 1))
+    with np.errstate(all="ignore"):
+        assert not _screens(stacks, full, 1e-8)
+        result = hunt_product(fam, (0, 1), restarts=4, seed=0)
+    assert result.found and result.novel
 
 
 def _deficient_cases():
@@ -541,7 +585,7 @@ DEFICIENT_CASES = _deficient_cases()
 def test_screen_never_fires_on_deficient_subsets(name):
     fam, subset, threshold = DEFICIENT_CASES[name]
     full, stacks = _hunt_inputs(fam, subset)
-    assert _residual_floor(stacks, full) < threshold
+    assert not _screens(stacks, full, threshold)
     result = hunt_product(fam, subset, restarts=8, seed=0, threshold=threshold)
     assert result.restarts_used == 8
     subset_ref, obj, c = reference_hunt(

@@ -9,10 +9,13 @@ from sepcert import (
     DEFAULT_TOLERANCE,
     DegenerateInputError,
     NumericError,
+    OperatorFamily,
+    ProductOperator,
     ShapeError,
     SizeBudgetError,
     TolerancePolicy,
     frobenius,
+    gen_projective_basis,
     kron,
     numerical_rank,
     proportional,
@@ -22,7 +25,17 @@ from sepcert import (
     unvectorize,
     vectorize,
 )
-from sepcert.linalg import ABSOLUTE_FLOOR, _proves_full_rank, as_matrix, stacked_ranks
+from sepcert.hunter import _split_stacks
+from sepcert.linalg import (
+    ABSOLUTE_FLOOR,
+    _compound_gram,
+    _proves_full_rank,
+    _proves_gram_floor,
+    as_matrix,
+    stacked_ranks,
+    svd_error_scale,
+    vectorized_columns,
+)
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -304,3 +317,56 @@ def test_screen_proves_full_rank_only_where_the_svd_finds_it(seed, r, k, log_sig
     rng = np.random.default_rng(seed)
     stack = np.stack([_planted(rng, r, k, 10.0**log_sigma) for _ in range(3)])
     _check_screen(stack, r + int(rng.integers(0, 4)), POLICIES[policy])
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 8),
+    st.floats(-9.0, -0.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_gram_floor_is_proven_only_above_it(seed, p, log_floor):
+    # Q diag(lam) Q^H with lam_min just below the floor is never proven,
+    # with lam_min at twice the floor always.
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(crand(rng, p, p))[0]
+    floor = 10.0**log_floor
+    for lam_min, proven in [(floor * (1 - 10.0**-k), False) for k in range(1, 9)] + [
+        (2 * floor, True)
+    ]:
+        lam = lam_min + np.r_[0.0, rng.random(p - 1)]
+        gram = (q * lam) @ q.conj().T
+        err = svd_error_scale(p, p) * lam.sum()
+        assert _proves_gram_floor(gram, floor, err) is proven
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(-12, -4), st.sampled_from([(0, 1), (0, 1, 2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_compound_gram_is_proven_only_past_its_rounding(seed, log_noise, subset):
+    # The projector pair shares a factor, so its compound Gram vanishes;
+    # with Gaussian noise of size e on every factor its eigenvalues are
+    # O(e^2), on both sides of the derived rounding bound.
+    rng = np.random.default_rng(seed)
+    proj = gen_projective_basis(2, 2)
+    noisy = OperatorFamily(proj.spec, tuple(
+        ProductOperator(m.weight, tuple(f + 10.0**log_noise * crand(rng, *f.shape)
+                                        for f in m.factors))
+        for m in proj.members
+    ))
+    full = vectorized_columns(noisy.members[i].assemble() for i in subset)
+    stacks = _split_stacks(noisy, subset)
+    gram = _compound_gram(stacks)
+    pairs = len(gram)
+    rows = max(max(len(a), len(b)) for a, b in stacks)
+    err = svd_error_scale(max(rows, pairs), min(rows, pairs)) * len(stacks) * frobenius(full) ** 4
+    lam = np.linalg.eigvalsh(gram)[0]
+    # The factorization's and eigvalsh's own rounding.
+    slack = svd_error_scale(pairs, pairs) * np.trace(gram).real
+    for floor in (0.0, lam - err / 2, lam - 2 * err):
+        if floor < 0:
+            continue
+        proven = _proves_gram_floor(gram.copy(), floor, err)
+        if proven:
+            assert lam - floor > err - slack
+        if lam - floor > 2 * err:
+            assert proven
