@@ -25,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,7 @@ def _proves_gram_floor(gram: np.ndarray, floor, err) -> bool:
         except np.linalg.LinAlgError:
             return False
         # A NaN or infinity in G or the shift reaches the factor's diagonal.
-        return bool(np.isfinite(factor.diagonal(0, -2, -1)).all())
+        return math.isfinite(factor.diagonal(0, -2, -1).real.sum())
 
 
 def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> bool:
