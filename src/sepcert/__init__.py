@@ -39,7 +39,6 @@ from .errors import (
     UsageError,
 )
 from .families import (
-    Bipartition,
     OperatorFamily,
     PartySpec,
     ProductOperator,

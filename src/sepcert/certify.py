@@ -47,6 +47,7 @@ from .linalg import (
 )
 from .families import (
     OperatorFamily,
+    Split,
     all_bipartitions,
     party_pairs,
 )
@@ -64,9 +65,6 @@ LEVEL_BLOCK = 1024
 
 STRATEGY_PAIRS = "pairs"
 STRATEGY_ALL_BIPARTITIONS = "all_bipartitions"
-
-
-Split = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def _examined_splits(n_parties: int, strategy: str) -> tuple[Split, ...]:
     if strategy == STRATEGY_PAIRS:
         return tuple(((a,), (b,)) for a, b in party_pairs(n_parties))
     if strategy == STRATEGY_ALL_BIPARTITIONS:
-        return tuple((bp.side_a, bp.side_b) for bp in all_bipartitions(n_parties))
+        return all_bipartitions(n_parties)
     raise UsageError(
         f"unknown strategy {strategy!r}; expected "
         f"{STRATEGY_PAIRS!r} or {STRATEGY_ALL_BIPARTITIONS!r}"
@@ -213,7 +211,7 @@ def _examined_splits(n_parties: int, strategy: str) -> tuple[Split, ...]:
 def default_strategy(n_parties: int) -> str:
     """All bipartitions up to six parties, party pairs beyond.
 
-    Bipartitions eliminate at least everything pairs do, but their number
+    The bipartitions eliminate at least everything pairs do, but their number
     grows as 2**(P-1) - 1 while pairs grow only quadratically.
     """
     return STRATEGY_ALL_BIPARTITIONS if n_parties <= 6 else STRATEGY_PAIRS

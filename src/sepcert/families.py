@@ -10,6 +10,7 @@ whose factors all have one column).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from functools import reduce
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    NumericError,
     ParameterError,
     ShapeError,
     SizeBudgetError,
@@ -25,6 +27,7 @@ from .errors import (
 )
 from .linalg import (
     MAX_MATRIX_ELEMENTS,
+    _coefficient_vector,
     as_matrix,
     kron,
     numerical_rank,
@@ -89,7 +92,8 @@ class ProductOperator:
     """One product operator: a scalar weight and per-party local factors.
 
     Zero weights and zero factors are rejected at construction; every term
-    of a product family is required to be genuinely nonvanishing.
+    of a product family is required to be genuinely nonvanishing.  Like
+    its factors' entries, the weight must be finite.
     """
 
     weight: complex
@@ -97,6 +101,8 @@ class ProductOperator:
 
     def __post_init__(self):
         w = complex(self.weight)
+        if not cmath.isfinite(w):
+            raise NumericError("product operator weight must be finite")
         if w == 0:
             raise DegenerateInputError("product operator weight must be nonzero")
         mats = []
@@ -146,54 +152,26 @@ def _validated_side(side, n_parties: int) -> tuple[int, ...]:
     return tuple(sorted(side))
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A two-block split of the party set {0, ..., P-1}."""
-
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-    def __post_init__(self):
-        a = tuple(sorted(int(p) for p in self.side_a))
-        b = tuple(sorted(int(p) for p in self.side_b))
-        object.__setattr__(self, "side_a", a)
-        object.__setattr__(self, "side_b", b)
-        if not a or not b:
-            raise ParameterError("both sides of a bipartition must be nonempty")
-        if set(a) & set(b):
-            raise ParameterError(f"bipartition sides overlap: {a} | {b}")
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.side_a) + len(self.side_b)
-
-    def validate_for(self, n_parties: int) -> None:
-        if set(self.side_a) | set(self.side_b) != set(range(n_parties)):
-            raise UsageError(
-                f"bipartition {self.side_a}|{self.side_b} does not cover "
-                f"all {n_parties} parties"
-            )
-
-    @staticmethod
-    def of(side_a, n_parties: int) -> "Bipartition":
-        a = _validated_side(side_a, n_parties)
-        b = tuple(p for p in range(n_parties) if p not in a)
-        return Bipartition(a, b)
+#: A split of the parties into two groups: (side_a, side_b), each a sorted
+#: tuple of party indices.
+Split = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def all_bipartitions(n_parties: int) -> tuple[Bipartition, ...]:
-    """Every two-block split of {0..P-1}; party 0 always sits on side A.
+def all_bipartitions(n_parties: int) -> tuple[Split, ...]:
+    """Every two-block split of {0..P-1} as a (side_a, side_b) pair of sorted
+    party tuples; party 0 always sits on side A.
 
-    There are 2**(P-1) - 1 of them.
+    There are 2**(P-1) - 1 of them, ordered by the size of side A and then
+    lexicographically.
     """
     if n_parties < 2:
         raise ParameterError("bipartitions need at least two parties")
-    rest = list(range(1, n_parties))
-    out = []
-    for r in range(0, n_parties - 1):
-        for extra in itertools.combinations(rest, r):
-            out.append(Bipartition.of((0,) + extra, n_parties))
-    return tuple(out)
+    rest = range(1, n_parties)
+    return tuple(
+        ((0,) + extra, tuple(p for p in rest if p not in extra))
+        for r in range(n_parties - 1)
+        for extra in itertools.combinations(rest, r)
+    )
 
 
 def party_pairs(n_parties: int) -> tuple[tuple[int, int], ...]:
@@ -297,7 +275,7 @@ class SpanBoundReport:
     misjudgement, not new mathematics).
     """
 
-    split: Bipartition
+    split: Split
     delta_a: int
     delta_b: int
     delta_sum: int
@@ -311,7 +289,7 @@ class SpanBoundReport:
 
     def to_dict(self) -> dict:
         return {
-            "split": {"side_a": list(self.split.side_a), "side_b": list(self.split.side_b)},
+            "split": {"side_a": list(self.split[0]), "side_b": list(self.split[1])},
             "delta_a": self.delta_a,
             "delta_b": self.delta_b,
             "delta_sum": self.delta_sum,
@@ -322,31 +300,38 @@ class SpanBoundReport:
 
 
 def span_bound_report(
-    fam: OperatorFamily, coeffs, split: Bipartition | None = None
+    fam: OperatorFamily, coeffs, split: Split | None = None
 ) -> SpanBoundReport:
     """Evaluate delta_A + delta_B against N + schmidt_rank(sum_j c_j M_j).
 
-    Every coefficient must be nonzero — the bound is stated for genuinely
-    N-term combinations.  ``split`` defaults to party 0 versus the rest.
-    The spans are the ranks of the two side matrices, and the combination's
-    realignment is (B * c) @ A^T, so no operator is assembled.
+    Every coefficient must be finite and nonzero — the bound is stated for
+    genuinely N-term combinations.  ``split`` is a (side_a, side_b) pair of
+    party groups, such as an entry of ``all_bipartitions``; it defaults to
+    party 0 versus the rest.  Its sides must be disjoint and cover every
+    party; the report holds them sorted.  The spans are the ranks of the
+    two side matrices, and the combination's realignment is (B * c) @ A^T,
+    so no operator is assembled.
     """
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if c.size != fam.n_members:
-        raise ShapeError(f"got {c.size} coefficients for {fam.n_members} members")
+    c = _coefficient_vector(coeffs, fam.n_members)
     if np.any(c == 0):
         raise ParameterError("all coefficients must be nonzero for the span bound")
+    n = fam.n_parties
     if split is None:
-        split = Bipartition.of((0,), fam.n_parties)
-    split.validate_for(fam.n_parties)
+        split = ((0,), range(1, n))
+    side_a, side_b = (_validated_side(side, n) for side in split)
+    if sorted(side_a + side_b) != list(range(n)):
+        raise UsageError(
+            f"split {side_a}|{side_b} does not divide the {n} parties into "
+            "two disjoint groups"
+        )
 
-    a = fam.side_matrix(split.side_a, include_weight=True)
-    b = fam.side_matrix(split.side_b)
+    a = fam.side_matrix(side_a, include_weight=True)
+    b = fam.side_matrix(side_b)
     r_s = numerical_rank((b * c) @ a.T)
     delta_a = numerical_rank(a)
     delta_b = numerical_rank(b)
     return SpanBoundReport(
-        split=split,
+        split=(side_a, side_b),
         delta_a=delta_a,
         delta_b=delta_b,
         delta_sum=delta_a + delta_b,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, ShapeError, UsageError
+from .errors import DegenerateInputError, ParameterError, UsageError
 from .families import (
     OperatorFamily,
     PartySpec,
@@ -35,6 +35,8 @@ from .families import (
 )
 from .linalg import (
     MAX_MATRIX_ELEMENTS,
+    _check_unitary,
+    _coefficient_vector,
     _compound_gram,
     _proves_gram_floor,
     as_matrix,
@@ -132,11 +134,7 @@ def product_residual(fam: OperatorFamily, coeffs) -> float:
     combination that vanishes.  A one-party family has no cut, so every
     combination counts as a product (0.0).
     """
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if c.size != fam.n_members:
-        raise ShapeError(f"got {c.size} coefficients for {fam.n_members} members")
-    if not np.isfinite(c).all():
-        raise ParameterError("coefficients must be finite")
+    c = _coefficient_vector(coeffs, fam.n_members)
     return float(_worst_ratio(_split_stacks(fam, range(fam.n_members)), c[None])[0])
 
 
@@ -426,13 +424,7 @@ def hunt_product(
 
     init = None
     if initial_coefficients is not None:
-        init = np.asarray(initial_coefficients, dtype=np.complex128).reshape(-1)
-        if init.size != ns:
-            raise UsageError(
-                f"initial_coefficients has length {init.size}, subset has {ns}"
-            )
-        if not np.isfinite(init).all():
-            raise ParameterError("initial_coefficients must be finite")
+        init = _coefficient_vector(initial_coefficients, ns)
         if np.linalg.norm(init) <= _ZERO_CUTOFF:
             raise ParameterError("initial_coefficients must not be the zero vector")
 
@@ -549,8 +541,7 @@ def apply_mixing(fam: OperatorFamily, pair: tuple[int, int], unitary) -> Operato
     u = as_matrix(unitary)
     if u.shape != (2, 2):
         raise ParameterError(f"mixing unitary must be 2x2, got {u.shape}")
-    if frobenius(u.conj().T @ u - np.eye(2)) > 1e-10:
-        raise ParameterError("mixing matrix is not unitary")
+    _check_unitary(u, "mixing matrix")
     ki = fam.members[i].assemble()
     kj = fam.members[j].assemble()
     residuals = _worst_ratio(_split_stacks(fam, (i, j)), u)
@@ -588,7 +579,8 @@ def fuzz_span_bound(
     """Fuzz delta_A + delta_B <= N + r_s on random product families.
 
     Each trial samples a family, an all-nonzero coefficient vector, and a
-    random bipartition, then checks the bound.
+    split drawn uniformly from ``all_bipartitions``, a (side_a, side_b)
+    pair that ``span_bound_report`` takes as is, then checks the bound.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")

@@ -1,6 +1,7 @@
 """Dense complex-matrix primitives: Kronecker products, column-stacking
 vectorization, bipartite realignment, tolerance-based numerical rank,
-Schmidt rank, span dimension, and proportionality testing.
+Schmidt rank, span dimension, proportionality testing, and the checks on
+coefficient vectors and unitaries that several modules share.
 
 Numerical rank is decided in one place, ``stacked_ranks``: the count of
 singular values above the cutoff of a ``TolerancePolicy``.  On request it
@@ -48,6 +49,9 @@ _EPS = float(np.finfo(np.float64).eps)
 #: Singular values at or below this count as zero under every policy.
 ABSOLUTE_FLOOR = 1e-14
 
+#: A matrix u of side d is unitary when |u^dag u - I|_F <= UNITARY_TOL sqrt(d).
+UNITARY_TOL = 1e-10
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-D complex ndarray, rejecting non-finite entries."""
@@ -57,6 +61,26 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError("matrix contains non-finite entries")
     return arr
+
+
+def _coefficient_vector(coeffs, n: int) -> np.ndarray:
+    """``coeffs`` as a complex vector of the ``n`` finite coefficients of a
+    member combination."""
+    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    if c.size != n:
+        raise ShapeError(f"got {c.size} coefficients for {n} members")
+    if not np.isfinite(c).all():
+        raise ParameterError("coefficients must be finite")
+    return c
+
+
+def _check_unitary(u: np.ndarray, what: str) -> None:
+    """Raise unless the matrix ``u`` is square and unitary to ``UNITARY_TOL``."""
+    d = u.shape[0]
+    if u.shape != (d, d):
+        raise ParameterError(f"{what} must be square, got shape {u.shape}")
+    if frobenius(u.conj().T @ u - np.eye(d)) > UNITARY_TOL * math.sqrt(d):
+        raise ParameterError(f"{what} is not unitary")
 
 
 @dataclass(frozen=True)

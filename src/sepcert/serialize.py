@@ -21,14 +21,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import secrets
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError, UsageError
+from .errors import DegenerateInputError, NumericError, ShapeError, UsageError
 from .families import OperatorFamily, PartySpec, ProductOperator
 
 FORMAT_VERSION = 1
@@ -184,7 +183,7 @@ def family_from_dict(data, where: str = "channel file") -> LoadedFile:
             factors.append(f)
         try:
             members.append(ProductOperator(weight, tuple(factors)))
-        except (DegenerateInputError, ShapeError) as exc:
+        except (DegenerateInputError, NumericError, ShapeError) as exc:
             raise UsageError(f"{ctx}: {exc}") from exc
 
     metadata = data.get("metadata", {})
@@ -204,7 +203,7 @@ def dump_json(path, payload: dict) -> None:
     """
     path = Path(path)
     text = json.dumps(payload, indent=2) + "\n"
-    tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f"{path.name}{os.urandom(4).hex()}.tmp")
     # Errors name the file the caller asked for, not the temp file.
     try:
         # O_EXCL refuses an existing name or symlink; the kernel applies the umask.
@@ -232,10 +231,14 @@ def load_family(path) -> LoadedFile:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path}: JSON nested too deeply to parse") from exc
     return family_from_dict(data, where=str(path))

@@ -11,11 +11,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .families import OperatorFamily, PartySpec, ProductOperator
-from .linalg import as_matrix, frobenius, span_dimension
+from .linalg import _check_unitary, as_matrix, span_dimension
 from .sampling import check_seed, independent_matrices
-
-#: A matrix u of side d is unitary when |u^dag u - I|_F <= UNITARY_TOL sqrt(d).
-UNITARY_TOL = 1e-10
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -133,11 +130,7 @@ def gen_product_unitary_channel(unitaries, q) -> OperatorFamily:
         raise ParameterError(f"probabilities must sum to 1, got {q.sum():.12f}")
     for p, party in enumerate(per_party):
         for j, u in enumerate(party):
-            if u.shape[0] != u.shape[1]:
-                raise ParameterError(f"party {p}, member {j}: unitary must be square")
-            d = u.shape[0]
-            if frobenius(u.conj().T @ u - np.eye(d)) > UNITARY_TOL * np.sqrt(d):
-                raise ParameterError(f"party {p}, member {j}: matrix is not unitary")
+            _check_unitary(u, f"party {p}, member {j}")
     spec = PartySpec(tuple((party[0].shape[0], party[0].shape[0]) for party in per_party))
     members = tuple(
         ProductOperator(
@@ -229,8 +222,7 @@ def augment_channel(fam: OperatorFamily, u1, u2) -> OperatorFamily:
         for j, u in enumerate(lst):
             if u.shape != (d, d):
                 raise ParameterError(f"{name} appended party: member {j} shape mismatch")
-            if frobenius(u.conj().T @ u - np.eye(d)) > UNITARY_TOL * np.sqrt(d):
-                raise ParameterError(f"{name} appended party: member {j} is not unitary")
+            _check_unitary(u, f"{name} appended party: member {j}")
         if span_dimension(lst) != n:
             raise ParameterError(
                 f"{name} appended party: the unitaries must be linearly independent"

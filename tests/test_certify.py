@@ -172,7 +172,7 @@ def _reference_certificate(fam, tol, fail_fast=False, splits=None):
     to all bipartitions."""
     n = fam.n_members
     if splits is None:
-        splits = [(bp.side_a, bp.side_b) for bp in all_bipartitions(fam.n_parties)]
+        splits = all_bipartitions(fam.n_parties)
     sides = {
         side: np.hstack([vectorize(g) for g in fam.grouped_factors(side)])
         for split in splits

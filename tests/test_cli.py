@@ -498,6 +498,66 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def _ladder_file_with(tmp_path, old, new):
+    """The eq701 ladder file with the first ``old`` in member 1 made ``new``."""
+    path = tmp_path / "ladder.json"
+    save_family(path, gen_ladder_channel(0.5))
+    data = json.loads(path.read_text())
+    member = json.dumps(data["members"][1])
+    assert old in member
+    path.write_text(json.dumps(data).replace(member, member.replace(old, new, 1)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"weight": [1.0, 0.0]', '"weight": [NaN, 0.0]'),
+        ('"weight": [1.0, 0.0]', '"weight": [Infinity, 0.0]'),
+        ('"weight": [1.0, 0.0]', '"weight": [1e400, 0.0]'),
+        ("[1.0, 0.0]]", "[1e400, 0.0]]"),
+    ],
+    ids=["weight-nan", "weight-inf", "weight-overflow", "factor-overflow"],
+)
+@pytest.mark.parametrize("command", ["certify", "verify", "choi"])
+def test_non_finite_member_exits_2_and_names_it(capsys, tmp_path, old, new, command):
+    path = _ladder_file_with(tmp_path, old, new)
+    out = tmp_path / "ensemble.json"
+    extra = ["--out", str(out)] if command == "choi" else []
+    code, stdout, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2
+    assert "member 1" in err and "finite" in err
+    assert not stdout and not out.exists()
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(capsys, "certify", str(path))
+    assert code == 2
+    assert str(path) in err and "UTF-8" in err
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert str(path) in err and "nested" in err
+
+
+def test_importing_the_cli_leaves_out_secrets():
+    # secrets pulls hmac and hashlib into every process; os.urandom suffices.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sepcert.cli; print('secrets' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "sepcert", "--version"],

@@ -1,10 +1,9 @@
-"""Tests for product-operator families, bipartitions, and span bookkeeping."""
+"""Tests for product-operator families, splits, and span bookkeeping."""
 
 import numpy as np
 import pytest
 
 from sepcert import (
-    Bipartition,
     DegenerateInputError,
     OperatorFamily,
     ParameterError,
@@ -109,9 +108,8 @@ def test_grouped_sides_recombine_to_assembled():
     rng = np.random.default_rng(11)
     factors = tuple(crand(rng, 2, 2) for _ in range(3))
     op = ProductOperator(1.3 + 0.2j, factors)
-    split = Bipartition((0, 2), (1,))
-    left = op.grouped(split.side_a, include_weight=True)
-    right = op.grouped(split.side_b)
+    left = op.grouped((0, 2), include_weight=True)
+    right = op.grouped((1,))
     # Recombination holds after undoing the interleaving permutation:
     # parties (0,2|1) ordered as 0,2,1.
     reordered = ProductOperator(op.weight, (factors[0], factors[2], factors[1]))
@@ -133,34 +131,33 @@ def test_scaled():
 
 
 # ---------------------------------------------------------------------------
-# Bipartition
-
-
-def test_bipartition_rejects_overlap():
-    with pytest.raises(ParameterError):
-        Bipartition((0, 1), (1, 2))
-    with pytest.raises(ParameterError):
-        Bipartition((), (0,))
-
-
-def test_bipartition_sorts_sides():
-    split = Bipartition((2, 0), (1,))
-    assert split.side_a == (0, 2)
-
-
-def test_bipartition_of_and_validate():
-    split = Bipartition.of((0,), 3)
-    assert split.side_b == (1, 2)
-    with pytest.raises(UsageError):
-        split.validate_for(2)
+# Splits
 
 
 def test_all_bipartitions_counts():
-    assert len(all_bipartitions(2)) == 1
-    assert len(all_bipartitions(3)) == 3
+    assert all_bipartitions(2) == (((0,), (1,)),)
+    assert all_bipartitions(3) == (((0,), (1, 2)), ((0, 1), (2,)), ((0, 2), (1,)))
     assert len(all_bipartitions(4)) == 7
-    for split in all_bipartitions(4):
-        assert 0 in split.side_a  # canonical: party 0 on side A
+    for side_a, side_b in all_bipartitions(4):
+        assert 0 in side_a  # canonical: party 0 on side A
+        assert sorted(side_a + side_b) == [0, 1, 2, 3]
+
+
+def test_span_bound_report_validates_the_split():
+    fam = random_family(np.random.default_rng(14), (2, 2, 2), 3)
+    coeffs = [1.0, 1.0, 1.0]
+    bad = {
+        "overlap": ((0, 1), (1,)),
+        "empty side": ((), (0, 1, 2)),
+        "missing party": ((0,), (2,)),
+        "out of range": ((0, 3), (1, 2)),
+    }
+    for split in bad.values():
+        with pytest.raises(UsageError):
+            span_bound_report(fam, coeffs, split)
+    report = span_bound_report(fam, coeffs, ((2, 0), [1]))
+    assert report.split == ((0, 2), (1,))
+    assert report == span_bound_report(fam, coeffs, ((0, 2), (1,)))
 
 
 def test_party_pairs():
@@ -263,6 +260,7 @@ def test_span_bound_report_fields():
     fam = gen_ladder_channel(0.5)
     report = span_bound_report(fam, [1.0, 1.0, 1.0])
     d = report.to_dict()
+    assert d["split"] == {"side_a": [0], "side_b": [1]}
     assert d["n_members"] == 3
     assert d["delta_a"] == 3 and d["delta_b"] == 3
     assert d["schmidt_rank"] == 3
@@ -272,8 +270,9 @@ def test_span_bound_report_fields():
 
 def kronecker_span_bound(fam, coeffs, split):
     """(delta_a, delta_b, r_s) from the assembled combination and grouped lists."""
-    a_groups = fam.grouped_factors(split.side_a, include_weight=True)
-    b_groups = fam.grouped_factors(split.side_b)
+    side_a, side_b = split
+    a_groups = fam.grouped_factors(side_a, include_weight=True)
+    b_groups = fam.grouped_factors(side_b)
     s = sum(c * np.kron(a, b) for c, a, b in zip(coeffs, a_groups, b_groups))
     dims = a_groups[0].shape + b_groups[0].shape
     return span_dimension(a_groups), span_dimension(b_groups), schmidt_rank(s, dims)

@@ -36,6 +36,7 @@ from sepcert import (
     realign_bipartite,
     recover_product,
     schmidt_rank,
+    span_bound_report,
     unvectorize,
     vectorize,
 )
@@ -49,7 +50,12 @@ from sepcert.hunter import (
     _split_stacks,
     _worst_ratio,
 )
-from sepcert.linalg import _compound_gram, _proves_gram_floor, vectorized_columns
+from sepcert.linalg import (
+    UNITARY_TOL,
+    _compound_gram,
+    _proves_gram_floor,
+    vectorized_columns,
+)
 from sepcert.sampling import complex_randn, random_nonzero_coefficients
 from sepcert.serialize import matrix_from_json
 
@@ -181,7 +187,7 @@ def test_hunt_argument_validation():
         hunt_product(fam, subset=(0, 9))
     with pytest.raises(ParameterError):
         hunt_product(fam, subset=(0, 1), initial_coefficients=[0.0, 0.0])
-    with pytest.raises(UsageError):
+    with pytest.raises(ShapeError):
         hunt_product(fam, subset=(0, 1), initial_coefficients=[1.0, 1.0, 1.0])
 
 
@@ -197,6 +203,8 @@ def test_non_finite_coefficients_are_rejected(coeffs):
         product_residual(fam, coeffs)
     with pytest.raises(ParameterError, match="finite"):
         hunt_product(fam, restarts=1, initial_coefficients=coeffs)
+    with pytest.raises(ParameterError, match="finite"):
+        span_bound_report(fam, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +649,7 @@ def test_product_residual_cases():
 
 def test_product_cuts_are_the_bipartitions_up_to_three_parties():
     for n_parties in (2, 3):
-        expected = {(bp.side_a, bp.side_b) for bp in all_bipartitions(n_parties)}
+        expected = set(all_bipartitions(n_parties))
         cuts = _product_cuts(n_parties)
         assert len(cuts) == len(expected)
         assert set(cuts) == expected
@@ -782,6 +790,19 @@ def test_apply_mixing_rejects_bad_unitary():
         apply_mixing(fam, (0, 1), np.ones((2, 2)))
     with pytest.raises(ParameterError):
         apply_mixing(fam, (0, 1), np.eye(3))
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.4, True), (0.6, False)])
+def test_apply_mixing_checks_unitarity_to_the_package_tolerance(scale, accepted):
+    # u = (1 + e) U has |u^dag u - I|_F = (2e + e^2) sqrt(2), on either side
+    # of the bound UNITARY_TOL sqrt(2) for a 2x2 matrix.
+    fam = gen_projective_basis(2, 2)
+    u = (1 + scale * UNITARY_TOL) * mixing_unitary(np.pi / 4, 0.0)
+    if accepted:
+        apply_mixing(fam, (0, 1), u)
+    else:
+        with pytest.raises(ParameterError, match="not unitary"):
+            apply_mixing(fam, (0, 1), u)
 
 
 # ---------------------------------------------------------------------------
