@@ -143,21 +143,31 @@ def test_all_bipartitions_counts():
         assert sorted(side_a + side_b) == [0, 1, 2, 3]
 
 
-def test_span_bound_report_validates_the_split():
-    fam = random_family(np.random.default_rng(14), (2, 2, 2), 3)
-    coeffs = [1.0, 1.0, 1.0]
-    bad = {
-        "overlap": ((0, 1), (1,)),
-        "empty side": ((), (0, 1, 2)),
-        "missing party": ((0,), (2,)),
-        "out of range": ((0, 3), (1, 2)),
-    }
-    for split in bad.values():
+def split_family():
+    return random_family(np.random.default_rng(14), (2, 2, 2), 3), [1.0, 1.0, 1.0]
+
+
+def test_bipartition_rejects_overlap():
+    fam, coeffs = split_family()
+    for split in [((0, 1), (1, 2)), ((0, 1), (1,)), ((), (0, 1, 2))]:
         with pytest.raises(UsageError):
             span_bound_report(fam, coeffs, split)
+
+
+def test_bipartition_sorts_sides():
+    fam, coeffs = split_family()
     report = span_bound_report(fam, coeffs, ((2, 0), [1]))
     assert report.split == ((0, 2), (1,))
     assert report == span_bound_report(fam, coeffs, ((0, 2), (1,)))
+
+
+def test_bipartition_of_and_validate():
+    fam, coeffs = split_family()
+    # A split must name every party of the family exactly once.
+    for split in [((0,), (2,)), ((0, 3), (1, 2)), ((0,), (1, 2, 3))]:
+        with pytest.raises(UsageError):
+            span_bound_report(fam, coeffs, split)
+    assert span_bound_report(fam, coeffs).split == ((0,), (1, 2))
 
 
 def test_party_pairs():
