@@ -11,16 +11,16 @@ never that the representation is actually non-unique.
 Subsets are enumerated as member bitmasks and decided top down, one size at
 a time, from the full set to the pairs.  Removing one member lowers a span
 dimension by at most one, also numerically (singular values interlace and
-the rank cutoff can only shrink), so the ranks of the larger subsets bound
-those of the smaller ones from below.  Adding members never lowers a
-singular value, so the robust rank of each member pair, counted against the
-cutoff of the whole side matrix plus the SVD's error, bounds every subset
-holding the pair from below as well.  A subset is ranked on a side only
-when those bounds cannot decide it, and a side is built only when the pass
-reaches one of its splits.  Subsets that select the same multiset
-of a side's columns share one SVD: their side matrices are column
-permutations of each other, so they have the same singular values, and the
-same size fixes the same cutoff.  The witnesses of each size stay one
+the rank cutoff, a fixed fraction of sigma_max, can only shrink), so the
+ranks of the larger subsets bound those of the smaller ones from below.
+Adding members never lowers a singular value, so the robust rank of each
+member pair, counted against the cutoff of the whole side matrix plus the
+SVD's error, bounds every subset holding the pair from below as well.  A
+subset is ranked on a side only when those bounds cannot decide it, and a
+side is built only when the pass reaches one of its splits.  Subsets that
+select the same multiset of a side's columns share one SVD: their side
+matrices are column permutations of each other, so they have the same
+singular values and the same cutoff.  The witnesses of each size stay one
 integer array of members and deltas from the pass to the JSON report, which
 fills one text template per size.
 """
@@ -219,13 +219,17 @@ def default_strategy(n_parties: int) -> str:
 
 def _side_matrix(
     fam: OperatorFamily, side: tuple[int, ...]
-) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """Vectorized grouped ``side`` factors as columns, their row count, and
-    the members' multiset weights when some columns are equal.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Vectorized grouped ``side`` factors as unit columns, and the members'
+    multiset weights when some columns are equal.
 
-    A matrix with more rows than columns is replaced by the R factor of its
-    thin QR: every column selection keeps its singular values, so ranks are
-    unchanged while each SVD shrinks to at most N rows.
+    Each column is scaled to unit norm, so no member's scale weighs on the
+    cutoff of another's: the span dimensions do not depend on it.  A column
+    is divided by its largest entry before its norm is taken, so the norm
+    cannot overflow.  A matrix with more rows than columns is then replaced
+    by the R factor of its thin QR: every column selection keeps its
+    singular values, so ranks are unchanged while each SVD shrinks to at
+    most N rows.
 
     Members whose columns are equal bit for bit form a class.  When some
     class has two or more members, member j gets the mixed-radix weight
@@ -243,9 +247,14 @@ def _side_matrix(
     if len(ids) < n:
         sizes = np.bincount(cls)
         weights = np.concatenate(([1], np.cumprod(sizes[:-1] + 1)))[cls]
+    # A column that underflowed to zero stays zero.
+    top = np.abs(m).max(axis=0)
+    m = m / np.where(top > 0, top, 1.0)
+    norm = np.linalg.norm(m, axis=0)
+    m /= np.where(norm > 0, norm, 1.0)
     if rows > n:
         m = np.linalg.qr(m, mode="r")
-    return m, rows, weights
+    return m, weights
 
 
 def _member_bits(n: int) -> np.ndarray:
@@ -283,7 +292,7 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
 class _Side:
     """A split side's matrix and the pass's rank state on it.
 
-    ``m``, ``rows`` and ``weights`` are those of ``_side_matrix``.  ``known``
+    ``m`` and ``weights`` are those of ``_side_matrix``.  ``known``
     and ``floor`` are int8 arrays over member bitmasks: ``known`` holds the
     exact rank of each subset ranked on the side so far and the lower bound
     of every other decided subset, 0 elsewhere, and ``floor`` the pair
@@ -293,7 +302,6 @@ class _Side:
     """
 
     m: np.ndarray
-    rows: int
     weights: np.ndarray | None
     known: np.ndarray
     floor: np.ndarray
@@ -308,35 +316,32 @@ def _size_budget_error(n: int) -> SizeBudgetError:
 def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
     """The side matrix of ``side`` and its rank state before any subset of
     the n members is decided: no rank known, no floor, no multiset ranked."""
-    m, rows, weights = _side_matrix(fam, side)
+    m, weights = _side_matrix(fam, side)
     try:
         known, floor = np.zeros((2, 1 << n), dtype=np.int8)
         # The full set has the largest key, prod over classes of (size + 1) - 1.
         table = None if weights is None else np.full(int(weights.sum()) + 1, -1, dtype=np.int8)
     except (MemoryError, ValueError):
         raise _size_budget_error(n) from None
-    return _Side(m, rows, weights, known, floor, table)
+    return _Side(m, weights, known, floor, table)
 
 
-def _pair_floors(
-    m: np.ndarray, rows: int, bits: np.ndarray, tol: TolerancePolicy, floor: np.ndarray
-) -> None:
+def _pair_floors(m: np.ndarray, bits: np.ndarray, tol: TolerancePolicy, floor: np.ndarray) -> None:
     """Write into ``floor`` a lower bound on the rank of every subset's
     selection of ``m``'s columns: the largest robust rank of a member pair
     that the subset holds, 0 for subsets of fewer than two members.
 
-    ``m`` is an r x N side matrix of a ``rows``-row side.  One SVD call
-    ranks all C(N, 2) pairs; a pair's robust rank counts its singular values
-    above C + 2d, with s = ||m||_F (1 + kappa), kappa the
-    ``svd_error_scale`` of ``m``'s shape, d = kappa s and the global cap
-    C = ``tol.cutoff(s + d, rows, N)``.  For a subset T holding the pair S,
-    sigma_k(m_T) >= sigma_k(m_S) (adding columns never lowers a singular
-    value), and each computed singular value is within d of the exact one
-    (Weyl): no column selection of m is larger or has a larger norm.  The
-    SVD of m_T finds sigma_max <= s + d, and the relative cutoff does not
-    decrease with the column count, so T's cutoff is at most C: every
-    singular value the pair's robust rank counts lies above C + 2d, hence
-    T's computed one above C, and T's rank counts it as well.
+    ``m`` is an r x N side matrix.  One SVD call ranks all C(N, 2) pairs; a
+    pair's robust rank counts its singular values above C + 2d, with s =
+    ||m||_F (1 + kappa), kappa the ``svd_error_scale`` of ``m``'s shape, d =
+    kappa s and the global cap C = ``tol.cutoff(s + d)``.  For a subset T
+    holding the pair S, sigma_k(m_T) >= sigma_k(m_S) (adding columns never
+    lowers a singular value), and each computed singular value is within d
+    of the exact one (Weyl): no column selection of m is larger or has a
+    larger norm.  The SVD of m_T finds sigma_max <= s + d, so T's cutoff is
+    at most C: every singular value the pair's robust rank counts lies
+    above C + 2d, hence T's computed one above C, and T's rank counts it as
+    well.
     The pair ranks reach every superset in one max pass per member bit.
     """
     r, n = m.shape
@@ -345,7 +350,7 @@ def _pair_floors(
     d = kappa * s
     i, j = np.triu_indices(n, 1)
     sigma = _svdvals(np.moveaxis(m[:, np.column_stack([i, j])], 1, 0))
-    floor[bits[i] | bits[j]] = np.count_nonzero(sigma > tol.cutoff(s + d, rows, n) + 2 * d, axis=1)
+    floor[bits[i] | bits[j]] = np.count_nonzero(sigma > tol.cutoff(s + d) + 2 * d, axis=1)
     for b in range(n):
         # Axis 1 is bit b: each mask with the bit set takes its floor without it.
         half = floor.reshape(-1, 2, 1 << b)
@@ -377,11 +382,10 @@ def _decide_block(
     On each side a subset T starts from max(``max_x known(T | x) - 1``,
     ``floor(T)``): its supersets' bounds fall by one per member removed,
     and the pair floors, counted against the cap C of the whole side
-    matrix, hold at every size.  A start value of min(m, compressed rows)
-    is exact, since no rank exceeds it.  A subset is ranked on a side only
-    when its bounds leave a split undecided: first the side with more
-    headroom (fewer compressed rows on a tie), then the other side if the
-    subset is still alive.  The block's entries of ``known`` on the sides
+    matrix, hold at every size.  A start value of min(m, rows of the side
+    matrix) is exact, since no rank exceeds it.  A subset is ranked on a
+    side only when its bounds leave a split undecided: on side A first,
+    then on side B if the subset is still alive.  The block's entries of ``known`` on the sides
     it reached are written on return; the others keep 0, still a lower
     bound.
 
@@ -390,8 +394,9 @@ def _decide_block(
     from there.
 
     A side tries the full-rank screen of ``stacked_ranks`` only when the
-    full set was ranked on it and found full rank, min(rows, n): on a
-    deficient side the screen cannot succeed.
+    full set was ranked on it and found full rank, min(rows, n), the row
+    count of the side matrix after its thin QR: on a deficient side the
+    screen cannot succeed.
 
     Returns the positions in ``members`` of the subsets no split eliminated,
     and per reached side a (B,) array of rank bounds that is exact for every
@@ -403,8 +408,8 @@ def _decide_block(
     val: dict[tuple[int, ...], np.ndarray] = {}
     exact: dict[tuple[int, ...], np.ndarray] = {}
 
-    def reach(side) -> int:
-        """Open ``side`` and gather its start values; returns its compressed rows."""
+    def reach(side) -> None:
+        """Open ``side`` and gather its start values."""
         if side not in sides:
             sides[side] = _open_side(fam, side, n)
         state = sides[side]
@@ -422,11 +427,10 @@ def _decide_block(
                 and size > 2
                 and np.count_nonzero(lower < 2) * size >= n * (n - 1)
             ):
-                _pair_floors(state.m, state.rows, bits, tol, state.floor)
+                _pair_floors(state.m, bits, tol, state.floor)
                 state.floored = True
             val[side] = np.maximum(lower, state.floor[masks] if state.floored else 0)
             exact[side] = val[side] >= min(size, len(state.m))
-        return len(state.m)
 
     def rank(side, todo):
         state = sides[side]
@@ -437,11 +441,11 @@ def _decide_block(
             new, first = np.unique(keys[missing], return_index=True)
             reps = todo[missing][first]
         # The full set's entry holds its rank, or its start value while unranked.
-        screen = bool(state.known[-1] == min(state.rows, n))
+        screen = bool(state.known[-1] == len(state.m))
         for i in range(0, len(reps), SUBSET_BLOCK):
             sel = reps[i : i + SUBSET_BLOCK]
             stack = np.moveaxis(state.m[:, members[sel]], 1, 0)
-            val[side][sel] = stacked_ranks(stack, state.rows, tol, screen=screen)
+            val[side][sel] = stacked_ranks(stack, tol, screen=screen)
         if state.weights is not None:
             state.table[new] = val[side][reps]
             val[side][todo] = state.table[keys]
@@ -449,20 +453,11 @@ def _decide_block(
 
     alive = np.arange(len(members))
     for side_a, side_b in splits:
-        rows_a, rows_b = reach(side_a), reach(side_b)
-        # Two rounds: each subset's first side, then the other for those the
-        # first rank left alive.  After the first round a subset needs at most
-        # one side, so the headroom comparison no longer matters.
-        for _ in range(2):
+        reach(side_a)
+        reach(side_b)
+        for side in (side_a, side_b):
             alive = alive[val[side_a][alive] + val[side_b][alive] <= size + 1]
-            need_a, need_b = ~exact[side_a][alive], ~exact[side_b][alive]
-            room_a = min(size, rows_a) - val[side_a][alive]
-            room_b = min(size, rows_b) - val[side_b][alive]
-            b_first = need_b & (
-                ~need_a | (room_b > room_a) | ((room_b == room_a) & (rows_b < rows_a))
-            )
-            rank(side_a, alive[need_a & ~b_first])
-            rank(side_b, alive[b_first])
+            rank(side, alive[~exact[side][alive]])
         alive = alive[val[side_a][alive] + val[side_b][alive] <= size + 1]
         if alive.size == 0:
             break
@@ -491,8 +486,8 @@ def certify_unique(
     The pass runs top down, from the full set to the pairs, and keeps per
     split side a rank lower bound for every subset: removing a member lowers
     a side's numerical rank by at most one, since singular values interlace
-    and the cutoff of ``tol`` can only shrink when a column goes (its
-    sigma_max and max(rows, k) shrink, the row count stays).  So the rank of
+    and the cutoff of ``tol``, a fixed fraction of sigma_max, can only
+    shrink when a column goes.  So the rank of
     a superset bounds the rank of each subset one member smaller, and most
     subsets die on their bounds with no SVD.  Those bounds fall by one per
     size, so each side also keeps pair floors (``_pair_floors``), lower
@@ -502,8 +497,8 @@ def certify_unique(
     cutoff of the whole side matrix, which caps the cutoff of every subset.
     Adding columns never lowers a singular value, so a pair's floor bounds
     the rank of every subset holding it, under any policy.  A subset starts
-    from the larger of the two bounds, and a start value of min(n,
-    compressed rows) is already exact.  A survivor is ranked exactly on
+    from the larger of the two bounds, and a start value of min(n, rows of
+    the side matrix) is already exact.  A survivor is ranked exactly on
     every side.  A side is built and its bounds gathered only when the pass
     reaches one of its splits; a bound never written stays 0, still sound.
     Its floors are computed only once the subsets of a block (of three or
@@ -518,17 +513,17 @@ def certify_unique(
     block of ``LEVEL_BLOCK`` of them yields its member indices with one bit
     test.  The sides left undecided are ranked in stacks of at most
     ``SUBSET_BLOCK`` column selections of the side matrix, one SVD call per
-    stack with the per-matrix cutoff of ``tol``.  Side matrices taller than
-    N are first compressed to their thin-QR R factor, which keeps every
-    selection's singular values; cutoffs still use the original row count.
+    stack with the per-matrix cutoff of ``tol``.  Every side column is
+    scaled to unit norm first, so the verdict does not depend on how the
+    members are scaled, and side matrices taller than N are compressed to
+    their thin-QR R factor, which keeps every selection's singular values.
     On a side where the full set, decided first, was ranked and found full
-    rank (min(rows, N)), each stack first tries the full-rank screen of
+    rank, each stack first tries the full-rank screen of
     ``stacked_ranks``, which gives the SVD's ranks; when it fails, and on
     every other side, the SVD decides.
     On a side where some members have equal columns, each column multiset
     is ranked once for all subsets selecting it, which is exact: reordering
-    columns keeps the singular values, and the cutoff depends only on the
-    row count and the subset size.
+    columns keeps the singular values, and with them the cutoff.
 
     The survivors of each size stay one int array of members and exact
     deltas, which ``Certificate.levels`` holds; ``Certificate.witnesses``
@@ -606,7 +601,11 @@ class CompletenessReport:
         }
 
 
-def verify_completeness(fam: OperatorFamily, tol: float = 1e-10) -> CompletenessReport:
+#: Default bound on ||sum_j K_j^dag K_j - I||_F / sqrt(d_in) for a complete family.
+COMPLETENESS_TOL = 1e-10
+
+
+def verify_completeness(fam: OperatorFamily, tol: float = COMPLETENESS_TOL) -> CompletenessReport:
     """Check sum_j K_j^dag K_j = I and the local-positive-span pair bounds."""
     if not (0.0 <= tol < np.inf):
         raise ParameterError(f"completeness tolerance must be finite and nonnegative, got {tol}")

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .certify import (
+    COMPLETENESS_TOL,
     DEFAULT_ENUMERATION_CAP,
     STRATEGY_ALL_BIPARTITIONS,
     STRATEGY_PAIRS,
@@ -38,8 +39,8 @@ from .errors import (
     SizeBudgetError,
     UsageError,
 )
-from .hunter import hunt_product
-from .linalg import TolerancePolicy
+from .hunter import PRODUCT_TOL, hunt_product
+from .linalg import DEFAULT_TOLERANCE, TolerancePolicy
 from .sampling import haar_unitary
 from .serialize import (
     KIND_CHANNEL,
@@ -330,8 +331,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check trace preservation (sum K^dag K = I)")
     p.add_argument("file", help="channel JSON file")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative residual tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=COMPLETENESS_TOL,
+                   help="relative residual tolerance (default %(default)g)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="certify uniqueness of the representation")
@@ -339,8 +340,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS),
                    help="which splits to examine (default: bipartitions up to "
                         "six parties, pairs beyond)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative rank threshold (default 1e-10)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE.relative_rank_threshold,
+                   help="relative rank threshold (default %(default)g)")
     p.add_argument("--max-subset", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help=f"member-count cap for exhaustive enumeration "
                         f"(default {DEFAULT_ENUMERATION_CAP})")
@@ -355,8 +356,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--threshold", type=float, default=1e-8,
-                   help="product-residual acceptance threshold (default 1e-8)")
+    p.add_argument("--threshold", type=float, default=PRODUCT_TOL,
+                   help="product-residual acceptance threshold (default %(default)g)")
     p.set_defaults(func=cmd_hunt)
 
     p = sub.add_parser("gen", help="write a reference family to a JSON file")

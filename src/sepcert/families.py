@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -93,7 +94,10 @@ class ProductOperator:
 
     Zero weights and zero factors are rejected at construction; every term
     of a product family is required to be genuinely nonvanishing.  Like
-    its factors' entries, the weight must be finite.
+    its factors' entries, the weight must be finite, and so must |weight|
+    times the product of the factors' Frobenius norms, each norm and the
+    weight counted as at least 1: that bounds every entry of the assembled
+    operator and of any group of its factors.
     """
 
     weight: complex
@@ -114,6 +118,16 @@ class ProductOperator:
             mats.append(m)
         if not mats:
             raise ParameterError("a product operator needs at least one factor")
+        # math.hypot scales its arguments, so a norm is inf only when it
+        # exceeds the float range; Python's float product then overflows to inf.
+        bound = max(math.hypot(w.real, w.imag), 1.0)
+        for m in mats:
+            bound *= max(math.hypot(*np.abs(m).ravel().tolist()), 1.0)
+        if bound == math.inf:
+            raise NumericError(
+                "product operator overflows: |weight| times its factor norms "
+                "exceeds the float range"
+            )
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "factors", tuple(mats))
 

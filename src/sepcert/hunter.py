@@ -70,8 +70,9 @@ CONVERGENCE = 1e-12
 #: A found product is novel unless it is proportional to a member within this.
 NOVELTY_TOL = 1e-6
 
-#: Both remixed operators of a mixing pass as products at residual <= this.
-MIXING_TOL = 1e-8
+#: The product-residual threshold: a hunt finds a product below it by
+#: default, and both remixed operators of a mixing pass at or below it.
+PRODUCT_TOL = 1e-8
 
 
 def _product_cuts(n_parties: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -372,7 +373,7 @@ def hunt_product(
     *,
     restarts: int = 64,
     max_iters: int = 500,
-    threshold: float = 1e-8,
+    threshold: float = PRODUCT_TOL,
     seed: int = 0,
     initial_coefficients=None,
 ) -> SearchResult:
@@ -507,7 +508,7 @@ def mixing_search(fam: OperatorFamily, pair: tuple[int, int]) -> list[MixingPoin
 
     Remixing members i and j by any unitary leaves the represented channel
     untouched; a grid point where both remixed operators are products (within
-    ``MIXING_TOL`` in the sigma_2/sigma_1 sense, across every cut {p} | rest)
+    ``PRODUCT_TOL`` in the sigma_2/sigma_1 sense, across every cut {p} | rest)
     therefore exhibits an alternative product representation of the same
     channel.  The grid is 17 angles in [0, pi/2] by 8 phases in [0, 2 pi).
     """
@@ -526,7 +527,7 @@ def mixing_search(fam: OperatorFamily, pair: tuple[int, int]) -> list[MixingPoin
     return [
         MixingPoint(theta, phi, u, (float(ri), float(rj)))
         for (theta, phi), u, (ri, rj) in zip(grid, unitaries, ratios)
-        if ri <= MIXING_TOL and rj <= MIXING_TOL
+        if ri <= PRODUCT_TOL and rj <= PRODUCT_TOL
     ]
 
 
@@ -547,10 +548,10 @@ def apply_mixing(fam: OperatorFamily, pair: tuple[int, int], unitary) -> Operato
     residuals = _worst_ratio(_split_stacks(fam, (i, j)), u)
     new_members = list(fam.members)
     for idx, row, res in zip((i, j), u, residuals):
-        if res > MIXING_TOL:
+        if res > PRODUCT_TOL:
             raise ParameterError(
                 f"remixed member {idx} is not a product operator "
-                f"(residual {res:.3e} > {MIXING_TOL:.1e})"
+                f"(residual {res:.3e} > {PRODUCT_TOL:.1e})"
             )
         new_members[idx] = recover_product(row[0] * ki + row[1] * kj, fam.spec)
     return OperatorFamily(fam.spec, tuple(new_members))

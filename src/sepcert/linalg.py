@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -88,30 +89,26 @@ class TolerancePolicy:
     """Cutoff policy for numerical rank decisions.
 
     ``relative_rank_threshold`` is the fraction of the largest singular value
-    below which singular values count as zero.  ``None`` selects the
-    dimension-scaled default ``max(rows, cols) * eps * 1e3`` (about
-    ``1e-12 * dim``).  ``ABSOLUTE_FLOOR`` is an unconditional lower cutoff.
+    at or below which singular values count as zero; its default, 1e-10, is
+    the library's and the CLI's.  ``ABSOLUTE_FLOOR`` is an unconditional
+    lower cutoff.  No row or column count enters the cutoff, so a matrix and
+    the R factor of its thin QR get the same ranks.
     """
 
-    relative_rank_threshold: float | None = None
+    relative_rank_threshold: float = 1e-10
 
     def __post_init__(self):
         rel = self.relative_rank_threshold
-        if rel is not None and not (0.0 <= rel < 1.0):
+        if not (isinstance(rel, Real) and 0.0 <= rel < 1.0):
             raise ParameterError(f"relative_rank_threshold must lie in [0, 1), got {rel}")
 
-    def relative_for(self, rows: int, cols: int) -> float:
-        if self.relative_rank_threshold is not None:
-            return self.relative_rank_threshold
-        return max(rows, cols) * _EPS * 1e3
-
-    def cutoff(self, sigma_max, rows: int, cols: int):
+    def cutoff(self, sigma_max):
         """Singular values at or below this count as zero.
 
         ``sigma_max`` may be an array holding the largest singular value of
-        each of several rows x cols matrices; the result is then per matrix.
+        each of several matrices; the result is then per matrix.
         """
-        return np.maximum(self.relative_for(rows, cols) * sigma_max, ABSOLUTE_FLOOR)
+        return np.maximum(self.relative_rank_threshold * sigma_max, ABSOLUTE_FLOOR)
 
     def to_dict(self) -> dict:
         return {
@@ -205,7 +202,7 @@ def _proves_gram_floor(gram: np.ndarray, floor, err) -> bool:
         return math.isfinite(factor.diagonal(0, -2, -1).real.sum())
 
 
-def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> bool:
+def _proves_full_rank(stack: np.ndarray, tol: TolerancePolicy) -> bool:
     """True when a shifted Gram-Cholesky factorization proves that the SVD
     rank of every matrix M in the (B, r, k) stack is p = min(r, k).
 
@@ -215,7 +212,7 @@ def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> boo
     p)`` and s = sqrt(f) (1 + kappa) >= sigma_max, that and the
     factorization's (p + 4) eps f sum to at most (n + p + 6) eps s^2, an
     eighth of err = kappa s^2 at most, so ``_proves_gram_floor`` proves
-    sigma_min > c + d for d = kappa s and c = ``tol.cutoff(s + d, rows, k)``.
+    sigma_min > c + d for d = kappa s and c = ``tol.cutoff(s + d)``.
     LAPACK's SVD is backward stable, with an error of order p n u sigma_max,
     at most d: its sigma_max is at most s + d, so its cutoff is at most c,
     and by Weyl its sigma_min exceeds c, so it counts all p singular values
@@ -233,7 +230,7 @@ def _proves_full_rank(stack: np.ndarray, rows: int, tol: TolerancePolicy) -> boo
         kappa = svd_error_scale(n, p)
         s = np.sqrt(f) * (1 + kappa)
         d = kappa * s
-        floor = (tol.cutoff(s + d, rows, k) + d) ** 2
+        floor = (tol.cutoff(s + d) + d) ** 2
     return _proves_gram_floor(gram, floor, kappa * s * s)
 
 
@@ -274,17 +271,13 @@ def _compound_gram(stacks) -> np.ndarray:
 
 
 def stacked_ranks(
-    stack: np.ndarray,
-    rows: int,
-    tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    screen: bool = False,
+    stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE, screen: bool = False
 ) -> np.ndarray:
     """Numerical rank of each matrix in a (B, r, k) stack, from at most one SVD call.
 
-    The cutoff of each matrix is ``tol.cutoff`` for ``rows`` x k, so a stack
-    of compressed matrices (say R factors of a thin QR, which keep the
-    singular values of the taller originals) is judged by the original
-    row count.  Entries must be finite.
+    The cutoff of each matrix is ``tol.cutoff`` of its largest singular
+    value, so a stack of R factors of thin QRs gets the ranks of the taller
+    originals, whose singular values they keep.  Entries must be finite.
 
     With ``screen``, full rank is first proven by a shifted Gram-Cholesky
     factorization (``_proves_full_rank``), which costs a fraction of the
@@ -293,10 +286,10 @@ def stacked_ranks(
     that are likely full rank: on a deficient one it always fails and only
     adds its cost.
     """
-    if screen and _proves_full_rank(stack, rows, tol):
+    if screen and _proves_full_rank(stack, tol):
         return np.full(len(stack), min(stack.shape[1:]), dtype=np.intp)
     sigma = _svdvals(stack)
-    cut = tol.cutoff(sigma[:, 0], rows, stack.shape[2])
+    cut = tol.cutoff(sigma[:, 0])
     return np.count_nonzero(sigma > cut[:, None], axis=1)
 
 
@@ -305,7 +298,7 @@ def numerical_rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     m = as_matrix(m)
     if m.size == 0:
         return 0
-    return int(stacked_ranks(m[None], m.shape[0], tol)[0])
+    return int(stacked_ranks(m[None], tol)[0])
 
 
 def realign_bipartite(s, dims: tuple[int, int, int, int]) -> np.ndarray:

@@ -4,12 +4,14 @@ import itertools
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from sepcert import (
-    TolerancePolicy,
+    OperatorFamily,
+    ProductOperator,
     __version__,
     certify_unique,
     family_from_factors,
@@ -270,8 +272,8 @@ BYTE_CASES = [
 def test_certify_json_is_json_dumps_byte_for_byte(capsys, tmp_path, fam, kwargs, flags, name):
     path = tmp_path / name
     save_family(path, fam)
-    # The CLI's --tol default, which the library's default policy leaves unset.
-    cert = certify_unique(fam, tol=TolerancePolicy(relative_rank_threshold=1e-10), **kwargs)
+    # The library's default policy is the CLI's --tol default.
+    cert = certify_unique(fam, **kwargs)
     head = {"command": "certify", "tool_version": __version__, "file": str(path),
             "kind": "channel"}
     expected = json.dumps({**head, **cert.to_dict()}, indent=2)
@@ -279,6 +281,27 @@ def test_certify_json_is_json_dumps_byte_for_byte(capsys, tmp_path, fam, kwargs,
     code, out, _ = run_cli(capsys, "certify", str(path), *flags)
     assert code == (0 if cert.unique else 4)
     assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("noise", [1e-11, 1e-10, 1e-9])
+def test_library_and_cli_default_verdicts_agree(capsys, tmp_path, noise):
+    # The 2x2 projector basis with Gaussian noise on every factor entry: its
+    # verdict turns with the noise level, so library and CLI must share one
+    # rank cutoff to agree at each level.
+    rng = np.random.default_rng(0)
+    proj = gen_projective_basis(2, 2)
+    members = tuple(
+        ProductOperator(m.weight, [f + noise * rng.standard_normal(f.shape) for f in m.factors])
+        for m in proj.members
+    )
+    fam = OperatorFamily(proj.spec, members)
+    path = tmp_path / "noisy-projective-22.json"
+    save_family(path, fam)
+    cert = certify_unique(fam)
+    code, report, _ = run_json(capsys, "certify", str(path))
+    assert code == (0 if cert.unique else 4)
+    assert report["status"] == cert.status
+    assert [w["members"] for w in report["witnesses"]] == [list(w.members) for w in cert.witnesses]
 
 
 # Tight n=2 on three parties: each witness's members and its delta on every
@@ -527,6 +550,27 @@ def test_non_finite_member_exits_2_and_names_it(capsys, tmp_path, old, new, comm
     code, stdout, err = run_cli(capsys, command, str(path), *extra)
     assert code == 2
     assert "member 1" in err and "finite" in err
+    assert not stdout and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "verify", "hunt", "choi"])
+def test_overflowing_member_exits_2_and_names_it(capsys, tmp_path, command):
+    # Each number is finite, but member 1's operator, 1e200 * 1e200 times the
+    # ladder's, is not.
+    path = tmp_path / "ladder.json"
+    save_family(path, gen_ladder_channel(0.5))
+    data = json.loads(path.read_text())
+    member = data["members"][1]
+    member["weight"] = [1e200, 0.0]
+    member["factors"][0] = [[[1e200 * x for x in z] for z in row] for row in member["factors"][0]]
+    path.write_text(json.dumps(data))
+    out = tmp_path / "ensemble.json"
+    extra = {"choi": ["--out", str(out)], "hunt": ["--subset", "0,1"]}.get(command, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2
+    assert "member 1" in err and "overflows" in err
     assert not stdout and not out.exists()
 
 

@@ -10,6 +10,7 @@ from sepcert import (
     DegenerateInputError,
     NumericError,
     OperatorFamily,
+    ParameterError,
     ProductOperator,
     ShapeError,
     SizeBudgetError,
@@ -159,9 +160,14 @@ def test_numerical_rank_explicit_relative_threshold():
 
 
 def test_tolerance_policy_validates():
-    with pytest.raises(ValueError):
-        TolerancePolicy(relative_rank_threshold=1.5)
-    assert DEFAULT_TOLERANCE.relative_for(4, 2) == 4 * np.finfo(float).eps * 1e3
+    for bad in (1.5, -1e-3, float("nan"), None):
+        with pytest.raises(ParameterError):
+            TolerancePolicy(relative_rank_threshold=bad)
+    # One cutoff for library and CLI: a fixed fraction of sigma_max.
+    assert TolerancePolicy() == DEFAULT_TOLERANCE == TolerancePolicy(relative_rank_threshold=1e-10)
+    assert not hasattr(TolerancePolicy, "relative_for")
+    assert DEFAULT_TOLERANCE.cutoff(2.0) == 2e-10
+    assert DEFAULT_TOLERANCE.cutoff(1e-6) == ABSOLUTE_FLOOR
 
 
 def test_span_dimension_basic_cases():
@@ -226,26 +232,27 @@ POLICIES = [DEFAULT_TOLERANCE] + [
     TolerancePolicy(relative_rank_threshold=t) for t in (0.0, 1e-10, 1e-3, 0.5)
 ]
 POLICY_IDS = ["default", "rel0", "rel1e-10", "rel1e-3", "rel0.5"]
-# (r, k, rows): tall, tall compressed from 11 rows, square, wide, one column.
-SHAPES = [(6, 3, 6), (6, 3, 11), (4, 4, 4), (3, 7, 3), (5, 1, 5)]
+# (r, k, compressed): tall, the 3 x 3 R factor of an 11 x 3 matrix's thin
+# QR, square, wide, one column.
+SHAPES = [(6, 3, False), (11, 3, True), (4, 4, False), (3, 7, False), (5, 1, False)]
 
 
-def _svd_ranks(stack, rows, tol):
+def _svd_ranks(stack, tol):
     """The SVD-only rank: singular values above the cutoff of each matrix's
-    largest one, for ``rows`` x k."""
+    largest one."""
     sigma = np.linalg.svd(stack, compute_uv=False)
-    cut = tol.cutoff(sigma[:, 0], rows, stack.shape[2])
+    cut = tol.cutoff(sigma[:, 0])
     return np.count_nonzero(sigma > cut[:, None], axis=1)
 
 
-def _check_screen(stack, rows, tol):
+def _check_screen(stack, tol):
     """The screened ranks equal the SVD-only ones, and a proof of full rank
     is only ever given where the SVD finds full rank; returns the proof."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ranks = stacked_ranks(stack, rows, tol, screen=True)
-        proved = _proves_full_rank(stack, rows, tol)
-    reference = _svd_ranks(stack, rows, tol)
+        ranks = stacked_ranks(stack, tol, screen=True)
+        proved = _proves_full_rank(stack, tol)
+    reference = _svd_ranks(stack, tol)
     np.testing.assert_array_equal(ranks, reference)
     if proved:
         assert (reference == min(stack.shape[1:])).all()
@@ -263,28 +270,33 @@ def _planted(rng, r, k, sigma_min):
     return (u * sigma) @ v.conj().T
 
 
-@pytest.mark.parametrize("r, k, rows", SHAPES, ids=["tall", "compressed", "square", "wide", "k1"])
+@pytest.mark.parametrize(
+    "r, k, compressed", SHAPES, ids=["tall", "compressed", "square", "wide", "k1"]
+)
 @pytest.mark.parametrize("tol", POLICIES, ids=POLICY_IDS)
-def test_screened_ranks_equal_svd_ranks_near_the_cutoff(r, k, rows, tol):
+def test_screened_ranks_equal_svd_ranks_near_the_cutoff(r, k, compressed, tol):
     rng = np.random.default_rng(13)
     # With one singular value the relative part cancels: the floor decides.
-    cut = float(tol.cutoff(1.0, rows, k)) if min(r, k) > 1 else ABSOLUTE_FLOOR
+    cut = float(tol.cutoff(1.0)) if min(r, k) > 1 else ABSOLUTE_FLOOR
     targets = [cut * (1 - 1e-6), cut * (1 + 1e-6)] + [cut * 10.0**j for j in range(-3, 9)]
     if min(r, k) > 1:
         targets = [t for t in targets if t < 1.0]
     planted = np.stack([_planted(rng, r, k, t) for t in targets])
-    proofs = [_check_screen(m[None], rows, tol) for m in planted]
+    if compressed:
+        # The R factor keeps the singular values, so no row count is needed.
+        planted = np.stack([np.linalg.qr(m, mode="r") for m in planted])
+    proofs = [_check_screen(m[None], tol) for m in planted]
     # Just below the cutoff the rank is deficient, so no proof.  Just above
     # it a proof needs an absolute cutoff and one singular value: the
     # screen's margin is relative to sigma_max.
     assert not proofs[0]
     assert proofs[1] == (min(r, k) == 1)
-    if tol.relative_rank_threshold in (None, 0.0, 1e-10):
+    if tol.relative_rank_threshold in (0.0, 1e-10):
         # Eight orders above the cutoff, full rank is proven.
         assert proofs[-1]
     # A stack mixing provable and unprovable matrices goes to the SVD whole.
-    assert not _check_screen(planted, rows, tol)
-    assert _check_screen(planted[proofs], rows, tol) == any(proofs)
+    assert not _check_screen(planted, tol)
+    assert _check_screen(planted[proofs], tol) == any(proofs)
 
 
 @pytest.mark.parametrize("tol", POLICIES, ids=POLICY_IDS)
@@ -295,14 +307,14 @@ def test_screen_defers_degenerate_stacks_to_the_svd(tol):
     repeated[:, 3] = repeated[:, 0]
     zero = np.zeros((5, 4), dtype=complex)
     for stack in (repeated[None], zero[None], np.stack([full, repeated])):
-        assert not _check_screen(stack, 5, tol)
+        assert not _check_screen(stack, tol)
     # Scaled by 1e-160 the Gram matrix underflows, by 1e+160 it overflows.
     for scale in (1e-160, 1e160):
-        assert not _check_screen(scale * full[None], 5, tol)
-        assert not _check_screen(scale * full.T[None], 5, tol)
+        assert not _check_screen(scale * full[None], tol)
+        assert not _check_screen(scale * full.T[None], tol)
     empty = np.zeros((0, 5, 4), dtype=complex)
-    assert _check_screen(empty, 5, tol) is False
-    assert stacked_ranks(empty, 5, tol, screen=True).shape == (0,)
+    assert _check_screen(empty, tol) is False
+    assert stacked_ranks(empty, tol, screen=True).shape == (0,)
 
 
 @given(
@@ -316,7 +328,7 @@ def test_screen_defers_degenerate_stacks_to_the_svd(tol):
 def test_screen_proves_full_rank_only_where_the_svd_finds_it(seed, r, k, log_sigma, policy):
     rng = np.random.default_rng(seed)
     stack = np.stack([_planted(rng, r, k, 10.0**log_sigma) for _ in range(3)])
-    _check_screen(stack, r + int(rng.integers(0, 4)), POLICIES[policy])
+    _check_screen(stack, POLICIES[policy])
 
 
 @given(
