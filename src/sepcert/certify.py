@@ -14,8 +14,11 @@ dimension by at most one, also numerically (singular values interlace and
 the rank cutoff, a fixed fraction of sigma_max, can only shrink), so the
 ranks of the larger subsets bound those of the smaller ones from below.
 Adding members never lowers a singular value, so the robust rank of each
-member pair, counted against the cutoff of the whole side matrix plus the
-SVD's error, bounds every subset holding the pair from below as well.  A
+k-member subset, counted against the cutoff of the whole side matrix plus
+the SVD's error, bounds every subset holding it from below as well.  These
+floors come from the member pairs and, on a side of full row rank r, from
+the r-member subsets: there a floor of r is exact, so once a side's
+r-subsets are known to be independent, so are all their supersets.  A
 subset is ranked on a side only when those bounds cannot decide it, and a
 side is built only when the pass reaches one of its splits.  Subsets that
 select the same multiset of a side's columns share one SVD: their side
@@ -29,12 +32,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationCapError, ParameterError, SizeBudgetError, UsageError
+from .errors import (
+    EnumerationCapError,
+    NumericError,
+    ParameterError,
+    SizeBudgetError,
+    UsageError,
+)
 from .linalg import (
     DEFAULT_TOLERANCE,
     TolerancePolicy,
@@ -295,10 +304,10 @@ class _Side:
     ``m`` and ``weights`` are those of ``_side_matrix``.  ``known``
     and ``floor`` are int8 arrays over member bitmasks: ``known`` holds the
     exact rank of each subset ranked on the side so far and the lower bound
-    of every other decided subset, 0 elsewhere, and ``floor`` the pair
-    floors of ``_pair_floors`` once ``floored``, 0 before.  With multiset
-    weights, ``table`` holds the rank of each column multiset ranked so far,
-    -1 elsewhere; else it is None.
+    of every other decided subset, 0 elsewhere, and ``floor`` the maximum
+    of the ``_subset_floors`` of each k in ``floored``, 0 before any.  With
+    multiset weights, ``table`` holds the rank of each column multiset
+    ranked so far, -1 elsewhere; else it is None.
     """
 
     m: np.ndarray
@@ -306,7 +315,7 @@ class _Side:
     known: np.ndarray
     floor: np.ndarray
     table: np.ndarray | None
-    floored: bool = False
+    floored: set[int] = field(default_factory=set)
 
 
 def _size_budget_error(n: int) -> SizeBudgetError:
@@ -326,31 +335,42 @@ def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
     return _Side(m, weights, known, floor, table)
 
 
-def _pair_floors(m: np.ndarray, bits: np.ndarray, tol: TolerancePolicy, floor: np.ndarray) -> None:
-    """Write into ``floor`` a lower bound on the rank of every subset's
-    selection of ``m``'s columns: the largest robust rank of a member pair
-    that the subset holds, 0 for subsets of fewer than two members.
+def _subset_floors(
+    m: np.ndarray,
+    popcount: np.ndarray,
+    bits: np.ndarray,
+    k: int,
+    tol: TolerancePolicy,
+    floor: np.ndarray,
+) -> None:
+    """Raise ``floor`` to a lower bound on the rank of every subset's
+    selection of ``m``'s columns: the largest robust rank of a k-member
+    subset that the subset holds.  Entries already larger are kept, so the
+    floors from several k combine into their maximum.
 
-    ``m`` is an r x N side matrix.  One SVD call ranks all C(N, 2) pairs; a
-    pair's robust rank counts its singular values above C + 2d, with s =
-    ||m||_F (1 + kappa), kappa the ``svd_error_scale`` of ``m``'s shape, d =
-    kappa s and the global cap C = ``tol.cutoff(s + d)``.  For a subset T
-    holding the pair S, sigma_k(m_T) >= sigma_k(m_S) (adding columns never
-    lowers a singular value), and each computed singular value is within d
-    of the exact one (Weyl): no column selection of m is larger or has a
-    larger norm.  The SVD of m_T finds sigma_max <= s + d, so T's cutoff is
-    at most C: every singular value the pair's robust rank counts lies
-    above C + 2d, hence T's computed one above C, and T's rank counts it as
-    well.
-    The pair ranks reach every superset in one max pass per member bit.
+    ``m`` is an r x N side matrix; ``popcount`` and ``bits`` are those of
+    ``_subset_blocks``.  One SVD call per block of k-member subsets ranks
+    them; a k-subset's robust rank counts its singular values above C + 2d,
+    with s = ||m||_F (1 + kappa), kappa the ``svd_error_scale`` of ``m``'s
+    shape, d = kappa s and the global cap C = ``tol.cutoff(s + d)``.  For a
+    subset T holding the k-subset S, sigma_i(m_T) >= sigma_i(m_S) (adding
+    columns never lowers a singular value), and each computed singular
+    value is within d of the exact one (Weyl): no column selection of m is
+    larger or has a larger norm.  The SVD of m_T finds sigma_max <= s + d,
+    so T's cutoff is at most C: every singular value the robust rank of S
+    counts lies above C + 2d, hence T's computed one above C, and T's rank
+    counts it as well.  A floor of min(|T|, r) is therefore T's rank.
+    The k-subset ranks reach every superset in one max pass per member bit.
     """
     r, n = m.shape
     kappa = svd_error_scale(max(r, n), min(r, n))
     s = np.linalg.norm(m) * (1 + kappa)
     d = kappa * s
-    i, j = np.triu_indices(n, 1)
-    sigma = _svdvals(np.moveaxis(m[:, np.column_stack([i, j])], 1, 0))
-    floor[bits[i] | bits[j]] = np.count_nonzero(sigma > tol.cutoff(s + d) + 2 * d, axis=1)
+    robust = tol.cutoff(s + d) + 2 * d
+    for _, masks, members in _subset_blocks(popcount, bits, k):
+        sigma = _svdvals(np.moveaxis(m[:, members], 1, 0))
+        count = np.count_nonzero(sigma > robust, axis=1)
+        floor[masks] = np.maximum(floor[masks], count)
     for b in range(n):
         # Axis 1 is bit b: each mask with the bit set takes its floor without it.
         half = floor.reshape(-1, 2, 1 << b)
@@ -360,6 +380,7 @@ def _pair_floors(m: np.ndarray, bits: np.ndarray, tol: TolerancePolicy, floor: n
 def _decide_block(
     masks: np.ndarray,
     members: np.ndarray,
+    popcount: np.ndarray,
     bits: np.ndarray,
     splits: tuple[Split, ...],
     fam: OperatorFamily,
@@ -370,24 +391,31 @@ def _decide_block(
 
     ``masks`` holds the subsets' member bitmasks, with ``bits[i]`` the bit
     of member i, and ``members`` their (B, m) member indices; all subsets of
-    m + 1 members must be decided.  ``sides`` maps each side opened so far
-    to its ``_Side``.  A side is opened here (``_open_side`` of ``fam``)
-    when a block first reaches one of its splits, and a block gathers a
-    side's start values only when it reaches the side.  No floor exceeds 2,
-    so a side's pair floors are written only when, in a block of three or
-    more members below the full set, the subsets whose start value from the
-    supersets lies below 2 hold at least as many columns as the member
-    pairs do, n (n - 1); until then those subsets are ranked instead.
+    m + 1 members must be decided.  ``popcount`` and ``bits`` are those of
+    ``_subset_blocks``.  ``sides`` maps each side opened so far to its
+    ``_Side``.  A side is opened here (``_open_side`` of ``fam``) when a
+    block first reaches one of its splits, and a block gathers a side's
+    start values only when it reaches the side.
 
     On each side a subset T starts from max(``max_x known(T | x) - 1``,
     ``floor(T)``): its supersets' bounds fall by one per member removed,
-    and the pair floors, counted against the cap C of the whole side
-    matrix, hold at every size.  A start value of min(m, rows of the side
-    matrix) is exact, since no rank exceeds it.  A subset is ranked on a
-    side only when its bounds leave a split undecided: on side A first,
-    then on side B if the subset is still alive.  The block's entries of ``known`` on the sides
-    it reached are written on return; the others keep 0, still a lower
-    bound.
+    and the floors of ``_subset_floors``, counted against the cap C of the
+    whole side matrix, hold at every size.  A start value of min(m, r), r
+    the rows of the side matrix, is exact, since no rank exceeds it.  A
+    subset is ranked on a side only when its bounds leave a split
+    undecided: on side A first, then on side B if the subset is still
+    alive.  The block's entries of ``known`` on the sides it reached are
+    written on return; the others keep 0, still a lower bound.
+
+    Floors are built once per side and k, each when it costs less than the
+    ranks it replaces.  Pair floors raise only start values below 2, so
+    they are built when, in a block of three or more members, the subsets
+    starting below 2 hold at least the n (n - 1) columns of the member
+    pairs.  On a side whose full set was ranked and found full rank r, with
+    2 < r < m, the floors of the r-member subsets rank every subset of r or
+    more members exactly when all of its r-subsets are independent, so they
+    are built when the subsets the block would rank there hold more columns
+    than the C(n, r) r-subsets do; until then those subsets are ranked.
 
     A side with multiset weights (see ``_side_matrix``) ranks one subset
     per column multiset not yet in its table and reads every other rank
@@ -417,31 +445,46 @@ def _decide_block(
             # For x in T, T | x is T itself, still 0 here, so it only adds the
             # -1 that the clip at 0 (or the floor) removes.
             lower = state.known[supersets].max(axis=1).astype(np.int64) - 1
-            # Floors raise only start values below 2, and cost one SVD over
-            # the n (n - 1) columns of the member pairs, so they are built once
-            # the subsets starting below 2 in a block hold as many columns;
-            # fewer are ranked for no more, and pairs rank themselves as
-            # cheaply.  The full set, alone in its block, never qualifies.
+            start = np.maximum(lower, state.floor[masks])
+            # Pair floors raise only start values below 2, and cost one SVD
+            # over the n (n - 1) columns of the member pairs, so they are
+            # built once the subsets starting below 2 in a block hold as many
+            # columns; fewer are ranked for no more, and pairs rank themselves
+            # as cheaply.  The full set, alone in its block, never qualifies.
             if (
-                not state.floored
+                2 not in state.floored
                 and size > 2
-                and np.count_nonzero(lower < 2) * size >= n * (n - 1)
+                and np.count_nonzero(start < 2) * size >= n * (n - 1)
             ):
-                _pair_floors(state.m, bits, tol, state.floor)
-                state.floored = True
-            val[side] = np.maximum(lower, state.floor[masks] if state.floored else 0)
-            exact[side] = val[side] >= min(size, len(state.m))
+                _subset_floors(state.m, popcount, bits, 2, tol, state.floor)
+                state.floored.add(2)
+                start = np.maximum(lower, state.floor[masks])
+            val[side] = start
+            exact[side] = start >= min(size, len(state.m))
 
     def rank(side, todo):
         state = sides[side]
+        r = len(state.m)
+        # The full set's entry holds its rank, or its start value while unranked.
+        screen = bool(state.known[-1] == r)
+        exact[side][todo] = True
+        if (
+            screen
+            and 2 < r < size
+            and r not in state.floored
+            and len(todo) * size > r * math.comb(n, r)
+        ):
+            # A floor of r is exact: the subsets it reaches need no rank.
+            _subset_floors(state.m, popcount, bits, r, tol, state.floor)
+            state.floored.add(r)
+            val[side][todo] = np.maximum(val[side][todo], state.floor[masks[todo]])
+            todo = todo[val[side][todo] < r]
         reps = todo
         if state.weights is not None:
             keys = state.weights[members[todo]].sum(axis=1)
             missing = state.table[keys] < 0
             new, first = np.unique(keys[missing], return_index=True)
             reps = todo[missing][first]
-        # The full set's entry holds its rank, or its start value while unranked.
-        screen = bool(state.known[-1] == len(state.m))
         for i in range(0, len(reps), SUBSET_BLOCK):
             sel = reps[i : i + SUBSET_BLOCK]
             stack = np.moveaxis(state.m[:, members[sel]], 1, 0)
@@ -449,7 +492,6 @@ def _decide_block(
         if state.weights is not None:
             state.table[new] = val[side][reps]
             val[side][todo] = state.table[keys]
-        exact[side][todo] = True
 
     alive = np.arange(len(members))
     for side_a, side_b in splits:
@@ -490,21 +532,29 @@ def certify_unique(
     shrink when a column goes.  So the rank of
     a superset bounds the rank of each subset one member smaller, and most
     subsets die on their bounds with no SVD.  Those bounds fall by one per
-    size, so each side also keeps pair floors (``_pair_floors``), lower
-    bounds that run the other way, from each member pair up to every subset
-    holding it: one SVD call ranks all C(N, 2) member pairs, counting
+    size, so each side also keeps floors (``_subset_floors``), lower bounds
+    that run the other way, from each k-member subset up to every subset
+    holding it: one SVD call per block of k-subsets ranks them, counting
     singular values above C + 2d, where d bounds the SVD's error and C is the
     cutoff of the whole side matrix, which caps the cutoff of every subset.
-    Adding columns never lowers a singular value, so a pair's floor bounds
-    the rank of every subset holding it, under any policy.  A subset starts
-    from the larger of the two bounds, and a start value of min(n, rows of
-    the side matrix) is already exact.  A survivor is ranked exactly on
-    every side.  A side is built and its bounds gathered only when the pass
-    reaches one of its splits; a bound never written stays 0, still sound.
-    Its floors are computed only once the subsets of a block (of three or
-    more members) whose bounds from the supersets lie below 2, the most a
-    floor gives, hold at least the N (N - 1) columns of the member pairs;
-    fewer such subsets are ranked for no more.  Each side's bounds and
+    Adding columns never lowers a singular value, so a k-subset's floor
+    bounds the rank of every subset holding it, under any policy.  A subset
+    starts from the larger of the two bounds, and a start value of min(n, r),
+    r the rows of the side matrix, is already exact.  A survivor is ranked
+    exactly on every side.  A side is built and its bounds gathered only
+    when the pass reaches one of its splits; a bound never written stays 0,
+    still sound.  Floors come in two kinds, each built at most once per side
+    and only where it costs less than the ranks it replaces.  Pair floors
+    (k = 2) give at most 2, so they are built once the subsets of a block
+    (of three or more members) whose bounds from the supersets lie below 2
+    hold at least the N (N - 1) columns of the member pairs.  On a side
+    whose full set was ranked and found full rank r, 2 < r < N, the floors
+    of the r-member subsets (k = r) give r, which is exact, to every subset
+    holding an independent r-subset; they are built in the first block of
+    more than r members whose subsets left to rank on the side hold more
+    columns than the C(N, r) r-subsets do.  So on a generic full-rank side
+    every survivor of r or more members gets its rank from the floors, and
+    every smaller one from its supersets' bounds.  Each side's bounds and
     floors take 2 * 2**N bytes.
 
     The subsets of one size are the bitmasks below 2**N with that many set
@@ -556,7 +606,9 @@ def certify_unique(
     for size in range(n, 1, -1):
         level = []
         for start, block, members in _subset_blocks(popcount, bits, size):
-            alive, ranks = _decide_block(block, members, bits, splits, fam, sides, tol)
+            alive, ranks = _decide_block(
+                block, members, popcount, bits, splits, fam, sides, tol
+            )
             if alive.size == 0:
                 continue
             if not level:
@@ -601,23 +653,40 @@ class CompletenessReport:
         }
 
 
+def _positive_part(f: np.ndarray) -> np.ndarray:
+    """F^dag F for F = ``f`` over the modulus of its largest entry: its
+    entries are at most F's row count, and it spans what ``f``'s does."""
+    f = f / np.abs(f).max()
+    return f.conj().T @ f
+
+
 #: Default bound on ||sum_j K_j^dag K_j - I||_F / sqrt(d_in) for a complete family.
 COMPLETENESS_TOL = 1e-10
 
 
 def verify_completeness(fam: OperatorFamily, tol: float = COMPLETENESS_TOL) -> CompletenessReport:
-    """Check sum_j K_j^dag K_j = I and the local-positive-span pair bounds."""
+    """Check sum_j K_j^dag K_j = I and the local-positive-span pair bounds.
+
+    Raises ``NumericError`` naming the first member whose K^dag K, added to
+    those before it, overflows the float range.  Each local factor is
+    divided by its largest entry before its positive part is taken, so no
+    positive part overflows or underflows, and the span dimensions do not
+    depend on how a member's scale is split between its factors.
+    """
     if not (0.0 <= tol < np.inf):
         raise ParameterError(f"completeness tolerance must be finite and nonnegative, got {tol}")
     d_in = fam.spec.total_d_in
     gram = np.zeros((d_in, d_in), dtype=np.complex128)
-    for k in fam.assembled():
-        gram += k.conj().T @ k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, k in enumerate(fam.assembled()):
+            gram += k.conj().T @ k
+            if not math.isfinite(frobenius(gram)):
+                raise NumericError(f"member {j}: K^dag K overflows the float range")
     residual = frobenius(gram - np.eye(d_in))
     is_complete = bool(residual <= tol * np.sqrt(d_in))
 
     spans = tuple(
-        span_dimension([f.conj().T @ f for f in fam.local_factors(p)])
+        span_dimension([_positive_part(f) for f in fam.local_factors(p)])
         for p in range(fam.n_parties)
     )
     n = fam.n_members

@@ -34,6 +34,7 @@ from .certify import (
 )
 from .choi import channel_to_choi_ensemble, ensemble_to_state
 from .errors import (
+    NumericError,
     ParameterError,
     SepcertError,
     SizeBudgetError,
@@ -119,7 +120,10 @@ def _seed(text: str) -> int:
 
 def cmd_verify(args) -> int:
     loaded = load_family(args.file)
-    report = verify_completeness(loaded.family, tol=args.tol)
+    try:
+        report = verify_completeness(loaded.family, tol=args.tol)
+    except NumericError as exc:
+        raise NumericError(f"{args.file}, {exc}") from None
     _emit(
         {
             "command": "verify",

@@ -40,10 +40,10 @@ from sepcert.certify import (
     LEVEL_BLOCK,
     SUBSET_BLOCK,
     _member_bits,
-    _pair_floors,
     _popcounts,
     _side_matrix,
     _subset_blocks,
+    _subset_floors,
 )
 from sepcert.cli import main
 from sepcert.linalg import ABSOLUTE_FLOOR, stacked_ranks, svd_error_scale
@@ -261,8 +261,12 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
 
 @pytest.mark.parametrize(
     "tol",
-    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-10)],
-    ids=["default", "rel1e-10"],
+    [
+        TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
+        TolerancePolicy(relative_rank_threshold=1e-6),
+    ],
+    ids=["default", "rel1e-10", "rel1e-6"],
 )
 @pytest.mark.parametrize(
     "make, strategy",
@@ -281,6 +285,13 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
         # Six pair splits share four single-party sides; every subset of
         # seven or more members survives, so survivors need exact ranks.
         (lambda: _with_duplicate(8, seed=5, dims=(2, 2, 2, 2)), STRATEGY_PAIRS),
+        # Full-rank 4-row sides with survivors at every size: the floors of
+        # the 4-member subsets rank every larger survivor there, on both
+        # sides of (2,2), on the 4-row side of (2,3) (its 9-row side builds
+        # pair floors) and on the three sides of (2,2,2) split by pairs.
+        (lambda: random_product_family(np.random.default_rng(1), (2, 2), 12), None),
+        (lambda: random_product_family(np.random.default_rng(1), (2, 3), 12), None),
+        (lambda: random_product_family(np.random.default_rng(2), (2, 2, 2), 12), STRATEGY_PAIRS),
     ],
     ids=[
         "fourier-222",
@@ -290,6 +301,9 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
         "random-33-n13",
         "random-222-n12",
         "pairs-twins-2222-n9",
+        "random-22-n12",
+        "random-23-n12",
+        "pairs-random-222-n12",
     ],
 )
 def test_block_oracle_matches_per_subset_reference(make, strategy, tol):
@@ -315,8 +329,12 @@ def test_twin_witnesses_span_several_blocks():
 
 @pytest.mark.parametrize(
     "tol",
-    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-10)],
-    ids=["default", "rel1e-10"],
+    [
+        TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
+        TolerancePolicy(relative_rank_threshold=1e-6),
+    ],
+    ids=["default", "rel1e-10", "rel1e-6"],
 )
 def test_fail_fast_witness_past_the_first_block(tol):
     # The twins (11, 12) are the last of the 78 pairs of 13 members.
@@ -459,6 +477,21 @@ def test_bounds_skip_most_side_ranks(monkeypatch):
     assert sum(ranked) <= 16_356 // 4
 
 
+def test_full_rank_sides_rank_larger_survivors_by_subset_floors(monkeypatch):
+    # Random (2,2)/N12 has one split of two 4-row sides, both of rank 4 on
+    # every subset of four or more members, so the 1,586 subsets of seven
+    # or more members survive.  Each side ranks its full set and the 12 +
+    # 66 + 220 subsets of 11, 10 and 9 members, 598 matrices in all; at
+    # eight members the 495 subsets left to rank hold more columns than
+    # the 495 subsets of four do, so each side builds the floors of its
+    # 4-member subsets, which rank every smaller subset exactly.  Ranking
+    # each survivor on each side took 6,307 matrices.
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
+    cert = certify_unique(random_product_family(np.random.default_rng(1), (2, 2), 12))
+    assert len(cert.witnesses) == 1586
+    assert sum(stack_sizes) <= 600
+
+
 def _counting_linalg(monkeypatch):
     """Count numpy's SVD calls and its Cholesky calls and failures."""
     counts = {"svd": 0, "cholesky": 0, "failed": 0}
@@ -565,25 +598,42 @@ def test_later_splits_are_built_when_the_pass_reaches_them(monkeypatch):
     assert cert.status == "Unique"
 
 
-def _planted_pair(t):
-    """Random (2,2,2) family of nine members whose first two have party-0
-    factors vectorizing to the unit columns (c, s, 0, 0) and (c, -s, 0, 0),
-    s = t / sqrt(2): their two-column side matrix has orthogonal rows, so
-    its singular values are sqrt(2) c and t, to rounding."""
-    fam = random_product_family(np.random.default_rng(9), (2, 2, 2), 9)
+def _plant(fam, t, count):
+    """``fam`` with the 2 x 2 party-0 factors of its first ``count`` (2 or
+    4) members vectorizing to the unit columns (c, s, 0, 0), (c, -s, 0, 0),
+    (0, 0, 1, 0) and (0, 0, 0, 1), s = t / sqrt(2): their side matrix has
+    orthogonal rows, so its singular values are sqrt(2) c and t, then 1
+    and 1, to rounding."""
     s = t / math.sqrt(2)
     c = math.sqrt(1 - s * s)
-    first = np.array([[c, 0], [s, 0]], dtype=complex)
-    second = np.array([[c, 0], [-s, 0]], dtype=complex)
+    planted = ([[c, 0], [s, 0]], [[c, 0], [-s, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]])
     members = tuple(
-        ProductOperator(m.weight, (f, *m.factors[1:]))
-        for m, f in zip(fam.members[:2], (first, second))
+        ProductOperator(m.weight, (np.array(f, dtype=complex), *m.factors[1:]))
+        for m, f in zip(fam.members[:count], planted)
     )
-    return OperatorFamily(fam.spec, members + fam.members[2:])
+    return OperatorFamily(fam.spec, members + fam.members[count:])
+
+
+def _planted_pair(t):
+    """Random (2,2,2) family of nine members, the first two planted by ``_plant``."""
+    return _plant(random_product_family(np.random.default_rng(9), (2, 2, 2), 9), t, 2)
+
+
+def _recording_subset_floors(monkeypatch):
+    """Record the side matrix and the k of each ``_subset_floors`` call."""
+    floored = []
+    subset_floors = sepcert.certify._subset_floors
+
+    def recording(m, popcount, bits, k, tol, floor):
+        floored.append((m, k))
+        return subset_floors(m, popcount, bits, k, tol, floor)
+
+    monkeypatch.setattr(sepcert.certify, "_subset_floors", recording)
+    return floored
 
 
 def _pair_floor_margin(fam, tol):
-    """C + 2d and C of ``_pair_floors`` on party 0's side matrix of ``fam``."""
+    """C + 2d and C of ``_subset_floors`` on party 0's side matrix of ``fam``."""
     m, _ = _side_matrix(fam, (0,))
     r, n = m.shape
     kappa = svd_error_scale(max(r, n), min(r, n))
@@ -594,8 +644,12 @@ def _pair_floor_margin(fam, tol):
 
 @pytest.mark.parametrize(
     "tol",
-    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-10)],
-    ids=["default", "rel1e-10"],
+    [
+        TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
+        TolerancePolicy(relative_rank_threshold=1e-6),
+    ],
+    ids=["default", "rel1e-10", "rel1e-6"],
 )
 def test_pair_floor_margin(monkeypatch, tol):
     # t does not change ||m||_F in double precision, so the margin computed
@@ -605,14 +659,7 @@ def test_pair_floor_margin(monkeypatch, tol):
     # pair among them.
     margin, cap = _pair_floor_margin(_planted_pair(1e-20), tol)
     pair = int(_member_bits(9)[[0, 1]].sum())
-    floored = []
-    pair_floors = sepcert.certify._pair_floors
-
-    def recording(m, bits, tol, floor):
-        floored.append(len(m))
-        return pair_floors(m, bits, tol, floor)
-
-    monkeypatch.setattr(sepcert.certify, "_pair_floors", recording)
+    floored = _recording_subset_floors(monkeypatch)
     planted = [(margin * (1 + 1e-6), 2), (margin * (1 - 1e-6), 1)]
     planted += [(cap * 10.0**j, None) for j in range(-3, 3)]
     references = set()
@@ -621,7 +668,7 @@ def test_pair_floor_margin(monkeypatch, tol):
         assert _pair_floor_margin(fam, tol) == (margin, cap)
         m, _ = _side_matrix(fam, (0,))
         floor = np.zeros(1 << 9, dtype=np.int8)
-        _pair_floors(m, _member_bits(9), tol, floor)
+        _subset_floors(m, _popcounts(9), _member_bits(9), 2, tol, floor)
         reference = _reference_rank(fam.side_matrix((0,))[:, :2], tol)
         references.add(reference)
         assert floor[pair] <= reference
@@ -630,11 +677,52 @@ def test_pair_floor_margin(monkeypatch, tol):
         witnesses, examined = _reference_certificate(fam, tol)
         floored.clear()
         cert = certify_unique(fam, tol=tol)
-        assert floored == [4]
+        assert [(len(m), k) for m, k in floored] == [(4, 2)]
         assert cert.witnesses == witnesses
         assert cert.subsets_examined == examined
     # The sweep crosses the pair's own cutoff, which lies below C.
     assert references == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-6)],
+    ids=["default", "rel1e-6"],
+)
+def test_subset_floor_margin(monkeypatch, tol):
+    # Random (2,2)/N9 ranks the subsets of eight to six members on party
+    # 0's 4-row side, found full rank on the full set; at five members the
+    # 126 subsets left to rank hold more columns than the 126 subsets of
+    # four do, so the pass builds the floors of the 4-member subsets there.
+    # The planted quadruple (0, 1, 2, 3) has sigma_min t: its floor is 4
+    # just above C + 2d and 3 just below, where the pass ranks its
+    # supersets instead.
+    base = random_product_family(np.random.default_rng(9), (2, 2), 9)
+    margin, cap = _pair_floor_margin(_plant(base, 1e-20, 4), tol)
+    quadruple = int(_member_bits(9)[:4].sum())
+    floored = _recording_subset_floors(monkeypatch)
+    planted = [(margin * (1 + 1e-6), 4), (margin * (1 - 1e-6), 3)]
+    planted += [(cap * 10.0**j, None) for j in range(-3, 3)]
+    references = set()
+    for t, expected in planted:
+        fam = _plant(base, t, 4)
+        assert _pair_floor_margin(fam, tol) == (margin, cap)
+        m, _ = _side_matrix(fam, (0,))
+        floor = np.zeros(1 << 9, dtype=np.int8)
+        _subset_floors(m, _popcounts(9), _member_bits(9), 4, tol, floor)
+        reference = _reference_rank(fam.side_matrix((0,))[:, :4], tol)
+        references.add(reference)
+        assert floor[quadruple] <= reference
+        if expected is not None:
+            assert floor[quadruple] == expected
+        witnesses, examined = _reference_certificate(fam, tol)
+        floored.clear()
+        cert = certify_unique(fam, tol=tol)
+        assert any(k == 4 and np.array_equal(f, m) for f, k in floored)
+        assert cert.witnesses == witnesses
+        assert cert.subsets_examined == examined
+    # The sweep crosses the quadruple's own cutoff, which lies below C.
+    assert references == {3, 4}
 
 
 @given(
@@ -649,16 +737,19 @@ def test_pair_floors_never_exceed_the_reference_rank(seed, n_distinct, log_noise
     fam = _with_duplicate(n_distinct, seed, noise=10.0**log_noise, party=party)
     tol = TolerancePolicy(relative_rank_threshold=rel)
     n = fam.n_members
-    bits = _member_bits(n)
+    popcount, bits = _popcounts(n), _member_bits(n)
     for side in ((0,), (1, 2), (0, 1)):
         m, _ = _side_matrix(fam, side)
-        floor = np.zeros(1 << n, dtype=np.int8)
-        _pair_floors(m, bits, tol, floor)
         full = fam.side_matrix(side)
-        for size in range(2, n + 1):
-            for subset in itertools.combinations(range(n), size):
-                mask = int(bits[list(subset)].sum())
-                assert floor[mask] <= _reference_rank(full[:, subset], tol)
+        floor = np.zeros(1 << n, dtype=np.int8)
+        # The pair floors, then with them those of the row-count subsets,
+        # as the pass builds them on a side of r < n rows.
+        for k in [2, len(m)] if 2 < len(m) < n else [2]:
+            _subset_floors(m, popcount, bits, k, tol, floor)
+            for size in range(2, n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    mask = int(bits[list(subset)].sum())
+                    assert floor[mask] <= _reference_rank(full[:, subset], tol)
 
 
 @pytest.mark.parametrize("error", [MemoryError, ValueError])
@@ -821,6 +912,34 @@ def test_ladder_positive_parts_at_half():
     report = verify_completeness(gen_ladder_channel(0.5))
     assert report.pair_sums == {(0, 1): 4}
     assert report.local_positive_spans == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "fam, scales",
+    [
+        (gen_ladder_channel(0.5), [(1.0, 1.0), (1e160, 1e-160)]),
+        (gen_projective_basis(2, 2), [(1e-160, 1e160)] * 4),
+    ],
+    ids=["ladder-1e160-1e-160", "projective-1e-160-1e160"],
+)
+def test_positive_spans_do_not_depend_on_factor_scales(fam, scales):
+    # Every member is unchanged, but its factors' positive parts would
+    # overflow or underflow if taken unscaled.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_completeness(_rescaled(fam, scales))
+    expected = verify_completeness(fam)
+    assert report.local_positive_spans == expected.local_positive_spans
+    assert report.pair_sums == expected.pair_sums
+    assert report.is_complete == expected.is_complete
+
+
+def test_gram_overflow_names_the_member():
+    fam = _rescaled(gen_ladder_channel(0.5), [(1.0, 1.0), (1e160, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^member 1: K\^dag K overflows"):
+            verify_completeness(fam)
 
 
 def test_half_identity_is_incomplete():

@@ -574,6 +574,23 @@ def test_overflowing_member_exits_2_and_names_it(capsys, tmp_path, command):
     assert not stdout and not out.exists()
 
 
+def test_verify_names_the_member_whose_gram_overflows(capsys, tmp_path):
+    # Member 1's operator, 1e160 times the ladder's, fits the float range,
+    # but its K^dag K does not.
+    path = tmp_path / "ladder.json"
+    save_family(path, gen_ladder_channel(0.5))
+    data = json.loads(path.read_text())
+    factor = data["members"][1]["factors"]
+    factor[0] = [[[1e160 * x for x in z] for z in row] for row in factor[0]]
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert f"error: {path}, member 1: " in err and "overflows" in err
+    assert not stdout
+
+
 def test_non_utf8_file_exits_2(capsys, tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe{}")
