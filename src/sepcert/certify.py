@@ -37,13 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EnumerationCapError,
-    NumericError,
-    ParameterError,
-    SizeBudgetError,
-    UsageError,
-)
+from .errors import EnumerationCapError, NumericError, ParameterError, SizeBudgetError, UsageError
 from .linalg import (
     DEFAULT_TOLERANCE,
     TolerancePolicy,
@@ -606,9 +600,7 @@ def certify_unique(
     for size in range(n, 1, -1):
         level = []
         for start, block, members in _subset_blocks(popcount, bits, size):
-            alive, ranks = _decide_block(
-                block, members, popcount, bits, splits, fam, sides, tol
-            )
+            alive, ranks = _decide_block(block, members, popcount, bits, splits, fam, sides, tol)
             if alive.size == 0:
                 continue
             if not level:

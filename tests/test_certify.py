@@ -632,7 +632,7 @@ def _recording_subset_floors(monkeypatch):
     return floored
 
 
-def _pair_floor_margin(fam, tol):
+def _floor_margin(fam, tol):
     """C + 2d and C of ``_subset_floors`` on party 0's side matrix of ``fam``."""
     m, _ = _side_matrix(fam, (0,))
     r, n = m.shape
@@ -657,15 +657,18 @@ def test_pair_floor_margin(monkeypatch, tol):
     # 0's floors at six members, where its bounds from the supersets have
     # fallen to 1, so they decide every smaller subset there, the planted
     # pair among them.
-    margin, cap = _pair_floor_margin(_planted_pair(1e-20), tol)
+    margin, cap = _floor_margin(_planted_pair(1e-20), tol)
     pair = int(_member_bits(9)[[0, 1]].sum())
     floored = _recording_subset_floors(monkeypatch)
-    planted = [(margin * (1 + 1e-6), 2), (margin * (1 - 1e-6), 1)]
+    # Half the SVD error d on either side of C + 2d: a relative step of
+    # 1e-6 would leave the 2d band under a cutoff of 1e-6.
+    half = (margin - cap) / 4
+    planted = [(margin + half, 2), (margin - half, 1)]
     planted += [(cap * 10.0**j, None) for j in range(-3, 3)]
     references = set()
     for t, expected in planted:
         fam = _planted_pair(t)
-        assert _pair_floor_margin(fam, tol) == (margin, cap)
+        assert _floor_margin(fam, tol) == (margin, cap)
         m, _ = _side_matrix(fam, (0,))
         floor = np.zeros(1 << 9, dtype=np.int8)
         _subset_floors(m, _popcounts(9), _member_bits(9), 2, tol, floor)
@@ -695,18 +698,18 @@ def test_subset_floor_margin(monkeypatch, tol):
     # 126 subsets left to rank hold more columns than the 126 subsets of
     # four do, so the pass builds the floors of the 4-member subsets there.
     # The planted quadruple (0, 1, 2, 3) has sigma_min t: its floor is 4
-    # just above C + 2d and 3 just below, where the pass ranks its
-    # supersets instead.
+    # just above C + 2d and 3 just below, where the pass ranks it instead.
     base = random_product_family(np.random.default_rng(9), (2, 2), 9)
-    margin, cap = _pair_floor_margin(_plant(base, 1e-20, 4), tol)
+    margin, cap = _floor_margin(_plant(base, 1e-20, 4), tol)
     quadruple = int(_member_bits(9)[:4].sum())
     floored = _recording_subset_floors(monkeypatch)
-    planted = [(margin * (1 + 1e-6), 4), (margin * (1 - 1e-6), 3)]
+    half = (margin - cap) / 4  # d / 2, as in test_pair_floor_margin
+    planted = [(margin + half, 4), (margin - half, 3)]
     planted += [(cap * 10.0**j, None) for j in range(-3, 3)]
     references = set()
     for t, expected in planted:
         fam = _plant(base, t, 4)
-        assert _pair_floor_margin(fam, tol) == (margin, cap)
+        assert _floor_margin(fam, tol) == (margin, cap)
         m, _ = _side_matrix(fam, (0,))
         floor = np.zeros(1 << 9, dtype=np.int8)
         _subset_floors(m, _popcounts(9), _member_bits(9), 4, tol, floor)
@@ -932,14 +935,6 @@ def test_positive_spans_do_not_depend_on_factor_scales(fam, scales):
     assert report.local_positive_spans == expected.local_positive_spans
     assert report.pair_sums == expected.pair_sums
     assert report.is_complete == expected.is_complete
-
-
-def test_gram_overflow_names_the_member():
-    fam = _rescaled(gen_ladder_channel(0.5), [(1.0, 1.0), (1e160, 1.0)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match=r"^member 1: K\^dag K overflows"):
-            verify_completeness(fam)
 
 
 def test_half_identity_is_incomplete():

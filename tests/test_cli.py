@@ -580,8 +580,8 @@ def test_verify_names_the_member_whose_gram_overflows(capsys, tmp_path):
     path = tmp_path / "ladder.json"
     save_family(path, gen_ladder_channel(0.5))
     data = json.loads(path.read_text())
-    factor = data["members"][1]["factors"]
-    factor[0] = [[[1e160 * x for x in z] for z in row] for row in factor[0]]
+    factors = data["members"][1]["factors"]
+    factors[0] = [[[1e160 * x for x in z] for z in row] for row in factors[0]]
     path.write_text(json.dumps(data))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
