@@ -8,24 +8,9 @@ same channel (or state) can exist and the certificate is Unique.  Surviving
 subsets are returned as witnesses; they mean the certificate is Inconclusive,
 never that the representation is actually non-unique.
 
-Subsets are enumerated as member bitmasks and decided top down, one size at
-a time, from the full set to the pairs.  Removing one member lowers a span
-dimension by at most one, also numerically (singular values interlace and
-the rank cutoff, a fixed fraction of sigma_max, can only shrink), so the
-ranks of the larger subsets bound those of the smaller ones from below.
-Adding members never lowers a singular value, so the robust rank of each
-k-member subset, counted against the cutoff of the whole side matrix plus
-the SVD's error, bounds every subset holding it from below as well.  These
-floors come from the member pairs and, on a side of full row rank r, from
-the r-member subsets: there a floor of r is exact, so once a side's
-r-subsets are known to be independent, so are all their supersets.  A
-subset is ranked on a side only when those bounds cannot decide it, and a
-side is built only when the pass reaches one of its splits.  Subsets that
-select the same multiset of a side's columns share one SVD: their side
-matrices are column permutations of each other, so they have the same
-singular values and the same cutoff.  The witnesses of each size stay one
-integer array of members and deltas from the pass to the JSON report, which
-fills one text template per size.
+``certify_unique`` states what a certificate holds; ``_decide_block``
+describes the pass that decides the subsets, and each function it calls
+describes its own step.
 """
 
 from __future__ import annotations
@@ -392,33 +377,38 @@ def _decide_block(
     start values only when it reaches the side.
 
     On each side a subset T starts from max(``max_x known(T | x) - 1``,
-    ``floor(T)``): its supersets' bounds fall by one per member removed,
-    and the floors of ``_subset_floors``, counted against the cap C of the
-    whole side matrix, hold at every size.  A start value of min(m, r), r
-    the rows of the side matrix, is exact, since no rank exceeds it.  A
-    subset is ranked on a side only when its bounds leave a split
-    undecided: on side A first, then on side B if the subset is still
-    alive.  The block's entries of ``known`` on the sides it reached are
-    written on return; the others keep 0, still a lower bound.
+    ``floor(T)``).  The first bound holds because removing a member lowers
+    a side's numerical rank by at most one: singular values interlace, and
+    the cutoff of ``tol``, a fixed fraction of sigma_max, can only shrink
+    when a column goes.  The floors of ``_subset_floors``, counted against
+    the cap C of the whole side matrix, hold at every size.  A start value
+    of min(m, r), r the rows of the side matrix, is exact, since no rank
+    exceeds it.  A subset is ranked on a side only when its bounds leave a
+    split undecided: on side A first, then on side B if the subset is still
+    alive, so every survivor has exact ranks.  The block's entries of
+    ``known`` on the sides it reached are written on return; the others
+    keep 0, still a lower bound.
 
     Floors are built once per side and k, each when it costs less than the
     ranks it replaces.  Pair floors raise only start values below 2, so
     they are built when, in a block of three or more members, the subsets
     starting below 2 hold at least the n (n - 1) columns of the member
     pairs.  On a side whose full set was ranked and found full rank r, with
-    2 < r < m, the floors of the r-member subsets rank every subset of r or
-    more members exactly when all of its r-subsets are independent, so they
-    are built when the subsets the block would rank there hold more columns
-    than the C(n, r) r-subsets do; until then those subsets are ranked.
+    2 < r < m, a floor of r is exact, since no rank exceeds r: a subset
+    holding an independent r-subset has rank r.  So the floors of the
+    r-member subsets are built when the subsets the block would rank there
+    hold more columns than the C(n, r) r-subsets do; until then those
+    subsets are ranked.  A floor below r is not exact, and its subset is
+    ranked.
 
-    A side with multiset weights (see ``_side_matrix``) ranks one subset
-    per column multiset not yet in its table and reads every other rank
-    from there.
-
-    A side tries the full-rank screen of ``stacked_ranks`` only when the
-    full set was ranked on it and found full rank, min(rows, n), the row
-    count of the side matrix after its thin QR: on a deficient side the
-    screen cannot succeed.
+    The subsets left to rank on a side go to ``stacked_ranks`` in stacks of
+    at most ``SUBSET_BLOCK`` column selections.  A side tries the full-rank
+    screen of ``stacked_ranks`` only when the full set was ranked on it and
+    found full rank, min(rows, n), the row count of the side matrix after
+    its thin QR: on a deficient side the screen cannot succeed.  A side
+    with multiset weights (see ``_side_matrix``) ranks one subset per
+    column multiset not yet in its table and reads every other rank from
+    there.
 
     Returns the positions in ``members`` of the subsets no split eliminated,
     and per reached side a (B,) array of rank bounds that is exact for every
@@ -440,11 +430,9 @@ def _decide_block(
             # -1 that the clip at 0 (or the floor) removes.
             lower = state.known[supersets].max(axis=1).astype(np.int64) - 1
             start = np.maximum(lower, state.floor[masks])
-            # Pair floors raise only start values below 2, and cost one SVD
-            # over the n (n - 1) columns of the member pairs, so they are
-            # built once the subsets starting below 2 in a block hold as many
-            # columns; fewer are ranked for no more, and pairs rank themselves
-            # as cheaply.  The full set, alone in its block, never qualifies.
+            # Fewer subsets below 2 are ranked for no more than the pair
+            # floors cost, and pairs rank themselves as cheaply.  The full
+            # set, alone in its block, never qualifies.
             if (
                 2 not in state.floored
                 and size > 2
@@ -513,65 +501,25 @@ def certify_unique(
 
     Decides every subset T of members with |T| = n >= 2.  A subset is
     eliminated when some examined split has delta_A + delta_B > n + 1; any
-    subset that survives every split is reported as a witness and the status
-    is Inconclusive.  Witnesses come in increasing size, lexicographic within
-    a size.  With ``fail_fast`` only the first witness is reported, and
+    subset that survives every split is reported as a witness with its exact
+    deltas, and the status is Inconclusive; with no witness it is Unique.
+    Witnesses come in increasing size, lexicographic within a size.  With
+    ``fail_fast`` only the first witness is reported, and
     ``subsets_examined`` is its position in that order plus one; the pass
-    itself still decides every subset.
+    itself still decides every subset.  Without it ``subsets_examined``
+    counts every subset, 2**N - N - 1.
 
-    The pass runs top down, from the full set to the pairs, and keeps per
-    split side a rank lower bound for every subset: removing a member lowers
-    a side's numerical rank by at most one, since singular values interlace
-    and the cutoff of ``tol``, a fixed fraction of sigma_max, can only
-    shrink when a column goes.  So the rank of
-    a superset bounds the rank of each subset one member smaller, and most
-    subsets die on their bounds with no SVD.  Those bounds fall by one per
-    size, so each side also keeps floors (``_subset_floors``), lower bounds
-    that run the other way, from each k-member subset up to every subset
-    holding it: one SVD call per block of k-subsets ranks them, counting
-    singular values above C + 2d, where d bounds the SVD's error and C is the
-    cutoff of the whole side matrix, which caps the cutoff of every subset.
-    Adding columns never lowers a singular value, so a k-subset's floor
-    bounds the rank of every subset holding it, under any policy.  A subset
-    starts from the larger of the two bounds, and a start value of min(n, r),
-    r the rows of the side matrix, is already exact.  A survivor is ranked
-    exactly on every side.  A side is built and its bounds gathered only
-    when the pass reaches one of its splits; a bound never written stays 0,
-    still sound.  Floors come in two kinds, each built at most once per side
-    and only where it costs less than the ranks it replaces.  Pair floors
-    (k = 2) give at most 2, so they are built once the subsets of a block
-    (of three or more members) whose bounds from the supersets lie below 2
-    hold at least the N (N - 1) columns of the member pairs.  On a side
-    whose full set was ranked and found full rank r, 2 < r < N, the floors
-    of the r-member subsets (k = r) give r, which is exact, to every subset
-    holding an independent r-subset; they are built in the first block of
-    more than r members whose subsets left to rank on the side hold more
-    columns than the C(N, r) r-subsets do.  So on a generic full-rank side
-    every survivor of r or more members gets its rank from the floors, and
-    every smaller one from its supersets' bounds.  Each side's bounds and
-    floors take 2 * 2**N bytes.
+    ``strategy`` defaults to ``default_strategy`` of the party count; an
+    unknown one is a ``UsageError``.  More than ``max_members`` members is an
+    ``EnumerationCapError`` and a ``max_members`` below 1 a
+    ``ParameterError``.  Each split side the pass reaches takes 2 * 2**N
+    bytes of rank bounds and floors; an allocation that fails is a
+    ``SizeBudgetError``.  An SVD that fails is a ``NumericError``.
 
-    The subsets of one size are the bitmasks below 2**N with that many set
-    bits, read off a uint8 popcount table; with member i as bit N-1-i they
-    come in lexicographic order when taken in descending order, and each
-    block of ``LEVEL_BLOCK`` of them yields its member indices with one bit
-    test.  The sides left undecided are ranked in stacks of at most
-    ``SUBSET_BLOCK`` column selections of the side matrix, one SVD call per
-    stack with the per-matrix cutoff of ``tol``.  Every side column is
-    scaled to unit norm first, so the verdict does not depend on how the
-    members are scaled, and side matrices taller than N are compressed to
-    their thin-QR R factor, which keeps every selection's singular values.
-    On a side where the full set, decided first, was ranked and found full
-    rank, each stack first tries the full-rank screen of
-    ``stacked_ranks``, which gives the SVD's ranks; when it fails, and on
-    every other side, the SVD decides.
-    On a side where some members have equal columns, each column multiset
-    is ranked once for all subsets selecting it, which is exact: reordering
-    columns keeps the singular values, and with them the cutoff.
-
-    The survivors of each size stay one int array of members and exact
-    deltas, which ``Certificate.levels`` holds; ``Certificate.witnesses``
-    builds ``Witness`` objects from it only when asked.
+    The subsets are decided top down, from the full set to the pairs, in
+    blocks of one size from ``_subset_blocks``; ``_decide_block`` describes
+    how a block is decided.  The survivors of each size stay one int array
+    of members and exact deltas, which ``Certificate.levels`` holds.
     """
     n = fam.n_members
     if max_members < 1:

@@ -13,35 +13,23 @@ import time
 import numpy as np
 import pytest
 
-from sepcert import (
-    STRATEGY_ALL_BIPARTITIONS,
-    apply_mixing,
+from sepcert.certify import STRATEGY_ALL_BIPARTITIONS, certify_unique, verify_completeness
+from sepcert.choi import channel_to_choi_ensemble, channels_equal
+from sepcert.cli import main
+from sepcert.families import family_from_factors, span_bound_report
+from sepcert.hunter import apply_mixing, fuzz_span_bound, hunt_product, mixing_search
+from sepcert.linalg import kron, realign_bipartite, span_dimension, vectorize
+from sepcert.sampling import haar_unitary, planted_dependent_family, random_product_measurement
+from sepcert.zoo import (
     augment_channel,
-    certify_unique,
-    channel_to_choi_ensemble,
-    channels_equal,
-    family_from_factors,
-    fuzz_span_bound,
     gen_fourier_channel,
     gen_ladder_channel,
     gen_pauli_pair_channel,
     gen_product_unitary_channel,
     gen_projective_basis,
     gen_tight_family,
-    haar_unitary,
     heisenberg_weyl_unitaries,
-    hunt_product,
-    kron,
-    mixing_search,
-    planted_dependent_family,
-    random_product_measurement,
-    realign_bipartite,
-    span_bound_report,
-    span_dimension,
-    vectorize,
-    verify_completeness,
 )
-from sepcert.cli import main
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -5,25 +5,24 @@ import itertools
 import numpy as np
 import pytest
 
-from sepcert import (
+from sepcert.certify import certify_unique
+from sepcert.choi import (
     DensityMatrix,
-    ParameterError,
-    ShapeError,
-    UsageError,
-    certify_unique,
+    _choi_gram,
     channel_to_choi_ensemble,
     channels_equal,
     ensemble_to_state,
-    family_from_factors,
+)
+from sepcert.errors import ParameterError, ShapeError, UsageError
+from sepcert.families import family_from_factors
+from sepcert.linalg import frobenius, vectorize
+from sepcert.sampling import random_isometry
+from sepcert.zoo import (
     gen_fourier_channel,
     gen_ladder_channel,
     gen_pauli_pair_channel,
     gen_projective_basis,
-    random_isometry,
-    vectorize,
 )
-from sepcert.choi import _choi_gram
-from sepcert.linalg import frobenius
 
 I2 = np.eye(2)
 
@@ -150,7 +149,7 @@ def test_channels_equal_requires_matching_specs():
 def test_remixed_kraus_family_is_the_same_channel():
     # Unitarily recombining Kraus operators preserves the channel.  Remix the
     # degenerate projector pair (members 0, 1 share the left factor).
-    from sepcert import apply_mixing, mixing_unitary
+    from sepcert.hunter import apply_mixing, mixing_unitary
 
     fam = gen_projective_basis(2, 2)
     remixed = apply_mixing(fam, (0, 1), mixing_unitary(np.pi / 4, 0.3))
@@ -160,7 +159,7 @@ def test_remixed_kraus_family_is_the_same_channel():
 
 def test_choi_gram_distances_match_the_state_reference():
     # Catalog pairs of equal spec, each family with itself, plus a remix.
-    from sepcert import apply_mixing, mixing_unitary
+    from sepcert.hunter import apply_mixing, mixing_unitary
     from test_acceptance import _zoo
 
     zoo = list(_zoo().values())

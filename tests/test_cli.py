@@ -9,20 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from sepcert import (
-    OperatorFamily,
-    ProductOperator,
-    __version__,
-    certify_unique,
-    family_from_factors,
-    gen_ladder_channel,
-    gen_projective_basis,
-    gen_tight_family,
-    load_family,
-    random_product_family,
-    save_family,
-)
+from sepcert import __version__
+from sepcert.certify import certify_unique
 from sepcert.cli import main
+from sepcert.families import OperatorFamily, ProductOperator, family_from_factors
+from sepcert.sampling import random_product_family
+from sepcert.serialize import load_family, save_family
+from sepcert.zoo import gen_ladder_channel, gen_projective_basis, gen_tight_family
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +146,53 @@ def test_gen_augment_from_file(capsys, tmp_path):
     assert code == 0
     fam = load_family(out).family
     assert fam.n_parties == 4
+
+
+def test_gen_product_unitary_is_a_complete_channel(capsys, tmp_path):
+    path = tmp_path / "mixture.json"
+    code, payload, _ = run_json(
+        capsys, "gen", "product-unitary", "--dims", "2,3", "--members", "3", "--out", str(path)
+    )
+    assert code == 0
+    assert payload["metadata"]["parameters"] == {"dims": [2, 3], "members": 3, "seed": 0}
+    fam = load_family(path).family
+    assert (fam.n_members, fam.n_parties) == (3, 2)
+    code, payload, _ = run_json(capsys, "verify", str(path))
+    assert code == 0 and payload["is_complete"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fourier"], "gen fourier requires --dims"),
+        (["product-unitary"], "gen product-unitary requires --dims"),
+        (["product-unitary", "--dims", "2,2", "--members", "0"], "--members must be at least 1"),
+        (["projective"], "gen projective requires --dims"),
+        (["projective", "--dims", "2,2,2"], "exactly two dimensions"),
+        (["augment"], "gen augment requires --file"),
+        (["augment", "--file", "{base}", "--dim", "1"], "--dim 1 gives only 1"),
+        (["tight"], "gen tight requires --n"),
+    ],
+    ids=[
+        "fourier-no-dims",
+        "product-unitary-no-dims",
+        "product-unitary-no-members",
+        "projective-no-dims",
+        "projective-three-dims",
+        "augment-no-file",
+        "augment-small-dim",
+        "tight-no-n",
+    ],
+)
+def test_gen_usage_errors_exit_2(capsys, tmp_path, argv, message):
+    base = tmp_path / "ladder.json"
+    run_json(capsys, "gen", "eq701", "--out", str(base))
+    out = tmp_path / "out.json"
+    argv = [arg.format(base=base) for arg in argv]
+    code, stdout, err = run_cli(capsys, "gen", *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == "" and message in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +647,33 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
     assert str(path) in err and "nested" in err
 
 
-def test_importing_the_cli_leaves_out_secrets():
-    # secrets pulls hmac and hashlib into every process; os.urandom suffices.
+def _loaded_after(module: str, names: list[str]) -> list[bool]:
+    """Which of ``names`` a fresh interpreter has in ``sys.modules`` after
+    importing ``module``."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sepcert.cli; print('secrets' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            f"import json, sys, {module}; print(json.dumps([n in sys.modules for n in {names}]))",
+        ],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_leaves_out_secrets():
+    # secrets pulls hmac and hashlib into every process; os.urandom suffices.
+    assert _loaded_after("sepcert.cli", ["secrets"]) == [False]
+
+
+def test_importing_certify_leaves_out_the_other_modules():
+    # The paper's test needs errors, linalg and families only.
+    names = ["sepcert.linalg", "sepcert.hunter", "sepcert.zoo", "sepcert.choi",
+             "sepcert.sampling", "sepcert.serialize"]
+    assert _loaded_after("sepcert.certify", names) == [True] + [False] * 5
 
 
 def test_module_entry_point_reports_version():

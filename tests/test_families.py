@@ -3,26 +3,29 @@
 import numpy as np
 import pytest
 
-from sepcert import (
+from sepcert.errors import (
     DegenerateInputError,
-    OperatorFamily,
     ParameterError,
-    PartySpec,
-    ProductOperator,
     ShapeError,
     SizeBudgetError,
     UsageError,
+)
+from sepcert.families import (
+    OperatorFamily,
+    PartySpec,
+    ProductOperator,
     all_bipartitions,
     family_from_factors,
-    gen_ladder_channel,
     party_pairs,
-    planted_dependent_family,
-    random_product_family,
-    schmidt_rank,
     span_bound_report,
-    span_dimension,
 )
-from sepcert.sampling import random_nonzero_coefficients
+from sepcert.linalg import schmidt_rank, span_dimension
+from sepcert.sampling import (
+    planted_dependent_family,
+    random_nonzero_coefficients,
+    random_product_family,
+)
+from sepcert.zoo import gen_ladder_channel
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from sepcert import gen_projective_basis, gen_tight_family, save_family
 from sepcert.cli import main
+from sepcert.serialize import save_family
+from sepcert.zoo import gen_projective_basis, gen_tight_family
 from test_acceptance import _zoo
 from test_certify import _relabelled
 

@@ -6,39 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from sepcert import (
-    DegenerateInputError,
+from sepcert.errors import DegenerateInputError, ParameterError, ShapeError, UsageError
+from sepcert.families import (
     OperatorFamily,
-    ParameterError,
     PartySpec,
     ProductOperator,
-    ShapeError,
-    UsageError,
-    apply_mixing,
-    augment_channel,
-    fuzz_span_bound,
-    gen_fourier_channel,
-    gen_ladder_channel,
-    gen_pauli_pair_channel,
-    gen_product_unitary_channel,
-    gen_projective_basis,
-    gen_tight_family,
-    haar_unitary,
-    heisenberg_weyl_unitaries,
-    hunt_product,
-    mixing_search,
     all_bipartitions,
-    mixing_unitary,
-    planted_dependent_family,
-    product_residual,
-    proportional,
-    random_product_family,
-    realign_bipartite,
-    recover_product,
-    schmidt_rank,
     span_bound_report,
-    unvectorize,
-    vectorize,
 )
 from sepcert.hunter import (
     COEFFICIENT_FLOOR,
@@ -49,15 +23,43 @@ from sepcert.hunter import (
     _search,
     _split_stacks,
     _worst_ratio,
+    apply_mixing,
+    fuzz_span_bound,
+    hunt_product,
+    mixing_search,
+    mixing_unitary,
+    product_residual,
+    recover_product,
 )
 from sepcert.linalg import (
     UNITARY_TOL,
     _compound_gram,
     _proves_gram_floor,
+    proportional,
+    realign_bipartite,
+    schmidt_rank,
+    unvectorize,
+    vectorize,
     vectorized_columns,
 )
-from sepcert.sampling import complex_randn, random_nonzero_coefficients
+from sepcert.sampling import (
+    complex_randn,
+    haar_unitary,
+    planted_dependent_family,
+    random_nonzero_coefficients,
+    random_product_family,
+)
 from sepcert.serialize import matrix_from_json
+from sepcert.zoo import (
+    augment_channel,
+    gen_fourier_channel,
+    gen_ladder_channel,
+    gen_pauli_pair_channel,
+    gen_product_unitary_channel,
+    gen_projective_basis,
+    gen_tight_family,
+    heisenberg_weyl_unitaries,
+)
 
 E00 = np.diag([1.0, 0.0])
 
@@ -325,10 +327,14 @@ def _random_32():
         (_random_222, dict(seed=0, restarts=20, max_iters=3), True),
         (_random_32, dict(seed=1, restarts=12), True),
         (lambda: gen_ladder_channel(0.5), dict(seed=2, restarts=RESTART_BLOCK + 1), True),
+        # One party has no cut: every combination is a product, and the
+        # screen, with no side Gram to build from, proves nothing.
+        (lambda: random_product_family(np.random.default_rng(0), (3,), 4),
+         dict(seed=0, restarts=5), False),
     ],
     ids=[
         "tight-n2-init", "tight-n1-4p", "projective-33", "ladder", "random-222",
-        "random-32", "ladder-65",
+        "random-32", "ladder-65", "one-party",
     ],
 )
 def test_stacked_restarts_match_the_serial_loop(make, kwargs, screened):
@@ -352,6 +358,9 @@ def test_stacked_restarts_match_the_serial_loop(make, kwargs, screened):
         assert np.array_equal(c, ref_c)
         return
     result = hunt_product(fam, **kwargs)
+    assert result.restarts_used == restarts
+    if fam.n_parties == 1:
+        assert result.found and result.residual == 0.0
     subset, obj, c = reference_hunt(
         fam, subset, restarts=restarts, max_iters=max_iters, seed=kwargs["seed"],
         init=init, threshold=threshold,

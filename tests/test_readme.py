@@ -4,7 +4,7 @@ import ast
 import re
 from pathlib import Path
 
-from sepcert import DensityMatrix
+from sepcert.choi import DensityMatrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,12 +31,12 @@ def tour_values() -> dict:
 
 def test_library_tour():
     shown = tour_values()
-    assert shown["fam = sc.gen_ladder_channel(0.5)"].n_members == 3
-    assert shown["sc.verify_completeness(fam).is_complete"] is True
-    assert shown["cert = sc.certify_unique(fam)"].status == "Unique"
-    proj_cert = shown["cert = sc.certify_unique(proj)"]
+    assert shown["fam = gen_ladder_channel(0.5)"].n_members == 3
+    assert shown["verify_completeness(fam).is_complete"] is True
+    assert shown["cert = certify_unique(fam)"].status == "Unique"
+    proj_cert = shown["cert = certify_unique(proj)"]
     assert proj_cert.status == "Inconclusive"
     assert len(proj_cert.witnesses) == 9
     assert shown["result.found, result.novel"] == (True, True)
-    assert shown["sc.channels_equal(proj, remixed)"] is True
-    assert isinstance(shown["rho = sc.ensemble_to_state(ens)"], DensityMatrix)
+    assert shown["channels_equal(proj, remixed)"] is True
+    assert isinstance(shown["rho = ensemble_to_state(ens)"], DensityMatrix)

@@ -7,19 +7,19 @@ import stat
 import numpy as np
 import pytest
 
-from sepcert import (
+from sepcert.choi import channel_to_choi_ensemble
+from sepcert.errors import UsageError
+from sepcert.serialize import (
     FORMAT_VERSION,
-    UsageError,
-    channel_to_choi_ensemble,
+    _complex_from,
     detect_kind,
+    dump_json,
     family_from_dict,
     family_to_dict,
-    gen_fourier_channel,
-    gen_ladder_channel,
     load_family,
     save_family,
 )
-from sepcert.serialize import _complex_from, dump_json
+from sepcert.zoo import gen_fourier_channel, gen_ladder_channel
 
 
 def test_round_trip_is_bit_exact(tmp_path):

@@ -6,24 +6,21 @@ import numpy as np
 import pytest
 
 import sepcert.zoo
-from sepcert import (
-    ParameterError,
-    SizeBudgetError,
+from sepcert.certify import certify_unique, verify_completeness
+from sepcert.errors import ParameterError, SizeBudgetError
+from sepcert.families import span_bound_report
+from sepcert.linalg import proportional, span_dimension
+from sepcert.sampling import haar_unitary
+from sepcert.zoo import (
     augment_channel,
-    certify_unique,
     gen_fourier_channel,
     gen_ladder_channel,
     gen_pauli_pair_channel,
     gen_product_unitary_channel,
     gen_projective_basis,
     gen_tight_family,
-    haar_unitary,
     heisenberg_weyl_unitaries,
-    proportional,
     smallest_prime_exceeding,
-    span_bound_report,
-    span_dimension,
-    verify_completeness,
 )
 
 I2 = np.eye(2)
