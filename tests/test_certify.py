@@ -275,9 +275,10 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
     "tol",
     [
         TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
         TolerancePolicy(relative_rank_threshold=1e-6),
     ],
-    ids=["default", "rel1e-6"],
+    ids=["default", "rel1e-10", "rel1e-6"],
 )
 @pytest.mark.parametrize(
     "make, strategy",
@@ -342,9 +343,10 @@ def test_twin_witnesses_span_several_blocks():
     "tol",
     [
         TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
         TolerancePolicy(relative_rank_threshold=1e-6),
     ],
-    ids=["default", "rel1e-6"],
+    ids=["default", "rel1e-10", "rel1e-6"],
 )
 def test_fail_fast_witness_past_the_first_block(tol):
     # The twins (11, 12) are the last of the 78 pairs of 13 members.
@@ -656,9 +658,10 @@ def _floor_margin(fam, tol):
     "tol",
     [
         TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
         TolerancePolicy(relative_rank_threshold=1e-6),
     ],
-    ids=["default", "rel1e-6"],
+    ids=["default", "rel1e-10", "rel1e-6"],
 )
 def test_pair_floor_margin(monkeypatch, tol):
     # t does not change ||m||_F in double precision, so the margin computed
@@ -850,9 +853,10 @@ def _relabelled(fam, seed):
     "tol",
     [
         TolerancePolicy(),
+        TolerancePolicy(relative_rank_threshold=1e-10),
         TolerancePolicy(relative_rank_threshold=1e-3),
     ],
-    ids=["default", "rel1e-3"],
+    ids=["default", "rel1e-10", "rel1e-3"],
 )
 @pytest.mark.parametrize(
     "make, strategy",

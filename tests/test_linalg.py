@@ -228,9 +228,9 @@ def test_span_dimension_invariant_under_nonzero_scaling(seed, n):
 
 
 POLICIES = [DEFAULT_TOLERANCE] + [
-    TolerancePolicy(relative_rank_threshold=t) for t in (0.0, 1e-3, 0.5)
+    TolerancePolicy(relative_rank_threshold=t) for t in (0.0, 1e-10, 1e-3, 0.5)
 ]
-POLICY_IDS = ["default", "rel0", "rel1e-3", "rel0.5"]
+POLICY_IDS = ["default", "rel0", "rel1e-10", "rel1e-3", "rel0.5"]
 # (r, k, compressed): tall, the 3 x 3 R factor of an 11 x 3 matrix's thin
 # QR, square, wide, one column.
 SHAPES = [(6, 3, False), (11, 3, True), (4, 4, False), (3, 7, False), (5, 1, False)]
