@@ -26,6 +26,7 @@ from .errors import EnumerationCapError, NumericError, ParameterError, SizeBudge
 from .linalg import (
     DEFAULT_TOLERANCE,
     TolerancePolicy,
+    _proves_full_rank,
     _svdvals,
     frobenius,
     numerical_rank,  # noqa: F401  (perfbench/spans.py traces this name)
@@ -142,26 +143,40 @@ class Certificate:
         """The report ``{**head, **self.to_dict()}`` as indent-2 JSON text.
 
         Equals ``json.dumps({**head, **self.to_dict()}, indent=2)`` byte for
-        byte.  ``json.dumps`` still renders everything but the witness array.
-        Each size of ``levels`` makes one witness template with a ``%d`` slot
-        per member and per delta; the template is repeated once per witness
-        of that size and filled from the level's flattened ints in one ``%``
-        call, with no ``Witness`` object built and no walk of dicts through
-        the stdlib's pure-Python indent encoder.
+        byte; it joins the pieces of ``json_chunks``.
+        """
+        return "".join(self.json_chunks(head))
+
+    def json_chunks(self, head: dict):
+        """The text of ``to_json`` in pieces, each witness piece holding at
+        most ``LEVEL_BLOCK`` witnesses, so a writer need not hold it whole.
+
+        ``json.dumps`` still renders everything but the witness array.  A
+        witness piece is built with no ``Witness`` object and no walk of
+        dicts through the stdlib's pure-Python indent encoder: it looks up
+        each int of its rows of ``levels`` in the per-slot string table of
+        ``_slot_table`` and joins the strings.
         """
         text = json.dumps({**head, **self._fields([])}, indent=2)
-        deltas = 2 * len(self.splits)
-        witnesses = ",\n    ".join(
-            ",\n    ".join([_witness_template(self.splits, level.shape[1] - deltas)] * len(level))
-            % tuple(level.ravel().tolist())
-            for level in self.levels
-            if len(level)
-        )
-        if not witnesses:
-            return text
+        if self.unique:
+            yield text
+            return
         # JSON strings hold no raw newline, so this is the top-level key.
         before, _, after = text.partition('\n  "witnesses": []')
-        return f'{before}\n  "witnesses": [\n    {witnesses}\n  ]{after}'
+        yield before + '\n  "witnesses": ['
+        deltas = 2 * len(self.splits)
+        first = True
+        for level in self.levels:
+            table = _slot_table(self.splits, level.shape[1] - deltas, int(level.max()) + 1)
+            slots = np.arange(level.shape[1])
+            for start in range(0, len(level), LEVEL_BLOCK):
+                pieces = table[slots, level[start : start + LEVEL_BLOCK]].ravel().tolist()
+                if first:
+                    # The first witness has no comma before it.
+                    pieces[0] = pieces[0][1:]
+                    first = False
+                yield "".join(pieces)
+        yield "\n  ]" + after
 
 
 def _split_sum(side_a, side_b, delta_a, delta_b) -> dict:
@@ -169,17 +184,25 @@ def _split_sum(side_a, side_b, delta_a, delta_b) -> dict:
     return {"side_a": list(side_a), "side_b": list(side_b), "delta_a": delta_a, "delta_b": delta_b}
 
 
-def _witness_template(splits: tuple[Split, ...], size: int) -> str:
-    """One witness of ``size`` members in the indent-2 report as a ``%``
-    format over its members and then delta_a, delta_b of each split.
+def _slot_table(splits: tuple[Split, ...], size: int, values: int) -> np.ndarray:
+    """The indent-2 report text of a witness of ``size`` members, cut at
+    its int slots (its members, then delta_a, delta_b of each split): the
+    (slots, values) object array whose entry [i, v] is the text from the
+    end of slot i - 1 through the decimal of v in slot i.
 
-    ``json.dumps`` lays it out with placeholder strings, which become the
-    ``%d`` slots, so keys and layout are those of ``Certificate.to_dict``.
+    Entries of slot 0 start with the comma and newline that follow the
+    witness before; those of the last slot run on to the witness's end.
+    ``json.dumps`` lays the witness out with placeholder strings where the
+    slots go, so keys and layout are those of ``Certificate.to_dict``.
     """
     sums = [_split_sum(a, b, "\x00", "\x00") for a, b in splits]
     text = json.dumps({"members": ["\x00"] * size, "split_sums": sums}, indent=2)
     # A witness sits two levels deep in the report.
-    return text.replace("\n", "\n    ").replace('"\\u0000"', "%d")
+    *literals, end = f",\n{text}".replace("\n", "\n    ").split('"\\u0000"')
+    decimals = [str(v) for v in range(values)]
+    table = [[literal + v for v in decimals] for literal in literals]
+    table[-1] = [entry + end for entry in table[-1]]
+    return np.array(table, dtype=object)
 
 
 def _examined_splits(n_parties: int, strategy: str) -> tuple[Split, ...]:
@@ -337,18 +360,26 @@ def _subset_floors(
     value is within d of the exact one (Weyl): no column selection of m is
     larger or has a larger norm.  The SVD of m_T finds sigma_max <= s + d,
     so T's cutoff is at most C: every singular value the robust rank of S
-    counts lies above C + 2d, hence T's computed one above C, and T's rank
-    counts it as well.  A floor of min(|T|, r) is therefore T's rank.
-    The k-subset ranks reach every superset in one max pass per member bit.
+    counts lies above C + 2d, so its exact one above C + d, hence T's
+    computed one above C, and T's rank counts it as well.  A floor of
+    min(|T|, r) is therefore T's rank.  When k = r, a block is first given
+    to the Gram-Cholesky proof of ``_proves_full_rank`` that every r x r
+    selection has exact sigma_min > C + d, the middle step above; when it
+    succeeds every floor of the block is r, and only when it fails is the
+    block ranked by its SVD.  The k-subset ranks reach every superset in one
+    max pass per member bit.
     """
     r, n = m.shape
     kappa = svd_error_scale(max(r, n), min(r, n))
     s = np.linalg.norm(m) * (1 + kappa)
     d = kappa * s
-    robust = tol.cutoff(s + d) + 2 * d
+    cap = tol.cutoff(s + d)
     for _, masks, members in _subset_blocks(popcount, bits, k):
-        sigma = _svdvals(np.moveaxis(m[:, members], 1, 0))
-        count = np.count_nonzero(sigma > robust, axis=1)
+        stack = np.moveaxis(m[:, members], 1, 0)
+        if k == r and _proves_full_rank(stack, tol, bound=cap + d):
+            count = r
+        else:
+            count = np.count_nonzero(_svdvals(stack) > cap + 2 * d, axis=1)
         floor[masks] = np.maximum(floor[masks], count)
     for b in range(n):
         # Axis 1 is bit b: each mask with the bit set takes its floor without it.

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -86,6 +87,14 @@ _STRATEGY_FLAGS = {
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device once its reader has gone, so the
+    flush at exit does not fail again on what stdout still buffers."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _parse_complex(text: str) -> complex:
@@ -168,7 +177,9 @@ def cmd_certify(args) -> int:
             "file": str(args.file),
             "kind": loaded.kind,
         }
-        print(cert.to_json(head))
+        # Streamed, so the report is never held whole.
+        sys.stdout.writelines(cert.json_chunks(head))
+        print()
     return EXIT_OK if cert.unique else EXIT_NEGATIVE
 
 
@@ -402,6 +413,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (SepcertError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

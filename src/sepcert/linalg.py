@@ -7,8 +7,8 @@ Numerical rank is decided in one place, ``stacked_ranks``: the count of
 singular values above the cutoff of a ``TolerancePolicy``.  On request it
 first tries to prove full rank with a shifted Gram-Cholesky factorization
 (``_proves_full_rank``), a fraction of an SVD's cost, with the same
-verdict; the hunter's compound screen rests on the same proof,
-``_proves_gram_floor``.
+verdict.  The same proof, ``_proves_gram_floor``, also bounds the r-subset
+rank floors of ``certify`` and the hunter's compound screen.
 
 Conventions used throughout the package:
 
@@ -202,9 +202,10 @@ def _proves_gram_floor(gram: np.ndarray, floor, err) -> bool:
         return math.isfinite(factor.diagonal(0, -2, -1).real.sum())
 
 
-def _proves_full_rank(stack: np.ndarray, tol: TolerancePolicy) -> bool:
-    """True when a shifted Gram-Cholesky factorization proves that the SVD
-    rank of every matrix M in the (B, r, k) stack is p = min(r, k).
+def _proves_full_rank(stack: np.ndarray, tol: TolerancePolicy, bound=None) -> bool:
+    """True when a shifted Gram-Cholesky factorization proves that every
+    matrix M in the (B, r, k) stack has an exact sigma_min above ``bound``,
+    by default c + d (below), so that its SVD rank is p = min(r, k).
 
     Its p x p Gram G (``M^H M`` when k <= r, else ``M M^H``) is off by at
     most sqrt(2) gamma_{n+2} ||M||_F^2, n = max(r, k) (Higham section 3.6),
@@ -212,12 +213,13 @@ def _proves_full_rank(stack: np.ndarray, tol: TolerancePolicy) -> bool:
     p)`` and s = sqrt(f) (1 + kappa) >= sigma_max, that and the
     factorization's (p + 4) eps f sum to at most (n + p + 6) eps s^2, an
     eighth of err = kappa s^2 at most, so ``_proves_gram_floor`` proves
-    sigma_min > c + d for d = kappa s and c = ``tol.cutoff(s + d)``.
-    LAPACK's SVD is backward stable, with an error of order p n u sigma_max,
-    at most d: its sigma_max is at most s + d, so its cutoff is at most c,
-    and by Weyl its sigma_min exceeds c, so it counts all p singular values
-    as well.  False sends the stack to the SVD: an empty stack, p == 0, a
-    non-finite f (Gram overflow) or a failed factorization.
+    sigma_min > ``bound``, or by default sigma_min > c + d for d = kappa s
+    and c = ``tol.cutoff(s + d)``.  LAPACK's SVD is backward stable, with an
+    error of order p n u sigma_max, at most d: its sigma_max is at most
+    s + d, so its cutoff is at most c, and by Weyl its sigma_min exceeds c,
+    so it counts all p singular values as well.  False sends the stack to
+    the SVD: an empty stack, p == 0, a non-finite f (Gram overflow) or a
+    failed factorization.
     """
     count, r, k = stack.shape
     p, n = min(r, k), max(r, k)
@@ -230,7 +232,9 @@ def _proves_full_rank(stack: np.ndarray, tol: TolerancePolicy) -> bool:
         kappa = svd_error_scale(n, p)
         s = np.sqrt(f) * (1 + kappa)
         d = kappa * s
-        floor = (tol.cutoff(s + d) + d) ** 2
+        if bound is None:
+            bound = tol.cutoff(s + d) + d
+        floor = bound**2
     return _proves_gram_floor(gram, floor, kappa * s * s)
 
 

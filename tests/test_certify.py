@@ -57,6 +57,7 @@ from sepcert.zoo import (
     gen_tight_family,
 )
 from test_acceptance import _zoo
+from test_linalg import MARGIN_POLICIES, _planted_past_gram_floor
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -738,6 +739,54 @@ def test_subset_floor_margin(monkeypatch, tol):
         assert cert.subsets_examined == examined
     # The sweep crosses the quadruple's own cutoff, which lies below C.
     assert references == {3, 4}
+
+
+def _recording_svdvals(monkeypatch):
+    """Record the shape of each stack the floors send to the SVD."""
+    shapes = []
+    svdvals = sepcert.certify._svdvals
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return svdvals(stack)
+
+    monkeypatch.setattr(sepcert.certify, "_svdvals", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("tol", MARGIN_POLICIES, ids=["default", "rel0.49"])
+def test_r_subset_floor_proof_margin(monkeypatch, tol):
+    # A 4 x 4 side matrix holds one 4-member subset, itself, and its C and
+    # d are those of the full-rank screen on it.  The floors prove sigma_min
+    # > C + d through the Gram, whose error err they take from that screen:
+    # half an err past (C + d)^2 sends the block to the SVD, twice err
+    # proves the floor 4 with no SVD.  The first plant is proven once err,
+    # or at 0.49 the + d, is dropped.
+    ranked = _recording_svdvals(monkeypatch)
+    rng = np.random.default_rng(22)
+    for share, proven in [(0.5, False), (2.0, True)]:
+        m = _planted_past_gram_floor(rng, 4, tol, share)
+        floor = np.zeros(1 << 4, dtype=np.int8)
+        ranked.clear()
+        _subset_floors(m, _popcounts(4), _member_bits(4), 4, tol, floor)
+        assert ranked == ([] if proven else [(1, 4, 4)])
+        if proven:
+            assert floor[-1] == 4
+
+
+def test_r_subset_floors_of_a_generic_side_need_no_svd(monkeypatch):
+    # Random (2,2)/N12 builds the floors of the 4-member subsets on both of
+    # its full-rank 4-row sides, and the Gram-Cholesky proof settles the
+    # 495 selections of each in one block: no 4 x 4 stack is ranked.
+    fam = random_product_family(np.random.default_rng(12), (2, 2), 12)
+    floored = _recording_subset_floors(monkeypatch)
+    ranked = _recording_svdvals(monkeypatch)
+    cert = certify_unique(fam)
+    assert [(len(m), k) for m, k in floored] == [(4, 4), (4, 4)]
+    assert all(shape[1:] != (4, 4) for shape in ranked)
+    witnesses, examined = _reference_certificate(fam, cert.tol)
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined
 
 
 def _near_flat(eps):

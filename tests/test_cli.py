@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -685,3 +686,28 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("read", [0, 10], ids=["closed", "head-c10"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_certify_into_a_closed_pipe_exits_2(tmp_path, read, unbuffered):
+    # A reader that leaves after `read` bytes of the streamed 1 MB report:
+    # exit 2 with one line on stderr, and no second error when the
+    # interpreter flushes stdout at exit.
+    path = tmp_path / "projective-26.json"
+    save_family(path, gen_projective_basis(2, 6))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepcert", "certify", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"

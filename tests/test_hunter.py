@@ -38,6 +38,7 @@ from sepcert.linalg import (
     proportional,
     realign_bipartite,
     schmidt_rank,
+    svd_error_scale,
     unvectorize,
     vectorize,
     vectorized_columns,
@@ -548,6 +549,35 @@ def test_residual_floor_is_a_lower_bound(name):
         assert _screens(stacks, full, 1e-8)
     elif name.startswith("random"):
         assert _screens(stacks, full, 1e-9)
+
+
+def test_screen_margin_covers_the_residual_rounding(monkeypatch):
+    # _screens proves that its bound on the objective exceeds threshold +
+    # kappa.  Two calls give the factor scale / p_min that maps a bound to
+    # the Gram's sigma_min, and the factorization's lambda_min less err
+    # then gives the largest bound B the screen can prove.  A threshold
+    # kappa / 2 below B is not screened, one 2 kappa below B is; without
+    # the + kappa the first is screened too.
+    calls = []
+    prove = _proves_gram_floor
+
+    def spy(gram, floor, err):
+        calls.append((gram.copy(), floor, err))
+        return prove(gram, floor, err)
+
+    monkeypatch.setattr("sepcert.hunter._proves_gram_floor", spy)
+    full, stacks = _hunt_inputs(gen_ladder_channel(0.5))
+    for threshold in (0.0, 1e-8):
+        _screens(stacks, full, threshold)
+    (gram, low, err), (_, high, _) = calls
+    ratio = (np.sqrt(high) - np.sqrt(low)) / 1e-8
+    bound = np.sqrt(np.linalg.eigvalsh(gram)[0] - err) / ratio
+    pairs = len(gram)
+    rows = max(max(len(a), len(b)) for a, b in stacks)
+    kappa = svd_error_scale(max(rows, pairs), min(rows, pairs))
+    assert bound > 1e3 * kappa
+    assert not _screens(stacks, full, bound - kappa / 2)
+    assert _screens(stacks, full, bound - 2 * kappa)
 
 
 def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():

@@ -269,6 +269,39 @@ def _planted(rng, r, k, sigma_min):
     return (u * sigma) @ v.conj().T
 
 
+def _planted_past_gram_floor(rng, p, tol, share):
+    """A p x p ``_planted`` matrix whose exact Gram has lambda_min
+    (c + d)^2 + ``share`` err, with s, d, c and err = kappa s^2 those of
+    ``_proves_full_rank`` on it.  sigma_min moves s a little, so it is found
+    by fixed-point iteration."""
+    kappa = svd_error_scale(p, p)
+    sigma_min = 0.5
+    for _ in range(60):
+        s = np.linalg.norm(np.geomspace(1.0, sigma_min, p)) * (1 + kappa)
+        d = kappa * s
+        sigma_min = float(np.sqrt((tol.cutoff(s + d) + d) ** 2 + share * kappa * s * s))
+    return _planted(rng, p, p, sigma_min)
+
+
+#: The library's cutoff, and one at which c + d lies near s / 2: there the
+#: + d moves (c + d)^2 by 2cd, about err, so a plant half an err past
+#: (c + d)^2 lies past c^2 + err as well.  At smaller cutoffs 2cd is a
+#: vanishing part of err.
+MARGIN_POLICIES = [DEFAULT_TOLERANCE, TolerancePolicy(relative_rank_threshold=0.49)]
+
+
+@pytest.mark.parametrize("tol", MARGIN_POLICIES, ids=["default", "rel0.49"])
+def test_full_rank_screen_margin(tol):
+    # The screen proves sigma_min > c + d through the Gram, whose error it
+    # bounds by err: half an err past (c + d)^2 is not proven, twice err
+    # is.  The first plant is proven once err, or at 0.49 the + d, is
+    # dropped.
+    rng = np.random.default_rng(21)
+    for share, proven in [(0.5, False), (2.0, True)]:
+        stack = _planted_past_gram_floor(rng, 4, tol, share)[None]
+        assert _check_screen(stack, tol) is proven
+
+
 @pytest.mark.parametrize(
     "r, k, compressed", SHAPES, ids=["tall", "compressed", "square", "wide", "k1"]
 )
