@@ -551,33 +551,45 @@ def test_residual_floor_is_a_lower_bound(name):
         assert _screens(stacks, full, 1e-9)
 
 
-def test_screen_margin_covers_the_residual_rounding(monkeypatch):
+def test_screen_margins_cover_the_residual_and_the_gram_rounding(monkeypatch):
     # _screens proves that its bound on the objective exceeds threshold +
-    # kappa.  Two calls give the factor scale / p_min that maps a bound to
-    # the Gram's sigma_min, and the factorization's lambda_min less err
-    # then gives the largest bound B the screen can prove.  A threshold
-    # kappa / 2 below B is not screened, one 2 kappa below B is; without
-    # the + kappa the first is screened too.
+    # kappa, through a Gram whose rounding it takes as err = kappa P
+    # |F|_F^4 (``_compound_gram``).  Two calls give the factor scale / p_min
+    # that maps a bound to the Gram's sigma_min, so with the Gram's
+    # lambda_min a bound b leaves room for a rounding e when (b * ratio)^2
+    # + e < lambda_min.  Fourier (2,2,2) has P = 3 cuts.
     calls = []
     prove = _proves_gram_floor
 
     def spy(gram, floor, err):
-        calls.append((gram.copy(), floor, err))
+        calls.append((gram.copy(), floor))
         return prove(gram, floor, err)
 
     monkeypatch.setattr("sepcert.hunter._proves_gram_floor", spy)
-    full, stacks = _hunt_inputs(gen_ladder_channel(0.5))
+    full, stacks = _hunt_inputs(gen_fourier_channel((2, 2, 2)))
     for threshold in (0.0, 1e-8):
         _screens(stacks, full, threshold)
-    (gram, low, err), (_, high, _) = calls
+    (gram, low), (_, high) = calls
     ratio = (np.sqrt(high) - np.sqrt(low)) / 1e-8
-    bound = np.sqrt(np.linalg.eigvalsh(gram)[0] - err) / ratio
+    lam = np.linalg.eigvalsh(gram)[0]
     pairs = len(gram)
     rows = max(max(len(a), len(b)) for a, b in stacks)
     kappa = svd_error_scale(max(rows, pairs), min(rows, pairs))
-    assert bound > 1e3 * kappa
-    assert not _screens(stacks, full, bound - kappa / 2)
-    assert _screens(stacks, full, bound - 2 * kappa)
+    err = kappa * len(stacks) * np.linalg.norm(full) ** 4
+
+    def bound(share):
+        """The largest bound that leaves room for share * err."""
+        return np.sqrt(lam - share * err) / ratio
+
+    assert bound(1) > 1e3 * kappa
+    # kappa / 2 short of the largest provable bound is not screened, 2 kappa
+    # short is; without the + kappa the first is screened too.
+    assert not _screens(stacks, full, bound(1) - kappa / 2)
+    assert _screens(stacks, full, bound(1) - 2 * kappa)
+    # Room for err / P but not for err is not screened, for 2 err is;
+    # without the factor P in err the first is screened too.
+    assert not _screens(stacks, full, bound((1 + 1 / len(stacks)) / 2) - kappa)
+    assert _screens(stacks, full, bound(2) - kappa)
 
 
 def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
