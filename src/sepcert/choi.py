@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, UsageError
 from .families import OperatorFamily, PartySpec, ProductOperator
-from .linalg import frobenius, vectorize, vectorized_columns
+from .linalg import frobenius, vectorize
 
 #: Hermiticity and PSD slack of a DensityMatrix, relative to max(1, |rho|_F).
 STATE_TOL = 1e-10
@@ -97,7 +97,7 @@ def ensemble_to_state(ens: OperatorFamily) -> DensityMatrix:
 def _choi_gram(fam: OperatorFamily) -> np.ndarray:
     """F F^H for F the vectorized assembled members: the Choi matrix of
     ``fam`` under a fixed permutation of its indices."""
-    f = vectorized_columns(fam.assembled())
+    f = fam.side_matrix(range(fam.n_parties), include_weight=True)
     return f @ f.conj().T
 
 

@@ -90,11 +90,15 @@ def _emit(payload: dict) -> None:
 
 
 def _discard_stdout() -> None:
-    """Point stdout at the null device once its reader has gone, so the
-    flush at exit does not fail again on what stdout still buffers."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+    """Point stdout at the null device when it cannot take what it still
+    buffers (its reader has gone, or its device is full), so the flush at
+    exit does not fail again."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_complex(text: str) -> complex:
@@ -408,13 +412,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A report that fits stdout's buffer is written here, not at exit,
+        # so a closed reader or a full device is an error of this command.
+        sys.stdout.flush()
+        return code
     except SizeBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (SepcertError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            _discard_stdout()
+        _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -14,7 +14,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .errors import (
 from .linalg import (
     MAX_MATRIX_ELEMENTS,
     _coefficient_vector,
+    _kron_rows,
     as_matrix,
     kron,
     numerical_rank,
-    vectorized_columns,
 )
 
 
@@ -228,14 +228,47 @@ class OperatorFamily:
     def n_parties(self) -> int:
         return self.spec.n_parties
 
-    def assembled(self) -> list[np.ndarray]:
-        return [m.assemble() for m in self.members]
+    @cached_property
+    def _party_stacks(self) -> tuple[np.ndarray, ...]:
+        """Per party, the read-only (N, d_out, d_in) stack of its factors."""
+        stacks = tuple(
+            np.stack([m.factors[p] for m in self.members])
+            for p in range(self.n_parties)
+        )
+        for stack in stacks:
+            stack.setflags(write=False)
+        return stacks
 
-    def local_factors(self, party: int) -> list[np.ndarray]:
-        return [m.factors[party] for m in self.members]
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """The read-only (N,) vector of member weights."""
+        w = np.array([m.weight for m in self.members], dtype=np.complex128)
+        w.setflags(write=False)
+        return w
 
-    def grouped_factors(self, side, include_weight: bool = False) -> list[np.ndarray]:
-        return [m.grouped(side, include_weight) for m in self.members]
+    def assembled(self) -> np.ndarray:
+        """The (N, d_out, d_in) stack of assembled members: entry j equals
+        ``members[j].assemble()``, read from the all-party weighted stack."""
+        return self.grouped_factors(range(self.n_parties), include_weight=True)
+
+    def local_factors(self, party: int) -> np.ndarray:
+        """The read-only (N, d_out, d_in) stack of every member's ``party`` factor."""
+        return self._party_stacks[party]
+
+    def grouped_factors(self, side, include_weight: bool = False) -> np.ndarray:
+        """The (N, rows, cols) stack of every member's grouped ``side`` factors.
+
+        The side's party stacks are combined by one broadcast multiply per
+        extra party, in ascending party order, and the weights multiply in
+        last, so entry j equals ``members[j].grouped(side, include_weight)``
+        bit for bit.  The result is fresh, or a cached read-only stack.
+        Every side matrix is built here.
+        """
+        side = _validated_side(side, self.n_parties)
+        out = _kron_rows([self._party_stacks[p] for p in side])
+        if include_weight:
+            out = self._weights[:, None, None] * out
+        return out
 
     def member_indices(self, indices, minimum: int = 1) -> tuple[int, ...]:
         """``indices`` as distinct, in-range member indices, at least ``minimum``."""
@@ -253,8 +286,16 @@ class OperatorFamily:
         return OperatorFamily(self.spec, tuple(self.members[i] for i in idx))
 
     def side_matrix(self, side, include_weight: bool = False) -> np.ndarray:
-        """Vectorized grouped ``side`` factors of every member, one column each."""
-        return vectorized_columns(self.grouped_factors(side, include_weight))
+        """Vectorized grouped ``side`` factors of every member, one column each.
+
+        Column j is ``vectorize(members[j].grouped(side, include_weight))``.
+        The matrix is C-contiguous, like the ``np.hstack`` of the members'
+        vectorizations: the layout of a matrix and of its column selections
+        picks the BLAS path of a product with it, and so its rounding.
+        """
+        g = self.grouped_factors(side, include_weight)
+        n, rows, cols = g.shape
+        return np.ascontiguousarray(g.transpose(2, 1, 0).reshape(rows * cols, n))
 
     def span_dim(self, side, subset=None) -> int:
         """Dimension of the span of the grouped ``side`` factors.

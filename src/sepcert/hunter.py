@@ -38,6 +38,7 @@ from .linalg import (
     _check_unitary,
     _coefficient_vector,
     _compound_gram,
+    _kron_rows,
     _proves_gram_floor,
     as_matrix,
     frobenius,
@@ -45,7 +46,6 @@ from .linalg import (
     realign_bipartite,
     svd_error_scale,
     unvectorize,
-    vectorized_columns,
 )
 from .sampling import (
     check_seed,
@@ -178,17 +178,6 @@ def _peel(stack: np.ndarray, spec: PartySpec) -> list[np.ndarray]:
         rest = _unvectorize_rows(s[:, :1] * u[:, :, 0], (b_out, b_in))
     factors.append(rest)
     return factors
-
-
-def _assemble_rows(factors: list[np.ndarray]) -> np.ndarray:
-    """Row-wise Kronecker product of per-party (R, rows, cols) factor stacks."""
-    out = factors[0]
-    for f in factors[1:]:
-        (n, ra, ca), (_, rb, cb) = out.shape, f.shape
-        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
-            n, ra * rb, ca * cb
-        )
-    return out
 
 
 def recover_product(matrix, spec: PartySpec) -> ProductOperator:
@@ -340,7 +329,7 @@ def _search(
             rows, s_vec = rows[live], s_vec[live]
             if rows.size == 0:
                 break
-            target = _assemble_rows(
+            target = _kron_rows(
                 _peel(_unvectorize_rows(s_vec, (d_out, d_in)), spec)
             )
             # Column k of the right-hand side is vectorize(target[k]).
@@ -393,6 +382,10 @@ def hunt_product(
     and the search runs.  ``found``, ``novel`` and the residual's side of
     ``threshold`` are thus what the search would have given.
 
+    The subset's members enter as the columns of ``full``, a C-contiguous
+    column selection of the all-party weighted side matrix, and as the two
+    side matrices of each cut (``_split_stacks``); all of them come from
+    the family's one side builder, ``OperatorFamily.grouped_factors``.
     The search alternates between projecting the current combination to
     its nearest product (leading-singular-vector peeling) and re-fitting
     coefficients by least squares.  ``initial_coefficients``, when given,
@@ -420,7 +413,9 @@ def hunt_product(
     check_seed(seed)
 
     ns = len(subset)
-    full = vectorized_columns(fam.members[i].assemble() for i in subset)
+    full = np.ascontiguousarray(
+        fam.side_matrix(range(fam.n_parties), include_weight=True)[:, list(subset)]
+    )
     stacks = _split_stacks(fam, subset)
 
     init = None

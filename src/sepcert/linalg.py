@@ -132,6 +132,19 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _kron_rows(stacks) -> np.ndarray:
+    """Row-wise Kronecker product of (R, rows, cols) stacks, first stack
+    slowest: one broadcast multiply per extra stack, which rounds as
+    ``reduce(kron, ...)`` does on each row."""
+    out = stacks[0]
+    for f in stacks[1:]:
+        (n, ra, ca), (_, rb, cb) = out.shape, f.shape
+        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
+            n, ra * rb, ca * cb
+        )
+    return out
+
+
 def vectorize(m) -> np.ndarray:
     """Column-stack a matrix into a (rows*cols, 1) column vector."""
     m = as_matrix(m)

@@ -711,3 +711,41 @@ def test_certify_into_a_closed_pipe_exits_2(tmp_path, read, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize(
+    "command, name",
+    [("verify", "ladder"), ("certify", "ladder"), ("hunt", "ladder"),
+     ("certify", "projective-26")],
+)
+def test_a_report_that_stdout_cannot_take_exits_2(tmp_path, command, name, sink):
+    # With buffered stdout the ladder's reports fit the buffer, so they are
+    # written by the flush in main, not at exit; the 1 MB report is written
+    # while it streams.  A reader that has gone or a full device gives exit
+    # 2 with one line on stderr, and no second error at exit.
+    if sink == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    fam = gen_ladder_channel(0.5) if name == "ladder" else gen_projective_basis(2, 6)
+    path = tmp_path / f"{name}.json"
+    save_family(path, fam)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "sepcert", command, str(path)]
+    if sink == "closed-pipe":
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        expected = b"error: [Errno 32] Broken pipe\n"
+    else:
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+            )
+        code, err = proc.returncode, proc.stderr
+        expected = b"error: [Errno 28] No space left on device\n"
+    assert code == 2
+    assert err == expected

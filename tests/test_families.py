@@ -1,7 +1,11 @@
 """Tests for product-operator families, splits, and span bookkeeping."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcert.errors import (
     DegenerateInputError,
@@ -19,7 +23,7 @@ from sepcert.families import (
     party_pairs,
     span_bound_report,
 )
-from sepcert.linalg import schmidt_rank, span_dimension
+from sepcert.linalg import schmidt_rank, span_dimension, vectorize
 from sepcert.sampling import (
     planted_dependent_family,
     random_nonzero_coefficients,
@@ -247,6 +251,72 @@ def test_side_matrix_columns_are_vectorized_grouped_factors():
                 np.testing.assert_array_equal(m[:, j], g.reshape(-1, order="F"))
     with pytest.raises(UsageError):
         fam.side_matrix((1, 1))
+
+
+@st.composite
+def batched_cases(draw):
+    """A family of 1-4 parties with dimensions 1..3 (kets included), 1-6
+    members, complex weights, and some members whose factors carry 1e150 on
+    one party and 1e-150 on another."""
+    kets = draw(st.booleans())
+    parties = draw(
+        st.lists(
+            st.tuples(st.just(1) if kets else st.integers(1, 3), st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    members = []
+    for _ in range(n):
+        factors = [crand(rng, dout, din) for din, dout in parties]
+        if len(parties) > 1 and draw(st.booleans()):
+            up, down = rng.choice(len(parties), 2, replace=False)
+            factors[up] *= 1e150
+            factors[down] *= 1e-150
+        members.append((complex(*rng.standard_normal(2)), factors))
+    return family_from_factors(parties, members)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(batched_cases())
+@settings(max_examples=60, deadline=None)
+def test_batched_sides_equal_the_per_member_build(fam):
+    stacks = [fam.local_factors(p) for p in range(fam.n_parties)]
+    for p, stack in enumerate(stacks):
+        assert not stack.flags.writeable
+        assert _same_bytes(stack, np.stack([m.factors[p] for m in fam.members]))
+    sides = [
+        side
+        for size in range(1, fam.n_parties + 1)
+        for side in itertools.combinations(range(fam.n_parties), size)
+    ]
+    for side, include_weight in itertools.product(sides, (False, True)):
+        groups = fam.grouped_factors(side[::-1], include_weight)
+        assert len(groups) == fam.n_members
+        for g, m in zip(groups, fam.members):
+            assert _same_bytes(g, m.grouped(side, include_weight))
+        # Fresh, or read-only: no caller writes through it into the cache.
+        assert not groups.flags.writeable or not any(
+            np.shares_memory(groups, stack) for stack in stacks
+        )
+        mat = fam.side_matrix(side, include_weight)
+        reference = np.hstack(
+            [vectorize(m.grouped(side, include_weight)) for m in fam.members]
+        )
+        assert _same_bytes(mat, reference)
+        assert mat.flags.c_contiguous
+    for a, m in zip(fam.assembled(), fam.members):
+        assert _same_bytes(a, m.assemble())
+    for bad in [(0, 0), (fam.n_parties,), ()]:
+        with pytest.raises(UsageError):
+            fam.grouped_factors(bad)
+        with pytest.raises(UsageError):
+            fam.side_matrix(bad, include_weight=True)
 
 
 def test_span_bound_report_validation():

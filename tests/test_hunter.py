@@ -592,6 +592,45 @@ def test_screen_margins_cover_the_residual_and_the_gram_rounding(monkeypatch):
     assert _screens(stacks, full, bound(2) - kappa)
 
 
+def test_screen_margin_covers_the_svd_error_on_sigma_max(monkeypatch):
+    # The floor that _screens hands to the Gram proof, derived here from its
+    # docstring alone: (threshold + kappa) sqrt(P m) sigma_max(full)^2 /
+    # p_min, squared, with sigma_max raised by its SVD's error kappa_full
+    # |full|_F (1 + kappa_full).  Dropping that error lowers the floor by a
+    # relative 4 kappa_full |full|_F / sigma_max, far above its rounding.
+    floors = []
+    prove = _proves_gram_floor
+
+    def spy(gram, floor, err):
+        floors.append(floor)
+        return prove(gram, floor, err)
+
+    monkeypatch.setattr("sepcert.hunter._proves_gram_floor", spy)
+    threshold = 1e-8
+    full, stacks = _hunt_inputs(gen_fourier_channel((2, 2, 2)))
+    assert _screens(stacks, full, threshold)
+    (floor,) = floors
+    n = full.shape[1]
+    f = COEFFICIENT_FLOOR / 2
+    x = (n - 1) * f * f
+    p_min = np.sqrt(x * (2 - x - f * f) / 2)
+    r = max(min(len(a), len(b), n) for a, b in stacks)
+    sqrt_pm = np.sqrt(len(stacks) * r * (r - 1) / 2)
+    rows = max(max(len(a), len(b)) for a, b in stacks)
+    pairs = n * (n - 1) // 2
+    kappa = svd_error_scale(max(rows, pairs), min(rows, pairs))
+    kappa_full = svd_error_scale(max(full.shape), min(full.shape))
+    sigma_max = np.linalg.svd(full, compute_uv=False)[0]
+    raised = sigma_max + kappa_full * np.linalg.norm(full) * (1 + kappa_full)
+
+    def expected(s):
+        return ((threshold + kappa) * sqrt_pm * s**2 / p_min) ** 2
+
+    assert expected(raised) > expected(sigma_max) * (1 + 1e-13)
+    assert floor >= expected(raised) * (1 - 1e-14)
+    assert floor > expected(sigma_max) * (1 + 1e-14)
+
+
 def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
     # A pair of projectors holds a product iff the two share a factor; the
     # compound matrix of a pair is 1x1 and vanishes exactly then.

@@ -10,11 +10,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sepcert.certify
 import sepcert.cli
 import sepcert.hunter
+from sepcert.certify import certify_unique
 from sepcert.families import OperatorFamily
+from sepcert.hunter import _product_cuts, hunt_product
+from sepcert.zoo import gen_fourier_channel, gen_projective_basis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +54,47 @@ def test_traced_names_resolve_and_are_restored(monkeypatch):
         after = dict(vars(owner))
         assert after.keys() == saved.keys()
         assert all(after[name] is value for name, value in saved.items())
+
+
+def _recording_grouped_factors(monkeypatch):
+    """Record (side, include_weight) of each call of the side builder, the
+    one name the tracer times as ``families.side_build_s``."""
+    calls = []
+    build = OperatorFamily.grouped_factors
+
+    def recording(fam, side, include_weight=False):
+        calls.append((tuple(sorted(side)), include_weight))
+        return build(fam, side, include_weight)
+
+    monkeypatch.setattr(OperatorFamily, "grouped_factors", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [gen_fourier_channel((2, 2, 2)), gen_projective_basis(2, 3)],
+    ids=["fourier-222", "projective-23"],
+)
+def test_certify_opens_every_side_through_the_builder(monkeypatch, fam):
+    calls = _recording_grouped_factors(monkeypatch)
+    reached = []
+    open_side = sepcert.certify._side_matrix
+
+    def recording_open(fam, side):
+        reached.append(side)
+        return open_side(fam, side)
+
+    monkeypatch.setattr(sepcert.certify, "_side_matrix", recording_open)
+    certify_unique(fam)
+    assert reached
+    assert calls == [(side, False) for side in reached]
+
+
+def test_hunt_builds_full_and_every_cut_side_through_the_builder(monkeypatch):
+    fam = gen_fourier_channel((2, 2, 2))
+    calls = _recording_grouped_factors(monkeypatch)
+    hunt_product(fam, restarts=2, seed=0)
+    expected = {((0, 1, 2), True)}
+    for side_a, side_b in _product_cuts(fam.n_parties):
+        expected |= {(side_a, True), (side_b, False)}
+    assert set(calls) == expected
