@@ -228,46 +228,6 @@ def default_strategy(n_parties: int) -> str:
     return STRATEGY_ALL_BIPARTITIONS if n_parties <= 6 else STRATEGY_PAIRS
 
 
-def _side_matrix(
-    fam: OperatorFamily, side: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorized grouped ``side`` factors as unit columns, and the members'
-    multiset weights when some columns are equal.
-
-    Each column is scaled to unit norm, so no member's scale weighs on the
-    cutoff of another's: the span dimensions do not depend on it.  A column
-    is divided by its largest entry before its norm is taken, so the norm
-    cannot overflow.  A matrix with more rows than columns is then replaced
-    by the R factor of its thin QR: every column selection keeps its
-    singular values, so ranks are unchanged while each SVD shrinks to at
-    most N rows.
-
-    Members whose columns are equal bit for bit form a class.  When some
-    class has two or more members, member j gets the mixed-radix weight
-    prod over classes c < class(j) of (size(c) + 1), so ``weights[T].sum()``
-    names the multiset of T's columns uniquely and lies below prod over c of
-    (size(c) + 1).  Subsets sharing a multiset select the same columns in
-    another order and thus share one rank; with every column distinct the
-    weights are None.
-    """
-    m = fam.side_matrix(side)
-    rows, n = m.shape
-    ids: dict[bytes, int] = {}
-    cls = np.array([ids.setdefault(col.tobytes(), len(ids)) for col in m.T])
-    weights = None
-    if len(ids) < n:
-        sizes = np.bincount(cls)
-        weights = np.concatenate(([1], np.cumprod(sizes[:-1] + 1)))[cls]
-    # A column that underflowed to zero stays zero.
-    top = np.abs(m).max(axis=0)
-    m = m / np.where(top > 0, top, 1.0)
-    norm = np.linalg.norm(m, axis=0)
-    m /= np.where(norm > 0, norm, 1.0)
-    if rows > n:
-        m = np.linalg.qr(m, mode="r")
-    return m, weights
-
-
 def _member_bits(n: int) -> np.ndarray:
     """The bit of each of n members in a subset's bitmask: member i is bit
     n-1-i, so the bitmasks of one size in descending order list its subsets
@@ -303,13 +263,13 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
 class _Side:
     """A split side's matrix and the pass's rank state on it.
 
-    ``m`` and ``weights`` are those of ``_side_matrix``.  ``known``
-    and ``floor`` are int8 arrays over member bitmasks: ``known`` holds the
-    exact rank of each subset ranked on the side so far and the lower bound
-    of every other decided subset, 0 elsewhere, and ``floor`` the maximum
-    of the ``_subset_floors`` of each k in ``floored``, 0 before any.  With
-    multiset weights, ``table`` holds the rank of each column multiset
-    ranked so far, -1 elsewhere; else it is None.
+    ``m`` and ``weights`` are those of ``OperatorFamily.unit_side``.
+    ``known`` and ``floor`` are int8 arrays over member bitmasks: ``known``
+    holds the exact rank of each subset ranked on the side so far and the
+    lower bound of every other decided subset, 0 elsewhere, and ``floor``
+    the maximum of the ``_subset_floors`` of each k in ``floored``, 0
+    before any.  With multiset weights, ``table`` holds the rank of each
+    column multiset ranked so far, -1 elsewhere; else it is None.
     """
 
     m: np.ndarray
@@ -327,7 +287,7 @@ def _size_budget_error(n: int) -> SizeBudgetError:
 def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
     """The side matrix of ``side`` and its rank state before any subset of
     the n members is decided: no rank known, no floor, no multiset ranked."""
-    m, weights = _side_matrix(fam, side)
+    m, weights, _ = fam.unit_side(side)
     try:
         known, floor = np.zeros((2, 1 << n), dtype=np.int8)
         # The full set has the largest key, prod over classes of (size + 1) - 1.
@@ -437,9 +397,9 @@ def _decide_block(
     screen of ``stacked_ranks`` only when the full set was ranked on it and
     found full rank, min(rows, n), the row count of the side matrix after
     its thin QR: on a deficient side the screen cannot succeed.  A side
-    with multiset weights (see ``_side_matrix``) ranks one subset per
-    column multiset not yet in its table and reads every other rank from
-    there.
+    with multiset weights (see ``OperatorFamily.unit_side``) ranks one
+    subset per column multiset not yet in its table and reads every other
+    rank from there.
 
     Returns the positions in ``members`` of the subsets no split eliminated,
     and per reached side a (B,) array of rank bounds that is exact for every

@@ -85,13 +85,9 @@ def ensemble_to_state(ens: OperatorFamily) -> DensityMatrix:
     """Gram sum rho = sum_j |psi_j><psi_j| over the assembled product kets."""
     if ens.spec.total_d_in != 1:
         raise UsageError("ensemble_to_state expects a ket family (all d_in = 1)")
-    total = ens.spec.total_d_out
-    rho = np.zeros((total, total), dtype=np.complex128)
-    for m in ens.members:
-        ket = m.assemble()
-        rho += ket @ ket.conj().T
+    # A ket's vectorization is the ket itself.
     dims = tuple(ens.spec.d_out(p) for p in range(ens.n_parties))
-    return DensityMatrix(rho, dims)
+    return DensityMatrix(_choi_gram(ens), dims)
 
 
 def _choi_gram(fam: OperatorFamily) -> np.ndarray:

@@ -89,6 +89,11 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _head(args) -> dict:
+    """The keys that open the report of a command on a file."""
+    return {"command": args.command, "tool_version": __version__, "file": str(args.file)}
+
+
 def _discard_stdout() -> None:
     """Point stdout at the null device when it cannot take what it still
     buffers (its reader has gone, or its device is full), so the flush at
@@ -137,16 +142,7 @@ def cmd_verify(args) -> int:
         report = verify_completeness(loaded.family, tol=args.tol)
     except NumericError as exc:
         raise NumericError(f"{args.file}, {exc}") from None
-    _emit(
-        {
-            "command": "verify",
-            "tool_version": __version__,
-            "file": str(args.file),
-            "kind": loaded.kind,
-            "tol": args.tol,
-            **report.to_dict(),
-        }
-    )
+    _emit({**_head(args), "kind": loaded.kind, "tol": args.tol, **report.to_dict()})
     return EXIT_OK if report.is_complete else EXIT_INCOMPLETE
 
 
@@ -175,14 +171,8 @@ def cmd_certify(args) -> int:
             )
             print(f"witness {{{','.join(map(str, w.members))}}}" + (f": {sums}" if sums else ""))
     else:
-        head = {
-            "command": "certify",
-            "tool_version": __version__,
-            "file": str(args.file),
-            "kind": loaded.kind,
-        }
         # Streamed, so the report is never held whole.
-        sys.stdout.writelines(cert.json_chunks(head))
+        sys.stdout.writelines(cert.json_chunks({**_head(args), "kind": loaded.kind}))
         print()
     return EXIT_OK if cert.unique else EXIT_NEGATIVE
 
@@ -200,14 +190,7 @@ def cmd_hunt(args) -> int:
         threshold=args.threshold,
         seed=args.seed,
     )
-    _emit(
-        {
-            "command": "hunt",
-            "tool_version": __version__,
-            "file": str(args.file),
-            **result.to_dict(),
-        }
-    )
+    _emit({**_head(args), **result.to_dict()})
     return EXIT_OK if result.found else EXIT_NEGATIVE
 
 
@@ -324,9 +307,7 @@ def cmd_choi(args) -> int:
         )
     _emit(
         {
-            "command": "choi",
-            "tool_version": __version__,
-            "file": str(args.file),
+            **_head(args),
             "out": str(args.out),
             "state_out": str(args.state_out) if args.state_out else None,
             "n_members": ens.n_members,

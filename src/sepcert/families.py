@@ -30,9 +30,11 @@ from .linalg import (
     MAX_MATRIX_ELEMENTS,
     _coefficient_vector,
     _kron_rows,
+    _rescaled,
     as_matrix,
     kron,
     numerical_rank,
+    unit_columns,
 )
 
 
@@ -67,17 +69,11 @@ class PartySpec:
 
     @property
     def total_d_in(self) -> int:
-        out = 1
-        for din, _ in self.parties:
-            out *= din
-        return out
+        return math.prod(din for din, _ in self.parties)
 
     @property
     def total_d_out(self) -> int:
-        out = 1
-        for _, dout in self.parties:
-            out *= dout
-        return out
+        return math.prod(dout for _, dout in self.parties)
 
     def factor_shape(self, party: int) -> tuple[int, int]:
         """Shape (rows, cols) = (d_out, d_in) of party's local factors."""
@@ -240,7 +236,7 @@ class OperatorFamily:
         return stacks
 
     @cached_property
-    def _weights(self) -> np.ndarray:
+    def weights(self) -> np.ndarray:
         """The read-only (N,) vector of member weights."""
         w = np.array([m.weight for m in self.members], dtype=np.complex128)
         w.setflags(write=False)
@@ -267,7 +263,7 @@ class OperatorFamily:
         side = _validated_side(side, self.n_parties)
         out = _kron_rows([self._party_stacks[p] for p in side])
         if include_weight:
-            out = self._weights[:, None, None] * out
+            out = self.weights[:, None, None] * out
         return out
 
     def member_indices(self, indices, minimum: int = 1) -> tuple[int, ...]:
@@ -297,12 +293,44 @@ class OperatorFamily:
         n, rows, cols = g.shape
         return np.ascontiguousarray(g.transpose(2, 1, 0).reshape(rows * cols, n))
 
+    def unit_side(self, side) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """The side matrix that every rank, the hunt's objective and its
+        screen read, the members' multiset weights, and the member scales.
+
+        The columns of ``side_matrix(side)`` go through ``unit_columns``, so
+        no member's scale weighs on another's cutoff; column j is member j's
+        grouped factors over ``scales[j]``.  A matrix with more rows than
+        columns is then replaced by the R factor of its thin QR: every column
+        selection keeps its singular values, while each SVD shrinks to at
+        most N rows.
+
+        Members whose raw columns are equal bit for bit form a class.  When
+        some class has two or more members, member j gets the mixed-radix
+        weight prod over classes c < class(j) of (size(c) + 1), so
+        ``weights[T].sum()`` names the multiset of T's columns uniquely and
+        lies below prod over c of (size(c) + 1): subsets sharing a multiset
+        share one rank.  With every column distinct the weights are None.
+        """
+        m = self.side_matrix(side)
+        rows, n = m.shape
+        ids: dict[bytes, int] = {}
+        cls = np.array([ids.setdefault(col.tobytes(), len(ids)) for col in m.T])
+        weights = None
+        if len(ids) < n:
+            sizes = np.bincount(cls)
+            weights = np.concatenate(([1], np.cumprod(sizes[:-1] + 1)))[cls]
+        m, scales = unit_columns(m)
+        if rows > n:
+            m = np.linalg.qr(m, mode="r")
+        return m, weights, scales
+
     def span_dim(self, side, subset=None) -> int:
-        """Dimension of the span of the grouped ``side`` factors.
+        """Dimension of the span of the grouped ``side`` factors: the rank of
+        the ``unit_side`` matrix.
 
         ``subset`` restricts to the given member indices (default: all).
         """
-        m = self.side_matrix(side)
+        m = self.unit_side(side)[0]
         if subset is not None:
             m = m[:, list(subset)]
         return numerical_rank(m)
@@ -364,8 +392,10 @@ def span_bound_report(
     party groups, such as an entry of ``all_bipartitions``; it defaults to
     party 0 versus the rest.  Its sides must be disjoint and cover every
     party; the report holds them sorted.  The spans are the ranks of the
-    two side matrices, and the combination's realignment is (B * c) @ A^T,
-    so no operator is assembled.
+    two ``unit_side`` matrices A and B.  Member j is w_j s^A_j s^B_j times
+    the product of its unit columns, so the combination realigns to
+    (B * u) @ A^T with u = c w s^A s^B (``_rescaled``): no operator is
+    assembled, and the rank is that of the caller's combination.
     """
     c = _coefficient_vector(coeffs, fam.n_members)
     if np.any(c == 0):
@@ -380,9 +410,9 @@ def span_bound_report(
             "two disjoint groups"
         )
 
-    a = fam.side_matrix(side_a, include_weight=True)
-    b = fam.side_matrix(side_b)
-    r_s = numerical_rank((b * c) @ a.T)
+    a, _, scale_a = fam.unit_side(side_a)
+    b, _, scale_b = fam.unit_side(side_b)
+    r_s = numerical_rank((b * _rescaled(c[None], fam.weights * scale_a * scale_b)[0]) @ a.T)
     delta_a = numerical_rank(a)
     delta_b = numerical_rank(b)
     return SpanBoundReport(

@@ -3,20 +3,14 @@
 The certifier proves uniqueness; this module attacks it.  ``hunt_product``
 searches a member subset for coefficients (all bounded away from zero) whose
 linear combination is a product operator: a product across each cut
-{p} | rest of one party from the others.
-``mixing_search`` scans two-member isometric remixings, which by construction
-preserve the represented channel.  ``fuzz_span_bound`` hammers the bipartite
-span inequality with random and planted instances.
-
-Before it searches, ``hunt_product`` bounds its objective from below over
-the whole feasible set by the smallest singular value of the subset's
-second-compound matrix (``_screens``, a shifted-Cholesky proof).  A bound
-at or above the threshold proves that no combination with every
-coefficient nonzero is a product, and the hunt returns with
-``restarts_used`` 0.  The proof is one-sided: when it fails it proves
-nothing, and a search that then finds nothing is evidence, not proof,
-since the objective is nonconvex and the search is restarted, not
-certified.
+{p} | rest of one party from the others.  It runs on the members at unit
+norm (``_unit_members``), with the cut sides that certify ranks
+(``OperatorFamily.unit_side``), so no member's scale moves its feasible
+set, its compound screen or its objective; its docstring describes the
+screen, the search and what each proves.  ``mixing_search`` scans
+two-member isometric remixings, which by construction preserve the
+represented channel.  ``fuzz_span_bound`` hammers the bipartite span
+inequality with random and planted instances.
 """
 
 from __future__ import annotations
@@ -40,11 +34,13 @@ from .linalg import (
     _compound_gram,
     _kron_rows,
     _proves_gram_floor,
+    _rescaled,
     as_matrix,
     frobenius,
     proportional,
     realign_bipartite,
     svd_error_scale,
+    unit_columns,
     unvectorize,
 )
 from .sampling import (
@@ -90,20 +86,22 @@ def _product_cuts(n_parties: int) -> list[tuple[tuple[int, ...], tuple[int, ...]
     return cuts
 
 
-def _split_stacks(fam: OperatorFamily, subset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per product cut, the weighted side-A and the side-B matrices of ``subset``.
+def _unit_members(fam: OperatorFamily) -> tuple[np.ndarray, np.ndarray, list]:
+    """``full``, the C-contiguous vectorized members at unit norm, one
+    column each; the member scales, member j being ``scales[j]`` times
+    column j; and per product cut the ``unit_side`` matrices A and B, across
+    which coefficients u of these unit members realign to (B * u) @ A^T, up
+    to the unitary factors of the sides' thin QRs, which keep its singular
+    values."""
+    full, norms = unit_columns(fam.side_matrix(range(fam.n_parties)))
+    stacks = [(fam.unit_side(a)[0], fam.unit_side(b)[0]) for a, b in _product_cuts(fam.n_parties)]
+    return full, fam.weights * norms, stacks
 
-    Column k of each holds member ``subset[k]``; a combination with
-    coefficients c realigns across the cut to (B * c) @ A^T.
-    """
-    cols = list(subset)
-    return [
-        (
-            fam.side_matrix(side_a, include_weight=True)[:, cols],
-            fam.side_matrix(side_b)[:, cols],
-        )
-        for side_a, side_b in _product_cuts(fam.n_parties)
-    ]
+
+def _residuals(fam: OperatorFamily, coeffs: np.ndarray) -> np.ndarray:
+    """``product_residual`` of each row of the (R, N) ``coeffs``."""
+    _, scales, stacks = _unit_members(fam)
+    return _worst_ratio(stacks, _rescaled(coeffs, scales))
 
 
 def _worst_ratio(stacks, coeffs: np.ndarray) -> np.ndarray:
@@ -135,8 +133,7 @@ def product_residual(fam: OperatorFamily, coeffs) -> float:
     combination that vanishes.  A one-party family has no cut, so every
     combination counts as a product (0.0).
     """
-    c = _coefficient_vector(coeffs, fam.n_members)
-    return float(_worst_ratio(_split_stacks(fam, range(fam.n_members)), c[None])[0])
+    return float(_residuals(fam, _coefficient_vector(coeffs, fam.n_members)[None])[0])
 
 
 def _unvectorize_rows(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -228,7 +225,7 @@ class SearchResult:
         return out
 
 
-def _screens(stacks, full: np.ndarray, threshold: float) -> bool:
+def _screens(spec: PartySpec, full: np.ndarray, stacks, threshold: float) -> bool:
     """True when the subset's second-compound matrix W proves that the hunt
     objective reaches ``threshold`` on all of its feasible set.
 
@@ -248,7 +245,9 @@ def _screens(stacks, full: np.ndarray, threshold: float) -> bool:
     (kappa = ``svd_error_scale`` of (rows, pairs) tops a computed residual's
     O(rows^2 eps) rounding), given the Gram's rounding kappa P |full|_F^4
     (``_compound_gram``) and sigma_max(full) raised by its SVD's error.
-    False claims nothing: W deficient, one party, past MAX_MATRIX_ELEMENTS.
+    ``rows`` counts the rows of the cut sides of ``spec`` before their thin
+    QR, so that kappa covers the QR's rounding too.  False claims nothing:
+    W deficient, one party, past MAX_MATRIX_ELEMENTS.
     """
     n = full.shape[1]
     pairs = n * (n - 1) // 2
@@ -257,7 +256,8 @@ def _screens(stacks, full: np.ndarray, threshold: float) -> bool:
     f = COEFFICIENT_FLOOR / 2
     x = (n - 1) * f * f
     p_min = np.sqrt(x * (2 - x - f * f) / 2)
-    rows = max(max(len(a_mat), len(b_mat)) for a_mat, b_mat in stacks)
+    # Each cut holds one party's side and the rest's (P = 2: one cut).
+    rows = max(max(s, len(full) // s) for s in (din * dout for din, dout in spec.parties))
     r = max(min(len(a_mat), len(b_mat), n) for a_mat, b_mat in stacks)
     kappa = svd_error_scale(max(rows, pairs), min(rows, pairs))
     kappa_full = svd_error_scale(max(full.shape), min(full.shape))
@@ -306,7 +306,7 @@ def _search(
     """Lowest objective and its coefficients over the stacked ALS restarts.
 
     ``full`` holds the vectorized subset members as columns and ``stacks``
-    their ``_split_stacks``.  Ties go to the lower restart index.
+    their cut sides (``_unit_members``).  Ties go to the lower restart index.
     """
     d_out, d_in = spec.total_d_out, spec.total_d_in
 
@@ -368,28 +368,32 @@ def hunt_product(
 ) -> SearchResult:
     """Search a member subset for a product operator in its span.
 
-    Minimizes, over unit-norm coefficient vectors with every magnitude kept
-    at or above ``COEFFICIENT_FLOOR``, the worst sigma_2/sigma_1 of the
-    combination realigned across each cut {p} | rest.  ``threshold`` must
-    lie strictly between 0 and 1, the range of the residual.
+    Minimizes, over unit-norm coefficient vectors of the subset's unit
+    members (``_unit_members``) with every magnitude kept at or above
+    ``COEFFICIENT_FLOOR``, the worst sigma_2/sigma_1 of the combination
+    realigned across each cut {p} | rest.  ``threshold`` must lie strictly
+    between 0 and 1, the range of the residual.
 
     The hunt first tries to prove that a lower bound of that objective
     over the whole feasible set reaches ``threshold``, rounding included
     (``_screens``).  Then no combination with every coefficient nonzero is
     a product: the hunt returns at once, not found, with ``restarts_used``
-    0, restart 0's projected start as ``coefficients`` and its objective as
-    ``residual``.  The proof is one-sided: when it fails it proves nothing,
-    and the search runs.  ``found``, ``novel`` and the residual's side of
+    0 and restart 0's projected start as the best coefficients.  The proof
+    is one-sided: when it fails it proves nothing, and the search runs; a
+    search that finds nothing is evidence, not proof, as the objective is
+    nonconvex.  ``found``, ``novel`` and the residual's side of
     ``threshold`` are thus what the search would have given.
 
-    The subset's members enter as the columns of ``full``, a C-contiguous
-    column selection of the all-party weighted side matrix, and as the two
-    side matrices of each cut (``_split_stacks``); all of them come from
-    the family's one side builder, ``OperatorFamily.grouped_factors``.
-    The search alternates between projecting the current combination to
-    its nearest product (leading-singular-vector peeling) and re-fitting
-    coefficients by least squares.  ``initial_coefficients``, when given,
-    replaces restart 0.  The restarts iterate together, up to
+    ``initial_coefficients``, when given, replaces restart 0.  It and the
+    reported unit-norm ``coefficients`` are on the members as given;
+    ``residual`` is the latter's ``product_residual``, below ``threshold``
+    exactly when ``found``.
+
+    The subset's unit members enter as the columns of ``full`` and as the
+    two ``unit_side`` matrices of each cut (``_unit_members``).  The search
+    alternates between projecting the current combination to its nearest
+    product (leading-singular-vector peeling) and re-fitting coefficients
+    by least squares.  The restarts iterate together, up to
     ``RESTART_BLOCK`` at a time, with one stacked SVD per cut and one
     multi-right-hand-side least-squares solve per iteration; each restart
     still takes the steps it would take alone.
@@ -413,39 +417,36 @@ def hunt_product(
     check_seed(seed)
 
     ns = len(subset)
-    full = np.ascontiguousarray(
-        fam.side_matrix(range(fam.n_parties), include_weight=True)[:, list(subset)]
-    )
-    stacks = _split_stacks(fam, subset)
+    full, scales, stacks = _unit_members(fam.subfamily(subset))
 
     init = None
     if initial_coefficients is not None:
         init = _coefficient_vector(initial_coefficients, ns)
         if np.linalg.norm(init) <= _ZERO_CUTOFF:
             raise ParameterError("initial_coefficients must not be the zero vector")
+        init = _rescaled(init[None], scales)[0]
 
-    screened = _screens(stacks, full, threshold)
+    screened = _screens(fam.spec, full, stacks, threshold)
     if screened:
-        c = _project(_start(ns, seed, 0, init)[None])
-        best_obj, best_c = float(_worst_ratio(stacks, c)[0]), c[0]
+        best = _project(_start(ns, seed, 0, init)[None])[0]
     else:
-        best_obj, best_c = _search(
+        _, best = _search(
             fam.spec, full, stacks,
             restarts=restarts, max_iters=max_iters, seed=seed, init=init,
         )
-    found = best_obj < threshold
+    coefficients = _rescaled(best[None], scales, inverse=True)[0]
+    residual = float(_worst_ratio(stacks, _rescaled(coefficients[None], scales))[0])
+    found = residual < threshold
     candidate = None
     novel = False
     if found:
-        candidate = recover_product(
-            unvectorize(full @ best_c, (fam.spec.total_d_out, fam.spec.total_d_in)),
-            fam.spec,
-        )
+        shape = (fam.spec.total_d_out, fam.spec.total_d_in)
+        candidate = recover_product(unvectorize(full @ (coefficients * scales), shape), fam.spec)
         cand = candidate.assemble()
         novel = all(
             proportional(cand, k, NOVELTY_TOL) is None for k in fam.assembled()
         )
-        pinned = np.abs(best_c) <= 2.0 * COEFFICIENT_FLOOR
+        pinned = np.abs(best) <= 2.0 * COEFFICIENT_FLOOR
         if np.any(pinned) and ns - int(np.count_nonzero(pinned)) >= 2:
             reduced = tuple(subset[k] for k in range(ns) if not pinned[k])
             retried = hunt_product(
@@ -461,8 +462,8 @@ def hunt_product(
 
     return SearchResult(
         found=found,
-        coefficients=best_c,
-        residual=best_obj,
+        coefficients=coefficients,
+        residual=residual,
         candidate=candidate,
         novel=novel,
         restarts_used=0 if screened else restarts,
@@ -518,7 +519,7 @@ def mixing_search(fam: OperatorFamily, pair: tuple[int, int]) -> list[MixingPoin
     ]
     unitaries = [mixing_unitary(theta, phi) for theta, phi in grid]
     rows = np.array(unitaries, dtype=np.complex128).reshape(-1, 2)
-    ratios = _worst_ratio(_split_stacks(fam, (i, j)), rows).reshape(-1, 2)
+    ratios = _residuals(fam.subfamily((i, j)), rows).reshape(-1, 2)
     return [
         MixingPoint(theta, phi, u, (float(ri), float(rj)))
         for (theta, phi), u, (ri, rj) in zip(grid, unitaries, ratios)
@@ -540,7 +541,7 @@ def apply_mixing(fam: OperatorFamily, pair: tuple[int, int], unitary) -> Operato
     _check_unitary(u, "mixing matrix")
     ki = fam.members[i].assemble()
     kj = fam.members[j].assemble()
-    residuals = _worst_ratio(_split_stacks(fam, (i, j)), u)
+    residuals = _residuals(fam.subfamily((i, j)), u)
     new_members = list(fam.members)
     for idx, row, res in zip((i, j), u, residuals):
         if res > PRODUCT_TOL:

@@ -160,9 +160,27 @@ def unvectorize(v, shape: tuple[int, int]) -> np.ndarray:
     return arr.reshape((rows, cols), order="F")
 
 
-def vectorized_columns(matrices) -> np.ndarray:
-    """One column per matrix: the (rows*cols, len) matrix of their vectorizations."""
-    return np.hstack([vectorize(m) for m in matrices])
+def unit_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``m`` at unit norm, and the scale s_j of each: column
+    j of ``m`` is s_j times column j of the result.  A column is divided by
+    its largest entry before its norm is taken, so the norm cannot
+    overflow; a zero column stays zero, with scale 0."""
+    top = np.abs(m).max(axis=0)
+    out = m / np.where(top > 0, top, 1.0)
+    norm = np.linalg.norm(out, axis=0)
+    out /= np.where(norm > 0, norm, 1.0)
+    return out, top * norm
+
+
+def _rescaled(c: np.ndarray, scales: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Each row of coefficients on members scales_j u_j (u_j at unit norm)
+    as coefficients c_j scales_j on the u_j, or with ``inverse`` back, c_j /
+    scales_j, each row at unit norm.  The factors, scales / max or min /
+    scales, are at most 1, so no product overflows; a zero scale gives 0."""
+    mag = np.abs(scales)
+    num, den = (mag[mag > 0].min(initial=np.inf), scales) if inverse else (scales, mag.max())
+    factors = np.divide(num, den, out=np.zeros_like(scales), where=mag > 0)
+    return unit_columns((c * factors).T)[0].T
 
 
 def frobenius(m) -> float:
@@ -273,6 +291,16 @@ def _compound_gram(stacks) -> np.ndarray:
     about P |F|_F^4 / 2 at most, that stays below 5 (rows + pairs + 6) eps
     P |F|_F^4, which kappa P |F|_F^4 covers, kappa = ``svd_error_scale`` of
     (rows, pairs).
+
+    The hunter's sides are the R factors, of at most n rows, of thin
+    Householder QRs of unit columns (``OperatorFamily.unit_side``), and
+    ``rows`` counts the rows before the QR.  The QR is exact for columns
+    a_j + e_j with |e_j| <= gamma~_{rows n} |a_j| (Higham Thm 19.4), which
+    adds about 2 gamma~_{rows n} |a_j| |a_l| to the side Grams' error (the
+    Gram of R itself rounds no worse than that of the columns): a term of
+    order 7 rows n eps P |F|_F^4 in the Gram's.  kappa at the uncompressed
+    ``rows`` covers it too, being at least (rows + pairs)^2 eps > rows
+    (rows + n (n - 1)) eps, (rows + pairs + 6) / 5 times the bound above.
     """
     j, k = np.triu_indices(stacks[0][0].shape[1], 1)
     gram = 0.0
@@ -353,7 +381,8 @@ def schmidt_rank(s, dims: tuple[int, int, int, int]) -> int:
 
 
 def span_dimension(matrices) -> int:
-    """Dimension of the linear span of a list of same-shaped matrices."""
+    """Dimension of the linear span of a list of same-shaped matrices: the
+    rank of their vectorizations at unit norm (``unit_columns``)."""
     mats = [as_matrix(m) for m in matrices]
     if not mats:
         return 0
@@ -361,7 +390,7 @@ def span_dimension(matrices) -> int:
     for m in mats[1:]:
         if m.shape != shape:
             raise ShapeError(f"span members disagree in shape: {shape} vs {m.shape}")
-    return numerical_rank(vectorized_columns(mats))
+    return numerical_rank(unit_columns(np.hstack([vectorize(m) for m in mats]))[0])
 
 
 def proportional(a, b, tol: float = 1e-10) -> complex | None:

@@ -20,7 +20,6 @@ from sepcert.certify import (
     Witness,
     _member_bits,
     _popcounts,
-    _side_matrix,
     _subset_blocks,
     _subset_floors,
     certify_unique,
@@ -559,7 +558,7 @@ def _recording_side_builds(monkeypatch):
     """Record each side matrix the certifier builds with the subset size of
     the block that built it."""
     built, sizes = [], []
-    decide, side_matrix = sepcert.certify._decide_block, sepcert.certify._side_matrix
+    decide, unit_side = sepcert.certify._decide_block, OperatorFamily.unit_side
 
     def recording_decide(masks, members, *args):
         sizes.append(members.shape[1])
@@ -567,10 +566,10 @@ def _recording_side_builds(monkeypatch):
 
     def recording_side(fam, side):
         built.append((side, sizes[-1]))
-        return side_matrix(fam, side)
+        return unit_side(fam, side)
 
     monkeypatch.setattr(sepcert.certify, "_decide_block", recording_decide)
-    monkeypatch.setattr(sepcert.certify, "_side_matrix", recording_side)
+    monkeypatch.setattr(OperatorFamily, "unit_side", recording_side)
     return built
 
 
@@ -647,7 +646,7 @@ def _recording_subset_floors(monkeypatch):
 
 def _floor_margin(fam, tol):
     """C + 2d and C of ``_subset_floors`` on party 0's side matrix of ``fam``."""
-    m, _ = _side_matrix(fam, (0,))
+    m = fam.unit_side((0,))[0]
     r, n = m.shape
     kappa = svd_error_scale(max(r, n), min(r, n))
     s = np.linalg.norm(m) * (1 + kappa)
@@ -682,7 +681,7 @@ def test_pair_floor_margin(monkeypatch, tol):
     for t, expected in planted:
         fam = _planted_pair(t)
         assert _floor_margin(fam, tol) == (margin, cap)
-        m, _ = _side_matrix(fam, (0,))
+        m = fam.unit_side((0,))[0]
         floor = np.zeros(1 << 9, dtype=np.int8)
         _subset_floors(m, _popcounts(9), _member_bits(9), 2, tol, floor)
         reference = _reference_rank(fam.side_matrix((0,))[:, :2], tol)
@@ -723,7 +722,7 @@ def test_subset_floor_margin(monkeypatch, tol):
     for t, expected in planted:
         fam = _plant(base, t, 4)
         assert _floor_margin(fam, tol) == (margin, cap)
-        m, _ = _side_matrix(fam, (0,))
+        m = fam.unit_side((0,))[0]
         floor = np.zeros(1 << 9, dtype=np.int8)
         _subset_floors(m, _popcounts(9), _member_bits(9), 4, tol, floor)
         reference = _reference_rank(fam.side_matrix((0,))[:, :4], tol)
@@ -819,12 +818,12 @@ def test_subset_floors_one_below_the_rows_leave_survivors_to_rank(monkeypatch, t
     # rank is 4.  The floors are built at eight members, and a floor of 3 on
     # this 4-row side is not exact: the pass must rank the survivors there.
     probe = _near_flat(tol.relative_rank_threshold)
-    m, _ = _side_matrix(probe, (0,))
+    m = probe.unit_side((0,))[0]
     quadruples = m[:, list(itertools.combinations(range(12), 4))]
     sigma_4 = np.linalg.svd(np.moveaxis(quadruples, 1, 0), compute_uv=False)[:, 3].max()
     margin, _ = _floor_margin(probe, tol)
     fam = _near_flat(tol.relative_rank_threshold * 0.9 * margin / sigma_4)
-    m, _ = _side_matrix(fam, (0,))
+    m = fam.unit_side((0,))[0]
     floor = np.zeros(1 << 12, dtype=np.int8)
     _subset_floors(m, _popcounts(12), _member_bits(12), 4, tol, floor)
     assert floor.max() == 3
@@ -851,7 +850,7 @@ def test_pair_floors_never_exceed_the_reference_rank(seed, n_distinct, log_noise
     n = fam.n_members
     popcount, bits = _popcounts(n), _member_bits(n)
     for side in ((0,), (1, 2), (0, 1)):
-        m, _ = _side_matrix(fam, side)
+        m = fam.unit_side(side)[0]
         full = fam.side_matrix(side)
         floor = np.zeros(1 << n, dtype=np.int8)
         # The pair floors, then with them those of the row-count subsets,
@@ -967,9 +966,9 @@ def _one_shared_factor(perturb: bool):
 
 
 def test_one_ulp_apart_columns_form_no_class(monkeypatch):
-    assert _side_matrix(_one_shared_factor(False), (0,))[1] is not None
+    assert _one_shared_factor(False).unit_side((0,))[1] is not None
     fam = _one_shared_factor(True)
-    assert all(_side_matrix(fam, side)[1] is None for side in ((0,), (1,)))
+    assert all(fam.unit_side(side)[1] is None for side in ((0,), (1,)))
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     cert = certify_unique(fam)
     # Every subset the bounds leave undecided is ranked on its own, side A

@@ -472,6 +472,25 @@ def test_hunt_on_fourier_222_is_settled_by_the_compound_bound(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("s", [1e78, 1e150])
+def test_hunt_on_a_scaled_member_is_screened_with_a_clean_stderr(tmp_path, s):
+    # Member 1's party-0 factor times s: the hunt reads unit members, so the
+    # pair is still proven to hold no product.  On raw members |full|_F^4
+    # overflowed in the screen and the command died with a traceback.
+    ladder = gen_ladder_channel(0.5)
+    m = ladder.members[1]
+    scaled = ProductOperator(m.weight, (s * m.factors[0], m.factors[1]))
+    path = tmp_path / "scaled.json"
+    save_family(path, OperatorFamily(ladder.spec, (ladder.members[0], scaled, ladder.members[2])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepcert", "hunt", str(path), "--subset", "0,1",
+         "--restarts", "4"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (4, "")
+    assert json.loads(proc.stdout)["restarts_used"] == 0
+
+
 def test_one_parser_serves_consecutive_calls(capsys, tmp_path):
     # Options given to one call must not leak into the next.
     path = tmp_path / "proj.json"

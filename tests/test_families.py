@@ -351,6 +351,31 @@ def test_span_bound_report_fields():
     assert report.equality is True
 
 
+def _scaled_ladder(s):
+    """The ladder with member 1's party-0 factor multiplied by ``s``."""
+    fam = gen_ladder_channel(0.5)
+    m = fam.members[1]
+    scaled = ProductOperator(m.weight, (s * m.factors[0], m.factors[1]))
+    return OperatorFamily(fam.spec, (fam.members[0], scaled, fam.members[2]))
+
+
+@pytest.mark.parametrize("s", [1e13, 1e150])
+def test_span_dimensions_do_not_depend_on_member_scale(s):
+    # Every span dimension ranks unit columns, as certify does, so the
+    # scaled member counts as much as the others: 3 and 3, as unscaled.
+    fam = _scaled_ladder(s)
+    spans = [(fam.span_dim((p,)), span_dimension(fam.local_factors(p))) for p in (0, 1)]
+    assert spans == [(3, 3), (3, 3)]
+    report = span_bound_report(fam, [1.0, 1.0, 1.0])
+    assert (report.delta_a, report.delta_b) == (3, 3)
+    # r_s is the rank of the caller's combination: with equal coefficients
+    # the scaled member dominates it, so its numerical rank is 1 and the
+    # bound reads as violated; weighting that member by 1 / s restores 3.
+    assert (report.schmidt_rank, report.holds) == (1, False)
+    balanced = span_bound_report(fam, [1.0, 1.0 / s, 1.0])
+    assert (balanced.schmidt_rank, balanced.holds) == (3, True)
+
+
 def kronecker_span_bound(fam, coeffs, split):
     """(delta_a, delta_b, r_s) from the assembled combination and grouped lists."""
     side_a, side_b = split

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sepcert.hunter import (
     _project,
     _screens,
     _search,
-    _split_stacks,
+    _unit_members,
     _worst_ratio,
     apply_mixing,
     fuzz_span_bound,
@@ -35,13 +36,14 @@ from sepcert.linalg import (
     UNITARY_TOL,
     _compound_gram,
     _proves_gram_floor,
+    _rescaled,
     proportional,
     realign_bipartite,
     schmidt_rank,
     svd_error_scale,
+    unit_columns,
     unvectorize,
     vectorize,
-    vectorized_columns,
 )
 from sepcert.sampling import (
     complex_randn,
@@ -244,10 +246,10 @@ def reference_peel(m, spec):
 
 def reference_search(fam, subset, restarts, max_iters, seed, init=None,
                      floor=1e-6, convergence=1e-12):
-    """Best (objective, coefficients) over restarts, each run alone."""
+    """Best (objective, unit-member coefficients) over restarts, each run
+    alone; ``init`` is on the members as given."""
     ns = len(subset)
-    full = vectorized_columns(fam.members[i].assemble() for i in subset)
-    stacks = _split_stacks(fam, subset)
+    full, scales, stacks = _hunt_inputs(fam, subset)
     shape = (fam.spec.total_d_out, fam.spec.total_d_in)
 
     def project(c):
@@ -266,7 +268,7 @@ def reference_search(fam, subset, restarts, max_iters, seed, init=None,
     best = None
     for r in range(restarts):
         if r == 0 and init is not None:
-            c = project(np.asarray(init, dtype=np.complex128))
+            c = project(_rescaled(np.asarray(init, dtype=np.complex128)[None], scales)[0])
         else:
             c = project(complex_randn(np.random.default_rng([seed, r]), ns))
         obj_best, c_best = reference_ratio(stacks, c), c
@@ -291,9 +293,13 @@ def reference_search(fam, subset, restarts, max_iters, seed, init=None,
 
 def reference_hunt(fam, subset, restarts=64, max_iters=500, seed=0, init=None,
                    threshold=1e-8, floor=1e-6):
-    """(subset, objective, coefficients) as hunt_product reports them."""
-    obj, c = reference_search(fam, subset, restarts, max_iters, seed, init, floor)
-    pinned = np.abs(c) <= 2.0 * floor
+    """(subset, residual, coefficients) as hunt_product reports them: the
+    best coefficients mapped to the members as given, and their residual."""
+    _, u = reference_search(fam, subset, restarts, max_iters, seed, init, floor)
+    _, scales, stacks = _hunt_inputs(fam, subset)
+    c = _rescaled(u[None], scales, inverse=True)[0]
+    obj = reference_ratio(stacks, _rescaled(c[None], scales)[0])
+    pinned = np.abs(u) <= 2.0 * floor
     if obj < threshold and pinned.any() and np.count_nonzero(~pinned) >= 2:
         reduced = tuple(i for i, p in zip(subset, pinned) if not p)
         retried = reference_hunt(fam, reduced, restarts, max_iters, seed,
@@ -345,14 +351,14 @@ def test_stacked_restarts_match_the_serial_loop(make, kwargs, screened):
     max_iters = kwargs.get("max_iters", 500)
     init = kwargs.get("initial_coefficients")
     threshold = kwargs.get("threshold", 1e-8)
-    full = vectorized_columns(fam.members[i].assemble() for i in subset)
-    stacks = _split_stacks(fam, subset)
-    assert _screens(stacks, full, threshold) is screened
+    full, _, stacks = _hunt_inputs(fam, subset)
+    assert _screens(fam.spec, full, stacks, threshold) is screened
     if screened:
         # hunt_product returns before its search here, so the search itself
         # is compared with the serial loop.
+        assert init is None
         obj, c = _search(fam.spec, full, stacks, restarts=restarts,
-                         max_iters=max_iters, seed=kwargs["seed"], init=init)
+                         max_iters=max_iters, seed=kwargs["seed"], init=None)
         ref_obj, ref_c = reference_search(fam, subset, restarts, max_iters,
                                           kwargs["seed"], init)
         assert obj == ref_obj
@@ -371,9 +377,9 @@ def test_stacked_restarts_match_the_serial_loop(make, kwargs, screened):
     assert np.array_equal(result.coefficients, c)
     assert result.found == (obj < threshold)
     if result.found:
-        full = vectorized_columns(fam.members[i].assemble() for i in subset)
+        full, scales, _ = _hunt_inputs(fam, subset)
         shape = (fam.spec.total_d_out, fam.spec.total_d_in)
-        expected = reference_peel(unvectorize(full @ c, shape), fam.spec)
+        expected = reference_peel(unvectorize(full @ (c * scales), shape), fam.spec)
         for got, want in zip(result.candidate.factors, expected.factors):
             assert np.array_equal(got, want)
 
@@ -430,10 +436,9 @@ def test_hunt_rejects_thresholds_outside_the_unit_interval(threshold):
 
 
 def _hunt_inputs(fam, subset=None):
-    """The vectorized members and cut stacks hunt_product builds for ``subset``."""
-    subset = tuple(range(fam.n_members)) if subset is None else subset
-    full = vectorized_columns(fam.members[i].assemble() for i in subset)
-    return full, _split_stacks(fam, subset)
+    """The unit members, member scales and cut stacks that hunt_product
+    builds for ``subset``; the serial reference reads them too."""
+    return _unit_members(fam.subfamily(range(fam.n_members) if subset is None else subset))
 
 
 def _unique_catalog():
@@ -465,7 +470,7 @@ def test_compound_gram_gives_the_realignment_compound_norm():
         random_product_family(rng, (2, 3), 6),
         gen_projective_basis(2, 2),
     ]:
-        _, stacks = _hunt_inputs(fam)
+        _, _, stacks = _hunt_inputs(fam)
         gram = _compound_gram(stacks)
         n = fam.n_members
         assert gram.shape == (n * (n - 1) // 2,) * 2
@@ -481,10 +486,11 @@ def test_compound_gram_gives_the_realignment_compound_norm():
 
 
 def test_screen_error_bounds_the_compound_gram_rounding(monkeypatch):
-    # The err that _screens passes covers the Gram's rounding, measured
-    # against the same Gram built in extended precision, plus the
+    # The err that _screens passes covers the Gram's rounding, the thin
+    # QRs of the sides included, measured against the Gram of the unit
+    # sides before their QR built in extended precision, plus the
     # factorization's (pairs + 4) eps trace; members scaled by 10^-3 and
-    # 10^3 move |full|_F^4 by 24 orders.
+    # 10^3 give the same unit sides.
     calls = []
     prove = _proves_gram_floor
 
@@ -498,11 +504,14 @@ def test_screen_error_bounds_the_compound_gram_rounding(monkeypatch):
                 random_product_family(rng, (2, 3), 7), random_product_family(rng, (2, 2, 2), 6)]:
         for scale in (1e-3, 1.0, 1e3):
             scaled = OperatorFamily(fam.spec, tuple(m.scaled(scale) for m in fam.members))
-            full, stacks = _hunt_inputs(scaled)
-            _screens(stacks, full, 1e-8)
+            full, _, stacks = _hunt_inputs(scaled)
+            _screens(fam.spec, full, stacks, 1e-8)
             gram, err = calls.pop()
-            wide = _compound_gram([(a.astype(np.clongdouble), b.astype(np.clongdouble))
-                                   for a, b in stacks])
+            wide = _compound_gram([
+                tuple(unit_columns(scaled.side_matrix(side))[0].astype(np.clongdouble)
+                      for side in cut)
+                for cut in _product_cuts(fam.n_parties)
+            ])
             rounding = np.linalg.norm((gram - wide).astype(complex), 2)
             eps = np.finfo(float).eps
             assert rounding > 0
@@ -529,7 +538,7 @@ BOUND_CASES = _bound_cases()
 @pytest.mark.parametrize("name", list(BOUND_CASES))
 def test_residual_floor_is_a_lower_bound(name):
     fam, subset = BOUND_CASES[name]
-    full, stacks = _hunt_inputs(fam, subset)
+    full, _, stacks = _hunt_inputs(fam, subset)
     obj, _ = _search(fam.spec, full, stacks, restarts=8, max_iters=500, seed=0, init=None)
     # Corners of the feasible set, where |p(c)| is least: one coefficient
     # large and every other one clamped to the floor by the projection.
@@ -542,13 +551,19 @@ def test_residual_floor_is_a_lower_bound(name):
     # No threshold above an objective that the search or a corner reaches
     # is ever proven.
     reached = min(obj, _worst_ratio(stacks, corners).min())
-    assert not _screens(stacks, full, np.nextafter(reached, 1))
+    assert not _screens(fam.spec, full, stacks, np.nextafter(reached, 1))
     # The catalog and the random families hold no product: the screen says
     # so where certify_unique is Inconclusive for (2,2)/N7, N8 and (2,3)/N14.
     if name in UNIQUE_CATALOG:
-        assert _screens(stacks, full, 1e-8)
+        assert _screens(fam.spec, full, stacks, 1e-8)
     elif name.startswith("random"):
-        assert _screens(stacks, full, 1e-9)
+        assert _screens(fam.spec, full, stacks, 1e-9)
+
+
+def _uncompressed_rows(fam):
+    """The most rows a side of a product cut has before its thin QR."""
+    return max(fam.side_matrix(side).shape[0]
+               for cut in _product_cuts(fam.n_parties) for side in cut)
 
 
 def test_screen_margins_cover_the_residual_and_the_gram_rounding(monkeypatch):
@@ -566,14 +581,15 @@ def test_screen_margins_cover_the_residual_and_the_gram_rounding(monkeypatch):
         return prove(gram, floor, err)
 
     monkeypatch.setattr("sepcert.hunter._proves_gram_floor", spy)
-    full, stacks = _hunt_inputs(gen_fourier_channel((2, 2, 2)))
+    fam = gen_fourier_channel((2, 2, 2))
+    full, _, stacks = _hunt_inputs(fam)
     for threshold in (0.0, 1e-8):
-        _screens(stacks, full, threshold)
+        _screens(fam.spec, full, stacks, threshold)
     (gram, low), (_, high) = calls
     ratio = (np.sqrt(high) - np.sqrt(low)) / 1e-8
     lam = np.linalg.eigvalsh(gram)[0]
     pairs = len(gram)
-    rows = max(max(len(a), len(b)) for a, b in stacks)
+    rows = _uncompressed_rows(fam)
     kappa = svd_error_scale(max(rows, pairs), min(rows, pairs))
     err = kappa * len(stacks) * np.linalg.norm(full) ** 4
 
@@ -584,12 +600,12 @@ def test_screen_margins_cover_the_residual_and_the_gram_rounding(monkeypatch):
     assert bound(1) > 1e3 * kappa
     # kappa / 2 short of the largest provable bound is not screened, 2 kappa
     # short is; without the + kappa the first is screened too.
-    assert not _screens(stacks, full, bound(1) - kappa / 2)
-    assert _screens(stacks, full, bound(1) - 2 * kappa)
+    assert not _screens(fam.spec, full, stacks, bound(1) - kappa / 2)
+    assert _screens(fam.spec, full, stacks, bound(1) - 2 * kappa)
     # Room for err / P but not for err is not screened, for 2 err is;
     # without the factor P in err the first is screened too.
-    assert not _screens(stacks, full, bound((1 + 1 / len(stacks)) / 2) - kappa)
-    assert _screens(stacks, full, bound(2) - kappa)
+    assert not _screens(fam.spec, full, stacks, bound((1 + 1 / len(stacks)) / 2) - kappa)
+    assert _screens(fam.spec, full, stacks, bound(2) - kappa)
 
 
 def test_screen_margin_covers_the_svd_error_on_sigma_max(monkeypatch):
@@ -598,25 +614,29 @@ def test_screen_margin_covers_the_svd_error_on_sigma_max(monkeypatch):
     # p_min, squared, with sigma_max raised by its SVD's error kappa_full
     # |full|_F (1 + kappa_full).  Dropping that error lowers the floor by a
     # relative 4 kappa_full |full|_F / sigma_max, far above its rounding.
-    floors = []
+    # kappa counts the cut sides' rows before their thin QR (88 here, 11
+    # after it), so that err = kappa P |full|_F^4 covers the QR's rounding.
+    calls = []
     prove = _proves_gram_floor
 
     def spy(gram, floor, err):
-        floors.append(floor)
+        calls.append((floor, err))
         return prove(gram, floor, err)
 
     monkeypatch.setattr("sepcert.hunter._proves_gram_floor", spy)
     threshold = 1e-8
-    full, stacks = _hunt_inputs(gen_fourier_channel((2, 2, 2)))
-    assert _screens(stacks, full, threshold)
-    (floor,) = floors
+    fam = gen_fourier_channel((2, 2, 2))
+    full, _, stacks = _hunt_inputs(fam)
+    assert _screens(fam.spec, full, stacks, threshold)
+    ((floor, err),) = calls
     n = full.shape[1]
     f = COEFFICIENT_FLOOR / 2
     x = (n - 1) * f * f
     p_min = np.sqrt(x * (2 - x - f * f) / 2)
     r = max(min(len(a), len(b), n) for a, b in stacks)
     sqrt_pm = np.sqrt(len(stacks) * r * (r - 1) / 2)
-    rows = max(max(len(a), len(b)) for a, b in stacks)
+    rows = _uncompressed_rows(fam)
+    assert (rows, max(len(side) for cut in stacks for side in cut)) == (88, 11)
     pairs = n * (n - 1) // 2
     kappa = svd_error_scale(max(rows, pairs), min(rows, pairs))
     kappa_full = svd_error_scale(max(full.shape), min(full.shape))
@@ -629,6 +649,7 @@ def test_screen_margin_covers_the_svd_error_on_sigma_max(monkeypatch):
     assert expected(raised) > expected(sigma_max) * (1 + 1e-13)
     assert floor >= expected(raised) * (1 - 1e-14)
     assert floor > expected(sigma_max) * (1 + 1e-14)
+    assert err >= kappa * len(stacks) * np.linalg.norm(full) ** 4 * (1 - 1e-14)
 
 
 def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
@@ -649,17 +670,18 @@ def test_projective_pairs_are_screened_exactly_when_they_hold_no_product():
 
 
 def test_overflowing_side_grams_are_not_screened():
-    # Party factors scaled by 1e160 and 1e-160 keep every member's norm but
-    # overflow the side Grams; a non-finite compound Gram proves nothing.
+    # Party factors scaled by 1e160 and 1e-160 keep every member's norm;
+    # their raw side Grams would overflow, the unit sides' do not.  The
+    # pair shares a factor, so its compound Gram is singular, proves
+    # nothing, and the search finds the product.
     proj = gen_projective_basis(2, 2)
     fam = OperatorFamily(proj.spec, tuple(
         ProductOperator(m.weight, (1e160 * m.factors[0], 1e-160 * m.factors[1]))
         for m in proj.members
     ))
-    full, stacks = _hunt_inputs(fam, (0, 1))
-    with np.errstate(all="ignore"):
-        assert not _screens(stacks, full, 1e-8)
-        result = hunt_product(fam, (0, 1), restarts=4, seed=0)
+    full, _, stacks = _hunt_inputs(fam, (0, 1))
+    assert not _screens(fam.spec, full, stacks, 1e-8)
+    result = hunt_product(fam, (0, 1), restarts=4, seed=0)
     assert result.found and result.novel
 
 
@@ -682,8 +704,8 @@ DEFICIENT_CASES = _deficient_cases()
 @pytest.mark.parametrize("name", list(DEFICIENT_CASES))
 def test_screen_never_fires_on_deficient_subsets(name):
     fam, subset, threshold = DEFICIENT_CASES[name]
-    full, stacks = _hunt_inputs(fam, subset)
-    assert not _screens(stacks, full, threshold)
+    full, _, stacks = _hunt_inputs(fam, subset)
+    assert not _screens(fam.spec, full, stacks, threshold)
     result = hunt_product(fam, subset, restarts=8, seed=0, threshold=threshold)
     assert result.restarts_used == 8
     subset_ref, obj, c = reference_hunt(
@@ -779,6 +801,31 @@ def test_product_residual_is_the_hunt_residual():
         assert residual == result.residual
 
 
+def _scaled_ladder(s):
+    """The ladder with member 1's party-0 factor multiplied by ``s``."""
+    ladder = gen_ladder_channel(0.5)
+    m = ladder.members[1]
+    scaled = ProductOperator(m.weight, (s * m.factors[0], m.factors[1]))
+    return OperatorFamily(ladder.spec, (ladder.members[0], scaled, ladder.members[2]))
+
+
+def test_hunt_verdicts_do_not_depend_on_member_scale():
+    # The hunt runs on unit members, so scaling one member's factor moves
+    # neither the screen nor the search: the pair stays proven to hold no
+    # product at every scale.  On raw members it ran all 16 restarts at
+    # 1e2, reported "found" at 1e4 and overflowed at 1e78.
+    verdicts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1.0, 1e2, 1e4, 1e8, 1e13, 1e150):
+            fam = _scaled_ladder(s)
+            result = hunt_product(fam, (0, 1), restarts=16)
+            residual = product_residual(fam.subfamily(result.subset), result.coefficients)
+            assert residual == result.residual
+            verdicts.append((result.found, result.novel, result.restarts_used))
+    assert verdicts == [(False, False, 0)] * 6
+
+
 def test_screened_hunt_reports_its_projected_start():
     fourier = gen_fourier_channel((2, 2, 2))
     ladder = gen_ladder_channel(0.5)
@@ -793,12 +840,23 @@ def test_screened_hunt_reports_its_projected_start():
         residual = product_residual(fam.subfamily(result.subset), result.coefficients)
         assert residual == result.residual
         assert result.residual >= result.threshold
-        assert np.abs(result.coefficients).min() >= COEFFICIENT_FLOOR / 2
+        # The floor holds on the unit members.
+        _, scales, _ = _hunt_inputs(fam, result.subset)
+        unit = _rescaled(result.coefficients[None], scales)[0]
+        assert np.abs(unit).min() >= COEFFICIENT_FLOOR / 2
         assert np.linalg.norm(result.coefficients) == pytest.approx(1.0, abs=1e-15)
     init = hunt_product(ladder, seed=1, initial_coefficients=[1.0, 1e-9, -2j])
-    # Normalized first, then the small entry is clamped to the floor.
+    # On the unit members, the start c * scales is normalized first, then
+    # its small entry is clamped to the floor; the report divides by the
+    # scales again.  The ladder's scales are sqrt(7/4), sqrt(5/4) and 1.
+    _, scales, _ = _hunt_inputs(ladder)
+    np.testing.assert_allclose(scales, [7**0.5 / 2, 5**0.5 / 2, 1.0], rtol=1e-15)
+    start = np.array([1.0, 0.0, -2j]) * scales
+    start /= np.linalg.norm(start)
+    start[1] = COEFFICIENT_FLOOR
+    expected = start / scales
     np.testing.assert_allclose(
-        init.coefficients, [5**-0.5, COEFFICIENT_FLOOR, -2j * 5**-0.5], rtol=1e-11
+        init.coefficients, expected / np.linalg.norm(expected), rtol=1e-11
     )
 
 

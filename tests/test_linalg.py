@@ -13,7 +13,7 @@ from sepcert.errors import (
     SizeBudgetError,
 )
 from sepcert.families import OperatorFamily, ProductOperator
-from sepcert.hunter import _split_stacks
+from sepcert.hunter import _unit_members
 from sepcert.linalg import (
     ABSOLUTE_FLOOR,
     DEFAULT_TOLERANCE,
@@ -33,7 +33,6 @@ from sepcert.linalg import (
     svd_error_scale,
     unvectorize,
     vectorize,
-    vectorized_columns,
 )
 from sepcert.zoo import gen_projective_basis
 
@@ -397,11 +396,12 @@ def test_compound_gram_is_proven_only_past_its_rounding(seed, log_noise, subset)
                                         for f in m.factors))
         for m in proj.members
     ))
-    full = vectorized_columns(noisy.members[i].assemble() for i in subset)
-    stacks = _split_stacks(noisy, subset)
+    sub = noisy.subfamily(subset)
+    full, _, stacks = _unit_members(sub)
     gram = _compound_gram(stacks)
     pairs = len(gram)
-    rows = max(max(len(a), len(b)) for a, b in stacks)
+    # Each party's side has 4 rows before its thin QR.
+    rows = 4
     err = svd_error_scale(max(rows, pairs), min(rows, pairs)) * len(stacks) * frobenius(full) ** 4
     lam = np.linalg.eigvalsh(gram)[0]
     # The factorization's and eigvalsh's own rounding.

@@ -78,13 +78,13 @@ def _recording_grouped_factors(monkeypatch):
 def test_certify_opens_every_side_through_the_builder(monkeypatch, fam):
     calls = _recording_grouped_factors(monkeypatch)
     reached = []
-    open_side = sepcert.certify._side_matrix
+    unit_side = OperatorFamily.unit_side
 
     def recording_open(fam, side):
         reached.append(side)
-        return open_side(fam, side)
+        return unit_side(fam, side)
 
-    monkeypatch.setattr(sepcert.certify, "_side_matrix", recording_open)
+    monkeypatch.setattr(OperatorFamily, "unit_side", recording_open)
     certify_unique(fam)
     assert reached
     assert calls == [(side, False) for side in reached]
@@ -94,7 +94,7 @@ def test_hunt_builds_full_and_every_cut_side_through_the_builder(monkeypatch):
     fam = gen_fourier_channel((2, 2, 2))
     calls = _recording_grouped_factors(monkeypatch)
     hunt_product(fam, restarts=2, seed=0)
-    expected = {((0, 1, 2), True)}
+    expected = {((0, 1, 2), False)}
     for side_a, side_b in _product_cuts(fam.n_parties):
-        expected |= {(side_a, True), (side_b, False)}
+        expected |= {(side_a, False), (side_b, False)}
     assert set(calls) == expected
