@@ -173,10 +173,11 @@ def unit_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rescaled(c: np.ndarray, scales: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Each row of coefficients on members scales_j u_j (u_j at unit norm)
-    as coefficients c_j scales_j on the u_j, or with ``inverse`` back, c_j /
-    scales_j, each row at unit norm.  The factors, scales / max or min /
-    scales, are at most 1, so no product overflows; a zero scale gives 0."""
+    """Map each row of coefficients c between members M_j = scales_j U_j
+    and their unit columns U_j: sum_j c_j M_j is sum_j (c_j scales_j) U_j,
+    so a row becomes c_j scales_j, or with ``inverse`` c_j / scales_j, at
+    unit norm.  The factors, scales / max or min / scales, are at most 1,
+    so no product overflows; a zero scale gives 0."""
     mag = np.abs(scales)
     num, den = (mag[mag > 0].min(initial=np.inf), scales) if inverse else (scales, mag.max())
     factors = np.divide(num, den, out=np.zeros_like(scales), where=mag > 0)

@@ -474,9 +474,9 @@ def test_hunt_on_fourier_222_is_settled_by_the_compound_bound(capsys, tmp_path):
 
 @pytest.mark.parametrize("s", [1e78, 1e150])
 def test_hunt_on_a_scaled_member_is_screened_with_a_clean_stderr(tmp_path, s):
-    # Member 1's party-0 factor times s: the hunt reads unit members, so the
-    # pair is still proven to hold no product.  On raw members |full|_F^4
-    # overflowed in the screen and the command died with a traceback.
+    # Member 1's party-0 factor times s: the hunt reads unit members, so
+    # the screen's |full|_F^4 stays finite, the pair is still proven to
+    # hold no product, and nothing is printed to stderr.
     ladder = gen_ladder_channel(0.5)
     m = ladder.members[1]
     scaled = ProductOperator(m.weight, (s * m.factors[0], m.factors[1]))

@@ -812,8 +812,7 @@ def _scaled_ladder(s):
 def test_hunt_verdicts_do_not_depend_on_member_scale():
     # The hunt runs on unit members, so scaling one member's factor moves
     # neither the screen nor the search: the pair stays proven to hold no
-    # product at every scale.  On raw members it ran all 16 restarts at
-    # 1e2, reported "found" at 1e4 and overflowed at 1e78.
+    # product at every scale, and nothing overflows at 1e150.
     verdicts = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")

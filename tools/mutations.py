@@ -1,8 +1,8 @@
 """Mutation check: every soundness-critical edit below must fail tier-1.
 
-Each entry names one edit of the package that a reviewer would want the
-tests to notice: a dropped error term of a certified bound, a lost flush of
-the CLI's report, a side matrix built past the one builder.  The runner
+Each entry names one edit of the package that the tests must notice: a
+dropped error term of a certified bound, a lost flush of the CLI's report,
+a side matrix built past the one builder.  The runner
 applies each edit alone to a fresh ``git archive`` of HEAD and runs tier-1
 there (``python -X dev -m pytest -q -x``).  It prints one line per edit with
 the first failing test, and exits 1 if some edit leaves tier-1 passing or
