@@ -38,6 +38,7 @@ from .families import (
     OperatorFamily,
     Split,
     all_bipartitions,
+    compressed_side,
     party_pairs,
 )
 
@@ -263,13 +264,13 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
 class _Side:
     """A split side's matrix and the pass's rank state on it.
 
-    ``m`` and ``weights`` are those of ``OperatorFamily.unit_side``.
-    ``known`` and ``floor`` are int8 arrays over member bitmasks: ``known``
-    holds the exact rank of each subset ranked on the side so far and the
-    lower bound of every other decided subset, 0 elsewhere, and ``floor``
-    the maximum of the ``_subset_floors`` of each k in ``floored``, 0
-    before any.  With multiset weights, ``table`` holds the rank of each
-    column multiset ranked so far, -1 elsewhere; else it is None.
+    ``m`` and ``weights`` are those of ``_open_side``.  ``known`` and
+    ``floor`` are int8 arrays over member bitmasks: ``known`` holds the
+    exact rank of each subset ranked on the side so far and the lower bound
+    of every other decided subset, 0 elsewhere, and ``floor`` the maximum
+    of the ``_subset_floors`` of each k in ``floored``, 0 before any.  With
+    multiset weights, ``table`` holds the rank of each column multiset
+    ranked so far, -1 elsewhere; else it is None.
     """
 
     m: np.ndarray
@@ -285,9 +286,22 @@ def _size_budget_error(n: int) -> SizeBudgetError:
 
 
 def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
-    """The side matrix of ``side`` and its rank state before any subset of
-    the n members is decided: no rank known, no floor, no multiset ranked."""
-    m, weights, _ = fam.unit_side(side)
+    """The side's ``unit_side`` matrix and its rank state before any subset
+    of the n members is decided: no rank known, no floor, no multiset ranked.
+
+    Members whose raw side columns are equal bit for bit form a class.  When
+    some class has two or more, member j weighs prod over classes c <
+    class(j) of (size(c) + 1), so ``weights[T].sum()`` names the multiset of
+    T's columns and lies below prod over c of (size(c) + 1): subsets sharing
+    a multiset share one rank.  With every column distinct they are None.
+    """
+    raw = fam.side_matrix(side)
+    ids: dict[bytes, int] = {}
+    cls = np.array([ids.setdefault(col.tobytes(), len(ids)) for col in raw.T])
+    weights = None
+    if len(ids) < n:
+        weights = np.concatenate(([1], np.cumprod(np.bincount(cls)[:-1] + 1)))[cls]
+    m, _ = compressed_side(raw)
     try:
         known, floor = np.zeros((2, 1 << n), dtype=np.int8)
         # The full set has the largest key, prod over classes of (size + 1) - 1.
@@ -397,7 +411,7 @@ def _decide_block(
     screen of ``stacked_ranks`` only when the full set was ranked on it and
     found full rank, min(rows, n), the row count of the side matrix after
     its thin QR: on a deficient side the screen cannot succeed.  A side
-    with multiset weights (see ``OperatorFamily.unit_side``) ranks one
+    with multiset weights (see ``_open_side``) ranks one
     subset per column multiset not yet in its table and reads every other
     rank from there.
 

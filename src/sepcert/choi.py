@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, UsageError
-from .families import OperatorFamily, PartySpec, ProductOperator
-from .linalg import frobenius, vectorize
+from .families import OperatorFamily, PartySpec
+from .linalg import frobenius
 
 #: Hermiticity and PSD slack of a DensityMatrix, relative to max(1, |rho|_F).
 STATE_TOL = 1e-10
@@ -70,15 +70,10 @@ def channel_to_choi_ensemble(fam: OperatorFamily) -> OperatorFamily:
     product structure survives party by party and local span dimensions are
     exactly those of the original factors.
     """
-    parties = tuple(
-        (1, fam.spec.d_out(p) * fam.spec.d_in(p)) for p in range(fam.n_parties)
-    )
-    spec = PartySpec(parties)
-    members = tuple(
-        ProductOperator(m.weight, tuple(vectorize(f) for f in m.factors))
-        for m in fam.members
-    )
-    return OperatorFamily(spec, members)
+    spec = PartySpec(tuple((1, din * dout) for din, dout in fam.spec.parties))
+    # Row j of each stack, column-stacked: linalg.vectorize of member j's factor.
+    stacks = [s.transpose(0, 2, 1).reshape(fam.n_members, -1, 1) for s in fam._party_stacks]
+    return OperatorFamily._from_stacks(spec, fam.weights.copy(), stacks)
 
 
 def ensemble_to_state(ens: OperatorFamily) -> DensityMatrix:

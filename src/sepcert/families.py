@@ -10,11 +10,10 @@ whose factors all have one column).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .errors import (
     DegenerateInputError,
     NumericError,
     ParameterError,
+    SepcertError,
     ShapeError,
     SizeBudgetError,
     UsageError,
@@ -31,7 +31,6 @@ from .linalg import (
     _coefficient_vector,
     _kron_rows,
     _rescaled,
-    as_matrix,
     kron,
     numerical_rank,
     unit_columns,
@@ -88,44 +87,26 @@ class PartySpec:
 class ProductOperator:
     """One product operator: a scalar weight and per-party local factors.
 
-    Zero weights and zero factors are rejected at construction; every term
-    of a product family is required to be genuinely nonvanishing.  Like
-    its factors' entries, the weight must be finite, and so must |weight|
-    times the product of the factors' Frobenius norms, each norm and the
-    weight counted as at least 1: that bounds every entry of the assembled
-    operator and of any group of its factors.
+    Construction refuses what ``_member_fault`` refuses: every term of a
+    product family must be finite, nonvanishing and within the float range.
     """
 
     weight: complex
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        w = complex(self.weight)
-        if not cmath.isfinite(w):
-            raise NumericError("product operator weight must be finite")
-        if w == 0:
-            raise DegenerateInputError("product operator weight must be nonzero")
-        mats = []
-        for idx, f in enumerate(self.factors):
-            m = np.array(as_matrix(f))  # private copy
-            if not m.any():
-                raise DegenerateInputError(f"factor {idx} is the zero matrix")
-            m.setflags(write=False)
-            mats.append(m)
+        mats = tuple(np.array(f, dtype=np.complex128) for f in self.factors)  # private copies
+        if any(m.ndim != 2 for m in mats):
+            raise ShapeError(f"expected 2-D factors, got ndim {[m.ndim for m in mats]}")
+        fault = _member_fault(np.array([complex(self.weight)]), [m[None] for m in mats])
+        if fault is not None:
+            raise fault[1]
         if not mats:
             raise ParameterError("a product operator needs at least one factor")
-        # math.hypot scales its arguments, so a norm is inf only when it
-        # exceeds the float range; Python's float product then overflows to inf.
-        bound = max(math.hypot(w.real, w.imag), 1.0)
         for m in mats:
-            bound *= max(math.hypot(*np.abs(m).ravel().tolist()), 1.0)
-        if bound == math.inf:
-            raise NumericError(
-                "product operator overflows: |weight| times its factor norms "
-                "exceeds the float range"
-            )
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "factors", tuple(mats))
+            m.setflags(write=False)
+        object.__setattr__(self, "weight", complex(self.weight))
+        object.__setattr__(self, "factors", mats)
 
     @property
     def n_parties(self) -> int:
@@ -149,6 +130,56 @@ class ProductOperator:
 
     def scaled(self, scalar: complex) -> "ProductOperator":
         return ProductOperator(self.weight * complex(scalar), self.factors)
+
+
+def _member_fault(weights: np.ndarray, stacks) -> tuple[int, SepcertError] | None:
+    """The first member that is no valid product operator, and its error.
+
+    Member j is ``weights[j]`` times the product of the ``stacks[p][j]``.
+    In this order: its weight is finite and nonzero; per party, its factor
+    is finite and not zero; |weight| times the product of the factors'
+    Frobenius norms, each at least 1, is finite, which bounds every entry
+    of the operator and of any group of its factors.  All at once."""
+    n = len(weights)
+    flats = [s.reshape(n, -1) for s in stacks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tops = [np.abs(flat).max(axis=1) for flat in flats]
+        # sqrt(size) times the largest entry bounds a norm: below 2**1000, no overflow.
+        est = np.maximum(np.abs(weights), 1.0)
+        for flat, top in zip(flats, tops):
+            est *= np.maximum(top * math.sqrt(flat.shape[1]), 1.0)
+    rows = [~np.isfinite(weights), weights == 0]
+    errors = [(NumericError, "product operator weight must be finite"),
+              (DegenerateInputError, "product operator weight must be nonzero")]
+    for p, (flat, top) in enumerate(zip(flats, tops)):
+        rows += [~np.isfinite(flat).all(axis=1), top == 0]
+        errors += [(NumericError, "matrix contains non-finite entries"),
+                   (DegenerateInputError, f"factor {p} is the zero matrix")]
+    # math.hypot scales its arguments, so a norm is inf only past the float
+    # range; the float product then overflows to inf.
+    overflow = np.zeros(n, dtype=bool)
+    for j in np.flatnonzero(~np.any(rows, axis=0) & ~(est < 2.0**1000)):
+        bound = max(math.hypot(weights[j].real, weights[j].imag), 1.0)
+        for flat in flats:
+            bound *= max(math.hypot(*np.abs(flat[j]).tolist()), 1.0)
+        overflow[j] = bound == math.inf
+    rows.append(overflow)
+    errors.append((NumericError, "product operator overflows: |weight| times its factor "
+                   "norms exceeds the float range"))
+    table = np.array(rows)
+    bad = np.flatnonzero(table.any(axis=0))
+    if not bad.size:
+        return None
+    kind, message = errors[int(np.argmax(table[:, bad[0]]))]
+    return int(bad[0]), kind(message)
+
+
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` (cached properties
+    too), past ``__init__``: for values that passed its checks already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _validated_side(side, n_parties: int) -> tuple[int, ...]:
@@ -192,29 +223,46 @@ def party_pairs(n_parties: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
-    """An ordered set of product operators conforming to one PartySpec."""
+    """An ordered set of product operators conforming to one PartySpec.
+
+    ``weights`` is the read-only (N,) vector of member weights, and
+    ``_party_stacks[p]`` the read-only (N, d_out, d_in) stack of party p's
+    factors; both are built with the family.
+    """
 
     spec: PartySpec
     members: tuple[ProductOperator, ...]
 
     def __post_init__(self):
         members = tuple(self.members)
-        object.__setattr__(self, "members", members)
         if not members:
             raise ParameterError("a family needs at least one member")
+        want = [self.spec.factor_shape(p) for p in range(self.spec.n_parties)]
         for j, m in enumerate(members):
-            if m.n_parties != self.spec.n_parties:
-                raise ShapeError(
-                    f"member {j} has {m.n_parties} factors, spec has "
-                    f"{self.spec.n_parties} parties"
-                )
-            for p, f in enumerate(m.factors):
-                want = self.spec.factor_shape(p)
-                if f.shape != want:
-                    raise ShapeError(
-                        f"member {j}, party {p}: factor shape {f.shape} "
-                        f"does not match spec {want}"
-                    )
+            if [f.shape for f in m.factors] != want:
+                raise ShapeError(f"member {j}: factor shapes {[f.shape for f in m.factors]} "
+                                 f"do not match spec {want}")
+        weights = np.array([m.weight for m in members], dtype=np.complex128)
+        stacks = tuple(np.stack([m.factors[p] for m in members]) for p in range(len(want)))
+        for a in (weights, *stacks):
+            a.setflags(write=False)
+        self.__dict__.update(members=members, weights=weights, _party_stacks=stacks)
+
+    @classmethod
+    def _from_stacks(cls, spec: PartySpec, weights: np.ndarray, stacks) -> "OperatorFamily":
+        """The family of members ``weights[j]`` (x)_p ``stacks[p][j]``, the
+        (N, d_out, d_in) stacks of ``spec``'s parties, checked at once by
+        ``_member_fault``.  The family takes the arrays over, read-only, as
+        its ``weights`` and ``_party_stacks``; members' factors are views."""
+        fault = _member_fault(weights, stacks)
+        if fault is not None:
+            raise type(fault[1])(f"member {fault[0]}: {fault[1]}")
+        for a in (weights, *stacks):
+            a.setflags(write=False)
+        members = tuple(_unchecked(ProductOperator, weight=w, factors=fs)
+                        for w, fs in zip(weights.tolist(), zip(*stacks)))
+        return _unchecked(cls, spec=spec, members=members, weights=weights,
+                          _party_stacks=tuple(stacks))
 
     @property
     def n_members(self) -> int:
@@ -223,24 +271,6 @@ class OperatorFamily:
     @property
     def n_parties(self) -> int:
         return self.spec.n_parties
-
-    @cached_property
-    def _party_stacks(self) -> tuple[np.ndarray, ...]:
-        """Per party, the read-only (N, d_out, d_in) stack of its factors."""
-        stacks = tuple(
-            np.stack([m.factors[p] for m in self.members])
-            for p in range(self.n_parties)
-        )
-        for stack in stacks:
-            stack.setflags(write=False)
-        return stacks
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The read-only (N,) vector of member weights."""
-        w = np.array([m.weight for m in self.members], dtype=np.complex128)
-        w.setflags(write=False)
-        return w
 
     def assembled(self) -> np.ndarray:
         """The (N, d_out, d_in) stack of assembled members: entry j equals
@@ -279,6 +309,8 @@ class OperatorFamily:
 
     def subfamily(self, indices) -> "OperatorFamily":
         idx = self.member_indices(indices)
+        if idx == tuple(range(self.n_members)):
+            return self  # a family is immutable
         return OperatorFamily(self.spec, tuple(self.members[i] for i in idx))
 
     def side_matrix(self, side, include_weight: bool = False) -> np.ndarray:
@@ -293,36 +325,10 @@ class OperatorFamily:
         n, rows, cols = g.shape
         return np.ascontiguousarray(g.transpose(2, 1, 0).reshape(rows * cols, n))
 
-    def unit_side(self, side) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """The side matrix that every rank, the hunt's objective and its
-        screen read, the members' multiset weights, and the member scales.
-
-        The columns of ``side_matrix(side)`` go through ``unit_columns``, so
-        no member's scale weighs on another's cutoff; column j is member j's
-        grouped factors over ``scales[j]``.  A matrix with more rows than
-        columns is then replaced by the R factor of its thin QR: every column
-        selection keeps its singular values, while each SVD shrinks to at
-        most N rows.
-
-        Members whose raw columns are equal bit for bit form a class.  When
-        some class has two or more members, member j gets the mixed-radix
-        weight prod over classes c < class(j) of (size(c) + 1), so
-        ``weights[T].sum()`` names the multiset of T's columns uniquely and
-        lies below prod over c of (size(c) + 1): subsets sharing a multiset
-        share one rank.  With every column distinct the weights are None.
-        """
-        m = self.side_matrix(side)
-        rows, n = m.shape
-        ids: dict[bytes, int] = {}
-        cls = np.array([ids.setdefault(col.tobytes(), len(ids)) for col in m.T])
-        weights = None
-        if len(ids) < n:
-            sizes = np.bincount(cls)
-            weights = np.concatenate(([1], np.cumprod(sizes[:-1] + 1)))[cls]
-        m, scales = unit_columns(m)
-        if rows > n:
-            m = np.linalg.qr(m, mode="r")
-        return m, weights, scales
+    def unit_side(self, side) -> tuple[np.ndarray, np.ndarray]:
+        """``compressed_side`` of ``side_matrix(side)``: what every rank, the
+        hunt's objective and its screen read, and the member scales."""
+        return compressed_side(self.side_matrix(side))
 
     def span_dim(self, side, subset=None) -> int:
         """Dimension of the span of the grouped ``side`` factors: the rank of
@@ -334,6 +340,17 @@ class OperatorFamily:
         if subset is not None:
             m = m[:, list(subset)]
         return numerical_rank(m)
+
+
+def compressed_side(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The side matrix ``m`` at ``unit_columns``, so that no member's scale
+    weighs on another's cutoff, and the member scales: column j is member
+    j's grouped factors over ``scales[j]``.  A matrix with more rows than
+    columns is replaced by the R factor of its thin QR: every column
+    selection keeps its singular values, and each SVD has at most N rows."""
+    rows, n = m.shape
+    m, scales = unit_columns(m)
+    return (np.linalg.qr(m, mode="r") if rows > n else m), scales
 
 
 def family_from_factors(party_dims, members) -> OperatorFamily:
@@ -410,8 +427,8 @@ def span_bound_report(
             "two disjoint groups"
         )
 
-    a, _, scale_a = fam.unit_side(side_a)
-    b, _, scale_b = fam.unit_side(side_b)
+    a, scale_a = fam.unit_side(side_a)
+    b, scale_b = fam.unit_side(side_b)
     r_s = numerical_rank((b * _rescaled(c[None], fam.weights * scale_a * scale_b)[0]) @ a.T)
     delta_a = numerical_rank(a)
     delta_b = numerical_rank(b)

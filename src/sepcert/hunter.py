@@ -376,9 +376,11 @@ def hunt_product(
 
     The hunt first tries to prove that a lower bound of that objective
     over the whole feasible set reaches ``threshold``, rounding included
-    (``_screens``).  Then no combination with every coefficient nonzero is
-    a product: the hunt returns at once, not found, with ``restarts_used``
-    0 and restart 0's projected start as the best coefficients.  The proof
+    (``_screens``; not when a member's product underflows to scale 0, as
+    it then has no coefficient on the members as given).  Then no
+    combination with every coefficient nonzero is a product: the hunt
+    returns at once, not found, with ``restarts_used`` 0 and restart 0's
+    projected start as the best coefficients.  The proof
     is one-sided: when it fails it proves nothing, and the search runs; a
     search that finds nothing is evidence, not proof, as the objective is
     nonconvex.  ``found``, ``novel`` and the residual's side of
@@ -426,7 +428,7 @@ def hunt_product(
             raise ParameterError("initial_coefficients must not be the zero vector")
         init = _rescaled(init[None], scales)[0]
 
-    screened = _screens(fam.spec, full, stacks, threshold)
+    screened = bool(scales.all()) and _screens(fam.spec, full, stacks, threshold)
     if screened:
         best = _project(_start(ns, seed, 0, init)[None])[0]
     else:

@@ -304,14 +304,13 @@ def _compound_gram(stacks) -> np.ndarray:
     (rows + n (n - 1)) eps, (rows + pairs + 6) / 5 times the bound above.
     """
     j, k = np.triu_indices(stacks[0][0].shape[1], 1)
+    jj, kk, jk, kj = np.ix_(j, j), np.ix_(k, k), np.ix_(j, k), np.ix_(k, j)
     gram = 0.0
     for a_mat, b_mat in stacks:
         block = 1.0
         for side in (a_mat, b_mat):
             g = side.conj().T @ side
-            block = block * (
-                g[np.ix_(j, j)] * g[np.ix_(k, k)] - g[np.ix_(j, k)] * g[np.ix_(k, j)]
-            )
+            block = block * (g[jj] * g[kk] - g[jk] * g[kj])
         gram = gram + block
     return gram
 

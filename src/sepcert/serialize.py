@@ -13,7 +13,11 @@ ensembles (``kind: "ensemble"``, every factor a single column):
 
 Matrices are row-major nested lists with complex entries as ``[re, im]``
 pairs.  Python's repr-based float serialization makes save/load round trips
-bit-exact.
+bit-exact.  A document loads along one path: ``_parsed_members`` gates and
+reads every party's numbers at once into the family's factor stacks, and
+``OperatorFamily._from_stacks`` checks the members in one batch.  Only a
+document that fails the gate is walked entry by entry, to name its first
+fault in document order (``_raise_first_fault``).
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Real
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError, ShapeError, UsageError
-from .families import OperatorFamily, PartySpec, ProductOperator
+from .errors import DegenerateInputError, NumericError, UsageError
+from .families import OperatorFamily, PartySpec, _member_fault
 
 FORMAT_VERSION = 1
 
@@ -43,19 +49,16 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def _complex_from(obj, where: str) -> complex:
-    # What json.loads gives for a valid pair, decided without the ABC checks;
-    # anything else takes the general path below.
-    if type(obj) is list and len(obj) == 2:
-        re, im = obj
-        if type(re) in (float, int) and type(im) in (float, int):
-            return complex(float(re), float(im))
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
         or not all(isinstance(v, Real) and not isinstance(v, bool) for v in obj)
     ):
         raise UsageError(f"{where}: expected a [re, im] number pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        return complex(float(obj[0]), float(obj[1]))
+    except OverflowError:
+        raise UsageError(f"{where}: [re, im] pair holds an integer beyond the float range") from None
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -121,6 +124,69 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _all(items, kinds) -> bool:
+    """Whether every item is an instance of ``kinds``, asked once per type."""
+    return all(issubclass(t, kinds) for t in set(map(type, items)))
+
+
+def _parsed_members(raw_members: list, spec: PartySpec) -> tuple | None:
+    """The weights and per-party (N, d_out, d_in) factor stacks, or None
+    when some member breaks the format.  Each level is gated over every
+    member at once, asking each distinct type once what ``_complex_from``
+    and ``matrix_from_json`` ask each entry; numpy would read "1.5" or true
+    as a number.  Then one ``np.array`` per party reads all its numbers."""
+    if not _all(raw_members, dict) or not all("weight" in m and "factors" in m
+                                               for m in raw_members):
+        return None
+    weights, factors = [m["weight"] for m in raw_members], [m["factors"] for m in raw_members]
+    if not _all(factors, list) or set(map(len, factors)) != {spec.n_parties}:
+        return None
+    arrays = []
+    for entries, shape in [(weights, ())] + [([f[p] for f in factors], spec.factor_shape(p))
+                                             for p in range(spec.n_parties)]:
+        for kinds, width in [(list, w) for w in shape] + [((list, tuple), 2)]:
+            if not _all(entries, kinds) or set(map(len, entries)) != {width}:
+                return None
+            entries = list(chain.from_iterable(entries))
+        if not all(issubclass(t, Real) and not issubclass(t, bool) for t in set(map(type, entries))):
+            return None
+        try:
+            numbers = np.array(entries, dtype=np.float64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        arrays.append(numbers.view(np.complex128).reshape(len(raw_members), *shape))
+    return arrays[0], arrays[1:]
+
+
+def _raise_first_fault(raw_members: list, spec: PartySpec, where: str) -> NoReturn:
+    """Raise the error of the first fault of the members in document order,
+    as the entries are read one by one; it never returns a family."""
+    for j, entry in enumerate(raw_members):
+        ctx = f"{where}, member {j}"
+        if not isinstance(entry, dict):
+            raise UsageError(f"{ctx}: expected an object with weight/factors")
+        weight = _complex_from(_require(entry, "weight", ctx), f"{ctx}, weight")
+        raw_factors = _require(entry, "factors", ctx)
+        if not isinstance(raw_factors, list) or len(raw_factors) != spec.n_parties:
+            raise UsageError(
+                f"{ctx}: expected {spec.n_parties} factors, got "
+                f"{len(raw_factors) if isinstance(raw_factors, list) else raw_factors!r}"
+            )
+        factors = []
+        for p, raw in enumerate(raw_factors):
+            f = matrix_from_json(raw, f"{ctx}, party {p}")
+            if f.shape != spec.factor_shape(p):
+                raise UsageError(
+                    f"{ctx}, party {p}: expected shape {spec.factor_shape(p)}, "
+                    f"got {f.shape}"
+                )
+            factors.append(f[None])
+        fault = _member_fault(np.array([weight]), factors)
+        if fault is not None:
+            raise UsageError(f"{ctx}: {fault[1]}")
+    raise UsageError(f"{where}: 'members' holds numbers that numpy cannot read as floats")
+
+
 def family_from_dict(data, where: str = "channel file") -> LoadedFile:
     if not isinstance(data, dict):
         raise UsageError(f"{where}: top level must be a JSON object")
@@ -160,31 +226,13 @@ def family_from_dict(data, where: str = "channel file") -> LoadedFile:
     raw_members = _require(data, "members", where)
     if not isinstance(raw_members, list) or not raw_members:
         raise UsageError(f"{where}: 'members' must be a non-empty list")
-    members = []
-    for j, entry in enumerate(raw_members):
-        ctx = f"{where}, member {j}"
-        if not isinstance(entry, dict):
-            raise UsageError(f"{ctx}: expected an object with weight/factors")
-        weight = _complex_from(_require(entry, "weight", ctx), f"{ctx}, weight")
-        raw_factors = _require(entry, "factors", ctx)
-        if not isinstance(raw_factors, list) or len(raw_factors) != len(parties):
-            raise UsageError(
-                f"{ctx}: expected {len(parties)} factors, got "
-                f"{len(raw_factors) if isinstance(raw_factors, list) else raw_factors!r}"
-            )
-        factors = []
-        for p, raw in enumerate(raw_factors):
-            f = matrix_from_json(raw, f"{ctx}, party {p}")
-            if f.shape != spec.factor_shape(p):
-                raise UsageError(
-                    f"{ctx}, party {p}: expected shape {spec.factor_shape(p)}, "
-                    f"got {f.shape}"
-                )
-            factors.append(f)
-        try:
-            members.append(ProductOperator(weight, tuple(factors)))
-        except (DegenerateInputError, NumericError, ShapeError) as exc:
-            raise UsageError(f"{ctx}: {exc}") from exc
+    parsed = _parsed_members(raw_members, spec)
+    if parsed is None:
+        _raise_first_fault(raw_members, spec, where)
+    try:
+        family = OperatorFamily._from_stacks(spec, *parsed)
+    except (DegenerateInputError, NumericError) as exc:
+        raise UsageError(f"{where}, {exc}") from exc
 
     metadata = data.get("metadata", {})
     if metadata is None:
@@ -192,7 +240,6 @@ def family_from_dict(data, where: str = "channel file") -> LoadedFile:
     if not isinstance(metadata, dict):
         raise UsageError(f"{where}: 'metadata' must be an object")
 
-    family = OperatorFamily(spec, tuple(members))
     return LoadedFile(family=family, kind=kind, metadata=metadata)
 
 

@@ -19,6 +19,7 @@ from sepcert.certify import (
     SUBSET_BLOCK,
     Witness,
     _member_bits,
+    _open_side,
     _popcounts,
     _subset_blocks,
     _subset_floors,
@@ -558,18 +559,18 @@ def _recording_side_builds(monkeypatch):
     """Record each side matrix the certifier builds with the subset size of
     the block that built it."""
     built, sizes = [], []
-    decide, unit_side = sepcert.certify._decide_block, OperatorFamily.unit_side
+    decide, side_matrix = sepcert.certify._decide_block, OperatorFamily.side_matrix
 
     def recording_decide(masks, members, *args):
         sizes.append(members.shape[1])
         return decide(masks, members, *args)
 
-    def recording_side(fam, side):
+    def recording_side(fam, side, include_weight=False):
         built.append((side, sizes[-1]))
-        return unit_side(fam, side)
+        return side_matrix(fam, side, include_weight)
 
     monkeypatch.setattr(sepcert.certify, "_decide_block", recording_decide)
-    monkeypatch.setattr(OperatorFamily, "unit_side", recording_side)
+    monkeypatch.setattr(OperatorFamily, "side_matrix", recording_side)
     return built
 
 
@@ -966,9 +967,9 @@ def _one_shared_factor(perturb: bool):
 
 
 def test_one_ulp_apart_columns_form_no_class(monkeypatch):
-    assert _one_shared_factor(False).unit_side((0,))[1] is not None
+    assert _open_side(_one_shared_factor(False), (0,), 8).weights is not None
     fam = _one_shared_factor(True)
-    assert all(fam.unit_side(side)[1] is None for side in ((0,), (1,)))
+    assert all(_open_side(fam, side, 8).weights is None for side in ((0,), (1,)))
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     cert = certify_unique(fam)
     # Every subset the bounds leave undecided is ranked on its own, side A

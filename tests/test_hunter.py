@@ -825,6 +825,22 @@ def test_hunt_verdicts_do_not_depend_on_member_scale():
     assert verdicts == [(False, False, 0)] * 6
 
 
+def test_a_member_whose_product_underflows_is_never_screened():
+    # Member 1's factors times 1e-200 each: every factor is nonzero, but
+    # their Kronecker product underflows to the zero matrix, so the member
+    # has scale 0 and no coefficient on the members as given.  A screen
+    # would report a zero coefficient in a proof about nonzero ones.
+    ladder = gen_ladder_channel(0.5)
+    m = ladder.members[1]
+    tiny = ProductOperator(m.weight, tuple(1e-200 * f for f in m.factors))
+    fam = OperatorFamily(ladder.spec, (ladder.members[0], tiny, ladder.members[2]))
+    assert not fam.members[1].assemble().any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = hunt_product(fam, restarts=4)
+    assert result.restarts_used == 4
+
+
 def test_screened_hunt_reports_its_projected_start():
     fourier = gen_fourier_channel((2, 2, 2))
     ladder = gen_ladder_channel(0.5)

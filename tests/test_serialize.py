@@ -1,5 +1,6 @@
 """JSON (de)serialization of operator families."""
 
+import copy
 import json
 import os
 import stat
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from sepcert.choi import channel_to_choi_ensemble
+from sepcert.cli import main
 from sepcert.errors import UsageError
+from sepcert.sampling import random_product_family
 from sepcert.serialize import (
     FORMAT_VERSION,
     _complex_from,
@@ -17,9 +20,10 @@ from sepcert.serialize import (
     family_from_dict,
     family_to_dict,
     load_family,
+    matrix_from_json,
     save_family,
 )
-from sepcert.zoo import gen_fourier_channel, gen_ladder_channel
+from sepcert.zoo import gen_fourier_channel, gen_ladder_channel, gen_projective_basis
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -188,3 +192,145 @@ def test_non_number_pairs_are_usage_errors(pair):
     with pytest.raises(UsageError) as err:
         _complex_from(pair, "m, weight")
     assert str(err.value) == f"m, weight: expected a [re, im] number pair, got {pair!r}"
+
+
+# ---------------------------------------------------------------------------
+# The one load path: a gated vectorized parse into per-party stacks
+
+
+def _per_entry(doc):
+    """Weights and per-party factor stacks read entry by entry."""
+    members = doc["members"]
+    weights = np.array([_complex_from(m["weight"], "w") for m in members])
+    stacks = [
+        np.stack([matrix_from_json(m["factors"][p], "f") for m in members])
+        for p in range(len(doc["parties"]))
+    ]
+    return weights, stacks
+
+
+def _with_entries(doc, values):
+    """``doc`` with member j's party-p entry (r, c) set to each of ``values``."""
+    for j, p, r, c, value in values:
+        doc["members"][j]["factors"][p][r][c] = value
+    return doc
+
+
+def _loader_docs():
+    ladder = family_to_dict(gen_ladder_channel(0.9 * np.exp(1j * np.pi / 3), phi=np.pi / 7))
+    return {
+        "ladder": ladder,
+        "fourier-222": family_to_dict(gen_fourier_channel((2, 2, 2))),
+        "projective-33": family_to_dict(gen_projective_basis(3, 3)),
+        "random-33": family_to_dict(random_product_family(np.random.default_rng(3), (3, 3), 7)),
+        "ensemble": family_to_dict(channel_to_choi_ensemble(gen_ladder_channel(0.5))),
+        "signed-zeros": _with_entries(copy.deepcopy(ladder), [
+            (0, 0, 0, 0, [-0.0, -0.0]), (1, 1, 1, 1, [-0.0, 0.0]), (2, 0, 0, 0, [0.0, -0.0])]),
+        "integers": _with_entries(copy.deepcopy(ladder), [
+            (0, 0, 0, 0, [3, -4]), (1, 1, 0, 1, [2**70 + 1, 0]), (2, 1, 1, 1, [-(2**63), 7])]),
+        "extremes": _with_entries(copy.deepcopy(ladder), [
+            (0, 0, 0, 0, [1e300, -1e-300]), (1, 1, 1, 0, [5e-324, 1e-300]),
+            (2, 1, 0, 0, [-1e-300, 1e300])]),
+        "python-scalars": _with_entries(copy.deepcopy(ladder), [
+            (0, 0, 0, 0, (0.5, 1)), (1, 1, 1, 1, [np.float64(0.25), np.int64(-3)])]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_loader_docs()))
+def test_loaded_stacks_are_the_per_entry_parse(name):
+    doc = _loader_docs()[name]
+    fam = family_from_dict(doc).family
+    weights, stacks = _per_entry(doc)
+    assert fam.weights.tobytes() == weights.tobytes()
+    assert not fam.weights.flags.writeable
+    for p, stack in enumerate(stacks):
+        loaded = fam.local_factors(p)
+        assert loaded.dtype == np.complex128 and loaded.shape == stack.shape
+        assert loaded.tobytes() == stack.tobytes()
+        assert not loaded.flags.writeable
+        # The members' factors are read-only views into the stack.
+        members = [m.factors[p] for m in fam.members]
+        assert all(not f.flags.writeable and np.shares_memory(f, loaded) for f in members)
+        assert np.stack(members).tobytes() == stack.tobytes()
+    assert np.array([m.weight for m in fam.members]).tobytes() == weights.tobytes()
+    assert all(type(m.weight) is complex for m in fam.members)
+
+
+def _ladder_doc():
+    return family_to_dict(gen_ladder_channel(0.5))
+
+
+def _zero(doc, j, p):
+    doc["members"][j]["factors"][p] = [[[0.0, -0.0]] * 2] * 2
+
+
+def _entry(j, p, r, c, value):
+    return lambda d: _with_entries(d, [(j, p, r, c, value)])
+
+
+#: (mutation of the ladder document, error after the file's name).
+MALFORMED = {
+    "bool-entry": (_entry(1, 0, 0, 1, [True, 0.0]),
+                   "member 1, party 0, row 0, column 1: expected a [re, im] number pair, "
+                   "got [True, 0.0]"),
+    "string-entry": (_entry(1, 0, 0, 1, ["1.5", 0.0]),
+                     "member 1, party 0, row 0, column 1: expected a [re, im] number pair, "
+                     "got ['1.5', 0.0]"),
+    "null-entry": (_entry(2, 1, 1, 0, None),
+                   "member 2, party 1, row 1, column 0: expected a [re, im] number pair, "
+                   "got None"),
+    "three-numbers": (_entry(0, 1, 0, 0, [1.0, 0.0, 0.0]),
+                      "member 0, party 1, row 0, column 0: expected a [re, im] number pair, "
+                      "got [1.0, 0.0, 0.0]"),
+    "ragged-rows": (lambda d: d["members"][1]["factors"][0][1].pop(),
+                    "member 1, party 0, row 1: ragged matrix (1 entries, expected 2)"),
+    "wrong-shape": (lambda d: d["members"][2]["factors"].__setitem__(1, [[[1.0, 0.0]]]),
+                    "member 2, party 1: expected shape (2, 2), got (1, 1)"),
+    "integer-past-float": (_entry(1, 0, 0, 0, [10**400, 0]),
+                           "member 1, party 0, row 0, column 0: [re, im] pair holds an integer "
+                           "beyond the float range"),
+    "nan-entry": (_entry(1, 1, 0, 0, [float("nan"), 0.0]),
+                  "member 1: matrix contains non-finite entries"),
+    "infinity-entry": (_entry(2, 0, 1, 1, [0.0, -float("inf")]),
+                       "member 2: matrix contains non-finite entries"),
+    "nan-weight": (lambda d: d["members"][0].update(weight=[float("nan"), 0.0]),
+                   "member 0: product operator weight must be finite"),
+    "zero-factor": (lambda d: _zero(d, 1, 1), "member 1: factor 1 is the zero matrix"),
+    "zero-weight": (lambda d: d["members"][2].update(weight=[0.0, -0.0]),
+                    "member 2: product operator weight must be nonzero"),
+    "overflowing-member": (
+        lambda d: (d["members"][1].update(weight=[1e200, 0.0]),
+                   _with_entries(d, [(1, 0, 0, 1, [1e200, 0.0])])),
+        "member 1: product operator overflows: |weight| times its factor norms exceeds "
+        "the float range"),
+    "zero-weight-before-bool-entry": (
+        lambda d: (d["members"][0].update(weight=[0.0, 0.0]),
+                   _with_entries(d, [(2, 1, 0, 0, [True, 0.0])])),
+        "member 0: product operator weight must be nonzero"),
+    "bool-entry-before-zero-factor": (
+        lambda d: (_with_entries(d, [(0, 1, 1, 1, [False, 0.0])]), _zero(d, 2, 0)),
+        "member 0, party 1, row 1, column 1: expected a [re, im] number pair, "
+        "got [False, 0.0]"),
+    "string-entry-before-nan-entry": (
+        lambda d: _with_entries(d, [(1, 1, 0, 0, [float("nan"), 0.0]), (1, 0, 1, 1, ["0", 0])]),
+        "member 1, party 0, row 1, column 1: expected a [re, im] number pair, got ['0', 0]"),
+    "shape-before-null-entry": (
+        lambda d: (d["members"][0]["factors"][0].append([[1.0, 0.0]] * 2),
+                   _with_entries(d, [(0, 1, 0, 0, None)])),
+        "member 0, party 0: expected shape (2, 2), got (3, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_members_name_the_first_fault(name, tmp_path, capsys):
+    mutate, message = MALFORMED[name]
+    doc = _ladder_doc()
+    mutate(doc)
+    with pytest.raises(UsageError) as err:
+        family_from_dict(doc, where="ladder.json")
+    assert str(err.value) == f"ladder.json, {message}"
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON's tokens
+    assert main(["certify", str(path)]) == 2
+    out, stderr = capsys.readouterr()
+    assert not out and stderr == f"error: {path}, {message}\n"

@@ -78,13 +78,13 @@ def _recording_grouped_factors(monkeypatch):
 def test_certify_opens_every_side_through_the_builder(monkeypatch, fam):
     calls = _recording_grouped_factors(monkeypatch)
     reached = []
-    unit_side = OperatorFamily.unit_side
+    side_matrix = OperatorFamily.side_matrix
 
-    def recording_open(fam, side):
+    def recording_open(fam, side, include_weight=False):
         reached.append(side)
-        return unit_side(fam, side)
+        return side_matrix(fam, side, include_weight)
 
-    monkeypatch.setattr(OperatorFamily, "unit_side", recording_open)
+    monkeypatch.setattr(OperatorFamily, "side_matrix", recording_open)
     certify_unique(fam)
     assert reached
     assert calls == [(side, False) for side in reached]

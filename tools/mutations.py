@@ -2,7 +2,7 @@
 
 Each entry names one edit of the package that the tests must notice: a
 dropped error term of a certified bound, a lost flush of the CLI's report,
-a side matrix built past the one builder.  The runner
+a side matrix built past the one builder, a dropped check of the loader.  The runner
 applies each edit alone to a fresh ``git archive`` of HEAD and runs tier-1
 there (``python -X dev -m pytest -q -x``).  It prints one line per edit with
 the first failing test, and exits 1 if some edit leaves tier-1 passing or
@@ -108,8 +108,8 @@ EDITS = [
     (
         "unit_side ranking raw, not unit, columns",
         "src/sepcert/families.py",
-        "        m, scales = unit_columns(m)\n",
-        "        scales = np.ones(n)\n",
+        "    m, scales = unit_columns(m)\n",
+        "    scales = np.ones(n)\n",
     ),
     (
         "the hunter's full built per member, past the side builder",
@@ -117,6 +117,37 @@ EDITS = [
         "full, norms = unit_columns(fam.side_matrix(range(fam.n_parties)))",
         "full, norms = unit_columns(np.hstack([m.grouped(range(fam.n_parties)).reshape(-1, 1, "
         "order='F') for m in fam.members]))",
+    ),
+    (
+        "the loader without the type gate on the numbers",
+        "src/sepcert/serialize.py",
+        "        if not all(issubclass(t, Real) and not issubclass(t, bool) for t in set(map(type, "
+        "entries))):\n            return None\n",
+        "",
+    ),
+    (
+        "_member_fault without the finiteness check of the factors",
+        "src/sepcert/families.py",
+        "rows += [~np.isfinite(flat).all(axis=1), top == 0]",
+        "rows += [np.zeros(n, dtype=bool), top == 0]",
+    ),
+    (
+        "_member_fault without the zero-factor check",
+        "src/sepcert/families.py",
+        "rows += [~np.isfinite(flat).all(axis=1), top == 0]",
+        "rows += [~np.isfinite(flat).all(axis=1), np.zeros(n, dtype=bool)]",
+    ),
+    (
+        "_member_fault without the overflow bound",
+        "src/sepcert/families.py",
+        "overflow[j] = bound == math.inf",
+        "overflow[j] = False",
+    ),
+    (
+        "hunt_product screening a member at scale 0",
+        "src/sepcert/hunter.py",
+        "screened = bool(scales.all()) and _screens(",
+        "screened = _screens(",
     ),
     (
         "hunt_product reporting unit-member coefficients",
