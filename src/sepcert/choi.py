@@ -73,7 +73,7 @@ def channel_to_choi_ensemble(fam: OperatorFamily) -> OperatorFamily:
     spec = PartySpec(tuple((1, din * dout) for din, dout in fam.spec.parties))
     # Row j of each stack, column-stacked: linalg.vectorize of member j's factor.
     stacks = [s.transpose(0, 2, 1).reshape(fam.n_members, -1, 1) for s in fam._party_stacks]
-    return OperatorFamily._from_stacks(spec, fam.weights.copy(), stacks)
+    return OperatorFamily._from_stacks(spec, fam.weights, stacks)
 
 
 def ensemble_to_state(ens: OperatorFamily) -> DensityMatrix:

@@ -49,7 +49,6 @@ from .serialize import (
     complex_to_json,
     dump_json,
     load_family,
-    matrix_to_json,
     save_family,
 )
 from .zoo import (
@@ -255,7 +254,7 @@ def _gen_dispatch(args):
             "dim": args.dim if args.dim is not None else args.n + 1,
             "seed": args.seed,
         }
-        return fam, params, {"coefficients": [complex_to_json(c) for c in coeffs]}
+        return fam, params, {"coefficients": complex_to_json(coeffs)}
     raise UsageError(f"unknown generator {name!r}")  # pragma: no cover
 
 
@@ -302,7 +301,7 @@ def cmd_choi(args) -> int:
             {
                 "dims": list(state.dims),
                 "trace": state.trace,
-                "matrix": matrix_to_json(state.matrix),
+                "matrix": complex_to_json(state.matrix),
             },
         )
     _emit(

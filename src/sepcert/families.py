@@ -3,9 +3,10 @@
 A :class:`ProductOperator` is one operator of the form ``weight * M1 (x) M2
 (x) ... (x) MP`` stored as its per-party local factors.  An
 :class:`OperatorFamily` is an ordered set of such operators sharing one
-:class:`PartySpec`; it is the universal carrier for candidate Kraus
-representations and product ensembles (a ket ensemble is simply a family
-whose factors all have one column).
+:class:`PartySpec`, held as a weight vector and one factor stack per party;
+it is the universal carrier for candidate Kraus representations and product
+ensembles (a ket ensemble is simply a family whose factors all have one
+column).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -175,8 +176,8 @@ def _member_fault(weights: np.ndarray, stacks) -> tuple[int, SepcertError] | Non
 
 
 def _unchecked(cls, **fields):
-    """The frozen dataclass ``cls`` holding ``fields`` (cached properties
-    too), past ``__init__``: for values that passed its checks already."""
+    """The frozen dataclass ``cls`` holding ``fields``, past its constructor:
+    for values that passed its checks already."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -221,52 +222,55 @@ def party_pairs(n_parties: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n_parties), 2))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OperatorFamily:
     """An ordered set of product operators conforming to one PartySpec.
 
-    ``weights`` is the read-only (N,) vector of member weights, and
-    ``_party_stacks[p]`` the read-only (N, d_out, d_in) stack of party p's
-    factors; both are built with the family.
+    The family is its read-only arrays: ``weights``, the (N,) vector of
+    member weights, and ``_party_stacks[p]``, the (N, d_out, d_in) stack of
+    party p's factors.  ``OperatorFamily(spec, members)`` stacks the given
+    members; every family is built by ``_from_stacks``.  ``members`` are
+    read-only views into the stacks, made when first read.
     """
 
     spec: PartySpec
-    members: tuple[ProductOperator, ...]
+    weights: np.ndarray
+    _party_stacks: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        members = tuple(self.members)
+    def __new__(cls, spec: PartySpec, members) -> "OperatorFamily":
+        members = tuple(members)
         if not members:
             raise ParameterError("a family needs at least one member")
-        want = [self.spec.factor_shape(p) for p in range(self.spec.n_parties)]
+        want = [spec.factor_shape(p) for p in range(spec.n_parties)]
         for j, m in enumerate(members):
             if [f.shape for f in m.factors] != want:
                 raise ShapeError(f"member {j}: factor shapes {[f.shape for f in m.factors]} "
                                  f"do not match spec {want}")
         weights = np.array([m.weight for m in members], dtype=np.complex128)
-        stacks = tuple(np.stack([m.factors[p] for m in members]) for p in range(len(want)))
-        for a in (weights, *stacks):
-            a.setflags(write=False)
-        self.__dict__.update(members=members, weights=weights, _party_stacks=stacks)
+        stacks = [np.stack([m.factors[p] for m in members]) for p in range(len(want))]
+        return cls._from_stacks(spec, weights, stacks)
 
     @classmethod
     def _from_stacks(cls, spec: PartySpec, weights: np.ndarray, stacks) -> "OperatorFamily":
         """The family of members ``weights[j]`` (x)_p ``stacks[p][j]``, the
         (N, d_out, d_in) stacks of ``spec``'s parties, checked at once by
-        ``_member_fault``.  The family takes the arrays over, read-only, as
-        its ``weights`` and ``_party_stacks``; members' factors are views."""
+        ``_member_fault``.  The family takes the arrays over, read-only."""
         fault = _member_fault(weights, stacks)
         if fault is not None:
             raise type(fault[1])(f"member {fault[0]}: {fault[1]}")
         for a in (weights, *stacks):
             a.setflags(write=False)
-        members = tuple(_unchecked(ProductOperator, weight=w, factors=fs)
-                        for w, fs in zip(weights.tolist(), zip(*stacks)))
-        return _unchecked(cls, spec=spec, members=members, weights=weights,
-                          _party_stacks=tuple(stacks))
+        return _unchecked(cls, spec=spec, weights=weights, _party_stacks=tuple(stacks))
+
+    @cached_property
+    def members(self) -> tuple[ProductOperator, ...]:
+        """Member j: ``weights[j]`` and the read-only views ``local_factors(p)[j]``."""
+        return tuple(_unchecked(ProductOperator, weight=w, factors=fs)
+                     for w, fs in zip(self.weights.tolist(), zip(*self._party_stacks)))
 
     @property
     def n_members(self) -> int:
-        return len(self.members)
+        return len(self.weights)
 
     @property
     def n_parties(self) -> int:
@@ -311,7 +315,9 @@ class OperatorFamily:
         idx = self.member_indices(indices)
         if idx == tuple(range(self.n_members)):
             return self  # a family is immutable
-        return OperatorFamily(self.spec, tuple(self.members[i] for i in idx))
+        rows = list(idx)
+        return OperatorFamily._from_stacks(self.spec, self.weights[rows],
+                                           [s[rows] for s in self._party_stacks])
 
     def side_matrix(self, side, include_weight: bool = False) -> np.ndarray:
         """Vectorized grouped ``side`` factors of every member, one column each.

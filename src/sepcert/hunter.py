@@ -49,7 +49,7 @@ from .sampling import (
     random_nonzero_coefficients,
     random_product_family,
 )
-from .serialize import complex_to_json, matrix_to_json
+from .serialize import complex_to_json
 
 _ZERO_CUTOFF = 1e-150
 
@@ -213,14 +213,14 @@ class SearchResult:
             "seed": self.seed,
             "subset": list(self.subset),
             "restarts_used": self.restarts_used,
-            "coefficients": [complex_to_json(c) for c in self.coefficients],
+            "coefficients": complex_to_json(self.coefficients),
             "novel": self.novel,
             "candidate": None,
         }
         if self.candidate is not None:
             out["candidate"] = {
                 "weight": complex_to_json(self.candidate.weight),
-                "factors": [matrix_to_json(f) for f in self.candidate.factors],
+                "factors": [complex_to_json(f) for f in self.candidate.factors],
             }
         return out
 

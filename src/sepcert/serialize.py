@@ -12,8 +12,9 @@ ensembles (``kind: "ensemble"``, every factor a single column):
     }
 
 Matrices are row-major nested lists with complex entries as ``[re, im]``
-pairs.  Python's repr-based float serialization makes save/load round trips
-bit-exact.  A document loads along one path: ``_parsed_members`` gates and
+pairs, which ``complex_to_json`` writes for the weights and each party's
+factor stack at once.  Python's repr-based float serialization makes
+save/load round trips bit-exact.  A document loads along one path: ``_parsed_members`` gates and
 reads every party's numbers at once into the family's factor stacks, and
 ``OperatorFamily._from_stacks`` checks the members in one batch.  Only a
 document that fails the gate is walked entry by entry, to name its first
@@ -43,9 +44,11 @@ KIND_ENSEMBLE = "ensemble"
 _KINDS = (KIND_CHANNEL, KIND_ENSEMBLE)
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def complex_to_json(a) -> list:
+    """A complex scalar, vector, matrix or stack as nested lists whose
+    entries are [re, im] pairs of floats, read through one float view."""
+    a = np.asarray(a, dtype=np.complex128, order="C")
+    return a.reshape(*a.shape, 1).view(np.float64).tolist()
 
 
 def _complex_from(obj, where: str) -> complex:
@@ -59,11 +62,6 @@ def _complex_from(obj, where: str) -> complex:
         return complex(float(obj[0]), float(obj[1]))
     except OverflowError:
         raise UsageError(f"{where}: [re, im] pair holds an integer beyond the float range") from None
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_json(z) for z in row] for row in m]
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
@@ -108,11 +106,9 @@ def family_to_dict(fam: OperatorFamily, metadata: dict | None = None) -> dict:
         "parties": fam.spec.to_dicts(),
         "kind": detect_kind(fam),
         "members": [
-            {
-                "weight": complex_to_json(m.weight),
-                "factors": [matrix_to_json(f) for f in m.factors],
-            }
-            for m in fam.members
+            {"weight": w, "factors": list(fs)}
+            for w, fs in zip(complex_to_json(fam.weights),
+                             zip(*map(complex_to_json, fam._party_stacks)))
         ],
         "metadata": dict(metadata) if metadata else {},
     }
@@ -288,4 +284,6 @@ def load_family(path) -> LoadedFile:
         ) from exc
     except RecursionError as exc:
         raise UsageError(f"{path}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise UsageError(f"{path}: invalid JSON: {exc}") from exc
     return family_from_dict(data, where=str(path))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .families import OperatorFamily, PartySpec, ProductOperator
 from .linalg import _check_unitary, as_matrix, span_dimension
 from .sampling import check_seed, independent_matrices
@@ -131,14 +131,11 @@ def gen_product_unitary_channel(unitaries, q) -> OperatorFamily:
     for p, party in enumerate(per_party):
         for j, u in enumerate(party):
             _check_unitary(u, f"party {p}, member {j}")
+    if any(u.shape != party[0].shape for party in per_party for u in party):
+        raise ShapeError("the unitaries of one party must share their dimension")
     spec = PartySpec(tuple((party[0].shape[0], party[0].shape[0]) for party in per_party))
-    members = tuple(
-        ProductOperator(
-            np.sqrt(q[j]), tuple(per_party[p][j] for p in range(len(per_party)))
-        )
-        for j in range(n)
-    )
-    return OperatorFamily(spec, members)
+    return OperatorFamily._from_stacks(spec, np.sqrt(q).astype(np.complex128),
+                                       [np.stack(party) for party in per_party])
 
 
 def gen_pauli_pair_channel() -> OperatorFamily:
@@ -231,11 +228,8 @@ def augment_channel(fam: OperatorFamily, u1, u2) -> OperatorFamily:
         fam.spec.parties
         + ((u1[0].shape[0], u1[0].shape[0]), (u2[0].shape[0], u2[0].shape[0]))
     )
-    members = tuple(
-        ProductOperator(m.weight, m.factors + (u1[j], u2[j]))
-        for j, m in enumerate(fam.members)
-    )
-    return OperatorFamily(spec, members)
+    return OperatorFamily._from_stacks(spec, fam.weights,
+                                       [*fam._party_stacks, np.stack(u1), np.stack(u2)])
 
 
 def gen_tight_family(

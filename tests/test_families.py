@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepcert import families
+from sepcert.choi import channel_to_choi_ensemble
 from sepcert.errors import (
     DegenerateInputError,
     ParameterError,
@@ -29,7 +31,14 @@ from sepcert.sampling import (
     random_nonzero_coefficients,
     random_product_family,
 )
-from sepcert.zoo import gen_ladder_channel
+from sepcert.serialize import load_family, save_family
+from sepcert.zoo import (
+    augment_channel,
+    gen_fourier_channel,
+    gen_ladder_channel,
+    heisenberg_weyl_unitaries,
+)
+from test_acceptance import _zoo
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -189,14 +198,71 @@ def test_party_pairs():
 
 def test_family_rejects_shape_mismatch():
     spec = PartySpec(((2, 2), (2, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError) as err:
         OperatorFamily(spec, (ProductOperator(1.0, (I2, np.eye(3))),))
+    assert str(err.value) == "member 0: factor shapes [(2, 2), (3, 3)] do not match spec [(2, 2), (2, 2)]"
 
 
 def test_family_rejects_empty():
     spec = PartySpec(((2, 2),))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as err:
         OperatorFamily(spec, ())
+    assert str(err.value) == "a family needs at least one member"
+
+
+def _families_of_every_origin(tmp_path):
+    """Generated, derived, Choi and loaded families."""
+    ladder = gen_ladder_channel(0.5)
+    hw = heisenberg_weyl_unitaries(2)
+    out = {
+        **_zoo(),
+        "random-23": random_product_family(np.random.default_rng(5), (2, 3), 6),
+        "relabelled": OperatorFamily(ladder.spec, ladder.members[::-1]),
+        "subfamily": gen_fourier_channel((2, 2, 2)).subfamily((6, 0, 3)),
+        "augmented-ladder": augment_channel(ladder, hw[:3], hw[-3:]),
+        "choi": channel_to_choi_ensemble(ladder),
+    }
+    save_family(tmp_path / "fourier.json", gen_fourier_channel((2, 3)))
+    out["loaded"] = load_family(tmp_path / "fourier.json").family
+    return out
+
+
+def test_members_are_views_into_the_stacks(tmp_path):
+    for name, fam in _families_of_every_origin(tmp_path).items():
+        members = fam.members
+        assert fam.members is members, name  # built once
+        assert len(members) == fam.n_members
+        assert np.array([m.weight for m in members]).tobytes() == fam.weights.tobytes(), name
+        assert not fam.weights.flags.writeable
+        for p in range(fam.n_parties):
+            stack = fam.local_factors(p)
+            factors = [m.factors[p] for m in members]
+            assert not stack.flags.writeable, name
+            assert all(not f.flags.writeable and np.shares_memory(f, stack) for f in factors), name
+            assert np.stack(factors).tobytes() == stack.tobytes(), name
+
+
+def test_every_family_is_checked_once(monkeypatch, tmp_path):
+    member_fault, calls = families._member_fault, []
+
+    def counted(weights, stacks):
+        calls.append(len(weights))
+        return member_fault(weights, stacks)
+
+    ladder = gen_ladder_channel(0.5)
+    save_family(tmp_path / "ladder.json", ladder)
+    hw = heisenberg_weyl_unitaries(2)
+    monkeypatch.setattr(families, "_member_fault", counted)
+    for build in [
+        lambda: OperatorFamily(ladder.spec, ladder.members),
+        lambda: ladder.subfamily((2, 0)),
+        lambda: augment_channel(ladder, hw[:3], hw[-3:]),
+        lambda: channel_to_choi_ensemble(ladder),
+        lambda: load_family(tmp_path / "ladder.json"),
+    ]:
+        calls.clear()
+        build()
+        assert len(calls) == 1, calls
 
 
 def test_subfamily():

@@ -11,6 +11,7 @@ import pytest
 from sepcert.choi import channel_to_choi_ensemble
 from sepcert.cli import main
 from sepcert.errors import UsageError
+from sepcert.families import family_from_factors
 from sepcert.sampling import random_product_family
 from sepcert.serialize import (
     FORMAT_VERSION,
@@ -24,21 +25,52 @@ from sepcert.serialize import (
     save_family,
 )
 from sepcert.zoo import gen_fourier_channel, gen_ladder_channel, gen_projective_basis
+from test_acceptance import _zoo
+
+
+def _per_entry_document(fam, metadata):
+    """The file document of ``fam`` encoded one complex entry at a time."""
+
+    def pair(z):
+        return [complex(z).real, complex(z).imag]
+
+    return {
+        "format_version": FORMAT_VERSION,
+        "parties": fam.spec.to_dicts(),
+        "kind": detect_kind(fam),
+        "members": [
+            {"weight": pair(m.weight),
+             "factors": [[[pair(z) for z in row] for row in f] for f in m.factors]}
+            for m in fam.members
+        ],
+        "metadata": metadata,
+    }
+
+
+def _signed_zeros_family():
+    z = complex(-0.0, -0.0)
+    return family_from_factors(((2, 2), (1, 2)), [
+        (complex(1.0, -0.0), [[[1.0, complex(-0.0, 0.0)], [complex(0.0, -0.0), z]], [[z], [2.0]]]),
+        (complex(-0.0, 0.5), [[[z, 1.0], [z, z]], [[-1.0], [complex(-0.0, 3.0)]]]),
+    ])
 
 
 def test_round_trip_is_bit_exact(tmp_path):
-    fam = gen_ladder_channel(0.9 * np.exp(1j * np.pi / 3), phi=np.pi / 7)
-    path = tmp_path / "ladder.json"
-    save_family(path, fam, metadata={"note": "round trip"})
-    loaded = load_family(path)
-    assert loaded.kind == "channel"
-    assert loaded.metadata == {"note": "round trip"}
-    assert loaded.family.n_members == fam.n_members
-    assert tuple(loaded.family.spec.parties) == tuple(fam.spec.parties)
-    for a, b in zip(loaded.family.members, fam.members):
-        assert a.weight == b.weight
-        for fa, fb in zip(a.factors, b.factors):
-            np.testing.assert_array_equal(fa, fb)
+    families = {**_zoo(), "signed-zeros": _signed_zeros_family(),
+                "ladder-choi": channel_to_choi_ensemble(gen_ladder_channel(0.5))}
+    for name, fam in families.items():
+        path = tmp_path / f"{name}.json"
+        save_family(path, fam, metadata={"note": "round trip"})
+        # The stacked encoder writes the bytes of the per-entry one.
+        expected = _per_entry_document(fam, {"note": "round trip"})
+        assert path.read_text() == json.dumps(expected, indent=2) + "\n", name
+        loaded = load_family(path)
+        assert loaded.kind == detect_kind(fam)
+        assert loaded.metadata == {"note": "round trip"}
+        assert tuple(loaded.family.spec.parties) == tuple(fam.spec.parties)
+        assert loaded.family.weights.tobytes() == fam.weights.tobytes(), name
+        for p in range(fam.n_parties):
+            assert loaded.family.local_factors(p).tobytes() == fam.local_factors(p).tobytes()
 
 
 def test_detect_kind():
@@ -314,6 +346,16 @@ MALFORMED = {
     "string-entry-before-nan-entry": (
         lambda d: _with_entries(d, [(1, 1, 0, 0, [float("nan"), 0.0]), (1, 0, 1, 1, ["0", 0])]),
         "member 1, party 0, row 1, column 1: expected a [re, im] number pair, got ['0', 0]"),
+    "member-not-an-object": (lambda d: d["members"].__setitem__(1, [1, 2]),
+                             "member 1: expected an object with weight/factors"),
+    "member-without-weight": (lambda d: d["members"][2].pop("weight"),
+                              "member 2: missing required field 'weight'"),
+    "member-without-factors": (lambda d: d["members"][0].pop("factors"),
+                               "member 0: missing required field 'factors'"),
+    "empty-factor": (lambda d: d["members"][1]["factors"].__setitem__(0, []),
+                     "member 1, party 0: expected a non-empty list of rows"),
+    "empty-row": (lambda d: d["members"][1]["factors"].__setitem__(1, [[]]),
+                  "member 1, party 1, row 0: expected a non-empty list of entries"),
     "shape-before-null-entry": (
         lambda d: (d["members"][0]["factors"][0].append([[1.0, 0.0]] * 2),
                    _with_entries(d, [(0, 1, 0, 0, None)])),
@@ -321,16 +363,62 @@ MALFORMED = {
 }
 
 
+def _assert_refused(doc, message, tmp_path, capsys):
+    """``doc`` is refused with "<file name><message>", by the library and
+    by ``sepcert certify`` (exit 2, nothing on stdout)."""
+    with pytest.raises(UsageError) as err:
+        family_from_dict(doc, where="ladder.json")
+    assert str(err.value) == f"ladder.json{message}"
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON's tokens
+    assert main(["certify", str(path)]) == 2
+    out, stderr = capsys.readouterr()
+    assert not out and stderr == f"error: {path}{message}\n"
+
+
 @pytest.mark.parametrize("name", list(MALFORMED))
 def test_malformed_members_name_the_first_fault(name, tmp_path, capsys):
     mutate, message = MALFORMED[name]
     doc = _ladder_doc()
     mutate(doc)
-    with pytest.raises(UsageError) as err:
-        family_from_dict(doc, where="ladder.json")
-    assert str(err.value) == f"ladder.json, {message}"
+    _assert_refused(doc, f", {message}", tmp_path, capsys)
+
+
+#: (the ladder document with a malformed head, error after the file's name).
+MALFORMED_HEADS = {
+    "top-level-list": (lambda d: [d], ": top level must be a JSON object"),
+    "no-parties": (lambda d: {**d, "parties": []}, ": 'parties' must be a non-empty list"),
+    "party-not-an-object": (lambda d: {**d, "parties": [d["parties"][0], [2, 2]]},
+                            ", party 1: expected an object with d_in/d_out"),
+    "ensemble-with-inputs": (lambda d: {**d, "kind": "ensemble"},
+                             ": kind 'ensemble' requires d_in = 1 for every party"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_HEADS))
+def test_malformed_heads_are_refused(name, tmp_path, capsys):
+    build, message = MALFORMED_HEADS[name]
+    _assert_refused(build(_ladder_doc()), message, tmp_path, capsys)
+
+
+def test_null_metadata_reads_as_empty(tmp_path, capsys):
+    doc = {**_ladder_doc(), "metadata": None}
+    assert family_from_dict(doc).metadata == {}
     path = tmp_path / "ladder.json"
-    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON's tokens
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Unique"
+
+
+def test_an_integer_past_the_digit_limit_is_a_usage_error(tmp_path, capsys):
+    # Python refuses to read an integer of more than 4,300 digits.
+    text = json.dumps(_ladder_doc())
+    path = tmp_path / "ladder.json"
+    path.write_text(text.replace('"weight": [1.0, 0.0]', '"weight": [1' + "0" * 5000 + ", 0.0]", 1))
+    assert path.read_text() != text
+    with pytest.raises(UsageError) as err:
+        load_family(path)
+    assert str(err.value).startswith(str(path))
     assert main(["certify", str(path)]) == 2
     out, stderr = capsys.readouterr()
-    assert not out and stderr == f"error: {path}, {message}\n"
+    assert not out and stderr.startswith(f"error: {path}")

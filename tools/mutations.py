@@ -144,6 +144,12 @@ EDITS = [
         "overflow[j] = False",
     ),
     (
+        "OperatorFamily._from_stacks without _member_fault",
+        "src/sepcert/families.py",
+        "        fault = _member_fault(weights, stacks)\n",
+        "        fault = None\n",
+    ),
+    (
         "hunt_product screening a member at scale 0",
         "src/sepcert/hunter.py",
         "screened = bool(scales.all()) and _screens(",
