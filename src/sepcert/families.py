@@ -239,22 +239,23 @@ class OperatorFamily:
 
     def __new__(cls, spec: PartySpec, members) -> "OperatorFamily":
         members = tuple(members)
-        if not members:
-            raise ParameterError("a family needs at least one member")
         want = [spec.factor_shape(p) for p in range(spec.n_parties)]
         for j, m in enumerate(members):
             if [f.shape for f in m.factors] != want:
                 raise ShapeError(f"member {j}: factor shapes {[f.shape for f in m.factors]} "
                                  f"do not match spec {want}")
         weights = np.array([m.weight for m in members], dtype=np.complex128)
-        stacks = [np.stack([m.factors[p] for m in members]) for p in range(len(want))]
+        stacks = [np.array(s) for s in zip(*(m.factors for m in members))]
         return cls._from_stacks(spec, weights, stacks)
 
     @classmethod
     def _from_stacks(cls, spec: PartySpec, weights: np.ndarray, stacks) -> "OperatorFamily":
         """The family of members ``weights[j]`` (x)_p ``stacks[p][j]``, the
-        (N, d_out, d_in) stacks of ``spec``'s parties, checked at once by
-        ``_member_fault``.  The family takes the arrays over, read-only."""
+        (N, d_out, d_in) stacks of ``spec``'s parties: at least one member,
+        checked at once by ``_member_fault``.  The family takes the arrays
+        over, read-only."""
+        if not len(weights):
+            raise ParameterError("a family needs at least one member")
         fault = _member_fault(weights, stacks)
         if fault is not None:
             raise type(fault[1])(f"member {fault[0]}: {fault[1]}")

@@ -1,7 +1,9 @@
 """Random instance generators for fuzzing and search restarts.
 
 Everything here is seeded through ``numpy.random.Generator`` so that fuzz
-suites and planted constructions are reproducible bit for bit.
+suites and planted constructions are reproducible bit for bit.  A family
+generator draws member by member, then party by party, stacks the draws per
+party and passes ``OperatorFamily._from_stacks`` once.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import OperatorFamily, PartySpec, ProductOperator
+from .families import OperatorFamily, PartySpec
 from .linalg import span_dimension
 
 _RESAMPLE_LIMIT = 100
@@ -42,11 +44,9 @@ def random_product_family(
     """
     dims = [int(d) for d in local_dims]
     spec = PartySpec(tuple((d, d) for d in dims))
-    members = tuple(
-        ProductOperator(1.0, tuple(complex_randn(rng, d, d) for d in dims))
-        for _ in range(n_members)
-    )
-    return OperatorFamily(spec, members)
+    draws = [[complex_randn(rng, d, d) for d in dims] for _ in range(n_members)]
+    stacks = [np.array(party) for party in zip(*draws)]
+    return OperatorFamily._from_stacks(spec, np.ones(len(draws), dtype=np.complex128), stacks)
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -104,12 +104,9 @@ def random_product_measurement(
         effects = random_povm(rng, d, c)
         kraus_locals.append([_psd_sqrt(e) for e in effects])
     spec = PartySpec(tuple((d, d) for d in dims))
-    members = []
-    index = np.ndindex(*counts)
-    for combo in index:
-        factors = tuple(kraus_locals[p][combo[p]] for p in range(len(dims)))
-        members.append(ProductOperator(1.0, factors))
-    return OperatorFamily(spec, tuple(members))
+    index = np.indices(counts).reshape(len(counts), -1)  # member j: outcome index[p, j] of party p
+    stacks = [np.array(mats)[rows] for mats, rows in zip(kraus_locals, index)]
+    return OperatorFamily._from_stacks(spec, np.ones(index.shape[1], dtype=np.complex128), stacks)
 
 
 def independent_matrices(
@@ -150,16 +147,16 @@ def planted_dependent_family(
     if n_independent < 1 or n_extra < 1:
         raise ParameterError("need at least one independent and one extra member")
     base = shared_factor_family(rng, n_parties, varying_party, n_independent, local_dim)
-    basis = [m.factors[varying_party] for m in base.members]
-    factors = list(base.members[0].factors)
-    members = list(base.members)
-    expansions = []
+    basis = base.local_factors(varying_party)
+    extras, expansions = [], []
     for _ in range(n_extra):
         gamma = random_nonzero_coefficients(rng, n_independent)
         expansions.append(gamma)
-        factors[varying_party] = sum(g * b for g, b in zip(gamma, basis))
-        members.append(ProductOperator(1.0, tuple(factors)))
-    fam = OperatorFamily(base.spec, tuple(members))
+        extras.append(sum(g * b for g, b in zip(gamma, basis)))
+    n = n_independent + n_extra
+    stacks = [base.local_factors(p)[[0] * n] for p in range(n_parties)]
+    stacks[varying_party] = np.concatenate([basis, extras])
+    fam = OperatorFamily._from_stacks(base.spec, np.ones(n, dtype=np.complex128), stacks)
 
     # One known all-nonzero combination: weights mu_t on the extras, folded
     # back onto the basis members, with the extras scaled so the total does
@@ -191,10 +188,7 @@ def shared_factor_family(
         raise ParameterError(f"varying_party {varying_party} out of range")
     fixed = [complex_randn(rng, local_dim, local_dim) for _ in range(n_parties)]
     varying = independent_matrices(rng, local_dim, n_members)
-    members = []
-    for v in varying:
-        factors = [fixed[p] for p in range(n_parties)]
-        factors[varying_party] = v
-        members.append(ProductOperator(1.0, tuple(factors)))
+    stacks = [np.array([f] * len(varying)) for f in fixed]
+    stacks[varying_party] = np.array(varying)
     spec = PartySpec(tuple((local_dim, local_dim) for _ in range(n_parties)))
-    return OperatorFamily(spec, tuple(members))
+    return OperatorFamily._from_stacks(spec, np.ones(len(varying), dtype=np.complex128), stacks)

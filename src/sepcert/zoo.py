@@ -2,7 +2,9 @@
 
 Each generator returns an :class:`~sepcert.families.OperatorFamily` (or a
 family/coefficients pair) with a known certificate outcome, making them the
-standing regression targets for the certifier and the hunter.
+standing regression targets for the certifier and the hunter.  Each fills
+the family's per-party factor stacks and weight vector and passes
+``OperatorFamily._from_stacks`` once, so a family is checked once.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .families import OperatorFamily, PartySpec, ProductOperator
+from .families import OperatorFamily, PartySpec
 from .linalg import _check_unitary, as_matrix, span_dimension
 from .sampling import check_seed, independent_matrices
 
@@ -28,21 +30,19 @@ def gen_ladder_channel(mu: complex, phi: float = 0.0) -> OperatorFamily:
     ``diag(1, mu) (x) |0><1|`` and ``|1><0| (x) |1><0|``.  The positive parts
     telescope to the identity for every ``|mu| <= 1``, and all local factors
     stay pairwise independent, so the representation is certified unique
-    across the whole parameter range.
+    across the whole parameter range.  Both parameters must be finite.
     """
-    mu = complex(mu)
+    mu, phi = complex(mu), float(phi)
+    if not np.isfinite([mu, phi]).all():
+        raise ParameterError(f"mu and phi must be finite, got mu={mu}, phi={phi}")
     if abs(mu) > 1.0 + 1e-12:
         raise ParameterError(f"|mu| must be at most 1, got {abs(mu):.6f}")
     damp = np.sqrt(max(0.0, 1.0 - abs(mu) ** 2))
-    k1_second = np.diag([1.0, np.exp(1j * float(phi)) * damp]).astype(np.complex128)
+    k1_second = np.diag([1.0, np.exp(1j * phi) * damp]).astype(np.complex128)
     k2_first = np.diag([1.0, mu]).astype(np.complex128)
-    spec = PartySpec(((2, 2), (2, 2)))
-    members = (
-        ProductOperator(1.0, (_E01, k1_second)),
-        ProductOperator(1.0, (k2_first, _E01)),
-        ProductOperator(1.0, (_E10, _E10)),
-    )
-    return OperatorFamily(spec, members)
+    stacks = [np.array([_E01, k2_first, _E10]), np.array([k1_second, _E01, _E10])]
+    return OperatorFamily._from_stacks(PartySpec(((2, 2), (2, 2))),
+                                       np.ones(3, dtype=np.complex128), stacks)
 
 
 def smallest_prime_exceeding(d: int) -> int:
@@ -87,24 +87,20 @@ def gen_fourier_channel(dims) -> OperatorFamily:
         strides.append(big_d)
         big_d *= d
     n = smallest_prime_exceeding(big_d)
-    n_parties = len(dims)
 
     parties = [(d, d) for d in dims]
     parties[-1] = (dims[-1], n)
     spec = PartySpec(tuple(parties))
 
-    members = []
-    weight = np.sqrt(big_d / n)
-    for j in range(n):
-        factors = []
-        for alpha, (d, p) in enumerate(zip(dims, strides)):
-            psi = np.exp(2j * np.pi * j * p * np.arange(d) / n) / np.sqrt(d)
-            out_dim = n if alpha == n_parties - 1 else d
-            ket = np.zeros((out_dim, 1), dtype=np.complex128)
-            ket[j if alpha == n_parties - 1 else 0, 0] = 1.0
-            factors.append(ket @ psi.conj()[None, :])
-        members.append(ProductOperator(weight, tuple(factors)))
-    return OperatorFamily(spec, tuple(members))
+    stacks = []
+    for alpha, (d, p) in enumerate(zip(dims, strides)):
+        slopes = np.array([2j * np.pi * j * p for j in range(n)])
+        psis = np.exp(slopes[:, None] * np.arange(d) / n) / np.sqrt(d)
+        kets = np.zeros((n, parties[alpha][1], 1), dtype=np.complex128)
+        kets[range(n), range(n) if alpha == len(dims) - 1 else 0, 0] = 1.0
+        stacks.append(kets @ psis.conj()[:, None, :])
+    return OperatorFamily._from_stacks(spec, np.full(n, np.sqrt(big_d / n), dtype=np.complex128),
+                                       stacks)
 
 
 def gen_product_unitary_channel(unitaries, q) -> OperatorFamily:
@@ -148,10 +144,9 @@ def gen_pauli_pair_channel() -> OperatorFamily:
     one, which certifies the representation unique.
     """
     w = (_I2 + 1j * _SX + 1j * _SY) / np.sqrt(3.0)
-    members = tuple(
-        ProductOperator(0.5, (f, f)) for f in (_I2, _SX, _SY, w)
-    )
-    return OperatorFamily(PartySpec(((2, 2), (2, 2))), members)
+    stacks = [np.array([_I2, _SX, _SY, w]) for _ in range(2)]
+    return OperatorFamily._from_stacks(PartySpec(((2, 2), (2, 2))),
+                                       np.full(4, 0.5, dtype=np.complex128), stacks)
 
 
 def gen_projective_basis(d1: int, d2: int) -> OperatorFamily:
@@ -166,15 +161,13 @@ def gen_projective_basis(d1: int, d2: int) -> OperatorFamily:
         raise ParameterError("projective example needs both dimensions >= 2")
     # The spec enforces the element budget before any member is built.
     spec = PartySpec(((d1, d1), (d2, d2)))
-    members = []
-    for i in range(d1):
-        for j in range(d2):
-            p1 = np.zeros((d1, d1), dtype=np.complex128)
-            p1[i, i] = 1.0
-            p2 = np.zeros((d2, d2), dtype=np.complex128)
-            p2[j, j] = 1.0
-            members.append(ProductOperator(1.0, (p1, p2)))
-    return OperatorFamily(spec, tuple(members))
+    n = d1 * d2
+    stacks = []
+    for d, k in zip((d1, d2), np.divmod(np.arange(n), d2)):  # member i * d2 + j: |i><i|, |j><j|
+        stack = np.zeros((n, d, d), dtype=np.complex128)
+        stack[range(n), k, k] = 1.0
+        stacks.append(stack)
+    return OperatorFamily._from_stacks(spec, np.ones(n, dtype=np.complex128), stacks)
 
 
 def heisenberg_weyl_unitaries(d: int) -> list[np.ndarray]:
@@ -264,14 +257,9 @@ def gen_tight_family(
     locals_per_party = [
         independent_matrices(rng, local_dim, n + 1) for _ in range(n_parties)
     ]
-    members = [
-        ProductOperator(1.0, tuple(locals_per_party[p][0] for p in range(n_parties)))
-    ]
-    for i in range(1, n + 1):
-        twin = ProductOperator(
-            1.0, tuple(locals_per_party[p][i] for p in range(n_parties))
-        )
-        members.extend([twin, twin])
+    rows = np.repeat(np.arange(n + 1), 2)[1:]  # S, then each M_i twice
+    stacks = [np.array(mats)[rows] for mats in locals_per_party]
     coeffs = np.ones(2 * n + 1, dtype=np.complex128)
     coeffs[2::2] = -1.0
-    return OperatorFamily(spec, tuple(members)), coeffs
+    fam = OperatorFamily._from_stacks(spec, np.ones(len(rows), dtype=np.complex128), stacks)
+    return fam, coeffs

@@ -71,6 +71,20 @@ def test_gen_rejects_out_of_range_mu(capsys, tmp_path):
     assert "mu" in err or "error" in err.lower()
 
 
+@pytest.mark.parametrize("option, value", [("--phi", "inf"), ("--mu", "nan")])
+def test_gen_refuses_non_finite_ladder_parameters(tmp_path, option, value):
+    # A subprocess, so that a numpy warning would reach stderr as it does for a user.
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepcert", "gen", "eq701", option, value,
+         "--out", str(tmp_path / "x.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: mu and phi must be finite")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_fourier_reports_member_count(capsys, tmp_path):
     path = tmp_path / "fourier.json"
     code, payload, _ = run_json(

@@ -30,12 +30,18 @@ from sepcert.sampling import (
     planted_dependent_family,
     random_nonzero_coefficients,
     random_product_family,
+    random_product_measurement,
+    shared_factor_family,
 )
 from sepcert.serialize import load_family, save_family
 from sepcert.zoo import (
     augment_channel,
     gen_fourier_channel,
     gen_ladder_channel,
+    gen_pauli_pair_channel,
+    gen_product_unitary_channel,
+    gen_projective_basis,
+    gen_tight_family,
     heisenberg_weyl_unitaries,
 )
 from test_acceptance import _zoo
@@ -204,10 +210,20 @@ def test_family_rejects_shape_mismatch():
 
 
 def test_family_rejects_empty():
-    spec = PartySpec(((2, 2),))
-    with pytest.raises(ParameterError) as err:
-        OperatorFamily(spec, ())
-    assert str(err.value) == "a family needs at least one member"
+    # Every constructor path meets the one gate, _from_stacks.
+    rng = np.random.default_rng(0)
+    for build in [
+        lambda: OperatorFamily(PartySpec(((2, 2),)), ()),
+        lambda: random_product_family(rng, (2, 2), 0),
+        lambda: random_product_family(rng, (2, 2), -1),
+        lambda: shared_factor_family(rng, 2, 0, 0, 2),
+        lambda: OperatorFamily._from_stacks(PartySpec(((2, 2), (2, 3))), np.ones(0, dtype=complex),
+                                            [np.ones((0, 2, 2), dtype=complex),
+                                             np.ones((0, 3, 2), dtype=complex)]),
+    ]:
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert str(err.value) == "a family needs at least one member"
 
 
 def _families_of_every_origin(tmp_path):
@@ -252,17 +268,29 @@ def test_every_family_is_checked_once(monkeypatch, tmp_path):
     ladder = gen_ladder_channel(0.5)
     save_family(tmp_path / "ladder.json", ladder)
     hw = heisenberg_weyl_unitaries(2)
+    rng = np.random.default_rng(0)
     monkeypatch.setattr(families, "_member_fault", counted)
-    for build in [
-        lambda: OperatorFamily(ladder.spec, ladder.members),
-        lambda: ladder.subfamily((2, 0)),
-        lambda: augment_channel(ladder, hw[:3], hw[-3:]),
-        lambda: channel_to_choi_ensemble(ladder),
-        lambda: load_family(tmp_path / "ladder.json"),
+    for build, checks in [
+        (lambda: OperatorFamily(ladder.spec, ladder.members), 1),
+        (lambda: ladder.subfamily((2, 0)), 1),
+        (lambda: augment_channel(ladder, hw[:3], hw[-3:]), 1),
+        (lambda: channel_to_choi_ensemble(ladder), 1),
+        (lambda: load_family(tmp_path / "ladder.json"), 1),
+        (lambda: gen_ladder_channel(0.5), 1),
+        (lambda: gen_fourier_channel((2, 2, 2)), 1),
+        (gen_pauli_pair_channel, 1),
+        (lambda: gen_projective_basis(3, 3), 1),
+        (lambda: gen_product_unitary_channel([hw[:2], hw[2:]], [0.5, 0.5]), 1),
+        (lambda: gen_tight_family(2, 3), 1),
+        (lambda: random_product_family(rng, (2, 2, 2), 13), 1),
+        (lambda: random_product_measurement(rng, (2, 3), (2, 3)), 1),
+        (lambda: shared_factor_family(rng, 3, 1, 4, 2), 1),
+        # The shared-factor family it extends is a family of its own.
+        (lambda: planted_dependent_family(rng, 3, 1, 3, 2, 2), 2),
     ]:
         calls.clear()
         build()
-        assert len(calls) == 1, calls
+        assert len(calls) == checks, calls
 
 
 def test_subfamily():

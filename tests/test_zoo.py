@@ -1,6 +1,7 @@
 """Generator zoo: construction contracts for every built-in family."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,20 @@ import pytest
 import sepcert.zoo
 from sepcert.certify import certify_unique, verify_completeness
 from sepcert.errors import ParameterError, SizeBudgetError
-from sepcert.families import span_bound_report
+from sepcert.families import OperatorFamily, PartySpec, ProductOperator, span_bound_report
 from sepcert.linalg import proportional, span_dimension
-from sepcert.sampling import haar_unitary
+from sepcert.sampling import (
+    _psd_sqrt,
+    complex_randn,
+    haar_unitary,
+    independent_matrices,
+    planted_dependent_family,
+    random_nonzero_coefficients,
+    random_povm,
+    random_product_family,
+    random_product_measurement,
+    shared_factor_family,
+)
 from sepcert.zoo import (
     augment_channel,
     gen_fourier_channel,
@@ -99,6 +111,13 @@ def test_smallest_prime_exceeding_bounds():
 def test_ladder_rejects_large_mu():
     with pytest.raises(ParameterError):
         gen_ladder_channel(1.01)
+
+
+@pytest.mark.parametrize("mu, phi", [(0.5, np.inf), (0.5, np.nan), (np.nan, 0.0),
+                                     (complex(0.0, np.nan), 0.3), (complex(np.inf, 0.0), 0.0)])
+def test_ladder_refuses_non_finite_parameters(mu, phi):
+    with pytest.raises(ParameterError, match="must be finite"):
+        gen_ladder_channel(mu, phi)
 
 
 def test_ladder_structure():
@@ -240,7 +259,13 @@ def test_projective_members_are_basis_projectors():
 def test_generators_check_the_element_budget_before_building(monkeypatch):
     # A 65x65 pair of parties is a 4225x4225 operator, over the 2**24 budget.
     built = []
-    monkeypatch.setattr(sepcert.zoo, "ProductOperator", lambda *a: built.append(1))
+
+    class Recorded:  # zoo's numpy, which builds every stack: each use is noted
+        def __getattr__(self, name):
+            built.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(sepcert.zoo, "np", Recorded())
     monkeypatch.setattr(sepcert.zoo, "independent_matrices", lambda *a: built.append(1))
     with pytest.raises(SizeBudgetError):
         gen_projective_basis(65, 65)
@@ -378,3 +403,147 @@ def test_tight_family_validation():
         gen_tight_family(2, n_parties=1)
     with pytest.raises(ParameterError):
         gen_tight_family(3, local_dim=3)  # needs at least n+1
+
+
+# ---------------------------------------------------------------------------
+# Every generator fills its stacks as the per-member build did: one
+# ProductOperator per member, stacked by OperatorFamily(spec, members).
+
+
+def _ladder_by_members(mu, phi):
+    mu = complex(mu)
+    e01 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
+    e10 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
+    damp = np.sqrt(max(0.0, 1.0 - abs(mu) ** 2))
+    k1_second = np.diag([1.0, np.exp(1j * float(phi)) * damp]).astype(np.complex128)
+    k2_first = np.diag([1.0, mu]).astype(np.complex128)
+    members = [ProductOperator(1.0, (e01, k1_second)), ProductOperator(1.0, (k2_first, e01)),
+               ProductOperator(1.0, (e10, e10))]
+    return OperatorFamily(PartySpec(((2, 2), (2, 2))), members)
+
+
+def _fourier_by_members(dims):
+    big_d = math.prod(dims)
+    n = smallest_prime_exceeding(big_d)
+    strides = [math.prod(dims[:alpha]) for alpha in range(len(dims))]
+    members = []
+    for j in range(n):
+        factors = []
+        for alpha, (d, p) in enumerate(zip(dims, strides)):
+            psi = np.exp(2j * np.pi * j * p * np.arange(d) / n) / np.sqrt(d)
+            last = alpha == len(dims) - 1
+            ket = np.zeros((n if last else d, 1), dtype=np.complex128)
+            ket[j if last else 0, 0] = 1.0
+            factors.append(ket @ psi.conj()[None, :])
+        members.append(ProductOperator(np.sqrt(big_d / n), tuple(factors)))
+    parties = [(d, d) for d in dims[:-1]] + [(dims[-1], n)]
+    return OperatorFamily(PartySpec(tuple(parties)), members)
+
+
+def _pauli_by_members():
+    i2 = np.eye(2, dtype=np.complex128)
+    sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+    w = (i2 + 1j * sx + 1j * sy) / np.sqrt(3.0)
+    members = [ProductOperator(0.5, (f, f)) for f in (i2, sx, sy, w)]
+    return OperatorFamily(PartySpec(((2, 2), (2, 2))), members)
+
+
+def _projective_by_members(d1, d2):
+    members = []
+    for i in range(d1):
+        for j in range(d2):
+            p1 = np.zeros((d1, d1), dtype=np.complex128)
+            p1[i, i] = 1.0
+            p2 = np.zeros((d2, d2), dtype=np.complex128)
+            p2[j, j] = 1.0
+            members.append(ProductOperator(1.0, (p1, p2)))
+    return OperatorFamily(PartySpec(((d1, d1), (d2, d2))), members)
+
+
+def _tight_by_members(n, n_parties, local_dim, seed):
+    rng = np.random.default_rng(seed)
+    locals_per_party = [independent_matrices(rng, local_dim, n + 1) for _ in range(n_parties)]
+    members = [ProductOperator(1.0, tuple(mats[0] for mats in locals_per_party))]
+    for i in range(1, n + 1):
+        twin = ProductOperator(1.0, tuple(mats[i] for mats in locals_per_party))
+        members.extend([twin, twin])
+    return OperatorFamily(PartySpec(((local_dim, local_dim),) * n_parties), members)
+
+
+def _random_by_members(rng, dims, n_members):
+    members = [ProductOperator(1.0, tuple(complex_randn(rng, d, d) for d in dims))
+               for _ in range(n_members)]
+    return OperatorFamily(PartySpec(tuple((d, d) for d in dims)), members)
+
+
+def _measurement_by_members(rng, dims, counts):
+    kraus_locals = [[_psd_sqrt(e) for e in random_povm(rng, d, c)] for d, c in zip(dims, counts)]
+    members = [ProductOperator(1.0, tuple(kraus_locals[p][i] for p, i in enumerate(combo)))
+               for combo in np.ndindex(*counts)]
+    return OperatorFamily(PartySpec(tuple((d, d) for d in dims)), members)
+
+
+def _shared_by_members(rng, n_parties, varying_party, n_members, local_dim):
+    fixed = [complex_randn(rng, local_dim, local_dim) for _ in range(n_parties)]
+    members = []
+    for v in independent_matrices(rng, local_dim, n_members):
+        factors = list(fixed)
+        factors[varying_party] = v
+        members.append(ProductOperator(1.0, tuple(factors)))
+    return OperatorFamily(PartySpec(((local_dim, local_dim),) * n_parties), members)
+
+
+def _planted_by_members(rng, n_parties, varying_party, n_independent, n_extra, local_dim):
+    base = _shared_by_members(rng, n_parties, varying_party, n_independent, local_dim)
+    basis = [m.factors[varying_party] for m in base.members]
+    factors = list(base.members[0].factors)
+    members = list(base.members)
+    for _ in range(n_extra):
+        gamma = random_nonzero_coefficients(rng, n_independent)
+        factors[varying_party] = sum(g * b for g, b in zip(gamma, basis))
+        members.append(ProductOperator(1.0, tuple(factors)))
+    return OperatorFamily(base.spec, members)
+
+
+def _generator_cases():
+    tight = lambda *a: gen_tight_family(*a)[0]  # noqa: E731
+    planted = lambda *a: planted_dependent_family(*a)[0]  # noqa: E731
+    grid = [  # generator, its per-member build, its argument tuples
+        (gen_ladder_channel, _ladder_by_members,
+         [(0.5, 0.0), (1.0, 0.3), (0.9 * np.exp(1j * np.pi / 3), np.pi / 7), (0.0, -2.0)]),
+        (gen_fourier_channel, _fourier_by_members,
+         [((2, 2),), ((2, 3),), ((2, 2, 2),), ((3, 3),), ((2, 4),)]),
+        (gen_pauli_pair_channel, _pauli_by_members, [()]),
+        (gen_projective_basis, _projective_by_members, [(2, 2), (2, 3), (3, 3), (2, 4), (4, 5)]),
+        (tight, _tight_by_members, [(1, 2, 2, 0), (2, 2, 3, 1), (2, 3, 3, 3), (2, 4, 4, 5)]),
+    ]
+    seeded = [  # the same for generators that draw from a generator seeded 0 or 1
+        (random_product_family, _random_by_members, [((2, 2, 2), 13), ((2, 3), 7)]),
+        (random_product_measurement, _measurement_by_members,
+         [((2, 2, 2), (2, 1, 3)), ((2, 3), (2, 3))]),
+        (shared_factor_family, _shared_by_members, [(3, 2, 4, 2)]),
+        (planted, _planted_by_members, [(3, 1, 3, 2, 2), (2, 0, 2, 3, 3)]),
+    ]
+    cases = [(None, *row) for row in grid] + [(s, *row) for s in (0, 1) for row in seeded]
+    return [
+        pytest.param(build, by_members, args, seed, id="-".join(
+            [by_members.__name__[1:-len("_by_members")]]
+            + ["".join(map(str, a)) if isinstance(a, tuple) else f"{a:.3g}" for a in args]
+            + ([] if seed is None else [f"seed{seed}"])))
+        for seed, build, by_members, grid in cases
+        for args in grid
+    ]
+
+
+@pytest.mark.parametrize("build, by_members, args, seed", _generator_cases())
+def test_generators_equal_their_per_member_build(build, by_members, args, seed):
+    def run(generator):
+        return generator(*args) if seed is None else generator(np.random.default_rng(seed), *args)
+
+    # Raw bytes: a -0.0 where the per-member build has +0.0 changes the saved JSON.
+    fam, want = run(build), run(by_members)
+    assert fam.spec == want.spec
+    assert fam.weights.tobytes() == want.weights.tobytes()
+    for p in range(want.n_parties):
+        assert fam.local_factors(p).tobytes() == want.local_factors(p).tobytes()

@@ -150,6 +150,13 @@ EDITS = [
         "        fault = None\n",
     ),
     (
+        "OperatorFamily._from_stacks without the emptiness check",
+        "src/sepcert/families.py",
+        "        if not len(weights):\n"
+        "            raise ParameterError(\"a family needs at least one member\")\n",
+        "",
+    ),
+    (
         "hunt_product screening a member at scale 0",
         "src/sepcert/hunter.py",
         "screened = bool(scales.all()) and _screens(",
