@@ -262,32 +262,31 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
 
 @dataclass
 class _Side:
-    """A split side's matrix and the pass's rank state on it.
+    """A split side's matrix and the pass's rank bounds on it.
 
-    ``m`` and ``weights`` are those of ``_open_side``.  ``known`` and
-    ``floor`` are int8 arrays over member bitmasks: ``known`` holds the
-    exact rank of each subset ranked on the side so far and the lower bound
-    of every other decided subset, 0 elsewhere, and ``floor`` the maximum
-    of the ``_subset_floors`` of each k in ``floored``, 0 before any.  With
-    multiset weights, ``table`` holds the rank of each column multiset
-    ranked so far, -1 elsewhere; else it is None.
+    ``m`` and ``weights`` are those of ``_open_side``.  ``bound`` is an int8
+    array over member bitmasks, 0 at first: each entry is a proven lower
+    bound on the computed rank of that subset's columns of ``m``, and the
+    exact rank once the subset has been ranked on the side.  It holds the
+    ``_subset_floors`` of each k in ``floored``.  With multiset weights,
+    ``table`` holds the rank of each column multiset ranked so far, -1
+    elsewhere; else it is None.
     """
 
     m: np.ndarray
     weights: np.ndarray | None
-    known: np.ndarray
-    floor: np.ndarray
+    bound: np.ndarray
     table: np.ndarray | None
     floored: set[int] = field(default_factory=set)
 
 
 def _size_budget_error(n: int) -> SizeBudgetError:
-    return SizeBudgetError(f"rank bounds for {n} members need 2 * 2**{n} bytes per split side")
+    return SizeBudgetError(f"rank bounds for {n} members need 2**{n} bytes per split side")
 
 
 def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
-    """The side's ``unit_side`` matrix and its rank state before any subset
-    of the n members is decided: no rank known, no floor, no multiset ranked.
+    """The side's ``unit_side`` matrix and its rank bounds before any subset
+    of the n members is decided: every bound 0, no multiset ranked.
 
     Members whose raw side columns are equal bit for bit form a class.  When
     some class has two or more, member j weighs prod over classes c <
@@ -303,12 +302,12 @@ def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
         weights = np.concatenate(([1], np.cumprod(np.bincount(cls)[:-1] + 1)))[cls]
     m, _ = compressed_side(raw)
     try:
-        known, floor = np.zeros((2, 1 << n), dtype=np.int8)
+        bound = np.zeros(1 << n, dtype=np.int8)
         # The full set has the largest key, prod over classes of (size + 1) - 1.
         table = None if weights is None else np.full(int(weights.sum()) + 1, -1, dtype=np.int8)
     except (MemoryError, ValueError):
         raise _size_budget_error(n) from None
-    return _Side(m, weights, known, floor, table)
+    return _Side(m, weights, bound, table)
 
 
 def _subset_floors(
@@ -317,12 +316,12 @@ def _subset_floors(
     bits: np.ndarray,
     k: int,
     tol: TolerancePolicy,
-    floor: np.ndarray,
+    bound: np.ndarray,
 ) -> None:
-    """Raise ``floor`` to a lower bound on the rank of every subset's
+    """Raise ``bound`` to a lower bound on the rank of every subset's
     selection of ``m``'s columns: the largest robust rank of a k-member
-    subset that the subset holds.  Entries already larger are kept, so the
-    floors from several k combine into their maximum.
+    subset that the subset holds.  Entries already larger are kept, so a
+    lower bound stays one and an exact rank stays exact.
 
     ``m`` is an r x N side matrix; ``popcount`` and ``bits`` are those of
     ``_subset_blocks``.  One SVD call per block of k-member subsets ranks
@@ -341,24 +340,27 @@ def _subset_floors(
     selection has exact sigma_min > C + d, the middle step above; when it
     succeeds every floor of the block is r, and only when it fails is the
     block ranked by its SVD.  The k-subset ranks reach every superset in one
-    max pass per member bit.
+    max pass per member bit over a scratch array, so that only they, not the
+    other entries of ``bound``, pass to supersets.
     """
     r, n = m.shape
     kappa = svd_error_scale(max(r, n), min(r, n))
     s = np.linalg.norm(m) * (1 + kappa)
     d = kappa * s
     cap = tol.cutoff(s + d)
+    floor = np.zeros_like(bound)
     for _, masks, members in _subset_blocks(popcount, bits, k):
         stack = np.moveaxis(m[:, members], 1, 0)
         if k == r and _proves_full_rank(stack, tol, bound=cap + d):
             count = r
         else:
             count = np.count_nonzero(_svdvals(stack) > cap + 2 * d, axis=1)
-        floor[masks] = np.maximum(floor[masks], count)
+        floor[masks] = count
     for b in range(n):
         # Axis 1 is bit b: each mask with the bit set takes its floor without it.
         half = floor.reshape(-1, 2, 1 << b)
         np.maximum(half[:, 0], half[:, 1], out=half[:, 1])
+    np.maximum(bound, floor, out=bound)
 
 
 def _decide_block(
@@ -370,90 +372,85 @@ def _decide_block(
     fam: OperatorFamily,
     sides: dict[tuple[int, ...], _Side],
     tol: TolerancePolicy,
-) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
+) -> np.ndarray:
     """Eliminate a (B, m) block of m-member subsets split by split.
 
     ``masks`` holds the subsets' member bitmasks, with ``bits[i]`` the bit
     of member i, and ``members`` their (B, m) member indices; all subsets of
     m + 1 members must be decided.  ``popcount`` and ``bits`` are those of
     ``_subset_blocks``.  ``sides`` maps each side opened so far to its
-    ``_Side``.  A side is opened here (``_open_side`` of ``fam``) when a
-    block first reaches one of its splits, and a block gathers a side's
-    start values only when it reaches the side.
+    ``_Side``, whose ``bound`` the block reads and raises in place.  A side
+    is opened here (``_open_side`` of ``fam``) when a block first reaches
+    one of its splits, and a block raises its subsets' bounds on a side to
+    their start values only when it reaches the side.
 
-    On each side a subset T starts from max(``max_x known(T | x) - 1``,
-    ``floor(T)``).  The first bound holds because removing a member lowers
-    a side's numerical rank by at most one: singular values interlace, and
-    the cutoff of ``tol``, a fixed fraction of sigma_max, can only shrink
-    when a column goes.  The floors of ``_subset_floors``, counted against
-    the cap C of the whole side matrix, hold at every size.  A start value
-    of min(m, r), r the rows of the side matrix, is exact, since no rank
-    exceeds it.  A subset is ranked on a side only when its bounds leave a
-    split undecided: on side A first, then on side B if the subset is still
-    alive, so every survivor has exact ranks.  The block's entries of
-    ``known`` on the sides it reached are written on return; the others
-    keep 0, still a lower bound.
+    On each side a subset T starts from max(``bound(T)``, ``max_x
+    bound(T | x) - 1``).  The first holds the floors built so far.  The
+    second holds because removing a member lowers a side's numerical rank
+    by at most one: singular values interlace, and the cutoff of ``tol``, a
+    fixed fraction of sigma_max, can only shrink when a column goes.  The
+    floors of ``_subset_floors``, counted against the cap C of the whole
+    side matrix, hold at every size.  A bound of min(m, r), r the rows of
+    the side matrix, is exact, since no rank exceeds it.  A subset is ranked
+    on a side only when its bounds leave a split undecided: on side A
+    first, then on side B if the subset is still alive, and its bound
+    becomes its rank, so every survivor's bounds are exact.  On a side the
+    block never reaches, its bounds stay as they were, still lower bounds.
 
     Floors are built once per side and k, each when it costs less than the
-    ranks it replaces.  Pair floors raise only start values below 2, so
-    they are built when, in a block of three or more members, the subsets
-    starting below 2 hold at least the n (n - 1) columns of the member
-    pairs.  On a side whose full set was ranked and found full rank r, with
-    2 < r < m, a floor of r is exact, since no rank exceeds r: a subset
-    holding an independent r-subset has rank r.  So the floors of the
-    r-member subsets are built when the subsets the block would rank there
-    hold more columns than the C(n, r) r-subsets do; until then those
-    subsets are ranked.  A floor below r is not exact, and its subset is
-    ranked.
+    ranks it replaces.  Pair floors raise only bounds below 2, so they are
+    built when, in a block of three or more members, the subsets starting
+    below 2 hold at least the n (n - 1) columns of the member pairs.  On a
+    side whose full set has the bound r, its full row rank, with 2 < r < m,
+    a floor of r is exact, since no rank exceeds r: a subset holding an
+    independent r-subset has rank r.  So the floors of the r-member subsets
+    are built when the subsets the block would rank there hold more columns
+    than the C(n, r) r-subsets do; until then those subsets are ranked.  A
+    floor below r is not exact, and its subset is ranked.
 
     The subsets left to rank on a side go to ``stacked_ranks`` in stacks of
     at most ``SUBSET_BLOCK`` column selections.  A side tries the full-rank
-    screen of ``stacked_ranks`` only when the full set was ranked on it and
-    found full rank, min(rows, n), the row count of the side matrix after
-    its thin QR: on a deficient side the screen cannot succeed.  A side
-    with multiset weights (see ``_open_side``) ranks one
-    subset per column multiset not yet in its table and reads every other
-    rank from there.
+    screen of ``stacked_ranks`` only when its full set's bound is r, the row
+    count of the side matrix after its thin QR: on a deficient side the
+    screen cannot succeed.  A side with multiset weights (see
+    ``_open_side``) ranks one subset per column multiset not yet in its
+    table and reads every other rank from there.
 
-    Returns the positions in ``members`` of the subsets no split eliminated,
-    and per reached side a (B,) array of rank bounds that is exact for every
-    survivor.
+    Returns the positions in ``members`` of the subsets no split
+    eliminated; their bounds on every side of ``splits`` are exact.
     """
     size = members.shape[1]
     n = len(bits)
     supersets = masks[:, None] | bits
-    val: dict[tuple[int, ...], np.ndarray] = {}
     exact: dict[tuple[int, ...], np.ndarray] = {}
 
     def reach(side) -> None:
-        """Open ``side`` and gather its start values."""
+        """Open ``side`` and raise the block's bounds there to their start values."""
         if side not in sides:
             sides[side] = _open_side(fam, side, n)
         state = sides[side]
-        if side not in val:
-            # For x in T, T | x is T itself, still 0 here, so it only adds the
-            # -1 that the clip at 0 (or the floor) removes.
-            lower = state.known[supersets].max(axis=1).astype(np.int64) - 1
-            start = np.maximum(lower, state.floor[masks])
+        if side not in exact:
+            bound = state.bound
+            # For x in T, T | x is T itself, which only adds bound(T) - 1.
+            bound[masks] = np.maximum(bound[masks], bound[supersets].max(axis=1) - 1)
             # Fewer subsets below 2 are ranked for no more than the pair
             # floors cost, and pairs rank themselves as cheaply.  The full
             # set, alone in its block, never qualifies.
             if (
                 2 not in state.floored
                 and size > 2
-                and np.count_nonzero(start < 2) * size >= n * (n - 1)
+                and np.count_nonzero(bound[masks] < 2) * size >= n * (n - 1)
             ):
-                _subset_floors(state.m, popcount, bits, 2, tol, state.floor)
+                _subset_floors(state.m, popcount, bits, 2, tol, bound)
                 state.floored.add(2)
-                start = np.maximum(lower, state.floor[masks])
-            val[side] = start
-            exact[side] = start >= min(size, len(state.m))
+            exact[side] = bound[masks] >= min(size, len(state.m))
 
     def rank(side, todo):
         state = sides[side]
+        bound = state.bound
         r = len(state.m)
-        # The full set's entry holds its rank, or its start value while unranked.
-        screen = bool(state.known[-1] == r)
+        # No rank exceeds r, so a bound of r on the full set is its rank.
+        screen = bool(bound[-1] == r)
         exact[side][todo] = True
         if (
             screen
@@ -462,10 +459,9 @@ def _decide_block(
             and len(todo) * size > r * math.comb(n, r)
         ):
             # A floor of r is exact: the subsets it reaches need no rank.
-            _subset_floors(state.m, popcount, bits, r, tol, state.floor)
+            _subset_floors(state.m, popcount, bits, r, tol, bound)
             state.floored.add(r)
-            val[side][todo] = np.maximum(val[side][todo], state.floor[masks[todo]])
-            todo = todo[val[side][todo] < r]
+            todo = todo[bound[masks[todo]] < r]
         reps = todo
         if state.weights is not None:
             keys = state.weights[members[todo]].sum(axis=1)
@@ -475,24 +471,23 @@ def _decide_block(
         for i in range(0, len(reps), SUBSET_BLOCK):
             sel = reps[i : i + SUBSET_BLOCK]
             stack = np.moveaxis(state.m[:, members[sel]], 1, 0)
-            val[side][sel] = stacked_ranks(stack, tol, screen=screen)
+            bound[masks[sel]] = stacked_ranks(stack, tol, screen=screen)
         if state.weights is not None:
-            state.table[new] = val[side][reps]
-            val[side][todo] = state.table[keys]
+            state.table[new] = bound[masks[reps]]
+            bound[masks[todo]] = state.table[keys]
 
     alive = np.arange(len(members))
     for side_a, side_b in splits:
         reach(side_a)
         reach(side_b)
+        bound_a, bound_b = sides[side_a].bound, sides[side_b].bound
         for side in (side_a, side_b):
-            alive = alive[val[side_a][alive] + val[side_b][alive] <= size + 1]
+            alive = alive[bound_a[masks[alive]] + bound_b[masks[alive]] <= size + 1]
             rank(side, alive[~exact[side][alive]])
-        alive = alive[val[side_a][alive] + val[side_b][alive] <= size + 1]
+        alive = alive[bound_a[masks[alive]] + bound_b[masks[alive]] <= size + 1]
         if alive.size == 0:
             break
-    for side, v in val.items():
-        sides[side].known[masks] = v
-    return alive, val
+    return alive
 
 
 def certify_unique(
@@ -517,14 +512,15 @@ def certify_unique(
     ``strategy`` defaults to ``default_strategy`` of the party count; an
     unknown one is a ``UsageError``.  More than ``max_members`` members is an
     ``EnumerationCapError`` and a ``max_members`` below 1 a
-    ``ParameterError``.  Each split side the pass reaches takes 2 * 2**N
-    bytes of rank bounds and floors; an allocation that fails is a
+    ``ParameterError``.  Each split side the pass reaches takes 2**N bytes
+    of rank bounds, one per subset; an allocation that fails is a
     ``SizeBudgetError``.  An SVD that fails is a ``NumericError``.
 
     The subsets are decided top down, from the full set to the pairs, in
     blocks of one size from ``_subset_blocks``; ``_decide_block`` describes
-    how a block is decided.  The survivors of each size stay one int array
-    of members and exact deltas, which ``Certificate.levels`` holds.
+    how a block is decided; a survivor's exact deltas are its entries of
+    the split sides' ``bound``.  The survivors of each size stay one int
+    array of members and deltas, which ``Certificate.levels`` holds.
     """
     n = fam.n_members
     if max_members < 1:
@@ -553,12 +549,12 @@ def certify_unique(
     for size in range(n, 1, -1):
         level = []
         for start, block, members in _subset_blocks(popcount, bits, size):
-            alive, ranks = _decide_block(block, members, popcount, bits, splits, fam, sides, tol)
+            alive = _decide_block(block, members, popcount, bits, splits, fam, sides, tol)
             if alive.size == 0:
                 continue
             if not level:
                 first = sum(math.comb(n, s) for s in range(2, size)) + start + int(alive[0])
-            exact = [ranks[side][alive] for split in splits for side in split]
+            exact = [sides[side].bound[block[alive]] for split in splits for side in split]
             level.append(np.column_stack([members[alive], *exact]))
         if level:
             levels.append(np.concatenate(level))

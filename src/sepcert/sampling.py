@@ -112,7 +112,9 @@ def random_product_measurement(
 def independent_matrices(
     rng: np.random.Generator, d: int, count: int
 ) -> list[np.ndarray]:
-    """``count`` linearly independent random d x d matrices (count <= d*d)."""
+    """``count`` linearly independent random d x d matrices (0 <= count <= d*d)."""
+    if count < 0:
+        raise ParameterError(f"cannot sample a negative number of matrices, got {count}")
     if count > d * d:
         raise ParameterError(f"cannot fit {count} independent matrices in dim {d}x{d}")
     for _ in range(_RESAMPLE_LIMIT):

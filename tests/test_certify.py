@@ -44,6 +44,7 @@ from sepcert.families import (
 from sepcert.linalg import (
     ABSOLUTE_FLOOR,
     TolerancePolicy,
+    numerical_rank,
     stacked_ranks,
     svd_error_scale,
     vectorize,
@@ -864,24 +865,76 @@ def test_pair_floors_never_exceed_the_reference_rank(seed, n_distinct, log_noise
                     assert floor[mask] <= _reference_rank(full[:, subset], tol)
 
 
+_BOUND_FAMILIES = {
+    **{
+        f"random-{''.join(map(str, dims))}-n{n}-s{seed}": (
+            lambda dims=dims, n=n, seed=seed: random_product_family(
+                np.random.default_rng(seed), dims, n
+            )
+        )
+        for dims, n in [((2, 2), 9), ((2, 3), 8), ((2, 2, 2), 9)]
+        for seed in range(3)
+    },
+    "projective-24": lambda: gen_projective_basis(2, 4),
+    "projective-33": lambda: gen_projective_basis(3, 3),
+    "tight-n2": lambda: gen_tight_family(2, seed=0)[0],
+    "tight-n2-3party": lambda: gen_tight_family(2, n_parties=3, seed=0)[0],
+    **{
+        f"near-twins-{noise:g}": lambda noise=noise: _with_duplicate(8, seed=3, noise=noise)
+        for noise in (0.0, 1e-15, 1e-12, 1e-9)
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [TolerancePolicy(relative_rank_threshold=1e-10), TolerancePolicy(relative_rank_threshold=1e-6)],
+    ids=["rel1e-10", "rel1e-6"],
+)
+@pytest.mark.parametrize("strategy", [None, STRATEGY_PAIRS], ids=["default", "pairs"])
+@pytest.mark.parametrize("make", list(_BOUND_FAMILIES.values()), ids=list(_BOUND_FAMILIES))
+def test_side_bounds_never_exceed_the_rank(monkeypatch, make, strategy, tol):
+    # Every entry of a side's ``bound`` must be a lower bound on the rank of
+    # its subset's columns, ranked as the pass ranks them.  A bound above the
+    # rank could eliminate a subset that should survive: a false Unique.
+    opened = []
+    open_side = sepcert.certify._open_side
+
+    def recording(fam, side, n):
+        opened.append(open_side(fam, side, n))
+        return opened[-1]
+
+    monkeypatch.setattr(sepcert.certify, "_open_side", recording)
+    fam = make()
+    certify_unique(fam, strategy=strategy, tol=tol)
+    n = fam.n_members
+    bits = _member_bits(n)
+    assert opened
+    for state in opened:
+        for mask in range(1, 1 << n):
+            subset = np.flatnonzero(mask & bits)
+            assert state.bound[mask] <= numerical_rank(state.m[:, subset], tol)
+
+
 @pytest.mark.parametrize("error", [MemoryError, ValueError])
 def test_later_side_over_budget_is_a_size_budget_error(monkeypatch, capsys, tmp_path, error):
-    # Each side takes one (2, 2**N) int8 allocation when the pass first
+    # Each side takes one int8 allocation of 2**N bounds when the pass first
     # reaches it; the second side's fails here, after the first succeeded.
+    # ``_popcounts`` allocates a uint8 array of the same length, once.
     fam = random_product_family(np.random.default_rng(0), (2, 2), 9)
     path = tmp_path / "random-22-n9.json"
     save_family(path, fam)
     zeros, allocated = np.zeros, []
 
     def failing(shape, *args, **kwargs):
-        if shape == (2, 1 << 9):
+        if shape == 1 << 9 and kwargs.get("dtype") == np.int8:
             allocated.append(shape)
             if len(allocated) % 2 == 0:
                 raise error("no room")
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", failing)
-    with pytest.raises(SizeBudgetError, match=r"2 \* 2\*\*9 bytes per split side"):
+    with pytest.raises(SizeBudgetError, match=r"need 2\*\*9 bytes per split side"):
         certify_unique(fam)
     assert len(allocated) == 2
     assert main(["certify", str(path)]) == 5

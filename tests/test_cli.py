@@ -455,6 +455,15 @@ def test_negative_seed_is_usage_error(capsys, tmp_path, command):
     assert not out_path.exists()
 
 
+def test_non_integer_seed_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "ladder.json"
+    run_json(capsys, "gen", "eq701", "--out", str(path))
+    code, out, err = run_cli(capsys, "hunt", str(path), "--seed", "abc")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err and "'abc'" in err
+
+
 def test_hunt_rejects_zero_restarts(capsys, tmp_path):
     path = tmp_path / "ladder.json"
     run_json(capsys, "gen", "eq701", "--out", str(path))

@@ -100,6 +100,8 @@ def test_product_operator_rejects_degenerate_input():
         ProductOperator(1.0, (I2, np.zeros((2, 2))))
     with pytest.raises(ParameterError):
         ProductOperator(1.0, ())
+    with pytest.raises(ShapeError, match="2-D factors"):
+        ProductOperator(1.0, (np.ones(2),))
 
 
 def test_product_operator_factors_are_read_only():
@@ -196,6 +198,8 @@ def test_party_pairs():
     assert party_pairs(3) == ((0, 1), (0, 2), (1, 2))
     with pytest.raises(ParameterError):
         party_pairs(1)
+    with pytest.raises(ParameterError, match="at least two parties"):
+        all_bipartitions(1)
 
 
 # ---------------------------------------------------------------------------

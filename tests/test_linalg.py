@@ -123,6 +123,8 @@ def test_realign_of_weighted_sum_factorizes():
 def test_realign_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
         realign_bipartite(np.eye(4), (2, 2, 2, 3))
+    with pytest.raises(ShapeError, match="must be positive"):
+        realign_bipartite(np.eye(4), (0, 2, 2, 2))
 
 
 def test_swap_gate_has_full_schmidt_rank():
@@ -188,6 +190,8 @@ def test_proportional_recovers_scalar():
 def test_proportional_rejects_zero():
     with pytest.raises(DegenerateInputError):
         proportional(np.zeros((2, 2)), I2)
+    with pytest.raises(ShapeError, match="shape mismatch"):
+        proportional(I2, np.eye(3))
 
 
 def test_as_matrix_rejections():

@@ -64,6 +64,23 @@ def test_independent_matrices():
     assert span_dimension(list(mats)) == 5
     with pytest.raises(ParameterError):
         independent_matrices(rng, 2, 5)  # more than d^2
+    # Not a NumericError after a hundred resamples: no draw can succeed.
+    with pytest.raises(ParameterError, match="negative number of matrices"):
+        independent_matrices(rng, 2, -1)
+
+
+def test_generators_reject_impossible_requests():
+    rng = np.random.default_rng(68)
+    with pytest.raises(ParameterError, match="negative number of matrices"):
+        shared_factor_family(rng, 2, 0, -1, 2)
+    with pytest.raises(ParameterError, match="at least one outcome"):
+        random_povm(rng, 2, 0)
+    with pytest.raises(ParameterError, match="one outcome count per party"):
+        random_product_measurement(rng, (2, 2), (2,))
+    with pytest.raises(ParameterError, match="one extra member"):
+        planted_dependent_family(rng, 2, 0, 2, 0, 2)
+    with pytest.raises(ParameterError, match="local_dim too small"):
+        shared_factor_family(rng, 2, 0, 5, 2)
 
 
 def test_planted_dependent_family_combination_is_a_product():

@@ -8,7 +8,7 @@ import pytest
 
 import sepcert.zoo
 from sepcert.certify import certify_unique, verify_completeness
-from sepcert.errors import ParameterError, SizeBudgetError
+from sepcert.errors import ParameterError, ShapeError, SizeBudgetError
 from sepcert.families import OperatorFamily, PartySpec, ProductOperator, span_bound_report
 from sepcert.linalg import proportional, span_dimension
 from sepcert.sampling import (
@@ -295,6 +295,14 @@ def test_product_unitary_validation():
     bad = [[np.ones((2, 2)), I2], [I2, I2]]
     with pytest.raises(ParameterError):
         gen_product_unitary_channel(bad, [0.5, 0.5])
+    with pytest.raises(ParameterError, match="must be square"):
+        gen_product_unitary_channel([[np.ones((2, 3))]], [1.0])
+    with pytest.raises(ParameterError, match="at least one party"):
+        gen_product_unitary_channel([], [])
+    with pytest.raises(ParameterError, match="got 2 weights for 1 members"):
+        gen_product_unitary_channel([[I2], [I2]], [0.5, 0.5])
+    with pytest.raises(ShapeError, match="share their dimension"):
+        gen_product_unitary_channel([[I2, np.eye(3)]], [0.5, 0.5])
 
 
 def test_product_unitary_weights_are_sqrt_probabilities():
@@ -355,6 +363,10 @@ def test_augment_validation():
         augment_channel(base, [I2, I2, SX, SZ], hw)  # dependent tags
     with pytest.raises(ParameterError):
         augment_channel(base, [np.ones((2, 2))] * 4, hw)  # not unitary
+    with pytest.raises(ParameterError, match="shape mismatch"):
+        augment_channel(base, [np.ones((2, 3))] * 4, hw)
+    with pytest.raises(ParameterError, match="dimension must be positive"):
+        heisenberg_weyl_unitaries(0)
 
 
 # ---------------------------------------------------------------------------

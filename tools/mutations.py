@@ -28,6 +28,18 @@ ROOT = Path(__file__).resolve().parents[1]
 #: exactly once in its file.
 EDITS = [
     (
+        "start value from the supersets' bounds without the - 1",
+        "src/sepcert/certify.py",
+        "bound[masks] = np.maximum(bound[masks], bound[supersets].max(axis=1) - 1)",
+        "bound[masks] = np.maximum(bound[masks], bound[supersets].max(axis=1))",
+    ),
+    (
+        "start value one below min(size, r) counted as exact",
+        "src/sepcert/certify.py",
+        "exact[side] = bound[masks] >= min(size, len(state.m))",
+        "exact[side] = bound[masks] >= min(size, len(state.m)) - 1",
+    ),
+    (
         "_proves_full_rank default bound c + d -> c",
         "src/sepcert/linalg.py",
         "bound = tol.cutoff(s + d) + d",
