@@ -26,6 +26,7 @@ from .errors import EnumerationCapError, NumericError, ParameterError, SizeBudge
 from .linalg import (
     DEFAULT_TOLERANCE,
     TolerancePolicy,
+    _check_elements,
     _proves_full_rank,
     _svdvals,
     frobenius,
@@ -207,9 +208,8 @@ def _slot_table(splits: tuple[Split, ...], size: int, values: int) -> np.ndarray
 
 
 def _examined_splits(n_parties: int, strategy: str) -> tuple[Split, ...]:
-    if n_parties == 1:
-        # A single party cannot be split; no subset is ever eliminated.
-        return ()
+    """The splits ``strategy`` examines; none for one party, so that no
+    subset is eliminated.  An unknown strategy is a ``UsageError``."""
     if strategy == STRATEGY_PAIRS:
         return tuple(((a,), (b,)) for a, b in party_pairs(n_parties))
     if strategy == STRATEGY_ALL_BIPARTITIONS:
@@ -503,6 +503,7 @@ def certify_unique(
     eliminated when some examined split has delta_A + delta_B > n + 1; any
     subset that survives every split is reported as a witness with its exact
     deltas, and the status is Inconclusive; with no witness it is Unique.
+    One member has no such subset, and one party no split that eliminates.
     Witnesses come in increasing size, lexicographic within a size.  With
     ``fail_fast`` only the first witness is reported, and
     ``subsets_examined`` is its position in that order plus one; the pass
@@ -534,9 +535,6 @@ def certify_unique(
     if strategy is None:
         strategy = default_strategy(fam.n_parties)
     splits = _examined_splits(fam.n_parties, strategy)
-
-    if n < 2:
-        return Certificate((), splits, strategy, tol, 0, n)
 
     try:
         popcount = _popcounts(n)
@@ -608,6 +606,8 @@ COMPLETENESS_TOL = 1e-10
 def verify_completeness(fam: OperatorFamily, tol: float = COMPLETENESS_TOL) -> CompletenessReport:
     """Check sum_j K_j^dag K_j = I and the local-positive-span pair bounds.
 
+    A d_in x d_in sum past the element budget is a ``SizeBudgetError``; one
+    party has no pair, so its ``pair_sums`` is empty.
     Raises ``NumericError`` naming the first member whose K^dag K, added to
     those before it, overflows the float range.  Each local factor is
     divided by its largest entry before its positive part is taken, so no
@@ -617,6 +617,7 @@ def verify_completeness(fam: OperatorFamily, tol: float = COMPLETENESS_TOL) -> C
     if not (0.0 <= tol < np.inf):
         raise ParameterError(f"completeness tolerance must be finite and nonnegative, got {tol}")
     d_in = fam.spec.total_d_in
+    _check_elements(d_in * d_in, "the K^dag K sum")
     gram = np.zeros((d_in, d_in), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for j, k in enumerate(fam.assembled()):
@@ -630,14 +631,7 @@ def verify_completeness(fam: OperatorFamily, tol: float = COMPLETENESS_TOL) -> C
         span_dimension([_positive_part(f) for f in fam.local_factors(p)])
         for p in range(fam.n_parties)
     )
-    n = fam.n_members
-    pair_sums = {}
-    holds = True
-    if fam.n_parties >= 2:
-        for a, b in party_pairs(fam.n_parties):
-            s = spans[a] + spans[b]
-            pair_sums[(a, b)] = s
-            if s > n + 1:
-                holds = False
-    return CompletenessReport(is_complete, residual, holds, pair_sums, spans, n)
+    pair_sums = {(a, b): spans[a] + spans[b] for a, b in party_pairs(fam.n_parties)}
+    holds = all(s <= fam.n_members + 1 for s in pair_sums.values())
+    return CompletenessReport(is_complete, residual, holds, pair_sums, spans, fam.n_members)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, UsageError
 from .families import OperatorFamily, PartySpec
-from .linalg import frobenius
+from .linalg import _check_elements, frobenius
 
 #: Hermiticity and PSD slack of a DensityMatrix, relative to max(1, |rho|_F).
 STATE_TOL = 1e-10
@@ -87,7 +87,9 @@ def ensemble_to_state(ens: OperatorFamily) -> DensityMatrix:
 
 def _choi_gram(fam: OperatorFamily) -> np.ndarray:
     """F F^H for F the vectorized assembled members: the Choi matrix of
-    ``fam`` under a fixed permutation of its indices."""
+    ``fam`` under a fixed permutation of its indices; past the element
+    budget it is a ``SizeBudgetError`` before F is built."""
+    _check_elements((fam.spec.total_d_in * fam.spec.total_d_out) ** 2, "the Choi matrix")
     f = fam.side_matrix(range(fam.n_parties), include_weight=True)
     return f @ f.conj().T
 

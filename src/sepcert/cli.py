@@ -41,8 +41,9 @@ from .errors import (
     SizeBudgetError,
     UsageError,
 )
+from .families import PartySpec
 from .hunter import PRODUCT_TOL, hunt_product
-from .linalg import DEFAULT_TOLERANCE, TolerancePolicy
+from .linalg import DEFAULT_TOLERANCE, TolerancePolicy, _check_elements
 from .sampling import haar_unitary
 from .serialize import (
     KIND_CHANNEL,
@@ -212,6 +213,9 @@ def _gen_dispatch(args):
         dims = _parse_int_list(args.dims, "--dims")
         if args.members < 1:
             raise UsageError("--members must be at least 1")
+        # Refused before any draw: each party's stack holds members x d*d entries.
+        PartySpec(tuple((d, d) for d in dims))
+        _check_elements(args.members * max(dims) ** 2, "the largest party's unitary stack")
         rng = np.random.default_rng(args.seed)
         unitaries = [
             [haar_unitary(rng, d) for _ in range(args.members)] for d in dims
@@ -235,6 +239,8 @@ def _gen_dispatch(args):
         base = load_family(args.file)
         n = base.family.n_members
         dim = args.dim if args.dim is not None else math.isqrt(max(n - 1, 0)) + 1
+        # Refused before the dim**2 unitaries are built.
+        PartySpec(base.family.spec.parties + ((dim, dim),) * 2)
         basis = heisenberg_weyl_unitaries(dim)
         if len(basis) < n:
             raise ParameterError(
@@ -255,7 +261,6 @@ def _gen_dispatch(args):
             "seed": args.seed,
         }
         return fam, params, {"coefficients": complex_to_json(coeffs)}
-    raise UsageError(f"unknown generator {name!r}")  # pragma: no cover
 
 
 def cmd_gen(args) -> int:
@@ -288,14 +293,15 @@ def cmd_choi(args) -> int:
             f"choi expects a channel file (kind {KIND_CHANNEL!r}), got {loaded.kind!r}"
         )
     ens = channel_to_choi_ensemble(loaded.family)
+    # Built first, so that a state past the budget leaves no file behind.
+    state = ensemble_to_state(ens) if args.state_out else None
     metadata = {
         "derived_from": str(args.file),
         "transform": "choi_ensemble",
         "source_metadata": loaded.metadata,
     }
     save_family(args.out, ens, metadata=metadata)
-    if args.state_out:
-        state = ensemble_to_state(ens)
+    if state is not None:
         dump_json(
             args.state_out,
             {

@@ -24,11 +24,10 @@ from .errors import (
     ParameterError,
     SepcertError,
     ShapeError,
-    SizeBudgetError,
     UsageError,
 )
 from .linalg import (
-    MAX_MATRIX_ELEMENTS,
+    _check_elements,
     _coefficient_vector,
     _kron_rows,
     _rescaled,
@@ -40,7 +39,8 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class PartySpec:
-    """Per-party (d_in, d_out) dimensions, in party order."""
+    """Per-party (d_in, d_out) dimensions, each at least 1, in party order;
+    a total operator past the element budget is a ``SizeBudgetError``."""
 
     parties: tuple[tuple[int, int], ...]
 
@@ -51,11 +51,7 @@ class PartySpec:
             raise ParameterError("a PartySpec needs at least one party")
         if any(din < 1 or dout < 1 for din, dout in parties):
             raise ParameterError(f"party dimensions must be >= 1, got {parties}")
-        if self.total_d_in * self.total_d_out > MAX_MATRIX_ELEMENTS:
-            raise SizeBudgetError(
-                f"total operator size {self.total_d_out}x{self.total_d_in} "
-                f"exceeds the element budget {MAX_MATRIX_ELEMENTS}"
-            )
+        _check_elements(self.total_d_in * self.total_d_out, "the total operator")
 
     @property
     def n_parties(self) -> int:
@@ -204,10 +200,8 @@ def all_bipartitions(n_parties: int) -> tuple[Split, ...]:
     party tuples; party 0 always sits on side A.
 
     There are 2**(P-1) - 1 of them, ordered by the size of side A and then
-    lexicographically.
+    lexicographically.  A single party cannot be split: it has none.
     """
-    if n_parties < 2:
-        raise ParameterError("bipartitions need at least two parties")
     rest = range(1, n_parties)
     return tuple(
         ((0,) + extra, tuple(p for p in rest if p not in extra))
@@ -217,8 +211,7 @@ def all_bipartitions(n_parties: int) -> tuple[Split, ...]:
 
 
 def party_pairs(n_parties: int) -> tuple[tuple[int, int], ...]:
-    if n_parties < 2:
-        raise ParameterError("party pairs need at least two parties")
+    """Every pair (a, b) of parties with a < b; one party has none."""
     return tuple(itertools.combinations(range(n_parties), 2))
 
 

@@ -585,6 +585,9 @@ def fuzz_span_bound(
         raise ParameterError("trials must be at least 1")
     check_seed(seed)
     dims = tuple(int(d) for d in local_dims)
+    splits = all_bipartitions(len(dims))
+    if not splits:
+        raise ParameterError(f"fuzz_span_bound needs at least two parties, got {len(dims)}")
 
     violations = 0
     equality_hits = 0
@@ -594,7 +597,6 @@ def fuzz_span_bound(
         rng = np.random.default_rng([seed, t])
         fam = random_product_family(rng, dims, n_members)
         coeffs = random_nonzero_coefficients(rng, n_members)
-        splits = all_bipartitions(fam.n_parties)
         split = splits[int(rng.integers(len(splits)))]
         rep = span_bound_report(fam, coeffs, split)
         if not rep.holds:

@@ -120,15 +120,17 @@ class TolerancePolicy:
 DEFAULT_TOLERANCE = TolerancePolicy()
 
 
+def _check_elements(entries: int, what: str) -> None:
+    """Refuse ``what``, of ``entries`` entries, past the budget, before it is built."""
+    if entries > MAX_MATRIX_ELEMENTS:
+        raise SizeBudgetError(f"{what} would have {entries} entries, past the element budget")
+
+
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the slow index."""
+    """Kronecker product, first factor slowest; ``SizeBudgetError`` past the budget."""
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.size * b.size > MAX_MATRIX_ELEMENTS:
-        raise SizeBudgetError(
-            f"kron result would have {a.size * b.size} entries "
-            f"(budget {MAX_MATRIX_ELEMENTS})"
-        )
+    _check_elements(a.size * b.size, "kron result")
     return np.kron(a, b)
 
 

@@ -199,6 +199,13 @@ def test_unknown_strategy_is_a_usage_error():
         certify_unique(gen_ladder_channel(0.5), strategy="bogus")
 
 
+def test_unknown_strategy_is_a_usage_error_for_one_party():
+    # One party has no split to examine, yet its strategy is checked.
+    fam = random_product_family(np.random.default_rng(0), (3,), 4)
+    with pytest.raises(UsageError, match="unknown strategy 'bogus'"):
+        certify_unique(fam, strategy="bogus")
+
+
 def test_raised_cap_beyond_addressable_bounds_is_a_size_budget_error():
     # 2**62 bytes of rank bounds per side cannot be allocated anywhere.
     fam = random_product_family(np.random.default_rng(0), (2, 2), 62)

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sepcert.cli
 from sepcert import __version__
 from sepcert.certify import certify_unique
 from sepcert.cli import main
@@ -151,6 +152,42 @@ def test_gen_over_the_element_budget_exits_5(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_gen_augment_over_the_element_budget_exits_5_before_the_basis(
+    capsys, tmp_path, monkeypatch
+):
+    base = tmp_path / "ladder.json"
+    run_json(capsys, "gen", "eq701", "--out", str(base))
+
+    def refuse(dim):
+        raise AssertionError(f"built {dim * dim} unitaries for a refused spec")
+
+    monkeypatch.setattr(sepcert.cli, "heisenberg_weyl_unitaries", refuse)
+    out = tmp_path / "augmented.json"
+    code, stdout, err = run_cli(
+        capsys, "gen", "augment", "--file", str(base), "--dim", "64", "--out", str(out)
+    )
+    assert code == 5
+    assert stdout == "" and err.startswith("error: ") and "element budget" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims, members", [("100000", "1"), ("2,2", "4194305")])
+def test_gen_product_unitary_over_the_element_budget_exits_5_before_any_draw(
+    capsys, tmp_path, monkeypatch, dims, members
+):
+    def refuse(rng, d):
+        raise AssertionError("drew a unitary for a refused request")
+
+    monkeypatch.setattr(sepcert.cli, "haar_unitary", refuse)
+    out = tmp_path / "mixture.json"
+    code, stdout, err = run_cli(
+        capsys, "gen", "product-unitary", "--dims", dims, "--members", members, "--out", str(out)
+    )
+    assert code == 5
+    assert stdout == "" and err.startswith("error: ") and "element budget" in err
+    assert not out.exists()
+
+
 def test_gen_augment_from_file(capsys, tmp_path):
     base = tmp_path / "base.json"
     run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(base))
@@ -222,6 +259,18 @@ def test_verify_complete_channel(capsys, tmp_path):
     assert payload["is_complete"] is True
     assert payload["residual"] < 1e-12
     assert payload["command"] == "verify"
+
+
+def test_verify_past_the_element_budget_exits_5(capsys, tmp_path):
+    # One member of two (d_in, d_out) = (4096, 1) parties: its K^dag K sum
+    # would be 2**24 x 2**24.
+    path = tmp_path / "wide.json"
+    row = np.ones((1, 4096))
+    save_family(path, family_from_factors([(4096, 1)] * 2, [(1.0, [row, row])]))
+    code, stdout, err = run_cli(capsys, "verify", str(path))
+    assert code == 5
+    assert stdout == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "element budget" in err
 
 
 def test_verify_incomplete_channel_exits_3(capsys, tmp_path):
@@ -546,6 +595,22 @@ def test_choi_writes_ensemble_and_state(capsys, tmp_path):
     doc = json.loads(state.read_text())
     assert doc["dims"] == [4, 4]
     assert doc["trace"] == pytest.approx(4.0)
+
+
+def test_choi_state_past_the_element_budget_exits_5_and_writes_nothing(capsys, tmp_path):
+    # One member of two 32 x 32 parties: its Choi matrix would be 2**20 x 2**20.
+    channel = tmp_path / "wide.json"
+    eye = np.eye(32)
+    save_family(channel, family_from_factors([(32, 32)] * 2, [(1.0, [eye, eye])]))
+    ensemble = tmp_path / "ens.json"
+    state = tmp_path / "state.json"
+    code, stdout, err = run_cli(
+        capsys, "choi", str(channel), "--out", str(ensemble), "--state-out", str(state)
+    )
+    assert code == 5
+    assert stdout == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "element budget" in err
+    assert not ensemble.exists() and not state.exists()
 
 
 def test_choi_state_out_in_a_missing_directory_names_the_target(capsys, tmp_path):

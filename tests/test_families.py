@@ -196,10 +196,9 @@ def test_bipartition_of_and_validate():
 
 def test_party_pairs():
     assert party_pairs(3) == ((0, 1), (0, 2), (1, 2))
-    with pytest.raises(ParameterError):
-        party_pairs(1)
-    with pytest.raises(ParameterError, match="at least two parties"):
-        all_bipartitions(1)
+    # One party has no split.
+    assert party_pairs(1) == ()
+    assert all_bipartitions(1) == ()
 
 
 # ---------------------------------------------------------------------------

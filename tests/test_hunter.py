@@ -982,3 +982,5 @@ def test_fuzz_span_bound_no_violations():
 def test_fuzz_span_bound_rejects_bad_trials():
     with pytest.raises(ParameterError):
         fuzz_span_bound((2, 2), n_members=3, trials=0)
+    with pytest.raises(ParameterError, match="needs at least two parties"):
+        fuzz_span_bound((2,), n_members=3, trials=1)

@@ -175,6 +175,54 @@ EDITS = [
         "screened = _screens(",
     ),
     (
+        "_choi_gram without its element check",
+        "src/sepcert/choi.py",
+        "    _check_elements((fam.spec.total_d_in * fam.spec.total_d_out) ** 2, \"the Choi matrix\")\n",
+        "",
+    ),
+    (
+        "verify_completeness without its element check",
+        "src/sepcert/certify.py",
+        "    _check_elements(d_in * d_in, \"the K^dag K sum\")\n",
+        "",
+    ),
+    (
+        "cmd_choi saving the ensemble before it builds the state",
+        "src/sepcert/cli.py",
+        "    state = ensemble_to_state(ens) if args.state_out else None\n",
+        "    save_family(args.out, ens, metadata={})\n"
+        "    state = ensemble_to_state(ens) if args.state_out else None\n",
+    ),
+    (
+        "gen augment building the basis before the spec",
+        "src/sepcert/cli.py",
+        "        PartySpec(base.family.spec.parties + ((dim, dim),) * 2)\n"
+        "        basis = heisenberg_weyl_unitaries(dim)\n",
+        "        basis = heisenberg_weyl_unitaries(dim)\n"
+        "        PartySpec(base.family.spec.parties + ((dim, dim),) * 2)\n",
+    ),
+    (
+        "gen product-unitary sampling before its size check",
+        "src/sepcert/cli.py",
+        "        rng = np.random.default_rng(args.seed)\n"
+        "        unitaries = [\n"
+        "            [haar_unitary(rng, d) for _ in range(args.members)] for d in dims\n"
+        "        ]\n",
+        "        rng = np.random.default_rng(args.seed)\n"
+        "        unitaries = [\n"
+        "            [haar_unitary(rng, d) for _ in range(args.members)] for d in dims\n"
+        "        ]\n"
+        "        PartySpec(tuple((d, d) for d in dims))\n"
+        "        _check_elements(args.members * max(dims) ** 2, \"the largest party's unitary stack\")\n",
+    ),
+    (
+        "_examined_splits returning () for one party before the strategy check",
+        "src/sepcert/certify.py",
+        "    subset is eliminated.  An unknown strategy is a ``UsageError``.\"\"\"\n",
+        "    subset is eliminated.  An unknown strategy is a ``UsageError``.\"\"\"\n"
+        "    if n_parties == 1:\n        return ()\n",
+    ),
+    (
         "hunt_product reporting unit-member coefficients",
         "src/sepcert/hunter.py",
         "coefficients = _rescaled(best[None], scales, inverse=True)[0]",
