@@ -503,7 +503,7 @@ def certify_unique(
     eliminated when some examined split has delta_A + delta_B > n + 1; any
     subset that survives every split is reported as a witness with its exact
     deltas, and the status is Inconclusive; with no witness it is Unique.
-    One member has no such subset, and one party no split that eliminates.
+    One member has no such subset; one party has no split, so none is eliminated.
     Witnesses come in increasing size, lexicographic within a size.  With
     ``fail_fast`` only the first witness is reported, and
     ``subsets_examined`` is its position in that order plus one; the pass

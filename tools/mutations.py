@@ -204,6 +204,8 @@ EDITS = [
     (
         "gen product-unitary sampling before its size check",
         "src/sepcert/cli.py",
+        "        PartySpec(tuple((d, d) for d in dims))\n"
+        "        _check_elements(args.members * max(dims) ** 2, \"the largest party's unitary stack\")\n"
         "        rng = np.random.default_rng(args.seed)\n"
         "        unitaries = [\n"
         "            [haar_unitary(rng, d) for _ in range(args.members)] for d in dims\n"
