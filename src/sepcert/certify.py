@@ -270,7 +270,9 @@ class _Side:
     exact rank once the subset has been ranked on the side.  It holds the
     ``_subset_floors`` of each k in ``floored``.  With multiset weights,
     ``table`` holds the rank of each column multiset ranked so far, -1
-    elsewhere; else it is None.
+    elsewhere; else it is None.  ``raised`` is True when some entry of
+    ``bound`` has risen, by a rank or a floor, since ``_close_downward``
+    last ran on it.
     """
 
     m: np.ndarray
@@ -278,6 +280,7 @@ class _Side:
     bound: np.ndarray
     table: np.ndarray | None
     floored: set[int] = field(default_factory=set)
+    raised: bool = False
 
 
 def _size_budget_error(n: int) -> SizeBudgetError:
@@ -363,6 +366,72 @@ def _subset_floors(
     np.maximum(bound, floor, out=bound)
 
 
+def _close_downward(bound: np.ndarray, sizes: np.ndarray) -> None:
+    """Raise each entry bound(T) to max over supersets S of T of bound(S) -
+    |S \\ T|, in place; a lower bound on every rank stays one.
+
+    ``bound`` is a side's int8 array over the bitmasks below 2**n and
+    ``sizes`` is ``_popcounts(n)`` viewed as int8.  Removing a member x
+    lowers a side's numerical rank by at most one: the singular values of
+    the columns of S - x interlace those of S, sigma_i(m_S) >= sigma_i(m_{S-x})
+    >= sigma_{i+1}(m_S), and the cutoff of ``tol``, a fixed fraction of
+    sigma_max, can only shrink when a column goes.  Chained over the members
+    of S \\ T, one at a time, rank(T) >= rank(S) - |S \\ T| for every
+    superset S of T.  With g = bound - |T| the new bound is max(bound(T),
+    max_S g(S) + |T|), and the superset maximum of g takes one pass per
+    member bit, g(T) = max(g(T), g(T | bit)) for T without the bit: the
+    zeta transform over the subset lattice, in max form.  Every value fits
+    int8, since ranks and sizes are at most n <= 62.
+    """
+    g = bound - sizes
+    for b in range(len(bound).bit_length() - 1):
+        if b < 3:
+            # Short runs of one bit value: strided slices beat the reshaped view.
+            step = 2 << b
+            for j in range(1 << b):
+                np.maximum(g[j::step], g[j + (1 << b) :: step], out=g[j::step])
+        else:
+            # Axis 1 is bit b: each mask without the bit takes its value with it.
+            half = g.reshape(-1, 2, 1 << b)
+            np.maximum(half[:, 0], half[:, 1], out=half[:, 0])
+    g += sizes
+    np.maximum(bound, g, out=bound)
+
+
+def _open_size_below(
+    sides: dict[tuple[int, ...], _Side],
+    splits: tuple[Split, ...],
+    popcount: np.ndarray,
+    size: int,
+) -> int:
+    """Close the bounds of each side raised since it was last closed
+    (``_close_downward``), then return the largest size below ``size`` in
+    which some subset T may survive: on every split whose two sides are
+    open, bound_A(T) + bound_B(T) <= |T| + 1.  It is 1 when no size from 2
+    up may; no subset of a size between the two can survive.
+
+    ``popcount`` is ``_popcounts(n)``.  An allocation that fails is a
+    ``SizeBudgetError``.
+    """
+    n = len(popcount).bit_length() - 1
+    opened = [(sides[a].bound, sides[b].bound) for a, b in splits if a in sides and b in sides]
+    try:
+        for state in sides.values():
+            if state.raised:
+                _close_downward(state.bound, popcount.view(np.int8))
+                state.raised = False
+        for below in range(size - 1, 1, -1):
+            masks = np.flatnonzero(popcount == below)
+            alive = np.ones(len(masks), dtype=bool)
+            for bound_a, bound_b in opened:
+                alive &= bound_a[masks] + bound_b[masks] <= below + 1
+            if alive.any():
+                return below
+    except (MemoryError, ValueError):
+        raise _size_budget_error(n) from None
+    return 1
+
+
 def _decide_block(
     masks: np.ndarray,
     members: np.ndarray,
@@ -377,7 +446,8 @@ def _decide_block(
 
     ``masks`` holds the subsets' member bitmasks, with ``bits[i]`` the bit
     of member i, and ``members`` their (B, m) member indices; all subsets of
-    m + 1 members must be decided.  ``popcount`` and ``bits`` are those of
+    m + 1 members must be decided, or settled by ``_open_size_below``.
+    ``popcount`` and ``bits`` are those of
     ``_subset_blocks``.  ``sides`` maps each side opened so far to its
     ``_Side``, whose ``bound`` the block reads and raises in place.  A side
     is opened here (``_open_side`` of ``fam``) when a block first reaches
@@ -396,6 +466,9 @@ def _decide_block(
     first, then on side B if the subset is still alive, and its bound
     becomes its rank, so every survivor's bounds are exact.  On a side the
     block never reaches, its bounds stay as they were, still lower bounds.
+    Each rank or floor written on a side marks it ``raised``, for the next
+    closure of ``_open_size_below``, which chains the one-step start value
+    over the whole subset lattice.
 
     Floors are built once per side and k, each when it costs less than the
     ranks it replaces.  Pair floors raise only bounds below 2, so they are
@@ -443,6 +516,7 @@ def _decide_block(
             ):
                 _subset_floors(state.m, popcount, bits, 2, tol, bound)
                 state.floored.add(2)
+                state.raised = True
             exact[side] = bound[masks] >= min(size, len(state.m))
 
     def rank(side, todo):
@@ -452,6 +526,7 @@ def _decide_block(
         # No rank exceeds r, so a bound of r on the full set is its rank.
         screen = bool(bound[-1] == r)
         exact[side][todo] = True
+        state.raised |= todo.size > 0
         if (
             screen
             and 2 < r < size
@@ -521,7 +596,14 @@ def certify_unique(
     blocks of one size from ``_subset_blocks``; ``_decide_block`` describes
     how a block is decided; a survivor's exact deltas are its entries of
     the split sides' ``bound``.  The survivors of each size stay one int
-    array of members and deltas, which ``Certificate.levels`` holds.
+    array of members and deltas, which ``Certificate.levels`` holds.  A
+    subset dies when the bounds of a split, each a proven lower bound on a
+    side's rank, sum past its size + 1.  After a size that leaves no
+    survivor, ``_open_size_below`` closes the bounds down the subset lattice
+    and the sizes below it in which no subset can survive are skipped.
+    They hold no witness, so the certificate and ``subsets_examined`` are
+    those of deciding every size.  After k closures in a row that skip no
+    size, the next waits for 2**(k-1) - 1 more survivor-free sizes.
     """
     n = fam.n_members
     if max_members < 1:
@@ -544,7 +626,11 @@ def certify_unique(
     sides: dict[tuple[int, ...], _Side] = {}
     levels = []  # the witnesses of each size with any, largest size first
     first = 0  # ascending position of the first witness of the smallest size
+    visit = n  # no subset of a size above it and below the last decided one survives
+    wait = misses = 0  # survivor-free sizes to decide before the next closure
     for size in range(n, 1, -1):
+        if size > visit:
+            continue
         level = []
         for start, block, members in _subset_blocks(popcount, bits, size):
             alive = _decide_block(block, members, popcount, bits, splits, fam, sides, tol)
@@ -556,6 +642,13 @@ def certify_unique(
             level.append(np.column_stack([members[alive], *exact]))
         if level:
             levels.append(np.concatenate(level))
+        elif wait:
+            wait -= 1
+        elif size > 2:
+            visit = _open_size_below(sides, splits, popcount, size)
+            # After k closures in a row that settle no size, the next waits 2**(k-1) - 1.
+            misses = 0 if visit < size - 1 else misses + 1
+            wait = (1 << max(misses - 1, 0)) - 1
 
     levels.reverse()
     if fail_fast and levels:

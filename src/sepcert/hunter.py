@@ -29,6 +29,7 @@ from .families import (
 )
 from .linalg import (
     MAX_MATRIX_ELEMENTS,
+    _check_elements,
     _check_unitary,
     _coefficient_vector,
     _compound_gram,
@@ -405,13 +406,19 @@ def hunt_product(
     coefficients converge pinned at the floor the hunt re-runs on the subset
     without the pinned members (they wanted to be zero, which the
     all-nonzero-coefficients requirement forbids).
+
+    ``subset`` defaults to every member; fewer than two members is a
+    ``UsageError``.  A stack of min(``restarts``, ``RESTART_BLOCK``)
+    vectorized operators past the element budget is a ``SizeBudgetError``;
+    both are raised before any side is built.
     """
-    if subset is None:
-        subset = tuple(range(fam.n_members))
-    else:
-        subset = fam.member_indices(subset, minimum=2)
+    subset = fam.member_indices(range(fam.n_members) if subset is None else subset, minimum=2)
     if restarts < 1:
         raise UsageError("restarts must be at least 1")
+    _check_elements(
+        min(restarts, RESTART_BLOCK) * fam.spec.total_d_out * fam.spec.total_d_in,
+        "the hunt's restart stack",
+    )
     if max_iters < 1:
         raise UsageError("max_iters must be at least 1")
     if not (0 < threshold < 1):

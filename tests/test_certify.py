@@ -18,6 +18,7 @@ from sepcert.certify import (
     STRATEGY_PAIRS,
     SUBSET_BLOCK,
     Witness,
+    _close_downward,
     _member_bits,
     _open_side,
     _popcounts,
@@ -882,6 +883,14 @@ _BOUND_FAMILIES = {
         for dims, n in [((2, 2), 9), ((2, 3), 8), ((2, 2, 2), 9)]
         for seed in range(3)
     },
+    # Families whose smaller sizes the closed bounds skip.
+    "fourier-222": lambda: gen_fourier_channel((2, 2, 2)),
+    **{
+        f"random-{''.join(map(str, dims))}-n{n}": (
+            lambda dims=dims, n=n: random_product_family(np.random.default_rng(0), dims, n)
+        )
+        for dims, n in [((2, 2, 2), 11), ((3, 3), 10), ((2, 3), 11)]
+    },
     "projective-24": lambda: gen_projective_basis(2, 4),
     "projective-33": lambda: gen_projective_basis(3, 3),
     "tight-n2": lambda: gen_tight_family(2, seed=0)[0],
@@ -921,6 +930,50 @@ def test_side_bounds_never_exceed_the_rank(monkeypatch, make, strategy, tol):
         for mask in range(1, 1 << n):
             subset = np.flatnonzero(mask & bits)
             assert state.bound[mask] <= numerical_rank(state.m[:, subset], tol)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_downward_closure_matches_the_superset_maximum(n):
+    # bound(T) becomes max over supersets S of bound(S) - |S \ T|, T itself
+    # included; each member bit takes its own pass, the three lowest too.
+    popcount = _popcounts(n).astype(int)
+    masks = np.arange(1 << n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        bound = rng.integers(0, popcount + 1).astype(np.int8)
+        expected = [
+            max(bound[s] - popcount[s] + popcount[t] for s in masks[(masks & t) == t])
+            for t in masks
+        ]
+        closed = bound.copy()
+        _close_downward(closed, _popcounts(n).view(np.int8))
+        assert closed.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "make, sizes",
+    [
+        (lambda: gen_fourier_channel((2, 2, 2)), [11, 10]),
+        (lambda: random_product_family(np.random.default_rng(0), (2, 2, 2), 13), [13, 10]),
+        (lambda: random_product_family(np.random.default_rng(0), (3, 3), 13), [13, 9, 5]),
+        # Survivors at every size: no size is skipped.
+        (lambda: gen_projective_basis(3, 4), list(range(12, 1, -1))),
+    ],
+    ids=["fourier-222", "random-222-n13", "random-33-n13", "projective-34"],
+)
+def test_closed_bounds_skip_the_sizes_they_settle(monkeypatch, make, sizes):
+    seen = []
+    decide = sepcert.certify._decide_block
+
+    def recording(masks, members, *args):
+        seen.append(members.shape[1])
+        return decide(masks, members, *args)
+
+    monkeypatch.setattr(sepcert.certify, "_decide_block", recording)
+    fam = make()
+    cert = certify_unique(fam)
+    assert sorted(set(seen), reverse=True) == sizes
+    assert cert.subsets_examined == 2**fam.n_members - fam.n_members - 1
 
 
 @pytest.mark.parametrize("error", [MemoryError, ValueError])

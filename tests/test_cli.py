@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sepcert.cli
+import sepcert.hunter
 from sepcert import __version__
 from sepcert.certify import certify_unique
 from sepcert.cli import main
@@ -485,6 +486,36 @@ def test_hunt_rejects_bad_subsets(capsys, tmp_path, subset):
     code, _, err = run_cli(capsys, "hunt", str(path), "--subset", subset)
     assert code == 2
     assert err
+
+
+def _no_sides(*args):
+    raise AssertionError("the hunt built its sides")
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (4096, 1), (32, 32)], ids=["2x2", "4096x1", "32x32"])
+def test_hunt_on_one_member_exits_2_before_the_sides(capsys, tmp_path, monkeypatch, dims):
+    # The default subset, every member, needs two members as --subset does.
+    path = tmp_path / "one.json"
+    d_in, d_out = dims
+    factor = np.ones((d_out, d_in))
+    save_family(path, family_from_factors([dims] * 2, [(1.0, [factor, factor])]))
+    monkeypatch.setattr(sepcert.hunter, "_unit_members", _no_sides)
+    code, stdout, err = run_cli(capsys, "hunt", str(path))
+    assert code == 2
+    assert stdout == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "at least 2 member indices" in err
+
+
+def test_hunt_restart_stack_past_the_element_budget_exits_5(capsys, tmp_path, monkeypatch):
+    # Two members of two 32 x 32 parties: 64 restarts of 2**20 entries each.
+    path = tmp_path / "wide.json"
+    eye, diag = np.eye(32), np.diag(np.arange(1.0, 33.0))
+    save_family(path, family_from_factors([(32, 32)] * 2, [(1.0, [eye, eye]), (1.0, [diag, eye])]))
+    monkeypatch.setattr(sepcert.hunter, "_unit_members", _no_sides)
+    code, stdout, err = run_cli(capsys, "hunt", str(path))
+    assert code == 5
+    assert stdout == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "restart stack" in err and "element budget" in err
 
 
 @pytest.mark.parametrize("command", ["hunt", "gen-product-unitary", "gen-tight"])

@@ -40,6 +40,18 @@ EDITS = [
         "exact[side] = bound[masks] >= min(size, len(state.m)) - 1",
     ),
     (
+        "closure of the bounds without - popcount",
+        "src/sepcert/certify.py",
+        "g = bound - sizes",
+        "g = bound.copy()",
+    ),
+    (
+        "skip test < for <=",
+        "src/sepcert/certify.py",
+        "alive &= bound_a[masks] + bound_b[masks] <= below + 1",
+        "alive &= bound_a[masks] + bound_b[masks] < below + 1",
+    ),
+    (
         "_proves_full_rank default bound c + d -> c",
         "src/sepcert/linalg.py",
         "bound = tol.cutoff(s + d) + d",
@@ -223,6 +235,19 @@ EDITS = [
         "    subset is eliminated.  An unknown strategy is a ``UsageError``.\"\"\"\n",
         "    subset is eliminated.  An unknown strategy is a ``UsageError``.\"\"\"\n"
         "    if n_parties == 1:\n        return ()\n",
+    ),
+    (
+        "hunt_product's default subset without the two-member check",
+        "src/sepcert/hunter.py",
+        "subset = fam.member_indices(range(fam.n_members) if subset is None else subset, minimum=2)",
+        "subset = tuple(range(fam.n_members)) if subset is None else fam.member_indices(subset, "
+        "minimum=2)",
+    ),
+    (
+        "hunt_product without the restart-stack element check",
+        "src/sepcert/hunter.py",
+        "min(restarts, RESTART_BLOCK) * fam.spec.total_d_out * fam.spec.total_d_in,",
+        "0,",
     ),
     (
         "hunt_product reporting unit-member coefficients",
