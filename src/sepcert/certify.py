@@ -367,21 +367,18 @@ def _subset_floors(
 
 
 def _close_downward(bound: np.ndarray, sizes: np.ndarray) -> None:
-    """Raise each entry bound(T) to max over supersets S of T of bound(S) -
-    |S \\ T|, in place; a lower bound on every rank stays one.
+    """Raise each entry bound(T) of a side's int8 ``bound`` to max over
+    supersets S of T of bound(S) - |S \\ T|, in place; ``sizes`` is
+    ``_popcounts(n)`` viewed as int8.
 
-    ``bound`` is a side's int8 array over the bitmasks below 2**n and
-    ``sizes`` is ``_popcounts(n)`` viewed as int8.  Removing a member x
-    lowers a side's numerical rank by at most one: the singular values of
-    the columns of S - x interlace those of S, sigma_i(m_S) >= sigma_i(m_{S-x})
-    >= sigma_{i+1}(m_S), and the cutoff of ``tol``, a fixed fraction of
-    sigma_max, can only shrink when a column goes.  Chained over the members
-    of S \\ T, one at a time, rank(T) >= rank(S) - |S \\ T| for every
-    superset S of T.  With g = bound - |T| the new bound is max(bound(T),
-    max_S g(S) + |T|), and the superset maximum of g takes one pass per
-    member bit, g(T) = max(g(T), g(T | bit)) for T without the bit: the
-    zeta transform over the subset lattice, in max form.  Every value fits
-    int8, since ranks and sizes are at most n <= 62.
+    Lower bounds stay lower bounds.  Removing a column x lowers a side's
+    rank by at most one: sigma_i(m_S) >= sigma_i(m_{S-x}) >= sigma_{i+1}(m_S)
+    (interlacing), and the cutoff, a fixed fraction of sigma_max, can only
+    shrink when x goes.  Chained over the members of S \\ T, one at a time,
+    rank(T) >= rank(S) - |S \\ T|.  With g = bound - |T|,
+    the superset maximum of g takes one pass per member bit, g(T) = max(g(T),
+    g(T | bit)): the zeta transform over the subset lattice, in max form.
+    Every value fits int8, since ranks and sizes are at most n <= 62.
     """
     g = bound - sizes
     for b in range(len(bound).bit_length() - 1):
@@ -394,24 +391,17 @@ def _close_downward(bound: np.ndarray, sizes: np.ndarray) -> None:
             # Axis 1 is bit b: each mask without the bit takes its value with it.
             half = g.reshape(-1, 2, 1 << b)
             np.maximum(half[:, 0], half[:, 1], out=half[:, 0])
-    g += sizes
-    np.maximum(bound, g, out=bound)
+    np.maximum(bound, g + sizes, out=bound)
 
 
 def _open_size_below(
-    sides: dict[tuple[int, ...], _Side],
-    splits: tuple[Split, ...],
-    popcount: np.ndarray,
-    size: int,
+    sides: dict, splits: tuple[Split, ...], popcount: np.ndarray, size: int
 ) -> int:
-    """Close the bounds of each side raised since it was last closed
+    """Close the bounds of each side ``raised`` since its last closure
     (``_close_downward``), then return the largest size below ``size`` in
-    which some subset T may survive: on every split whose two sides are
-    open, bound_A(T) + bound_B(T) <= |T| + 1.  It is 1 when no size from 2
-    up may; no subset of a size between the two can survive.
-
-    ``popcount`` is ``_popcounts(n)``.  An allocation that fails is a
-    ``SizeBudgetError``.
+    which some subset T may survive every split whose two sides are open,
+    bound_A(T) + bound_B(T) <= |T| + 1; 1 when no size from 2 up may.  An
+    allocation that fails is a ``SizeBudgetError``.
     """
     n = len(popcount).bit_length() - 1
     opened = [(sides[a].bound, sides[b].bound) for a, b in splits if a in sides and b in sides]
