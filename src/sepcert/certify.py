@@ -375,10 +375,10 @@ def _close_downward(bound: np.ndarray, sizes: np.ndarray) -> None:
     rank by at most one: sigma_i(m_S) >= sigma_i(m_{S-x}) >= sigma_{i+1}(m_S)
     (interlacing), and the cutoff, a fixed fraction of sigma_max, can only
     shrink when x goes.  Chained over the members of S \\ T, one at a time,
-    rank(T) >= rank(S) - |S \\ T|.  With g = bound - |T|,
-    the superset maximum of g takes one pass per member bit, g(T) = max(g(T),
-    g(T | bit)): the zeta transform over the subset lattice, in max form.
-    Every value fits int8, since ranks and sizes are at most n <= 62.
+    rank(T) >= rank(S) - |S \\ T|.  With g = bound - |T|, the superset
+    maximum of g takes one pass per member bit, g(T) = max(g(T), g(T | bit)):
+    the zeta transform over the subset lattice, in max form.  Every value
+    fits int8, since ranks and sizes are at most n <= 62.
     """
     g = bound - sizes
     for b in range(len(bound).bit_length() - 1):
@@ -437,10 +437,10 @@ def _decide_block(
     ``masks`` holds the subsets' member bitmasks, with ``bits[i]`` the bit
     of member i, and ``members`` their (B, m) member indices; all subsets of
     m + 1 members must be decided, or settled by ``_open_size_below``.
-    ``popcount`` and ``bits`` are those of
-    ``_subset_blocks``.  ``sides`` maps each side opened so far to its
-    ``_Side``, whose ``bound`` the block reads and raises in place.  A side
-    is opened here (``_open_side`` of ``fam``) when a block first reaches
+    ``popcount`` and ``bits`` are those of ``_subset_blocks``.  ``sides``
+    maps each side opened so far to its ``_Side``, whose ``bound`` the
+    block reads and raises in place.  A side is opened here
+    (``_open_side`` of ``fam``) when a block first reaches
     one of its splits, and a block raises its subsets' bounds on a side to
     their start values only when it reaches the side.
 
@@ -636,7 +636,6 @@ def certify_unique(
             wait -= 1
         elif size > 2:
             visit = _open_size_below(sides, splits, popcount, size)
-            # After k closures in a row that settle no size, the next waits 2**(k-1) - 1.
             misses = 0 if visit < size - 1 else misses + 1
             wait = (1 << max(misses - 1, 0)) - 1
 
