@@ -76,7 +76,7 @@ class Certificate:
     """Outcome of the uniqueness check: Unique iff no witness survives.
 
     ``levels`` holds the witnesses of each size that has any, in increasing
-    size: one (B, size + 2 * len(splits)) int array per size whose rows are
+    size: one (B, size + 2 * len(splits)) int8 array per size whose rows are
     the B witnesses in lexicographic order, each its members and then its
     deltas.  ``splits`` lists the examined splits as (side_a, side_b) party
     tuples, once for all witnesses.  Certificates are equal when their
@@ -156,8 +156,8 @@ class Certificate:
         ``json.dumps`` still renders everything but the witness array.  A
         witness piece is built with no ``Witness`` object and no walk of
         dicts through the stdlib's pure-Python indent encoder: it looks up
-        each int of its rows of ``levels`` in the per-slot string table of
-        ``_slot_table`` and joins the strings.
+        each int of its rows of ``levels`` in the string table of
+        ``_slot_table``, built once per report, and joins the strings.
         """
         text = json.dumps({**head, **self._fields([])}, indent=2)
         if self.unique:
@@ -167,12 +167,15 @@ class Certificate:
         before, _, after = text.partition('\n  "witnesses": []')
         yield before + '\n  "witnesses": ['
         deltas = 2 * len(self.splits)
+        table = _slot_table(self.splits, max(int(level.max()) for level in self.levels) + 1)
         first = True
         for level in self.levels:
-            table = _slot_table(self.splits, level.shape[1] - deltas, int(level.max()) + 1)
-            slots = np.arange(level.shape[1])
+            # The first member, the others, each delta, and the last slot.
+            size = level.shape[1] - deltas
+            rows = np.array([0] + [1] * (size - 1) + list(range(2, 2 + deltas)))
+            rows[-1] = len(table) - 1
             for start in range(0, len(level), LEVEL_BLOCK):
-                pieces = table[slots, level[start : start + LEVEL_BLOCK]].ravel().tolist()
+                pieces = table[rows, level[start : start + LEVEL_BLOCK]].ravel().tolist()
                 if first:
                     # The first witness has no comma before it.
                     pieces[0] = pieces[0][1:]
@@ -186,24 +189,27 @@ def _split_sum(side_a, side_b, delta_a, delta_b) -> dict:
     return {"side_a": list(side_a), "side_b": list(side_b), "delta_a": delta_a, "delta_b": delta_b}
 
 
-def _slot_table(splits: tuple[Split, ...], size: int, values: int) -> np.ndarray:
-    """The indent-2 report text of a witness of ``size`` members, cut at
-    its int slots (its members, then delta_a, delta_b of each split): the
-    (slots, values) object array whose entry [i, v] is the text from the
-    end of slot i - 1 through the decimal of v in slot i.
+def _slot_table(splits: tuple[Split, ...], values: int) -> np.ndarray:
+    """The indent-2 report text of a witness, cut at its int slots (its
+    members, then delta_a, delta_b of each split), as an object array whose
+    entry [i, v] is the text from the end of the slot before through the
+    decimal of v in a slot of row i.
 
-    Entries of slot 0 start with the comma and newline that follow the
-    witness before; those of the last slot run on to the witness's end.
-    ``json.dumps`` lays the witness out with placeholder strings where the
-    slots go, so keys and layout are those of ``Certificate.to_dict``.
+    Row 0 serves the first member, row 1 every later member and rows 2 on
+    each delta in order; the last row is the one before it run on to the
+    witness's end, and serves each witness's last slot.  Entries of row 0
+    start with the comma and newline that follow the witness before.
+    ``json.dumps`` lays out a two-member witness with placeholder strings
+    where the slots go, so keys and layout are those of
+    ``Certificate.to_dict``.
     """
     sums = [_split_sum(a, b, "\x00", "\x00") for a, b in splits]
-    text = json.dumps({"members": ["\x00"] * size, "split_sums": sums}, indent=2)
+    text = json.dumps({"members": ["\x00"] * 2, "split_sums": sums}, indent=2)
     # A witness sits two levels deep in the report.
     *literals, end = f",\n{text}".replace("\n", "\n    ").split('"\\u0000"')
     decimals = [str(v) for v in range(values)]
     table = [[literal + v for v in decimals] for literal in literals]
-    table[-1] = [entry + end for entry in table[-1]]
+    table.append([entry + end for entry in table[-1]])
     return np.array(table, dtype=object)
 
 
@@ -264,22 +270,21 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
 class _Side:
     """A split side's matrix and the pass's rank bounds on it.
 
-    ``m`` and ``weights`` are those of ``_open_side``.  ``bound`` is an int8
+    ``m`` and ``classes`` are those of ``_open_side``.  ``bound`` is an int8
     array over member bitmasks, 0 at first: each entry is a proven lower
     bound on the computed rank of that subset's columns of ``m``, and the
     exact rank once the subset has been ranked on the side.  It holds the
-    ``_subset_floors`` of each k in ``floored``.  With multiset weights,
-    ``table`` holds the rank of each column multiset ranked so far, -1
-    elsewhere; else it is None.  ``raised`` is True when some entry of
-    ``bound`` has risen, by a rank or a floor, since ``_close_downward``
-    last ran on it.
+    ``_subset_floors`` of each k in ``floored``.  ``ranked`` counts the
+    columns of the subsets ranked on the side so far.  ``raised`` is True
+    when some entry of ``bound`` has risen, by a rank or a floor, since
+    ``_close_downward`` last ran on it.
     """
 
     m: np.ndarray
-    weights: np.ndarray | None
+    classes: np.ndarray | None
     bound: np.ndarray
-    table: np.ndarray | None
     floored: set[int] = field(default_factory=set)
+    ranked: int = 0
     raised: bool = False
 
 
@@ -287,30 +292,93 @@ def _size_budget_error(n: int) -> SizeBudgetError:
     return SizeBudgetError(f"rank bounds for {n} members need 2**{n} bytes per split side")
 
 
-def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int) -> _Side:
-    """The side's ``unit_side`` matrix and its rank bounds before any subset
-    of the n members is decided: every bound 0, no multiset ranked.
+def _column_classes(raw: np.ndarray) -> np.ndarray:
+    """The class of each column of ``raw``: columns equal bit for bit share
+    one, numbered in order of first appearance."""
+    ids: dict[bytes, int] = {}
+    return np.array([ids.setdefault(col.tobytes(), len(ids)) for col in raw.T])
 
-    Members whose raw side columns are equal bit for bit form a class.  When
-    some class has two or more, member j weighs prod over classes c <
-    class(j) of (size(c) + 1), so ``weights[T].sum()`` names the multiset of
-    T's columns and lies below prod over c of (size(c) + 1): subsets sharing
-    a multiset share one rank.  With every column distinct they are None.
+
+def _side_cap(m: np.ndarray, tol: TolerancePolicy) -> tuple[float, float, float]:
+    """kappa, the ``svd_error_scale`` of the side matrix ``m``'s shape, d =
+    kappa s and the global cap C = ``tol.cutoff(s + d)``, with s = ||m||_F
+    (1 + kappa): s bounds the norm of every column selection of ``m``, d
+    the SVD's error on each of its singular values, and C its cutoff."""
+    r, n = m.shape
+    kappa = svd_error_scale(max(r, n), min(r, n))
+    s = np.linalg.norm(m) * (1 + kappa)
+    d = kappa * s
+    return kappa, d, tol.cutoff(s + d)
+
+
+def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int, tol: TolerancePolicy) -> _Side:
+    """The side's ``unit_side`` matrix and its rank bounds before any subset
+    of the n members is decided: every bound 0.
+
+    Members whose raw side columns are equal bit for bit form a class.  With
+    c < n classes, ``classes`` holds each member's class bit, 1 << class,
+    when ``_proves_class_ranks`` proves that each subset's rank on the side
+    is the number of classes it holds: the popcount of the OR of its
+    members' class bits.  Else it is None, and subsets are ranked one by one.
     """
     raw = fam.side_matrix(side)
-    ids: dict[bytes, int] = {}
-    cls = np.array([ids.setdefault(col.tobytes(), len(ids)) for col in raw.T])
-    weights = None
-    if len(ids) < n:
-        weights = np.concatenate(([1], np.cumprod(np.bincount(cls)[:-1] + 1)))[cls]
+    cls = _column_classes(raw)
     m, _ = compressed_side(raw)
     try:
         bound = np.zeros(1 << n, dtype=np.int8)
-        # The full set has the largest key, prod over classes of (size + 1) - 1.
-        table = None if weights is None else np.full(int(weights.sum()) + 1, -1, dtype=np.int8)
     except (MemoryError, ValueError):
         raise _size_budget_error(n) from None
-    return _Side(m, weights, bound, table)
+    proven = cls.max() + 1 < n and _proves_class_ranks(m, cls, tol)
+    return _Side(m, np.left_shift(1, cls) if proven else None, bound)
+
+
+def _proves_class_ranks(m: np.ndarray, cls: np.ndarray, tol: TolerancePolicy) -> bool:
+    """True only when every subset T of the columns of the r x n side
+    matrix ``m`` has computed rank h(T), the number of the c classes
+    ``cls`` it holds.
+
+    The columns of a class are equal before ``compressed_side``; its thin QR
+    may leave them apart by rounding (Higham Thm 19.4).  Let e bound the
+    distance of each column from its class's first column, the
+    representative, w = sqrt(n) e, and d, C be those of ``_side_cap``.  The
+    proof asks for c <= r and two checks:
+
+    * The representatives have exact sigma_min > C + d + w, by the
+      ``_proves_full_rank`` call of ``_subset_floors``.  One member of each
+      class T holds gives h columns within w, in spectral norm, of h
+      representatives, whose sigma_min is at least that of all c (deleting
+      columns never lowers it).  So sigma_h(m_T) > C + d by Weyl, the
+      computed value exceeds C, and C bounds T's cutoff (see
+      ``_subset_floors``): T's rank counts h values.
+    * w + d is at most the cutoff of every column selection
+      (``_zero_under_every_cutoff``), whose computed sigma_max is at least
+      its largest column norm less d.  Moving each column of m_T to its
+      representative moves m_T by at most w and leaves rank h, so
+      sigma_{h+1}(m_T) <= w, and its computed value is at most w + d: T's
+      rank counts no more than h values.
+
+    e and the column norms are computed, then widened by the kappa of
+    ``_side_cap`` for their rounding; e is 0 on an uncompressed side.  The
+    proof fails when c > r, when the representatives are dependent, and
+    when the tolerance nears 0.
+    """
+    r, n = m.shape
+    reps = np.unique(cls, return_index=True)[1]
+    if len(reps) > r:
+        return False
+    kappa, d, cap = _side_cap(m, tol)
+    shift = math.sqrt(n) * np.linalg.norm(m - m[:, reps[cls]], axis=0).max() * (1 + kappa)
+    low = np.linalg.norm(m, axis=0).min() * (1 - kappa)
+    return _zero_under_every_cutoff(shift + d, low - d, tol) and _proves_full_rank(
+        m[None, :, reps], tol, bound=cap + d + shift
+    )
+
+
+def _zero_under_every_cutoff(value: float, low: float, tol: TolerancePolicy) -> bool:
+    """True when a computed singular value of at most ``value`` counts as
+    zero in the rank of every matrix whose computed sigma_max is at least
+    ``low``: a rank counts only the values above its cutoff."""
+    return value <= tol.cutoff(low)
 
 
 def _subset_floors(
@@ -329,8 +397,7 @@ def _subset_floors(
     ``m`` is an r x N side matrix; ``popcount`` and ``bits`` are those of
     ``_subset_blocks``.  One SVD call per block of k-member subsets ranks
     them; a k-subset's robust rank counts its singular values above C + 2d,
-    with s = ||m||_F (1 + kappa), kappa the ``svd_error_scale`` of ``m``'s
-    shape, d = kappa s and the global cap C = ``tol.cutoff(s + d)``.  For a
+    with s, d and the global cap C those of ``_side_cap``.  For a
     subset T holding the k-subset S, sigma_i(m_T) >= sigma_i(m_S) (adding
     columns never lowers a singular value), and each computed singular
     value is within d of the exact one (Weyl): no column selection of m is
@@ -347,10 +414,7 @@ def _subset_floors(
     other entries of ``bound``, pass to supersets.
     """
     r, n = m.shape
-    kappa = svd_error_scale(max(r, n), min(r, n))
-    s = np.linalg.norm(m) * (1 + kappa)
-    d = kappa * s
-    cap = tol.cutoff(s + d)
+    _, d, cap = _side_cap(m, tol)
     floor = np.zeros_like(bound)
     for _, masks, members in _subset_blocks(popcount, bits, k):
         stack = np.moveaxis(m[:, members], 1, 0)
@@ -440,9 +504,11 @@ def _decide_block(
     ``popcount`` and ``bits`` are those of ``_subset_blocks``.  ``sides``
     maps each side opened so far to its ``_Side``, whose ``bound`` the
     block reads and raises in place.  A side is opened here
-    (``_open_side`` of ``fam``) when a block first reaches
-    one of its splits, and a block raises its subsets' bounds on a side to
-    their start values only when it reaches the side.
+    (``_open_side`` of ``fam`` and ``tol``) when a block first reaches one
+    of its splits, and a block raises its subsets' bounds on a side to
+    their start values only when it reaches the side.  On a side whose
+    ``classes`` are proven, the start value is each subset's rank, its
+    class count, and nothing there is ranked or floored.
 
     On each side a subset T starts from max(``bound(T)``, ``max_x
     bound(T | x) - 1``).  The first holds the floors built so far.  The
@@ -467,17 +533,18 @@ def _decide_block(
     side whose full set has the bound r, its full row rank, with 2 < r < m,
     a floor of r is exact, since no rank exceeds r: a subset holding an
     independent r-subset has rank r.  So the floors of the r-member subsets
-    are built when the subsets the block would rank there hold more columns
-    than the C(n, r) r-subsets do; until then those subsets are ranked.  A
-    floor below r is not exact, and its subset is ranked.
+    are built once the columns the side has ranked over the pass, ``ranked``,
+    and those of the subsets the block would rank there exceed the
+    r C(n, r) columns of the r-subsets; until then those subsets are
+    ranked.  This rent-or-buy rule spends at most twice the columns of the
+    better of never building and building at once.  A floor below r is not
+    exact, and its subset is ranked.
 
     The subsets left to rank on a side go to ``stacked_ranks`` in stacks of
     at most ``SUBSET_BLOCK`` column selections.  A side tries the full-rank
     screen of ``stacked_ranks`` only when its full set's bound is r, the row
     count of the side matrix after its thin QR: on a deficient side the
-    screen cannot succeed.  A side with multiset weights (see
-    ``_open_side``) ranks one subset per column multiset not yet in its
-    table and reads every other rank from there.
+    screen cannot succeed.
 
     Returns the positions in ``members`` of the subsets no split
     eliminated; their bounds on every side of ``splits`` are exact.
@@ -490,24 +557,31 @@ def _decide_block(
     def reach(side) -> None:
         """Open ``side`` and raise the block's bounds there to their start values."""
         if side not in sides:
-            sides[side] = _open_side(fam, side, n)
+            sides[side] = _open_side(fam, side, n, tol)
         state = sides[side]
-        if side not in exact:
-            bound = state.bound
-            # For x in T, T | x is T itself, which only adds bound(T) - 1.
-            bound[masks] = np.maximum(bound[masks], bound[supersets].max(axis=1) - 1)
-            # Fewer subsets below 2 are ranked for no more than the pair
-            # floors cost, and pairs rank themselves as cheaply.  The full
-            # set, alone in its block, never qualifies.
-            if (
-                2 not in state.floored
-                and size > 2
-                and np.count_nonzero(bound[masks] < 2) * size >= n * (n - 1)
-            ):
-                _subset_floors(state.m, popcount, bits, 2, tol, bound)
-                state.floored.add(2)
-                state.raised = True
-            exact[side] = bound[masks] >= min(size, len(state.m))
+        if side in exact:
+            return
+        bound = state.bound
+        if state.classes is not None:
+            # Proven by _open_side: a subset's rank is its class count.
+            bound[masks] = popcount[np.bitwise_or.reduce(state.classes[members], axis=1)]
+            exact[side] = np.ones(len(masks), dtype=bool)
+            state.raised = True
+            return
+        # For x in T, T | x is T itself, which only adds bound(T) - 1.
+        bound[masks] = np.maximum(bound[masks], bound[supersets].max(axis=1) - 1)
+        # Fewer subsets below 2 are ranked for no more than the pair
+        # floors cost, and pairs rank themselves as cheaply.  The full
+        # set, alone in its block, never qualifies.
+        if (
+            2 not in state.floored
+            and size > 2
+            and np.count_nonzero(bound[masks] < 2) * size >= n * (n - 1)
+        ):
+            _subset_floors(state.m, popcount, bits, 2, tol, bound)
+            state.floored.add(2)
+            state.raised = True
+        exact[side] = bound[masks] >= min(size, len(state.m))
 
     def rank(side, todo):
         state = sides[side]
@@ -521,25 +595,17 @@ def _decide_block(
             screen
             and 2 < r < size
             and r not in state.floored
-            and len(todo) * size > r * math.comb(n, r)
+            and state.ranked + len(todo) * size > r * math.comb(n, r)
         ):
             # A floor of r is exact: the subsets it reaches need no rank.
             _subset_floors(state.m, popcount, bits, r, tol, bound)
             state.floored.add(r)
             todo = todo[bound[masks[todo]] < r]
-        reps = todo
-        if state.weights is not None:
-            keys = state.weights[members[todo]].sum(axis=1)
-            missing = state.table[keys] < 0
-            new, first = np.unique(keys[missing], return_index=True)
-            reps = todo[missing][first]
-        for i in range(0, len(reps), SUBSET_BLOCK):
-            sel = reps[i : i + SUBSET_BLOCK]
+        state.ranked += len(todo) * size
+        for i in range(0, len(todo), SUBSET_BLOCK):
+            sel = todo[i : i + SUBSET_BLOCK]
             stack = np.moveaxis(state.m[:, members[sel]], 1, 0)
             bound[masks[sel]] = stacked_ranks(stack, tol, screen=screen)
-        if state.weights is not None:
-            state.table[new] = bound[masks[reps]]
-            bound[masks[todo]] = state.table[keys]
 
     alive = np.arange(len(members))
     for side_a, side_b in splits:
@@ -585,12 +651,13 @@ def certify_unique(
     The subsets are decided top down, from the full set to the pairs, in
     blocks of one size from ``_subset_blocks``; ``_decide_block`` describes
     how a block is decided; a survivor's exact deltas are its entries of
-    the split sides' ``bound``.  The survivors of each size stay one int
-    array of members and deltas, which ``Certificate.levels`` holds.  A
-    subset dies when the bounds of a split, each a proven lower bound on a
-    side's rank, sum past its size + 1.  After a size that leaves no
-    survivor, ``_open_size_below`` closes the bounds down the subset lattice
-    and the sizes below it in which no subset can survive are skipped.
+    the split sides' ``bound``.  The survivors of each size stay one int8
+    array of members and deltas (N <= 62), which ``Certificate.levels``
+    holds.  A subset dies when the bounds of a split, each a proven lower
+    bound on a side's rank, sum past its size + 1.  After a size that
+    leaves no survivor, ``_open_size_below`` closes the bounds down the
+    subset lattice and the sizes below it in which no subset can survive
+    are skipped.
     They hold no witness, so the certificate and ``subsets_examined`` are
     those of deciding every size.  After k closures in a row that skip no
     size, the next waits for 2**(k-1) - 1 more survivor-free sizes.
@@ -629,7 +696,7 @@ def certify_unique(
             if not level:
                 first = sum(math.comb(n, s) for s in range(2, size)) + start + int(alive[0])
             exact = [sides[side].bound[block[alive]] for split in splits for side in split]
-            level.append(np.column_stack([members[alive], *exact]))
+            level.append(np.column_stack([members[alive].astype(np.int8), *exact]))
         if level:
             levels.append(np.concatenate(level))
         elif wait:

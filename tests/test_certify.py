@@ -19,11 +19,15 @@ from sepcert.certify import (
     SUBSET_BLOCK,
     Witness,
     _close_downward,
+    _column_classes,
     _member_bits,
     _open_side,
     _popcounts,
+    _proves_class_ranks,
+    _side_cap,
     _subset_blocks,
     _subset_floors,
+    _zero_under_every_cutoff,
     certify_unique,
     verify_completeness,
 )
@@ -45,7 +49,7 @@ from sepcert.families import (
 from sepcert.linalg import (
     ABSOLUTE_FLOOR,
     TolerancePolicy,
-    numerical_rank,
+    _proves_full_rank,
     stacked_ranks,
     svd_error_scale,
     vectorize,
@@ -59,7 +63,7 @@ from sepcert.zoo import (
     gen_tight_family,
 )
 from test_acceptance import _zoo
-from test_linalg import MARGIN_POLICIES, _planted_past_gram_floor
+from test_linalg import MARGIN_POLICIES, _planted, _planted_past_gram_floor
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -281,6 +285,19 @@ def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
     )
 
 
+def _repeated_factor_family(dims, n, party, n_classes, seed=0):
+    """Random family whose member j takes member j % ``n_classes``'s factor
+    on ``party``: that side has ``n_classes`` classes of equal columns."""
+    fam = random_product_family(np.random.default_rng(seed), dims, n)
+    return OperatorFamily(fam.spec, tuple(
+        ProductOperator(m.weight, tuple(
+            fam.members[j % n_classes].factors[p] if p == party else f
+            for p, f in enumerate(m.factors)
+        ))
+        for j, m in enumerate(fam.members)
+    ))
+
+
 @pytest.mark.parametrize(
     "tol",
     [
@@ -467,15 +484,19 @@ def _counting_stacked_ranks(monkeypatch):
 def test_pairs_rank_each_side_once_per_subset(monkeypatch):
     # Four parties: each single-party side belongs to three of the six pair
     # splits.  Of the four subsets of three members, (1, 2) and (0, 1, 2)
-    # survive every split.  Members 1 and 2 are the twin M, so the pairs
-    # (0, 1) and (0, 2) select the same columns {S, M} on every side and
-    # share one rank: ranking a side once per column multiset takes 8
-    # stacked SVD calls on 10 matrices (12 when every subset was ranked on
-    # its own, and 24 calls on 28 with one call per split side).
+    # survive every split.  Members 1 and 2 are the twin M, so each of the
+    # four sides holds two column classes, {S} and {M}, in three rows after
+    # its thin QR: the class proof of each side, one Gram-Cholesky each,
+    # gives every subset's rank as its class count, and no matrix is ranked
+    # (8 stacked SVD calls on 10 matrices with one rank per column
+    # multiset, 12 matrices when every subset was ranked on its own, and 24
+    # calls on 28 with one call per split side).
     fam, _ = gen_tight_family(1, n_parties=4)
     stack_sizes = _counting_stacked_ranks(monkeypatch)
+    counts = _counting_linalg(monkeypatch)
     cert = certify_unique(fam, strategy=STRATEGY_PAIRS)
-    assert (len(stack_sizes), sum(stack_sizes)) == (8, 10)
+    assert (len(stack_sizes), sum(stack_sizes)) == (0, 0)
+    assert (counts["cholesky"], counts["failed"], counts["svd"]) == (4, 0, 0)
     pairs = [((a,), (b,)) for a, b in party_pairs(fam.n_parties)]
     witnesses, examined = _reference_certificate(fam, cert.tol, splits=pairs)
     assert [w.members for w in witnesses] == [(1, 2), (0, 1, 2)]
@@ -557,11 +578,26 @@ def test_full_rank_screen_replaces_the_svds(monkeypatch):
 
 def test_deficient_sides_skip_the_screen(monkeypatch):
     # Every side of projective (3,4) is rank deficient on the full set
-    # (three or four distinct columns out of twelve), so no stack is screened.
+    # (three or four distinct columns out of twelve).  By default each side
+    # proves its class ranks with one Gram-Cholesky of its representatives,
+    # and no subset is ranked.  At a relative threshold of 0 the proof
+    # declines at its noise check, before any Gram, and the pass ranks every
+    # undecided subset on its own, 7,632 matrices in 134 SVD calls, none of
+    # them screened.
+    fam = _relabelled(gen_projective_basis(3, 4), seed=11)
     counts = _counting_linalg(monkeypatch)
-    cert = certify_unique(_relabelled(gen_projective_basis(3, 4), seed=11))
+    cert = certify_unique(fam)
     assert len(cert.witnesses) == 3429
-    assert counts["cholesky"] == 0 and counts["svd"] > 0
+    assert (counts["cholesky"], counts["failed"], counts["svd"]) == (2, 0, 0)
+    tol = TolerancePolicy(relative_rank_threshold=0.0)
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
+    counts.update(cholesky=0, svd=0)
+    exact = certify_unique(fam, tol=tol)
+    assert (len(stack_sizes), sum(stack_sizes)) == (134, 7632)
+    assert (counts["cholesky"], counts["svd"]) == (0, 134)
+    witnesses, examined = _reference_certificate(fam, tol)
+    assert exact.witnesses == witnesses
+    assert exact.subsets_examined == examined
 
 
 def _recording_side_builds(monkeypatch):
@@ -891,15 +927,35 @@ _BOUND_FAMILIES = {
         )
         for dims, n in [((2, 2, 2), 11), ((3, 3), 10), ((2, 3), 11)]
     },
+    # Families with column classes: proven on both sides of projective
+    # (2,4) (the 16-row side after its thin QR) and (3,3), and on the 9-row
+    # side of the repeated (2,3) family after its QR; not proven where the
+    # classes outnumber the rows, as on the near twins' 4-row side and on
+    # the repeated (2,2) family's five classes of three.
     "projective-24": lambda: gen_projective_basis(2, 4),
     "projective-33": lambda: gen_projective_basis(3, 3),
     "tight-n2": lambda: gen_tight_family(2, seed=0)[0],
+    "tight-n3": lambda: gen_tight_family(3, seed=0)[0],
     "tight-n2-3party": lambda: gen_tight_family(2, n_parties=3, seed=0)[0],
     **{
         f"near-twins-{noise:g}": lambda noise=noise: _with_duplicate(8, seed=3, noise=noise)
         for noise in (0.0, 1e-15, 1e-12, 1e-9)
     },
+    "repeated-23-qr": lambda: _repeated_factor_family((2, 3), 8, party=1, n_classes=4),
+    "repeated-22-5x3": lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5),
 }
+
+
+def _subset_ranks(m, tol):
+    """The computed rank of every column selection of ``m``, by bitmask as
+    in ``_member_bits``: ``numerical_rank`` of each, ranked size by size."""
+    n = m.shape[1]
+    popcount, bits = _popcounts(n), _member_bits(n)
+    ranks = np.zeros(1 << n, dtype=int)
+    for size in range(1, n + 1):
+        for _, masks, members in _subset_blocks(popcount, bits, size):
+            ranks[masks] = stacked_ranks(np.moveaxis(m[:, members], 1, 0), tol)
+    return ranks
 
 
 @pytest.mark.parametrize(
@@ -916,20 +972,24 @@ def test_side_bounds_never_exceed_the_rank(monkeypatch, make, strategy, tol):
     opened = []
     open_side = sepcert.certify._open_side
 
-    def recording(fam, side, n):
-        opened.append(open_side(fam, side, n))
+    def recording(fam, side, n, tol):
+        opened.append(open_side(fam, side, n, tol))
         return opened[-1]
 
     monkeypatch.setattr(sepcert.certify, "_open_side", recording)
     fam = make()
     certify_unique(fam, strategy=strategy, tol=tol)
     n = fam.n_members
-    bits = _member_bits(n)
     assert opened
     for state in opened:
-        for mask in range(1, 1 << n):
-            subset = np.flatnonzero(mask & bits)
-            assert state.bound[mask] <= numerical_rank(state.m[:, subset], tol)
+        ranks = _subset_ranks(state.m, tol)
+        assert (state.bound <= ranks).all()
+        if state.classes is not None:
+            # A proven side's every rank is its class count.
+            held = np.zeros(1 << n, dtype=int)
+            for bit, cls in zip(_member_bits(n)[::-1], state.classes[::-1]):
+                held[bit : 2 * bit] = held[:bit] | cls
+            assert (_popcounts(n)[held] == ranks).all()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -1057,13 +1117,173 @@ def test_shared_column_multisets_match_per_subset_reference(make, strategy, tol)
 
 def test_relabelled_projective_ranks_each_column_multiset_once(monkeypatch):
     # Side 0 of projective (3,4) has three classes of four equal columns and
-    # side 1 four classes of three, so its 4,083 subsets select at most
-    # 5**3 + 4**4 = 381 column multisets; ranking every subset on its own
-    # took 7,674 matrices.
+    # side 1 four classes of three.  Both class proofs hold, so every
+    # subset's rank is its class count and no matrix is ranked; one rank per
+    # column multiset took 359 matrices, and ranking every subset on its own
+    # 7,632.
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     cert = certify_unique(_relabelled(gen_projective_basis(3, 4), seed=11))
     assert cert.status == "Inconclusive" and len(cert.witnesses) == 3429
-    assert sum(stack_sizes) <= 400
+    assert stack_sizes == []
+
+
+@pytest.mark.parametrize(
+    "make, proven",
+    [
+        (lambda: gen_projective_basis(2, 4), [True, True]),
+        (lambda: gen_projective_basis(3, 3), [True, True]),
+        (lambda: _repeated_factor_family((2, 3), 8, party=1, n_classes=4), [False, True]),
+        # Five classes in four rows; no class on the other side.
+        (lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5), [False, False]),
+        # Eight classes in four rows on party 0; eight in nine on the rest.
+        (lambda: _with_duplicate(8, seed=3), [False, True, True, False, True, False]),
+    ],
+    ids=["projective-24", "projective-33", "repeated-23-qr", "repeated-22-5x3", "twins-222"],
+)
+def test_class_proofs_hold_where_the_classes_fit(make, proven):
+    fam = make()
+    sides = [side for split in all_bipartitions(fam.n_parties) for side in split]
+    tol = TolerancePolicy()
+    opened = [_open_side(fam, side, fam.n_members, tol) for side in sides]
+    assert [state.classes is not None for state in opened] == proven
+
+
+def test_cumulative_floor_gate_on_random_33_n16(monkeypatch):
+    # Both sides have 9 rows, and the pass ranks one of them from the full
+    # set down.  Its 11,440 subsets of nine members hold 102,960 columns,
+    # more than a block of at most 1,024 subsets of 16 or fewer: compared
+    # with one block's columns, their floors were never built, and the pass
+    # ranked 26,334 matrices, down to the 9-member subsets.  Counted over
+    # the pass, the ranked columns reach 79,120 by eleven members and pass
+    # 102,960 with the third block of ten: the floors are built there and
+    # settle every smaller subset, after 8,934 matrices.
+    stack_sizes = _counting_stacked_ranks(monkeypatch)
+    floored = _recording_subset_floors(monkeypatch)
+    cert = certify_unique(random_product_family(np.random.default_rng(0), (3, 3), 16))
+    assert cert.status == "Unique" and cert.subsets_examined == 2**16 - 16 - 1
+    assert sum(stack_sizes) == 8934
+    assert [(len(m), k) for m, k in floored] == [(9, 9), (9, 2)]
+
+
+def test_a_value_at_the_cutoff_counts_as_zero():
+    # A rank counts only the singular values above its cutoff, so a noise
+    # bound equal to the smallest cutoff still proves the class ranks.
+    exact = TolerancePolicy(relative_rank_threshold=0.0)
+    assert _zero_under_every_cutoff(ABSOLUTE_FLOOR, 1.0, exact)
+    assert not _zero_under_every_cutoff(np.nextafter(ABSOLUTE_FLOOR, 1.0), 1.0, exact)
+    half = TolerancePolicy(relative_rank_threshold=0.5)
+    assert _zero_under_every_cutoff(0.25, 0.5, half)
+    assert not _zero_under_every_cutoff(np.nextafter(0.25, 1.0), 0.5, half)
+
+
+def _class_side(sigma_min, e, copies=2):
+    """A 4 x 4 ``copies`` side matrix and its classes: four representatives
+    with singular values from 1 down to ``sigma_min``, each followed by
+    ``copies`` - 1 members at distance ``e`` from it."""
+    rng = np.random.default_rng(31)
+    reps = _planted(rng, 4, 4, sigma_min)
+    cls = np.repeat(np.arange(4), copies)
+    step = complex_randn(rng, 4, len(cls))
+    step[:, ::copies] = 0
+    return reps[:, cls] + e * step / np.maximum(np.linalg.norm(step, axis=0), 1e-300), cls
+
+
+def _class_proof_terms(m, cls, tol):
+    """d, C, the spread term w and the column-norm floor of
+    ``_proves_class_ranks`` on ``m``, and its representative columns."""
+    n = m.shape[1]
+    reps = np.unique(cls, return_index=True)[1]
+    kappa, d, cap = _side_cap(m, tol)
+    spread = math.sqrt(n) * np.linalg.norm(m - m[:, reps[cls]], axis=0).max() * (1 + kappa)
+    low = np.linalg.norm(m, axis=0).min() * (1 - kappa)
+    return d, cap, spread, low, m[None, :, reps]
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [TolerancePolicy(relative_rank_threshold=0.1), TolerancePolicy(relative_rank_threshold=0.01)],
+    ids=["rel0.1", "rel0.01"],
+)
+def test_class_proof_margin(tol):
+    # Representatives with sigma_min half the spread term w inside the band
+    # (C + d, C + d + w]: the proof declines, though without w their Gram
+    # proves sigma_min > C + d and the noise check holds.
+    e = 0.05 * tol.relative_rank_threshold
+    sigma_min = 0.5
+    for _ in range(40):
+        m, cls = _class_side(sigma_min, e)
+        d, cap, spread, low, reps = _class_proof_terms(m, cls, tol)
+        sigma_min = cap + d + spread / 2
+    assert np.linalg.svd(reps[0], compute_uv=False)[-1] < cap + d + spread
+    assert _zero_under_every_cutoff(spread + d, low - d, tol)
+    assert _proves_full_rank(reps, tol, bound=cap + d)
+    assert not _proves_class_ranks(m, cls, tol)
+    # Spread whose term w + d lies half a d above the smallest cutoff: the
+    # proof declines, though the representatives' Gram proves sigma_min > C
+    # + d + w.
+    e = 0.1 * tol.relative_rank_threshold
+    for _ in range(40):
+        m, cls = _class_side(1.0, e)
+        d, cap, spread, low, reps = _class_proof_terms(m, cls, tol)
+        # w grows with e: scale e to put w + d at the cutoff plus d / 2.
+        e *= (tol.cutoff(low - d) - d / 2) / spread
+    m, cls = _class_side(1.0, e)
+    d, cap, spread, low, reps = _class_proof_terms(m, cls, tol)
+    assert spread + d > tol.cutoff(low - d) > spread + d / 4
+    assert _proves_full_rank(reps, tol, bound=cap + d + spread)
+    assert not _proves_class_ranks(m, cls, tol)
+
+
+def _planted_classes(t):
+    """Random (2,2)/N8 family whose party-0 factors are the four of
+    ``_plant``, each on two members: one class each, with representatives
+    of sigma_min t."""
+    s = t / math.sqrt(2)
+    c = math.sqrt(1 - s * s)
+    planted = ([[c, 0], [s, 0]], [[c, 0], [-s, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]])
+    fam = random_product_family(np.random.default_rng(9), (2, 2), 8)
+    return OperatorFamily(fam.spec, tuple(
+        ProductOperator(m.weight, (np.array(planted[j % 4], dtype=complex), *m.factors[1:]))
+        for j, m in enumerate(fam.members)
+    ))
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [TolerancePolicy(), TolerancePolicy(relative_rank_threshold=1e-6)],
+    ids=["default", "rel1e-6"],
+)
+def test_class_proof_gram_margin(tol):
+    # The uncompressed 4-row side has spread 0, so the representatives must
+    # prove sigma_min > C + d through their Gram, with the err of the
+    # full-rank screen on four unit columns: half an err past (C + d)^2
+    # declines and twice err proves.  Either way the certificate is the
+    # reference's.
+    m = _planted_classes(1e-20).unit_side((0,))[0]
+    _, d, cap = _side_cap(m, tol)
+    kappa = svd_error_scale(4, 4)
+    err = kappa * (2 * (1 + kappa)) ** 2
+    for share, proven in [(0.5, False), (2.0, True)]:
+        fam = _planted_classes(math.sqrt((cap + d) ** 2 + share * err))
+        assert _side_cap(fam.unit_side((0,))[0], tol)[1:] == (d, cap)
+        assert (_open_side(fam, (0,), 8, tol).classes is not None) is proven
+        cert = certify_unique(fam, tol=tol)
+        witnesses, examined = _reference_certificate(fam, tol)
+        assert cert.witnesses == witnesses
+        assert cert.subsets_examined == examined
+
+
+def test_class_proof_declines_at_a_zero_threshold():
+    # At a relative threshold of 0 every cutoff is ABSOLUTE_FLOOR, below the
+    # SVD's error d: the noise check declines although the representatives
+    # are orthonormal, and the pass ranks each subset.
+    tol = TolerancePolicy(relative_rank_threshold=0.0)
+    fam = gen_projective_basis(2, 4)
+    assert all(_open_side(fam, side, 8, tol).classes is None for side in ((0,), (1,)))
+    cert = certify_unique(fam, tol=tol)
+    witnesses, examined = _reference_certificate(fam, tol)
+    assert cert.witnesses == witnesses
+    assert cert.subsets_examined == examined
 
 
 def _one_shared_factor(perturb: bool):
@@ -1079,19 +1299,31 @@ def _one_shared_factor(perturb: bool):
     )
 
 
+def _class_count(fam, side):
+    return len(set(_column_classes(fam.side_matrix(side)).tolist()))
+
+
 def test_one_ulp_apart_columns_form_no_class(monkeypatch):
-    assert _open_side(_one_shared_factor(False), (0,), 8).weights is not None
+    shared = _one_shared_factor(False)
+    assert _class_count(shared, (0,)) == 7
+    # Seven classes outnumber the four rows: no class proof.
+    assert _open_side(shared, (0,), 8, TolerancePolicy()).classes is None
     fam = _one_shared_factor(True)
-    assert all(_open_side(fam, side, 8).weights is None for side in ((0,), (1,)))
+    assert all(_class_count(fam, side) == 8 for side in ((0,), (1,)))
     stack_sizes = _counting_stacked_ranks(monkeypatch)
     cert = certify_unique(fam)
     # Every subset the bounds leave undecided is ranked on its own, side A
-    # (party 0) first, in stacks of at most 64: the full set on each side,
-    # the 8 and 28 subsets of seven and six members on both sides, the 56
-    # and 70 of five and four on side A, on side B the 15 of four that hold
-    # members 0 and 7 (whose party-0 columns are one ulp apart), and one
-    # pair.  The unperturbed family shares ranks and needs 174 matrices.
-    assert (len(stack_sizes), sum(stack_sizes)) == (11, 216)
+    # (party 0) first, in stacks of at most 64: the full set on each side
+    # and the 8 and 28 subsets of seven and six members on both sides.  At
+    # five members side A has ranked 232 columns, and its 56 subsets would
+    # add 280, more than the 280 columns of the 70 subsets of four: it
+    # builds their floors, which settle every subset of five.  At four
+    # members the 15 that hold members 0 and 7 (whose party-0 columns are
+    # one ulp apart) floor at 3 and are ranked on both sides; then one
+    # pair.  The unperturbed family takes the same 105 matrices (174 with
+    # one rank per column multiset, and 216 with the floors built on one
+    # block's columns alone).
+    assert (len(stack_sizes), sum(stack_sizes)) == (9, 105)
     witnesses, examined = _reference_certificate(fam, cert.tol)
     assert cert.witnesses == witnesses
     assert cert.subsets_examined == examined
@@ -1103,9 +1335,10 @@ def test_svd_failure_is_a_numeric_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", broken_svd)
     # The pass starts at the full set: one selection of all four columns of
-    # the 4x4 side matrix.
+    # the 4x4 side matrix.  (Projective (2,2) proves its class ranks and
+    # reaches no SVD.)
     with pytest.raises(NumericError, match="1x4x4 matrix stack"):
-        certify_unique(gen_projective_basis(2, 2))
+        certify_unique(random_product_family(np.random.default_rng(0), (2, 2), 4))
 
 
 def test_certify_ensemble_on_product_kets():

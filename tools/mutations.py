@@ -52,6 +52,24 @@ EDITS = [
         "alive &= bound_a[masks] + bound_b[masks] < below + 1",
     ),
     (
+        "class proof without the spread term in its bound",
+        "src/sepcert/certify.py",
+        "m[None, :, reps], tol, bound=cap + d + shift",
+        "m[None, :, reps], tol, bound=cap + d",
+    ),
+    (
+        "class proof without the noise check",
+        "src/sepcert/certify.py",
+        "return _zero_under_every_cutoff(shift + d, low - d, tol) and _proves_full_rank(",
+        "return _proves_full_rank(",
+    ),
+    (
+        "class proof noise check < for <=",
+        "src/sepcert/certify.py",
+        "return value <= tol.cutoff(low)",
+        "return value < tol.cutoff(low)",
+    ),
+    (
         "_proves_full_rank default bound c + d -> c",
         "src/sepcert/linalg.py",
         "bound = tol.cutoff(s + d) + d",

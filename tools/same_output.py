@@ -8,13 +8,15 @@ and once the working tree's, and each run prints the SHA-256 of every
 request's output: ``Certificate.to_json`` for each family with the default,
 pairs and bipartitions strategies, relative rank thresholds 1e-10, 1e-6 and
 1e-3, with and without ``fail_fast``, and the ``verify_completeness`` JSON
-of the one-member, one-party, ladder, Pauli and Fourier families.  Four
-families near the member cap run with the default strategy and tolerance
-only.  A request that raises hashes its exception's type and message.  The
-runner prints each request whose digests differ and exits 1 if any does.
+of the one-member, one-party, ladder, Pauli and Fourier families.  The
+families near the member cap, and random (3,3)/N16 and N18 and (2,3)/N16,
+run with the default strategy and tolerance only.  A request that raises
+hashes its exception's type and message.  The runner prints each request
+whose digests differ and exits 1 if any does.
 
-Run it from the root of a git checkout; it takes a minute or two.  It is
-not part of CI: a shallow checkout has no earlier revision to compare with.
+Run it from the root of a git checkout; it takes a few minutes.  CI runs it
+against the parent commit, ``HEAD^1``, which a checkout two commits deep
+holds.
 """
 
 from __future__ import annotations
@@ -59,12 +61,20 @@ def _families():
             )
         return build
 
+    def repeated_classes():
+        # Five party-0 factors, each on three of fifteen members.
+        fam = random_product_family(np.random.default_rng(0), (2, 2), 15)
+        return OperatorFamily(fam.spec, tuple(
+            ProductOperator(m.weight, (fam.members[j % 5].factors[0], m.factors[1]))
+            for j, m in enumerate(fam.members)
+        ))
+
     out = []
     for dims, n in [((2, 2), 9), ((2, 2), 12), ((2, 3), 12), ((2, 3), 14), ((2, 2, 2), 13),
                     ((2, 2, 2), 16), ((3, 3), 13), ((2, 2, 2, 2), 12), ((3,), 6)]:
         for seed in range(3):
             out.append((f"random{dims}/N{n}/s{seed}", random(dims, n, seed), False, True))
-    for d1, d2 in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 6), (4, 3)]:
+    for d1, d2 in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 6), (4, 3), (2, 8), (3, 5), (4, 4)]:
         out.append((f"projective({d1},{d2})", lambda d1=d1, d2=d2: gen_projective_basis(d1, d2),
                     False, True))
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
@@ -79,13 +89,15 @@ def _families():
     out.append(("pauli", gen_pauli_pair_channel, True, True))
     for noise in (0.0, 1e-15, 1e-12, 1e-10, 1e-8):
         out.append((f"near-twins/{noise:g}", near_twins(noise), False, True))
+    out.append(("repeated-classes(2,2)/N15", repeated_classes, False, True))
     for dims in [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)]:
         out.append((f"one-member{dims}", random(dims, 1, 0), True, True))
     for dims in [(2,), (3,), (4,)]:
         for n in range(1, 7):
             out.append((f"one-party{dims}/N{n}", random(dims, n, 0), True, True))
     for dims, n, seed in [((2, 2, 2), 18, 0), ((2, 2, 2), 19, 2), ((2, 2, 2), 20, 1),
-                          ((2, 2, 2, 2), 20, 0)]:
+                          ((2, 2, 2, 2), 20, 0), ((3, 3), 16, 0), ((3, 3), 18, 0),
+                          ((2, 3), 16, 0)]:
         out.append((f"random{dims}/N{n}/s{seed}", random(dims, n, seed), False, False))
     return out
 
