@@ -312,14 +312,42 @@ def _side_cap(m: np.ndarray, tol: TolerancePolicy) -> tuple[float, float, float]
 
 
 def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int, tol: TolerancePolicy) -> _Side:
-    """The side's ``unit_side`` matrix and its rank bounds before any subset
-    of the n members is decided: every bound 0.
+    """The side's ``unit_side`` matrix m, r x n, and its rank bounds before
+    any subset of the n members is decided: every bound 0.
 
     Members whose raw side columns are equal bit for bit form a class.  With
     c < n classes, ``classes`` holds each member's class bit, 1 << class,
-    when ``_proves_class_ranks`` proves that each subset's rank on the side
-    is the number of classes it holds: the popcount of the OR of its
-    members' class bits.  Else it is None, and subsets are ranked one by one.
+    when ``_proves_class_ranks`` proves that every subset T's computed rank
+    on the side is min(h(T), r), h(T) the number of classes T holds: the
+    popcount of the OR of its members' class bits.  Else it is None, and
+    subsets are ranked one by one.
+
+    The columns of a class are equal before ``compressed_side``; its thin QR
+    may leave them apart by rounding (Higham Thm 19.4).  Let e bound the
+    distance of each column of m from its class's first column, the
+    representative, w = sqrt(n) e, and d, C be those of ``_side_cap``.  The
+    proof has two checks:
+
+    * Every k-subset of the representatives, k = min(c, r), has exact
+      sigma_min > C + d + w, by the ``_proves_full_rank`` call of
+      ``_subset_floors``, a block of k-subsets at a time (one subset when c
+      <= r).  Let g = min(h, r).  T holds g classes whose representatives
+      lie in one proven k-subset, so their sigma_min exceeds C + d + w too
+      (deleting columns never lowers it), and one member of each of those
+      classes gives g columns of m_T within w, in spectral norm, of them.
+      So sigma_g(m_T) > C + d by Weyl, the computed value exceeds C, and C
+      bounds T's cutoff (see ``_subset_floors``): T's rank counts g values.
+    * w + d is at most the cutoff of every column selection
+      (``_zero_under_every_cutoff``), whose computed sigma_max is at least
+      its largest column norm less d.  Moving each column of m_T to its
+      representative moves m_T by at most w and leaves rank at most h, so
+      sigma_{h+1}(m_T) <= w, and its computed value is at most w + d: T's
+      rank counts no more than h values, and never more than r.
+
+    e and the column norms are computed, then widened by the kappa of
+    ``_side_cap`` for their rounding; e is 0 on an uncompressed side.  The
+    proof fails when some k representatives are dependent, or when the
+    tolerance nears 0.
     """
     raw = fam.side_matrix(side)
     cls = _column_classes(raw)
@@ -333,44 +361,20 @@ def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int, tol: Toleranc
 
 
 def _proves_class_ranks(m: np.ndarray, cls: np.ndarray, tol: TolerancePolicy) -> bool:
-    """True only when every subset T of the columns of the r x n side
-    matrix ``m`` has computed rank h(T), the number of the c classes
-    ``cls`` it holds.
-
-    The columns of a class are equal before ``compressed_side``; its thin QR
-    may leave them apart by rounding (Higham Thm 19.4).  Let e bound the
-    distance of each column from its class's first column, the
-    representative, w = sqrt(n) e, and d, C be those of ``_side_cap``.  The
-    proof asks for c <= r and two checks:
-
-    * The representatives have exact sigma_min > C + d + w, by the
-      ``_proves_full_rank`` call of ``_subset_floors``.  One member of each
-      class T holds gives h columns within w, in spectral norm, of h
-      representatives, whose sigma_min is at least that of all c (deleting
-      columns never lowers it).  So sigma_h(m_T) > C + d by Weyl, the
-      computed value exceeds C, and C bounds T's cutoff (see
-      ``_subset_floors``): T's rank counts h values.
-    * w + d is at most the cutoff of every column selection
-      (``_zero_under_every_cutoff``), whose computed sigma_max is at least
-      its largest column norm less d.  Moving each column of m_T to its
-      representative moves m_T by at most w and leaves rank h, so
-      sigma_{h+1}(m_T) <= w, and its computed value is at most w + d: T's
-      rank counts no more than h values.
-
-    e and the column norms are computed, then widened by the kappa of
-    ``_side_cap`` for their rounding; e is 0 on an uncompressed side.  The
-    proof fails when c > r, when the representatives are dependent, and
-    when the tolerance nears 0.
-    """
+    """True only when the class proof of ``_open_side`` holds on the r-row
+    side matrix ``m`` with column classes ``cls``: every column selection's
+    computed rank is min(r, the number of classes it holds)."""
     r, n = m.shape
     reps = np.unique(cls, return_index=True)[1]
-    if len(reps) > r:
-        return False
     kappa, d, cap = _side_cap(m, tol)
     shift = math.sqrt(n) * np.linalg.norm(m - m[:, reps[cls]], axis=0).max() * (1 + kappa)
     low = np.linalg.norm(m, axis=0).min() * (1 - kappa)
-    return _zero_under_every_cutoff(shift + d, low - d, tol) and _proves_full_rank(
-        m[None, :, reps], tol, bound=cap + d + shift
+    if not _zero_under_every_cutoff(shift + d, low - d, tol):
+        return False
+    c = len(reps)
+    return all(
+        _proves_full_rank(np.moveaxis(m[:, reps[members]], 1, 0), tol, bound=cap + d + shift)
+        for _, _, members in _subset_blocks(_popcounts(c), _member_bits(c), min(c, r))
     )
 
 
@@ -563,8 +567,9 @@ def _decide_block(
             return
         bound = state.bound
         if state.classes is not None:
-            # Proven by _open_side: a subset's rank is its class count.
-            bound[masks] = popcount[np.bitwise_or.reduce(state.classes[members], axis=1)]
+            # Proven by _open_side: a subset's rank is its class count, at most r.
+            held = popcount[np.bitwise_or.reduce(state.classes[members], axis=1)]
+            bound[masks] = np.minimum(held, len(state.m))
             exact[side] = np.ones(len(masks), dtype=bool)
             state.raised = True
             return

@@ -927,11 +927,11 @@ _BOUND_FAMILIES = {
         )
         for dims, n in [((2, 2, 2), 11), ((3, 3), 10), ((2, 3), 11)]
     },
-    # Families with column classes: proven on both sides of projective
-    # (2,4) (the 16-row side after its thin QR) and (3,3), and on the 9-row
-    # side of the repeated (2,3) family after its QR; not proven where the
-    # classes outnumber the rows, as on the near twins' 4-row side and on
-    # the repeated (2,2) family's five classes of three.
+    # Families with column classes, proven on each side that has them (see
+    # test_class_proofs_hold_on_independent_representatives): projective
+    # (2,4), its 16-row side after the thin QR, the repeated (2,3) family's
+    # 9-row side after its QR, and the repeated (2,2) family's five classes
+    # in four rows; the dependent family's are not proven.
     "projective-24": lambda: gen_projective_basis(2, 4),
     "projective-33": lambda: gen_projective_basis(3, 3),
     "tight-n2": lambda: gen_tight_family(2, seed=0)[0],
@@ -943,6 +943,7 @@ _BOUND_FAMILIES = {
     },
     "repeated-23-qr": lambda: _repeated_factor_family((2, 3), 8, party=1, n_classes=4),
     "repeated-22-5x3": lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5),
+    "dependent-22": lambda: _dependent_classes(),
 }
 
 
@@ -985,11 +986,11 @@ def test_side_bounds_never_exceed_the_rank(monkeypatch, make, strategy, tol):
         ranks = _subset_ranks(state.m, tol)
         assert (state.bound <= ranks).all()
         if state.classes is not None:
-            # A proven side's every rank is its class count.
+            # A proven side's every rank is its class count, at most r.
             held = np.zeros(1 << n, dtype=int)
             for bit, cls in zip(_member_bits(n)[::-1], state.classes[::-1]):
                 held[bit : 2 * bit] = held[:bit] | cls
-            assert (_popcounts(n)[held] == ranks).all()
+            assert (np.minimum(_popcounts(n)[held], len(state.m)) == ranks).all()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -1127,20 +1128,36 @@ def test_relabelled_projective_ranks_each_column_multiset_once(monkeypatch):
     assert stack_sizes == []
 
 
+def _dependent_classes():
+    """Random (2,2)/N9 family whose party-0 factors come in three classes,
+    each on three members, the third the sum of the other two."""
+    fam = random_product_family(np.random.default_rng(4), (2, 2), 9)
+    f, g = fam.members[0].factors[0], fam.members[1].factors[0]
+    party_0 = (f, g, f + g)
+    return OperatorFamily(fam.spec, tuple(
+        ProductOperator(m.weight, (party_0[j % 3], m.factors[1]))
+        for j, m in enumerate(fam.members)
+    ))
+
+
 @pytest.mark.parametrize(
     "make, proven",
     [
         (lambda: gen_projective_basis(2, 4), [True, True]),
         (lambda: gen_projective_basis(3, 3), [True, True]),
+        # No class on party 0; four classes in eight rows after the QR.
         (lambda: _repeated_factor_family((2, 3), 8, party=1, n_classes=4), [False, True]),
-        # Five classes in four rows; no class on the other side.
-        (lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5), [False, False]),
-        # Eight classes in four rows on party 0; eight in nine on the rest.
-        (lambda: _with_duplicate(8, seed=3), [False, True, True, False, True, False]),
+        # Five classes in four rows, any four independent; no class on party 1.
+        (lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5), [True, False]),
+        # Eight classes in four rows on one party, in nine on two.
+        (lambda: _with_duplicate(8, seed=3), [True] * 6),
+        # Three dependent representatives; no class on party 1.
+        (_dependent_classes, [False, False]),
     ],
-    ids=["projective-24", "projective-33", "repeated-23-qr", "repeated-22-5x3", "twins-222"],
+    ids=["projective-24", "projective-33", "repeated-23-qr", "repeated-22-5x3", "twins-222",
+         "dependent-22"],
 )
-def test_class_proofs_hold_where_the_classes_fit(make, proven):
+def test_class_proofs_hold_on_independent_representatives(make, proven):
     fam = make()
     sides = [side for split in all_bipartitions(fam.n_parties) for side in split]
     tol = TolerancePolicy()
@@ -1306,8 +1323,7 @@ def _class_count(fam, side):
 def test_one_ulp_apart_columns_form_no_class(monkeypatch):
     shared = _one_shared_factor(False)
     assert _class_count(shared, (0,)) == 7
-    # Seven classes outnumber the four rows: no class proof.
-    assert _open_side(shared, (0,), 8, TolerancePolicy()).classes is None
+    assert _open_side(shared, (0,), 8, TolerancePolicy()).classes is not None
     fam = _one_shared_factor(True)
     assert all(_class_count(fam, side) == 8 for side in ((0,), (1,)))
     stack_sizes = _counting_stacked_ranks(monkeypatch)
@@ -1320,10 +1336,14 @@ def test_one_ulp_apart_columns_form_no_class(monkeypatch):
     # builds their floors, which settle every subset of five.  At four
     # members the 15 that hold members 0 and 7 (whose party-0 columns are
     # one ulp apart) floor at 3 and are ranked on both sides; then one
-    # pair.  The unperturbed family takes the same 105 matrices (174 with
-    # one rank per column multiset, and 216 with the floors built on one
-    # block's columns alone).
+    # pair (216 matrices with the floors built on one block's columns
+    # alone).  The unperturbed family's party-0 side proves its seven class
+    # ranks and ranks nothing: it takes 52 matrices, all on party 1 (174
+    # with one rank per column multiset).
     assert (len(stack_sizes), sum(stack_sizes)) == (9, 105)
+    stack_sizes.clear()
+    assert certify_unique(shared).witnesses == _reference_certificate(shared, cert.tol)[0]
+    assert (len(stack_sizes), sum(stack_sizes)) == (4, 52)
     witnesses, examined = _reference_certificate(fam, cert.tol)
     assert cert.witnesses == witnesses
     assert cert.subsets_examined == examined

@@ -54,14 +54,14 @@ EDITS = [
     (
         "class proof without the spread term in its bound",
         "src/sepcert/certify.py",
-        "m[None, :, reps], tol, bound=cap + d + shift",
-        "m[None, :, reps], tol, bound=cap + d",
+        "tol, bound=cap + d + shift)",
+        "tol, bound=cap + d)",
     ),
     (
         "class proof without the noise check",
         "src/sepcert/certify.py",
-        "return _zero_under_every_cutoff(shift + d, low - d, tol) and _proves_full_rank(",
-        "return _proves_full_rank(",
+        "    if not _zero_under_every_cutoff(shift + d, low - d, tol):\n        return False\n",
+        "",
     ),
     (
         "class proof noise check < for <=",
