@@ -512,7 +512,7 @@ def _decide_block(
     of its splits, and a block raises its subsets' bounds on a side to
     their start values only when it reaches the side.  On a side whose
     ``classes`` are proven, the start value is each subset's rank, its
-    class count, and nothing there is ranked or floored.
+    class count capped at r, and nothing there is ranked or floored.
 
     On each side a subset T starts from max(``bound(T)``, ``max_x
     bound(T | x) - 1``).  The first holds the floors built so far.  The
