@@ -8,13 +8,15 @@ same channel (or state) can exist and the certificate is Unique.  Surviving
 subsets are returned as witnesses; they mean the certificate is Inconclusive,
 never that the representation is actually non-unique.
 
-``certify_unique`` states what a certificate holds; ``_decide_block``
-describes the pass that decides the subsets, and each function it calls
-describes its own step.
+``certify_unique`` states what a certificate holds.  ``_kruskal_proves``
+first tries to prove Unique from the sizes alone; ``_decide_block``
+describes the pass that otherwise decides the subsets, and each function it
+calls describes its own step.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -311,7 +313,82 @@ def _side_cap(m: np.ndarray, tol: TolerancePolicy) -> tuple[float, float, float]
     return kappa, d, tol.cutoff(s + d)
 
 
-def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int, tol: TolerancePolicy) -> _Side:
+@dataclass
+class _Profile:
+    """A split side as one ``certify_unique`` call knows it, built once by
+    ``_Profiles`` and read by both the Kruskal check and the pass.
+
+    ``m`` is the side's ``unit_side`` matrix, r x n, and ``cls`` the
+    ``_column_classes`` of its raw columns.  ``rank``, the proven full-side
+    rank, is None until the Kruskal check tries it, then r when
+    ``_proves_full_rank`` proves sigma_r(m) > ``floor``, else 0.  Every
+    selection of at most ``kruskal`` columns is proven to have exact
+    sigma_min > ``floor``; a proof for some k failed from ``refuted`` on,
+    and no larger k is tried.  A side with bit-equal twins has ``refuted``
+    2 from the start: a twin pair is singular.
+    """
+
+    m: np.ndarray
+    cls: np.ndarray
+    tol: TolerancePolicy
+    rank: int | None = None
+    kruskal: int = 0
+    refuted: int = 0
+
+    @cached_property
+    def floor(self) -> float:
+        """C + d, with d and the cap C of ``_side_cap``."""
+        _, d, cap = _side_cap(self.m, self.tol)
+        return cap + d
+
+
+class _Profiles(dict):
+    """The ``_Profile`` of each side of one call on ``fam``'s n members,
+    keyed by its party tuple and built when first read, and the Gram
+    matrices the Kruskal check may still prove, ``budget``, an eighth of
+    2**n.  A proof is charged a whole
+    stack of ``SUBSET_BLOCK`` matrices, whatever it holds: a stack's fixed
+    cost dominates at small n."""
+
+    __slots__ = ("fam", "n", "tol", "budget")
+
+    def __init__(self, fam: OperatorFamily, tol: TolerancePolicy):
+        self.fam, self.n, self.tol = fam, fam.n_members, tol
+        self.budget = (1 << self.n) >> 3
+
+    def __missing__(self, side: tuple[int, ...]) -> _Profile:
+        raw = self.fam.side_matrix(side)
+        cls = _column_classes(raw)
+        m, _ = compressed_side(raw)
+        twins = cls.max() + 1 < len(cls)
+        self[side] = profile = _Profile(m, cls, self.tol, refuted=2 if twins else len(m) + 1)
+        return profile
+
+    def try_rank(self, p: _Profile) -> bool:
+        """Set ``p.rank`` by one Gram proof of the whole side."""
+        self.budget -= _stacks(1)
+        p.rank = len(p.m) if _proves_full_rank(p.m[None], self.tol, bound=p.floor) else 0
+        return bool(p.rank)
+
+    def try_kruskal(self, p: _Profile, k: int) -> bool:
+        """Prove every k-subset of ``p``'s columns in stacks of
+        ``SUBSET_BLOCK``, and raise ``p.kruskal`` to k; the first stack that
+        fails sets ``p.refuted`` to k instead."""
+        n = self.n
+        combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        while (chosen := np.fromiter(itertools.islice(combos, LEVEL_BLOCK * k), np.intp)).size:
+            stacks = p.m.T[chosen.reshape(-1, k)].swapaxes(1, 2)
+            for start in range(0, len(stacks), SUBSET_BLOCK):
+                stack = stacks[start : start + SUBSET_BLOCK]
+                self.budget -= _stacks(len(stack))
+                if not _proves_full_rank(stack, self.tol, bound=p.floor):
+                    p.refuted = k
+                    return False
+        p.kruskal = k
+        return True
+
+
+def _open_side(profile: _Profile, n: int, tol: TolerancePolicy) -> _Side:
     """The side's ``unit_side`` matrix m, r x n, and its rank bounds before
     any subset of the n members is decided: every bound 0.
 
@@ -349,9 +426,7 @@ def _open_side(fam: OperatorFamily, side: tuple[int, ...], n: int, tol: Toleranc
     proof fails when some k representatives are dependent, or when the
     tolerance nears 0.
     """
-    raw = fam.side_matrix(side)
-    cls = _column_classes(raw)
-    m, _ = compressed_side(raw)
+    m, cls = profile.m, profile.cls
     try:
         bound = np.zeros(1 << n, dtype=np.int8)
     except (MemoryError, ValueError):
@@ -496,7 +571,7 @@ def _decide_block(
     popcount: np.ndarray,
     bits: np.ndarray,
     splits: tuple[Split, ...],
-    fam: OperatorFamily,
+    profiles: _Profiles,
     sides: dict[tuple[int, ...], _Side],
     tol: TolerancePolicy,
 ) -> np.ndarray:
@@ -508,9 +583,9 @@ def _decide_block(
     ``popcount`` and ``bits`` are those of ``_subset_blocks``.  ``sides``
     maps each side opened so far to its ``_Side``, whose ``bound`` the
     block reads and raises in place.  A side is opened here
-    (``_open_side`` of ``fam`` and ``tol``) when a block first reaches one
-    of its splits, and a block raises its subsets' bounds on a side to
-    their start values only when it reaches the side.  On a side whose
+    (``_open_side`` of its ``profiles`` entry and ``tol``) when a block
+    first reaches one of its splits, and a block raises its subsets' bounds
+    on a side to their start values only when it reaches the side.  On a side whose
     ``classes`` are proven, the start value is each subset's rank, its
     class count capped at r, and nothing there is ranked or floored.
 
@@ -561,7 +636,7 @@ def _decide_block(
     def reach(side) -> None:
         """Open ``side`` and raise the block's bounds there to their start values."""
         if side not in sides:
-            sides[side] = _open_side(fam, side, n, tol)
+            sides[side] = _open_side(profiles[side], n, tol)
         state = sides[side]
         if side in exact:
             return
@@ -626,6 +701,158 @@ def _decide_block(
     return alive
 
 
+def _stacks(count: int) -> int:
+    """The budget a proof of ``count`` matrices takes: whole stacks of
+    ``SUBSET_BLOCK``."""
+    return SUBSET_BLOCK * -(-count // SUBSET_BLOCK)
+
+
+def _kruskal_plan(n: int, a: _Profile, b: _Profile, budget: int):
+    """The cheapest plan within ``budget`` whose lower bounds cover every
+    size of the split with sides ``a`` and ``b`` (``_kruskal_proves``), as
+    (cost, (k_a, rho_a), (k_b, rho_b)), or None.  A side's k runs from 2 to
+    r, below its ``refuted``, and its rho is 0 or, when r < n and unless
+    refuted, r.  A proven k or rho costs nothing, a new rho one stack and a
+    new k the stacks of its C(n, k) subsets (see ``_Profiles``), so a
+    larger k can be cheaper."""
+    options = []
+    for p in (a, b):
+        r = len(p.m)
+        ranks = [(0, 0)]
+        if p.rank != 0 and r < n:
+            ranks.append((r, 0 if p.rank else SUBSET_BLOCK))
+        options.append(sorted(
+            (cost, k, rank, [max(min(t, k), rank - (n - t)) for t in range(2, n + 1)])
+            for k in range(2, min(r + 1, p.refuted))
+            for rank, rank_cost in ranks
+            if (cost := rank_cost + (k > p.kruskal) * _stacks(math.comb(n, k))) <= budget
+        ))
+    best = None
+    for cost_a, k_a, rank_a, bounds_a in options[0]:
+        for cost_b, k_b, rank_b, bounds_b in options[1]:
+            # Options come in increasing cost: the first that covers is the cheapest.
+            if cost_a + cost_b > (budget if best is None else best[0] - 1):
+                break
+            if all(x + y >= t + 2 for t, x, y in zip(range(2, n + 1), bounds_a, bounds_b)):
+                best = (cost_a + cost_b, (k_a, rank_a), (k_b, rank_b))
+                break
+    return best
+
+
+def _kruskal_proves(profiles: _Profiles, splits: tuple[Split, ...]) -> bool:
+    """True only when one split's Kruskal bounds eliminate every subset, so
+    the pass of ``_subset_pass`` would find no witness.
+
+    On a side with matrix m, r x n, and C, d of ``_side_cap``, two Gram
+    proofs of ``_proves_full_rank`` bound every subset T's computed rank
+    from below.  If every k-subset S has exact sigma_min(m_S) > C + d
+    (Kruskal rank k, Kruskal, LAA 18, 1977), then sigma_min(m_T) > C + d
+    for |T| <= k, since deleting columns never lowers sigma_min of a
+    selection with no more columns than rows, and sigma_k(m_T) > C + d for
+    |T| >= k, since adding columns never lowers a singular value.  If
+    sigma_rho(m) > C + d for the full-side rank rho = r, then interlacing,
+    sigma_i(m_{S-x}) >= sigma_{i+1}(m_S), applied once per member outside
+    T, gives sigma_{rho-(n-t)}(m_T) >= sigma_rho(m) > C + d, t = |T|.  Each
+    computed singular value is within d of the exact one, and T's cutoff is
+    at most C (see ``_subset_floors``), so T's computed rank is at least
+    lb(t) = max(min(t, k), rho - (n - t)).  A split whose sides have
+    lb_A(t) + lb_B(t) >= t + 2 for every t from 2 to n eliminates every
+    subset, however the pass bounds or ranks it: every bound of the pass is
+    a lower bound on the same computed rank, and every survivor's is exact.
+    This is the two-sided form of Kruskal's condition that the paper's
+    split test takes for each subset.
+
+    Splits are tried in order.  One whose row counts give min(r_A, n) +
+    min(r_B, n) < n + 2 cannot be covered and is skipped before its sides
+    are built, and so is one with bit-equal twins on a side (their pair has
+    rank 1) before any Gram.  The first split that ``_kruskal_plan`` can
+    cover within ``profiles.budget`` decides the check: its rho proofs run
+    first, then its k with fewer subsets, in stacks of ``SUBSET_BLOCK``, and
+    the first stack that fails declines.  So a check that declines costs at
+    most a fraction of the pass, which touches each of the 2**n subsets.  A
+    plan costs at least a stack per side, so a smaller budget, any n below
+    10, declines at once.
+    """
+    if profiles.budget < 2 * SUBSET_BLOCK:
+        return False
+    fam, n = profiles.fam, profiles.n
+    for split in splits:
+        rows = [math.prod(math.prod(fam.spec.factor_shape(q)) for q in side) for side in split]
+        if min(rows[0], n) + min(rows[1], n) < n + 2:
+            continue
+        sides = profiles[split[0]], profiles[split[1]]
+        plan = _kruskal_plan(n, *sides, profiles.budget)
+        if plan is None:
+            continue
+        choices = list(zip(sides, plan[1:]))
+        ranks = [p for p, (_, rank) in choices if rank and p.rank is None]
+        ks = [(p, k) for p, (k, _) in choices if k > p.kruskal]
+        ks.sort(key=lambda step: math.comb(n, step[1]))
+        return all(map(profiles.try_rank, ranks)) and all(
+            profiles.try_kruskal(p, k) for p, k in ks
+        )
+    return False
+
+
+def _subset_pass(
+    profiles: _Profiles, splits: tuple[Split, ...], strategy: str, fail_fast: bool
+) -> Certificate:
+    """The certificate of ``certify_unique`` from deciding the subsets
+    themselves, on the sides of ``profiles``.
+
+    The subsets are decided top down, from the full set to the pairs, in
+    blocks of one size from ``_subset_blocks``; ``_decide_block`` describes
+    how a block is decided; a survivor's exact deltas are its entries of
+    the split sides' ``bound``.  The survivors of each size stay one int8
+    array of members and deltas (N <= 62), which ``Certificate.levels``
+    holds.  A subset dies when the bounds of a split, each a proven lower
+    bound on a side's rank, sum past its size + 1.  After a size that
+    leaves no survivor, ``_open_size_below`` closes the bounds down the
+    subset lattice and the sizes below it in which no subset can survive
+    are skipped.
+    They hold no witness, so the certificate and ``subsets_examined`` are
+    those of deciding every size.  After k closures in a row that skip no
+    size, the next waits for 2**(k-1) - 1 more survivor-free sizes.
+    """
+    tol = profiles.tol
+    n = profiles.n
+    try:
+        popcount = _popcounts(n)
+    except (MemoryError, ValueError):
+        raise _size_budget_error(n) from None
+    bits = _member_bits(n)
+    sides: dict[tuple[int, ...], _Side] = {}
+    levels = []  # the witnesses of each size with any, largest size first
+    first = 0  # ascending position of the first witness of the smallest size
+    visit = n  # no subset of a size above it and below the last decided one survives
+    wait = misses = 0  # survivor-free sizes to decide before the next closure
+    for size in range(n, 1, -1):
+        if size > visit:
+            continue
+        level = []
+        for start, block, members in _subset_blocks(popcount, bits, size):
+            alive = _decide_block(block, members, popcount, bits, splits, profiles, sides, tol)
+            if alive.size == 0:
+                continue
+            if not level:
+                first = sum(math.comb(n, s) for s in range(2, size)) + start + int(alive[0])
+            exact = [sides[side].bound[block[alive]] for split in splits for side in split]
+            level.append(np.column_stack([members[alive].astype(np.int8), *exact]))
+        if level:
+            levels.append(np.concatenate(level))
+        elif wait:
+            wait -= 1
+        elif size > 2:
+            visit = _open_size_below(sides, splits, popcount, size)
+            misses = 0 if visit < size - 1 else misses + 1
+            wait = (1 << max(misses - 1, 0)) - 1
+
+    levels.reverse()
+    if fail_fast and levels:
+        return Certificate((levels[0][:1],), splits, strategy, tol, first + 1, n)
+    return Certificate(tuple(levels), splits, strategy, tol, (1 << n) - n - 1, n)
+
+
 def certify_unique(
     fam: OperatorFamily,
     strategy: str | None = None,
@@ -653,19 +880,11 @@ def certify_unique(
     of rank bounds, one per subset; an allocation that fails is a
     ``SizeBudgetError``.  An SVD that fails is a ``NumericError``.
 
-    The subsets are decided top down, from the full set to the pairs, in
-    blocks of one size from ``_subset_blocks``; ``_decide_block`` describes
-    how a block is decided; a survivor's exact deltas are its entries of
-    the split sides' ``bound``.  The survivors of each size stay one int8
-    array of members and deltas (N <= 62), which ``Certificate.levels``
-    holds.  A subset dies when the bounds of a split, each a proven lower
-    bound on a side's rank, sum past its size + 1.  After a size that
-    leaves no survivor, ``_open_size_below`` closes the bounds down the
-    subset lattice and the sizes below it in which no subset can survive
-    are skipped.
-    They hold no witness, so the certificate and ``subsets_examined`` are
-    those of deciding every size.  After k closures in a row that skip no
-    size, the next waits for 2**(k-1) - 1 more survivor-free sizes.
+    Each examined side is built once, as a ``_Profile``.  First
+    ``_kruskal_proves`` tries to show from the sizes alone, with a few Gram
+    proofs and no 2**N array, that one split eliminates every subset; the
+    certificate is then the Unique one the pass would give.  Otherwise
+    ``_subset_pass`` decides the subsets on the same profiles.
     """
     n = fam.n_members
     if max_members < 1:
@@ -673,48 +892,16 @@ def certify_unique(
     if n > max_members:
         raise EnumerationCapError(
             f"family has {n} members; exhaustive subset enumeration is capped "
-            f"at {max_members} (2**{n} subsets). Raise max_members to override, "
-            f"or use the pairs strategy to cut the per-subset cost."
+            f"at {max_members} (2**{n} subsets). Raise max_members (--max-subset "
+            f"on the command line) to override."
         )
     if strategy is None:
         strategy = default_strategy(fam.n_parties)
     splits = _examined_splits(fam.n_parties, strategy)
-
-    try:
-        popcount = _popcounts(n)
-    except (MemoryError, ValueError):
-        raise _size_budget_error(n) from None
-    bits = _member_bits(n)
-    sides: dict[tuple[int, ...], _Side] = {}
-    levels = []  # the witnesses of each size with any, largest size first
-    first = 0  # ascending position of the first witness of the smallest size
-    visit = n  # no subset of a size above it and below the last decided one survives
-    wait = misses = 0  # survivor-free sizes to decide before the next closure
-    for size in range(n, 1, -1):
-        if size > visit:
-            continue
-        level = []
-        for start, block, members in _subset_blocks(popcount, bits, size):
-            alive = _decide_block(block, members, popcount, bits, splits, fam, sides, tol)
-            if alive.size == 0:
-                continue
-            if not level:
-                first = sum(math.comb(n, s) for s in range(2, size)) + start + int(alive[0])
-            exact = [sides[side].bound[block[alive]] for split in splits for side in split]
-            level.append(np.column_stack([members[alive].astype(np.int8), *exact]))
-        if level:
-            levels.append(np.concatenate(level))
-        elif wait:
-            wait -= 1
-        elif size > 2:
-            visit = _open_size_below(sides, splits, popcount, size)
-            misses = 0 if visit < size - 1 else misses + 1
-            wait = (1 << max(misses - 1, 0)) - 1
-
-    levels.reverse()
-    if fail_fast and levels:
-        return Certificate((levels[0][:1],), splits, strategy, tol, first + 1, n)
-    return Certificate(tuple(levels), splits, strategy, tol, (1 << n) - n - 1, n)
+    profiles = _Profiles(fam, tol)
+    if _kruskal_proves(profiles, splits):
+        return Certificate((), splits, strategy, tol, (1 << n) - n - 1, n)
+    return _subset_pass(profiles, splits, strategy, fail_fast)
 
 
 @dataclass(frozen=True)

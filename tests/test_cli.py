@@ -347,6 +347,20 @@ def test_certify_cap_exits_5(capsys, tmp_path):
     assert "cap" in err or "enumeration" in err.lower()
 
 
+@pytest.mark.parametrize("flags", [[], ["--strategy", "pairs"]], ids=["default", "pairs"])
+def test_certify_cap_message_names_the_flag(capsys, tmp_path, flags):
+    # The cap counts members, whatever the strategy, so the message names
+    # the flag and the library keyword that raise it and nothing else.
+    path = tmp_path / "proj.json"
+    run_json(capsys, "gen", "projective", "--dims", "2,2", "--out", str(path))
+    code, out, err = run_cli(capsys, "certify", str(path), "--max-subset", "3", *flags)
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: family has 4 members; exhaustive subset enumeration is capped at 3 "
+        "(2**4 subsets). Raise max_members (--max-subset on the command line) to override.\n"
+    )
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_certify_rejects_non_positive_cap(capsys, tmp_path, cap):
     path = tmp_path / "ladder.json"

@@ -88,6 +88,30 @@ EDITS = [
         "_proves_full_rank(stack, tol, bound=cap)",
     ),
     (
+        "Kruskal proofs' floor C + d -> C",
+        "src/sepcert/certify.py",
+        "        return cap + d\n",
+        "        return cap\n",
+    ),
+    (
+        "Kruskal cover test t + 2 -> t + 1",
+        "src/sepcert/certify.py",
+        "x + y >= t + 2 for t, x, y in zip(",
+        "x + y >= t + 1 for t, x, y in zip(",
+    ),
+    (
+        "Kruskal interlacing bound rho - (n - t) + 1",
+        "src/sepcert/certify.py",
+        "rank - (n - t)) for t in range(2, n + 1)]",
+        "rank - (n - t) + 1) for t in range(2, n + 1)]",
+    ),
+    (
+        "Kruskal full-side rank taken without its proof",
+        "src/sepcert/certify.py",
+        "p.rank = len(p.m) if _proves_full_rank(p.m[None], self.tol, bound=p.floor) else 0",
+        "p.rank = len(p.m)",
+    ),
+    (
         "_screens needed without + kappa",
         "src/sepcert/hunter.py",
         "needed = (threshold + kappa) * scale / p_min",

@@ -9,8 +9,9 @@ request's output: ``Certificate.to_json`` for each family with the default,
 pairs and bipartitions strategies, relative rank thresholds 1e-10, 1e-6 and
 1e-3, with and without ``fail_fast``, and the ``verify_completeness`` JSON
 of the one-member, one-party, ladder, Pauli and Fourier families.  The
-families near the member cap, and random (3,3)/N16 and N18 and (2,3)/N16,
-run with the default strategy and tolerance only.  A request that raises
+families near the member cap, random (3,3)/N16 and N18, (2,3)/N16 and
+(4,4)/N20, and Fourier (2,3,3) and (2,2,2,2), run with the default strategy
+and tolerance only.  A request that raises
 hashes its exception's type and message.  The runner prints each request
 whose digests differ and exits 1 if any does.
 
@@ -97,8 +98,10 @@ def _families():
             out.append((f"one-party{dims}/N{n}", random(dims, n, 0), True, True))
     for dims, n, seed in [((2, 2, 2), 18, 0), ((2, 2, 2), 19, 2), ((2, 2, 2), 20, 1),
                           ((2, 2, 2, 2), 20, 0), ((3, 3), 16, 0), ((3, 3), 18, 0),
-                          ((2, 3), 16, 0)]:
+                          ((2, 3), 16, 0), ((4, 4), 20, 0)]:
         out.append((f"random{dims}/N{n}/s{seed}", random(dims, n, seed), False, False))
+    for dims in [(2, 3, 3), (2, 2, 2, 2)]:
+        out.append((f"fourier{dims}", lambda dims=dims: gen_fourier_channel(dims), False, False))
     return out
 
 
