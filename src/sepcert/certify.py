@@ -318,8 +318,8 @@ class _Profile:
     """A split side as one ``certify_unique`` call knows it, built once by
     ``_Profiles`` and read by both the Kruskal check and the pass.
 
-    ``m`` is the side's ``unit_side`` matrix, r x n, and ``cls`` the
-    ``_column_classes`` of its raw columns.  ``rank``, the proven full-side
+    ``m`` is the side's ``unit_side`` matrix, r x n, ``cls`` the
+    ``_column_classes`` of its raw columns and ``classes`` their count.  ``rank``, the proven full-side
     rank, is None until the Kruskal check tries it, then r when
     ``_proves_full_rank`` proves sigma_r(m) > ``floor``, else 0.  Every
     selection of at most ``kruskal`` columns is proven to have exact
@@ -330,10 +330,11 @@ class _Profile:
 
     m: np.ndarray
     cls: np.ndarray
+    classes: int
     tol: TolerancePolicy
+    refuted: int
     rank: int | None = None
     kruskal: int = 0
-    refuted: int = 0
 
     @cached_property
     def floor(self) -> float:
@@ -346,9 +347,8 @@ class _Profiles(dict):
     """The ``_Profile`` of each side of one call on ``fam``'s n members,
     keyed by its party tuple and built when first read, and the Gram
     matrices the Kruskal check may still prove, ``budget``, an eighth of
-    2**n.  A proof is charged a whole
-    stack of ``SUBSET_BLOCK`` matrices, whatever it holds: a stack's fixed
-    cost dominates at small n."""
+    2**n.  A proof is charged a whole stack of ``SUBSET_BLOCK`` matrices,
+    whatever it holds: a stack's fixed cost dominates at small n."""
 
     __slots__ = ("fam", "n", "tol", "budget")
 
@@ -360,8 +360,9 @@ class _Profiles(dict):
         raw = self.fam.side_matrix(side)
         cls = _column_classes(raw)
         m, _ = compressed_side(raw)
-        twins = cls.max() + 1 < len(cls)
-        self[side] = profile = _Profile(m, cls, self.tol, refuted=2 if twins else len(m) + 1)
+        classes = int(cls.max()) + 1
+        refuted = 2 if classes < len(cls) else len(m) + 1
+        self[side] = profile = _Profile(m, cls, classes, self.tol, refuted)
         return profile
 
     def try_rank(self, p: _Profile) -> bool:
@@ -374,8 +375,7 @@ class _Profiles(dict):
         """Prove every k-subset of ``p``'s columns in stacks of
         ``SUBSET_BLOCK``, and raise ``p.kruskal`` to k; the first stack that
         fails sets ``p.refuted`` to k instead."""
-        n = self.n
-        combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        combos = itertools.chain.from_iterable(itertools.combinations(range(self.n), k))
         while (chosen := np.fromiter(itertools.islice(combos, LEVEL_BLOCK * k), np.intp)).size:
             stacks = p.m.T[chosen.reshape(-1, k)].swapaxes(1, 2)
             for start in range(0, len(stacks), SUBSET_BLOCK):
@@ -431,7 +431,7 @@ def _open_side(profile: _Profile, n: int, tol: TolerancePolicy) -> _Side:
         bound = np.zeros(1 << n, dtype=np.int8)
     except (MemoryError, ValueError):
         raise _size_budget_error(n) from None
-    proven = cls.max() + 1 < n and _proves_class_ranks(m, cls, tol)
+    proven = profile.classes < n and _proves_class_ranks(m, cls, tol)
     return _Side(m, np.left_shift(1, cls) if proven else None, bound)
 
 
@@ -707,7 +707,7 @@ def _stacks(count: int) -> int:
     return SUBSET_BLOCK * -(-count // SUBSET_BLOCK)
 
 
-def _kruskal_plan(n: int, a: _Profile, b: _Profile, budget: int):
+def _kruskal_plan(n: int, a: _Profile, b: _Profile, budget: int) -> tuple | None:
     """The cheapest plan within ``budget`` whose lower bounds cover every
     size of the split with sides ``a`` and ``b`` (``_kruskal_proves``), as
     (cost, (k_a, rho_a), (k_b, rho_b)), or None.  A side's k runs from 2 to
