@@ -11,9 +11,9 @@ pairs and bipartitions strategies, relative rank thresholds 1e-10, 1e-6 and
 of the one-member, one-party, ladder, Pauli and Fourier families.  The
 families near the member cap, random (3,3)/N16 and N18, (2,3)/N16 and
 (4,4)/N20, and Fourier (2,3,3) and (2,2,2,2), run with the default strategy
-and tolerance only.  A request that raises
-hashes its exception's type and message.  The runner prints each request
-whose digests differ and exits 1 if any does.
+and tolerance only.  A request that raises hashes its exception's type and
+message.  The runner prints each request whose digests differ and exits 1
+if any does.
 
 Run it from the root of a git checkout; it takes a few minutes.  CI runs it
 against the parent commit, ``HEAD^1``, which a checkout two commits deep
