@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -268,7 +268,6 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
         yield start, block, members.reshape(-1, size)
 
 
-@dataclass
 class _Side:
     """A split side's matrix and the pass's rank bounds on it.
 
@@ -282,12 +281,11 @@ class _Side:
     ``_close_downward`` last ran on it.
     """
 
-    m: np.ndarray
-    classes: np.ndarray | None
-    bound: np.ndarray
-    floored: set[int] = field(default_factory=set)
-    ranked: int = 0
-    raised: bool = False
+    def __init__(self, m: np.ndarray, classes: np.ndarray | None, bound: np.ndarray):
+        self.m, self.classes, self.bound = m, classes, bound
+        self.floored: set[int] = set()
+        self.ranked = 0
+        self.raised = False
 
 
 def _size_budget_error(n: int) -> SizeBudgetError:
@@ -313,28 +311,27 @@ def _side_cap(m: np.ndarray, tol: TolerancePolicy) -> tuple[float, float, float]
     return kappa, d, tol.cutoff(s + d)
 
 
-@dataclass
 class _Profile:
     """A split side as one ``certify_unique`` call knows it, built once by
     ``_Profiles`` and read by both the Kruskal check and the pass.
 
     ``m`` is the side's ``unit_side`` matrix, r x n, ``cls`` the
-    ``_column_classes`` of its raw columns and ``classes`` their count.  ``rank``, the proven full-side
-    rank, is None until the Kruskal check tries it, then r when
-    ``_proves_full_rank`` proves sigma_r(m) > ``floor``, else 0.  Every
+    ``_column_classes`` of its raw columns and ``classes`` their count.
+    ``rank``, the proven full-side rank, is None until the Kruskal check
+    tries it, then r when ``_proves_full_rank`` proves sigma_r(m) >
+    ``floor``, else 0.  Every
     selection of at most ``kruskal`` columns is proven to have exact
     sigma_min > ``floor``; a proof for some k failed from ``refuted`` on,
     and no larger k is tried.  A side with bit-equal twins has ``refuted``
     2 from the start: a twin pair is singular.
     """
 
-    m: np.ndarray
-    cls: np.ndarray
-    classes: int
-    tol: TolerancePolicy
-    refuted: int
-    rank: int | None = None
-    kruskal: int = 0
+    def __init__(self, m: np.ndarray, cls: np.ndarray, tol: TolerancePolicy):
+        self.m, self.cls, self.tol = m, cls, tol
+        self.classes = int(cls.max()) + 1
+        self.refuted = 2 if self.classes < len(cls) else len(m) + 1
+        self.rank: int | None = None
+        self.kruskal = 0
 
     @cached_property
     def floor(self) -> float:
@@ -360,9 +357,7 @@ class _Profiles(dict):
         raw = self.fam.side_matrix(side)
         cls = _column_classes(raw)
         m, _ = compressed_side(raw)
-        classes = int(cls.max()) + 1
-        refuted = 2 if classes < len(cls) else len(m) + 1
-        self[side] = profile = _Profile(m, cls, classes, self.tol, refuted)
+        self[side] = profile = _Profile(m, cls, self.tol)
         return profile
 
     def try_rank(self, p: _Profile) -> bool:
