@@ -735,8 +735,9 @@ def _kruskal_plan(n: int, a: _Profile, b: _Profile, budget: int) -> tuple | None
 
 
 def _kruskal_proves(profiles: _Profiles, splits: tuple[Split, ...]) -> bool:
-    """True only when one split's Kruskal bounds eliminate every subset, so
-    the pass of ``_subset_pass`` would find no witness.
+    """True only when one split's Kruskal bounds eliminate every subset, or
+    when fewer than two members leave no subset, so the pass of
+    ``_subset_pass`` would find no witness.
 
     On a side with matrix m, r x n, and C, d of ``_side_cap``, two Gram
     proofs of ``_proves_full_rank`` bound every subset T's computed rank
@@ -768,6 +769,8 @@ def _kruskal_proves(profiles: _Profiles, splits: tuple[Split, ...]) -> bool:
     plan costs at least a stack per side, so a smaller budget, any n below
     10, declines at once.
     """
+    if profiles.n < 2:
+        return True
     if profiles.budget < 2 * SUBSET_BLOCK:
         return False
     fam, n = profiles.fam, profiles.n

@@ -1431,6 +1431,34 @@ def test_kruskal_check_proves_unique_before_the_pass(monkeypatch, make, charged,
     assert expected.status == "Unique"
 
 
+@pytest.mark.parametrize("parties", [1, 2], ids=["one-party", "two-party"])
+def test_kruskal_check_answers_alone_only_below_two_members(monkeypatch, parties):
+    # One member leaves no subset, so the check proves Unique without the
+    # pass, with or without a split.  Two members already form a subset:
+    # sharing their party-0 factor bit for bit, the pair has deltas 1 + 2 =
+    # 2 + 1 on the one split, or no split at all, and is a witness that only
+    # the pass reports.
+    rng = np.random.default_rng(3)
+    a, b, c = (complex_randn(rng, 2, 2) for _ in range(3))
+    pair = family_from_factors([(2, 2)] * parties, [(1.0, [a, b][:parties]),
+                                                    (1.0, [a, c][:parties] if parties > 1 else [b])])
+    splits = _examined_splits(parties, default_strategy(parties))
+    cert = certify_unique(pair)
+    assert [w.members for w in cert.witnesses] == [(0, 1)]
+    assert (cert.witnesses, cert.subsets_examined) == _reference_certificate(
+        pair, TolerancePolicy(), splits=splits
+    )
+
+    def no_pass(*args):
+        raise AssertionError("the subset pass ran")
+
+    monkeypatch.setattr(sepcert.certify, "_subset_pass", no_pass)
+    one = pair.subfamily([0])
+    for fail_fast in (False, True):
+        cert = certify_unique(one, fail_fast=fail_fast)
+        assert (cert.status, cert.witnesses, cert.subsets_examined) == ("Unique", (), 0)
+
+
 def _in_span(fam, party, members, dim, seed):
     """``fam`` with ``party``'s factors of ``members`` drawn at random from
     a random ``dim``-dimensional span."""

@@ -106,6 +106,12 @@ EDITS = [
         "rank - (n - t) + 1) for t in range(2, n + 1)]",
     ),
     (
+        "Kruskal check answering Unique at two members",
+        "src/sepcert/certify.py",
+        "    if profiles.n < 2:\n        return True\n",
+        "    if profiles.n < 3:\n        return True\n",
+    ),
+    (
         "Kruskal full-side rank taken without its proof",
         "src/sepcert/certify.py",
         "p.rank = len(p.m) if _proves_full_rank(p.m[None], self.tol, bound=p.floor) else 0",
