@@ -268,24 +268,13 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
         yield start, block, members.reshape(-1, size)
 
 
-class _Side:
-    """A split side's matrix and the pass's rank bounds on it.
-
-    ``m`` and ``classes`` are those of ``_open_side``.  ``bound`` is an int8
-    array over member bitmasks, 0 at first: each entry is a proven lower
-    bound on the computed rank of that subset's columns of ``m``, and the
-    exact rank once the subset has been ranked on the side.  It holds the
-    ``_subset_floors`` of each k in ``floored``.  ``ranked`` counts the
-    columns of the subsets ranked on the side so far.  ``raised`` is True
-    when some entry of ``bound`` has risen, by a rank or a floor, since
-    ``_close_downward`` last ran on it.
-    """
-
-    def __init__(self, m: np.ndarray, classes: np.ndarray | None, bound: np.ndarray):
-        self.m, self.classes, self.bound = m, classes, bound
-        self.floored: set[int] = set()
-        self.ranked = 0
-        self.raised = False
+def _subset_stacks(m: np.ndarray, columns, k: int):
+    """The selections of ``m``'s columns at each k-subset of ``columns``, in
+    the order of ``itertools.combinations``, as (B, r, k) stacks of at most
+    ``SUBSET_BLOCK`` selections."""
+    combos = itertools.chain.from_iterable(itertools.combinations(columns, k))
+    while (chosen := np.fromiter(itertools.islice(combos, SUBSET_BLOCK * k), np.intp)).size:
+        yield m.T[chosen.reshape(-1, k)].swapaxes(1, 2)
 
 
 def _size_budget_error(n: int) -> SizeBudgetError:
@@ -311,19 +300,33 @@ def _side_cap(m: np.ndarray, tol: TolerancePolicy) -> tuple[float, float, float]
     return kappa, d, tol.cutoff(s + d)
 
 
-class _Profile:
+class _Side:
     """A split side as one ``certify_unique`` call knows it, built once by
-    ``_Profiles`` and read by both the Kruskal check and the pass.
+    ``_Sides`` and read by both the Kruskal check and the subset pass.
 
     ``m`` is the side's ``unit_side`` matrix, r x n, ``cls`` the
-    ``_column_classes`` of its raw columns and ``classes`` their count.
-    ``rank``, the proven full-side rank, is None until the Kruskal check
-    tries it, then r when ``_proves_full_rank`` proves sigma_r(m) >
-    ``floor``, else 0.  Every
-    selection of at most ``kruskal`` columns is proven to have exact
-    sigma_min > ``floor``; a proof for some k failed from ``refuted`` on,
-    and no larger k is tried.  A side with bit-equal twins has ``refuted``
-    2 from the start: a twin pair is singular.
+    ``_column_classes`` of its raw columns, ``classes`` their count and
+    ``tol`` the call's policy; ``side_cap`` is ``_side_cap`` of ``m``.
+
+    The Kruskal check's facts: ``rank``, the proven full-side rank, is None
+    until the check tries it, then r when ``_proves_full_rank`` proves
+    sigma_r(m) > ``floor``, else 0.  Every selection of at most ``kruskal``
+    columns is proven to have exact sigma_min > ``floor``; a proof for some
+    k failed from ``refuted`` on, and no larger k is tried.  A side with
+    bit-equal twins has ``refuted`` 2 from the start: a twin pair is
+    singular.
+
+    The pass's state: ``bound`` is None until ``open`` makes it an int8
+    array over member bitmasks, 0 at first: each entry is a proven lower
+    bound on the computed rank of that subset's columns of ``m``, and the
+    exact rank once the subset has been ranked on the side.  ``class_bits``
+    holds each member's class bit, 1 << class, once ``open`` proves the
+    class ranks (``_proves_class_ranks``), and is None otherwise: subsets
+    are then ranked one by one.  ``bound`` holds the ``_subset_floors`` of
+    each k in ``floored``.  ``ranked`` counts the columns of the subsets
+    ranked on the side so far.  ``raised`` is True when some entry of
+    ``bound`` has risen, by a rank or a floor, since ``_close_downward``
+    last ran on it.
     """
 
     def __init__(self, m: np.ndarray, cls: np.ndarray, tol: TolerancePolicy):
@@ -332,20 +335,41 @@ class _Profile:
         self.refuted = 2 if self.classes < len(cls) else len(m) + 1
         self.rank: int | None = None
         self.kruskal = 0
+        self.bound: np.ndarray | None = None
+        self.class_bits: np.ndarray | None = None
+        self.floored: set[int] = set()
+        self.ranked = 0
+        self.raised = False
 
     @cached_property
+    def side_cap(self) -> tuple[float, float, float]:
+        return _side_cap(self.m, self.tol)
+
+    @property
     def floor(self) -> float:
-        """C + d, with d and the cap C of ``_side_cap``."""
-        _, d, cap = _side_cap(self.m, self.tol)
+        """C + d, with d and the cap C of ``side_cap``."""
+        _, d, cap = self.side_cap
         return cap + d
 
+    def open(self) -> None:
+        """Set ``bound`` to 0 for every subset of the n members, and
+        ``class_bits`` when there are fewer than n classes and their ranks
+        are proven."""
+        n = len(self.cls)
+        try:
+            self.bound = np.zeros(1 << n, dtype=np.int8)
+        except (MemoryError, ValueError):
+            raise _size_budget_error(n) from None
+        if self.classes < n and _proves_class_ranks(self):
+            self.class_bits = np.left_shift(1, self.cls)
 
-class _Profiles(dict):
-    """The ``_Profile`` of each side of one call on ``fam``'s n members,
-    keyed by its party tuple and built when first read, and the Gram
-    matrices the Kruskal check may still prove, ``budget``, an eighth of
-    2**n.  A proof is charged a whole stack of ``SUBSET_BLOCK`` matrices,
-    whatever it holds: a stack's fixed cost dominates at small n."""
+
+class _Sides(dict):
+    """The ``_Side`` of each split side of one call on ``fam``'s n members
+    under ``tol``, keyed by its party tuple and built when first read, and
+    the Gram matrices the Kruskal check may still prove, ``budget``, an
+    eighth of 2**n.  A proof is charged a whole stack of ``SUBSET_BLOCK``
+    matrices, whatever it holds: a stack's fixed cost dominates at small n."""
 
     __slots__ = ("fam", "n", "tol", "budget")
 
@@ -353,62 +377,51 @@ class _Profiles(dict):
         self.fam, self.n, self.tol = fam, fam.n_members, tol
         self.budget = (1 << self.n) >> 3
 
-    def __missing__(self, side: tuple[int, ...]) -> _Profile:
-        raw = self.fam.side_matrix(side)
-        cls = _column_classes(raw)
-        m, _ = compressed_side(raw)
-        self[side] = profile = _Profile(m, cls, self.tol)
-        return profile
+    def __missing__(self, key: tuple[int, ...]) -> _Side:
+        raw = self.fam.side_matrix(key)
+        self[key] = side = _Side(compressed_side(raw)[0], _column_classes(raw), self.tol)
+        return side
 
-    def try_rank(self, p: _Profile) -> bool:
-        """Set ``p.rank`` by one Gram proof of the whole side."""
-        self.budget -= _stacks(1)
-        p.rank = len(p.m) if _proves_full_rank(p.m[None], self.tol, bound=p.floor) else 0
-        return bool(p.rank)
+    def try_rank(self, side: _Side) -> bool:
+        """Set ``side.rank`` by one Gram proof of the whole side."""
+        self.budget -= SUBSET_BLOCK
+        proven = _proves_full_rank(side.m[None], self.tol, bound=side.floor)
+        side.rank = len(side.m) if proven else 0
+        return bool(side.rank)
 
-    def try_kruskal(self, p: _Profile, k: int) -> bool:
-        """Prove every k-subset of ``p``'s columns in stacks of
-        ``SUBSET_BLOCK``, and raise ``p.kruskal`` to k; the first stack that
-        fails sets ``p.refuted`` to k instead."""
-        combos = itertools.chain.from_iterable(itertools.combinations(range(self.n), k))
-        while (chosen := np.fromiter(itertools.islice(combos, LEVEL_BLOCK * k), np.intp)).size:
-            stacks = p.m.T[chosen.reshape(-1, k)].swapaxes(1, 2)
-            for start in range(0, len(stacks), SUBSET_BLOCK):
-                stack = stacks[start : start + SUBSET_BLOCK]
-                self.budget -= _stacks(len(stack))
-                if not _proves_full_rank(stack, self.tol, bound=p.floor):
-                    p.refuted = k
-                    return False
-        p.kruskal = k
+    def try_kruskal(self, side: _Side, k: int) -> bool:
+        """Prove every k-subset of ``side``'s columns, a stack of
+        ``_subset_stacks`` at a time, and raise ``side.kruskal`` to k; the
+        first stack that fails sets ``side.refuted`` to k instead."""
+        for stack in _subset_stacks(side.m, range(self.n), k):
+            self.budget -= SUBSET_BLOCK
+            if not _proves_full_rank(stack, self.tol, bound=side.floor):
+                side.refuted = k
+                return False
+        side.kruskal = k
         return True
 
 
-def _open_side(profile: _Profile, n: int, tol: TolerancePolicy) -> _Side:
-    """The side's ``unit_side`` matrix m, r x n, and its rank bounds before
-    any subset of the n members is decided: every bound 0.
-
-    Members whose raw side columns are equal bit for bit form a class.  With
-    c < n classes, ``classes`` holds each member's class bit, 1 << class,
-    when ``_proves_class_ranks`` proves that every subset T's computed rank
-    on the side is min(h(T), r), h(T) the number of classes T holds: the
-    popcount of the OR of its members' class bits.  Else it is None, and
-    subsets are ranked one by one.
+def _proves_class_ranks(side: _Side) -> bool:
+    """True only when the class proof holds on ``side``: every subset T's
+    computed rank on the side is min(h(T), r), h(T) the number of classes T
+    holds, the popcount of the OR of its members' ``class_bits``.
 
     The columns of a class are equal before ``compressed_side``; its thin QR
-    may leave them apart by rounding (Higham Thm 19.4).  Let e bound the
-    distance of each column of m from its class's first column, the
-    representative, w = sqrt(n) e, and d, C be those of ``_side_cap``.  The
-    proof has two checks:
+    may leave them apart by rounding (Higham Thm 19.4).  Let m be the side
+    matrix, r x n, with c classes, e bound the distance of each column of m
+    from its class's first column, the representative, w = sqrt(n) e, and
+    d, C be those of ``side_cap``.  The proof has two checks:
 
     * Every k-subset of the representatives, k = min(c, r), has exact
-      sigma_min > C + d + w, by the ``_proves_full_rank`` call of
-      ``_subset_floors``, a block of k-subsets at a time (one subset when c
-      <= r).  Let g = min(h, r).  T holds g classes whose representatives
-      lie in one proven k-subset, so their sigma_min exceeds C + d + w too
-      (deleting columns never lowers it), and one member of each of those
-      classes gives g columns of m_T within w, in spectral norm, of them.
-      So sigma_g(m_T) > C + d by Weyl, the computed value exceeds C, and C
-      bounds T's cutoff (see ``_subset_floors``): T's rank counts g values.
+      sigma_min > C + d + w, by ``_proves_full_rank`` on the stacks of
+      ``_subset_stacks``.  Let g = min(h, r).  T holds g classes whose
+      representatives lie in one proven k-subset, so their sigma_min
+      exceeds C + d + w too (deleting columns never lowers it), and one
+      member of each of those classes gives g columns of m_T within w, in
+      spectral norm, of them.  So sigma_g(m_T) > C + d by Weyl, the
+      computed value exceeds C, and C bounds T's cutoff (see
+      ``_subset_floors``): T's rank counts g values.
     * w + d is at most the cutoff of every column selection
       (``_zero_under_every_cutoff``), whose computed sigma_max is at least
       its largest column norm less d.  Moving each column of m_T to its
@@ -417,34 +430,21 @@ def _open_side(profile: _Profile, n: int, tol: TolerancePolicy) -> _Side:
       rank counts no more than h values, and never more than r.
 
     e and the column norms are computed, then widened by the kappa of
-    ``_side_cap`` for their rounding; e is 0 on an uncompressed side.  The
+    ``side_cap`` for their rounding; e is 0 on an uncompressed side.  The
     proof fails when some k representatives are dependent, or when the
     tolerance nears 0.
     """
-    m, cls = profile.m, profile.cls
-    try:
-        bound = np.zeros(1 << n, dtype=np.int8)
-    except (MemoryError, ValueError):
-        raise _size_budget_error(n) from None
-    proven = profile.classes < n and _proves_class_ranks(m, cls, tol)
-    return _Side(m, np.left_shift(1, cls) if proven else None, bound)
-
-
-def _proves_class_ranks(m: np.ndarray, cls: np.ndarray, tol: TolerancePolicy) -> bool:
-    """True only when the class proof of ``_open_side`` holds on the r-row
-    side matrix ``m`` with column classes ``cls``: every column selection's
-    computed rank is min(r, the number of classes it holds)."""
+    m, cls, tol = side.m, side.cls, side.tol
     r, n = m.shape
     reps = np.unique(cls, return_index=True)[1]
-    kappa, d, cap = _side_cap(m, tol)
+    kappa, d, cap = side.side_cap
     shift = math.sqrt(n) * np.linalg.norm(m - m[:, reps[cls]], axis=0).max() * (1 + kappa)
     low = np.linalg.norm(m, axis=0).min() * (1 - kappa)
     if not _zero_under_every_cutoff(shift + d, low - d, tol):
         return False
-    c = len(reps)
     return all(
-        _proves_full_rank(np.moveaxis(m[:, reps[members]], 1, 0), tol, bound=cap + d + shift)
-        for _, _, members in _subset_blocks(_popcounts(c), _member_bits(c), min(c, r))
+        _proves_full_rank(stack, tol, bound=cap + d + shift)
+        for stack in _subset_stacks(m, reps, min(len(reps), r))
     )
 
 
@@ -455,40 +455,35 @@ def _zero_under_every_cutoff(value: float, low: float, tol: TolerancePolicy) -> 
     return value <= tol.cutoff(low)
 
 
-def _subset_floors(
-    m: np.ndarray,
-    popcount: np.ndarray,
-    bits: np.ndarray,
-    k: int,
-    tol: TolerancePolicy,
-    bound: np.ndarray,
-) -> None:
-    """Raise ``bound`` to a lower bound on the rank of every subset's
-    selection of ``m``'s columns: the largest robust rank of a k-member
-    subset that the subset holds.  Entries already larger are kept, so a
-    lower bound stays one and an exact rank stays exact.
+def _subset_floors(side: _Side, popcount: np.ndarray, bits: np.ndarray, k: int) -> None:
+    """Raise the opened ``side``'s ``bound`` to a lower bound on the rank of
+    every subset's selection of its matrix m's columns: the largest robust
+    rank of a k-member subset that the subset holds.  Entries already
+    larger are kept, so a lower bound stays one and an exact rank stays
+    exact.  The side then has k in ``floored`` and is ``raised``.
 
-    ``m`` is an r x N side matrix; ``popcount`` and ``bits`` are those of
-    ``_subset_blocks``.  One SVD call per block of k-member subsets ranks
-    them; a k-subset's robust rank counts its singular values above C + 2d,
-    with s, d and the global cap C those of ``_side_cap``.  For a
-    subset T holding the k-subset S, sigma_i(m_T) >= sigma_i(m_S) (adding
-    columns never lowers a singular value), and each computed singular
-    value is within d of the exact one (Weyl): no column selection of m is
-    larger or has a larger norm.  The SVD of m_T finds sigma_max <= s + d,
-    so T's cutoff is at most C: every singular value the robust rank of S
-    counts lies above C + 2d, so its exact one above C + d, hence T's
-    computed one above C, and T's rank counts it as well.  A floor of
-    min(|T|, r) is therefore T's rank.  When k = r, a block is first given
-    to the Gram-Cholesky proof of ``_proves_full_rank`` that every r x r
-    selection has exact sigma_min > C + d, the middle step above; when it
-    succeeds every floor of the block is r, and only when it fails is the
-    block ranked by its SVD.  The k-subset ranks reach every superset in one
-    max pass per member bit over a scratch array, so that only they, not the
-    other entries of ``bound``, pass to supersets.
+    m is r x N; ``popcount`` and ``bits`` are those of ``_subset_blocks``.
+    One SVD call per block of k-member subsets ranks them; a k-subset's
+    robust rank counts its singular values above C + 2d, with s, d and the
+    global cap C those of ``side_cap``.  For a subset T holding the k-subset
+    S, sigma_i(m_T) >= sigma_i(m_S) (adding columns never lowers a singular
+    value), and each computed singular value is within d of the exact one
+    (Weyl): no column selection of m is larger or has a larger norm.  The
+    SVD of m_T finds sigma_max <= s + d, so T's cutoff is at most C: every
+    singular value the robust rank of S counts lies above C + 2d, so its
+    exact one above C + d, hence T's computed one above C, and T's rank
+    counts it as well.  A floor of min(|T|, r) is therefore T's rank.  When
+    k = r, a block is first given to the Gram-Cholesky proof of
+    ``_proves_full_rank`` that every r x r selection has exact sigma_min >
+    C + d, the middle step above; when it succeeds every floor of the block
+    is r, and only when it fails is the block ranked by its SVD.  The
+    k-subset ranks reach every superset in one max pass per member bit over
+    a scratch array, so that only they, not the other entries of ``bound``,
+    pass to supersets.
     """
+    m, bound, tol = side.m, side.bound, side.tol
     r, n = m.shape
-    _, d, cap = _side_cap(m, tol)
+    _, d, cap = side.side_cap
     floor = np.zeros_like(bound)
     for _, masks, members in _subset_blocks(popcount, bits, k):
         stack = np.moveaxis(m[:, members], 1, 0)
@@ -502,6 +497,8 @@ def _subset_floors(
         half = floor.reshape(-1, 2, 1 << b)
         np.maximum(half[:, 0], half[:, 1], out=half[:, 1])
     np.maximum(bound, floor, out=bound)
+    side.floored.add(k)
+    side.raised = True
 
 
 def _close_downward(bound: np.ndarray, sizes: np.ndarray) -> None:
@@ -533,7 +530,7 @@ def _close_downward(bound: np.ndarray, sizes: np.ndarray) -> None:
 
 
 def _open_size_below(
-    sides: dict, splits: tuple[Split, ...], popcount: np.ndarray, size: int
+    sides: _Sides, splits: tuple[Split, ...], popcount: np.ndarray, size: int
 ) -> int:
     """Close the bounds of each side ``raised`` since its last closure
     (``_close_downward``), then return the largest size below ``size`` in
@@ -542,7 +539,11 @@ def _open_size_below(
     allocation that fails is a ``SizeBudgetError``.
     """
     n = len(popcount).bit_length() - 1
-    opened = [(sides[a].bound, sides[b].bound) for a, b in splits if a in sides and b in sides]
+    opened = [
+        (sides[a].bound, sides[b].bound)
+        for a, b in splits
+        if all(side in sides and sides[side].bound is not None for side in (a, b))
+    ]
     try:
         for state in sides.values():
             if state.raised:
@@ -566,9 +567,7 @@ def _decide_block(
     popcount: np.ndarray,
     bits: np.ndarray,
     splits: tuple[Split, ...],
-    profiles: _Profiles,
-    sides: dict[tuple[int, ...], _Side],
-    tol: TolerancePolicy,
+    sides: _Sides,
 ) -> np.ndarray:
     """Eliminate a (B, m) block of m-member subsets split by split.
 
@@ -576,13 +575,13 @@ def _decide_block(
     of member i, and ``members`` their (B, m) member indices; all subsets of
     m + 1 members must be decided, or settled by ``_open_size_below``.
     ``popcount`` and ``bits`` are those of ``_subset_blocks``.  ``sides``
-    maps each side opened so far to its ``_Side``, whose ``bound`` the
-    block reads and raises in place.  A side is opened here
-    (``_open_side`` of its ``profiles`` entry and ``tol``) when a block
-    first reaches one of its splits, and a block raises its subsets' bounds
-    on a side to their start values only when it reaches the side.  On a side whose
-    ``classes`` are proven, the start value is each subset's rank, its
-    class count capped at r, and nothing there is ranked or floored.
+    holds the call's ``_Side`` of each split side and its ``tol``; the
+    block reads and raises a side's ``bound`` in place.  A side is opened
+    here (``_Side.open``) when a block first reaches one of its splits, and
+    a block raises its subsets' bounds on a side to their start values only
+    when it reaches the side.  On a side with ``class_bits``, the start
+    value is each subset's rank, its class count capped at r, and nothing
+    there is ranked or floored.
 
     On each side a subset T starts from max(``bound(T)``, ``max_x
     bound(T | x) - 1``).  The first holds the floors built so far.  The
@@ -625,20 +624,21 @@ def _decide_block(
     """
     size = members.shape[1]
     n = len(bits)
+    tol = sides.tol
     supersets = masks[:, None] | bits
     exact: dict[tuple[int, ...], np.ndarray] = {}
 
     def reach(side) -> None:
         """Open ``side`` and raise the block's bounds there to their start values."""
-        if side not in sides:
-            sides[side] = _open_side(profiles[side], n, tol)
         state = sides[side]
+        if state.bound is None:
+            state.open()
         if side in exact:
             return
         bound = state.bound
-        if state.classes is not None:
-            # Proven by _open_side: a subset's rank is its class count, at most r.
-            held = popcount[np.bitwise_or.reduce(state.classes[members], axis=1)]
+        if state.class_bits is not None:
+            # Proven by _proves_class_ranks: a subset's rank is its class count, at most r.
+            held = popcount[np.bitwise_or.reduce(state.class_bits[members], axis=1)]
             bound[masks] = np.minimum(held, len(state.m))
             exact[side] = np.ones(len(masks), dtype=bool)
             state.raised = True
@@ -653,9 +653,7 @@ def _decide_block(
             and size > 2
             and np.count_nonzero(bound[masks] < 2) * size >= n * (n - 1)
         ):
-            _subset_floors(state.m, popcount, bits, 2, tol, bound)
-            state.floored.add(2)
-            state.raised = True
+            _subset_floors(state, popcount, bits, 2)
         exact[side] = bound[masks] >= min(size, len(state.m))
 
     def rank(side, todo):
@@ -673,8 +671,7 @@ def _decide_block(
             and state.ranked + len(todo) * size > r * math.comb(n, r)
         ):
             # A floor of r is exact: the subsets it reaches need no rank.
-            _subset_floors(state.m, popcount, bits, r, tol, bound)
-            state.floored.add(r)
+            _subset_floors(state, popcount, bits, r)
             todo = todo[bound[masks[todo]] < r]
         state.ranked += len(todo) * size
         for i in range(0, len(todo), SUBSET_BLOCK):
@@ -702,25 +699,25 @@ def _stacks(count: int) -> int:
     return SUBSET_BLOCK * -(-count // SUBSET_BLOCK)
 
 
-def _kruskal_plan(n: int, a: _Profile, b: _Profile, budget: int) -> tuple | None:
+def _kruskal_plan(n: int, a: _Side, b: _Side, budget: int) -> tuple | None:
     """The cheapest plan within ``budget`` whose lower bounds cover every
     size of the split with sides ``a`` and ``b`` (``_kruskal_proves``), as
     (cost, (k_a, rho_a), (k_b, rho_b)), or None.  A side's k runs from 2 to
     r, below its ``refuted``, and its rho is 0 or, when r < n and unless
     refuted, r.  A proven k or rho costs nothing, a new rho one stack and a
-    new k the stacks of its C(n, k) subsets (see ``_Profiles``), so a
+    new k the stacks of its C(n, k) subsets (see ``_Sides``), so a
     larger k can be cheaper."""
     options = []
-    for p in (a, b):
-        r = len(p.m)
+    for side in (a, b):
+        r = len(side.m)
         ranks = [(0, 0)]
-        if p.rank != 0 and r < n:
-            ranks.append((r, 0 if p.rank else SUBSET_BLOCK))
+        if side.rank != 0 and r < n:
+            ranks.append((r, 0 if side.rank else SUBSET_BLOCK))
         options.append(sorted(
             (cost, k, rank, [max(min(t, k), rank - (n - t)) for t in range(2, n + 1)])
-            for k in range(2, min(r + 1, p.refuted))
+            for k in range(2, min(r + 1, side.refuted))
             for rank, rank_cost in ranks
-            if (cost := rank_cost + (k > p.kruskal) * _stacks(math.comb(n, k))) <= budget
+            if (cost := rank_cost + (k > side.kruskal) * _stacks(math.comb(n, k))) <= budget
         ))
     best = None
     for cost_a, k_a, rank_a, bounds_a in options[0]:
@@ -734,7 +731,7 @@ def _kruskal_plan(n: int, a: _Profile, b: _Profile, budget: int) -> tuple | None
     return best
 
 
-def _kruskal_proves(profiles: _Profiles, splits: tuple[Split, ...]) -> bool:
+def _kruskal_proves(sides: _Sides, splits: tuple[Split, ...]) -> bool:
     """True only when one split's Kruskal bounds eliminate every subset, or
     when fewer than two members leave no subset, so the pass of
     ``_subset_pass`` would find no witness.
@@ -762,41 +759,41 @@ def _kruskal_proves(profiles: _Profiles, splits: tuple[Split, ...]) -> bool:
     min(r_B, n) < n + 2 cannot be covered and is skipped before its sides
     are built, and so is one with bit-equal twins on a side (their pair has
     rank 1) before any Gram.  The first split that ``_kruskal_plan`` can
-    cover within ``profiles.budget`` decides the check: its rho proofs run
+    cover within ``sides.budget`` decides the check: its rho proofs run
     first, then its k with fewer subsets, in stacks of ``SUBSET_BLOCK``, and
     the first stack that fails declines.  So a check that declines costs at
     most a fraction of the pass, which touches each of the 2**n subsets.  A
     plan costs at least a stack per side, so a smaller budget, any n below
     10, declines at once.
     """
-    if profiles.n < 2:
+    if sides.n < 2:
         return True
-    if profiles.budget < 2 * SUBSET_BLOCK:
+    if sides.budget < 2 * SUBSET_BLOCK:
         return False
-    fam, n = profiles.fam, profiles.n
+    fam, n = sides.fam, sides.n
     for split in splits:
         rows = [math.prod(math.prod(fam.spec.factor_shape(q)) for q in side) for side in split]
         if min(rows[0], n) + min(rows[1], n) < n + 2:
             continue
-        sides = profiles[split[0]], profiles[split[1]]
-        plan = _kruskal_plan(n, *sides, profiles.budget)
+        pair = sides[split[0]], sides[split[1]]
+        plan = _kruskal_plan(n, *pair, sides.budget)
         if plan is None:
             continue
-        choices = list(zip(sides, plan[1:]))
-        ranks = [p for p, (_, rank) in choices if rank and p.rank is None]
-        ks = [(p, k) for p, (k, _) in choices if k > p.kruskal]
+        choices = list(zip(pair, plan[1:]))
+        ranks = [side for side, (_, rank) in choices if rank and side.rank is None]
+        ks = [(side, k) for side, (k, _) in choices if k > side.kruskal]
         ks.sort(key=lambda step: math.comb(n, step[1]))
-        return all(map(profiles.try_rank, ranks)) and all(
-            profiles.try_kruskal(p, k) for p, k in ks
+        return all(map(sides.try_rank, ranks)) and all(
+            sides.try_kruskal(side, k) for side, k in ks
         )
     return False
 
 
 def _subset_pass(
-    profiles: _Profiles, splits: tuple[Split, ...], strategy: str, fail_fast: bool
+    sides: _Sides, splits: tuple[Split, ...], strategy: str, fail_fast: bool
 ) -> Certificate:
     """The certificate of ``certify_unique`` from deciding the subsets
-    themselves, on the sides of ``profiles``.
+    themselves, on ``sides``.
 
     The subsets are decided top down, from the full set to the pairs, in
     blocks of one size from ``_subset_blocks``; ``_decide_block`` describes
@@ -812,14 +809,13 @@ def _subset_pass(
     those of deciding every size.  After k closures in a row that skip no
     size, the next waits for 2**(k-1) - 1 more survivor-free sizes.
     """
-    tol = profiles.tol
-    n = profiles.n
+    tol = sides.tol
+    n = sides.n
     try:
         popcount = _popcounts(n)
     except (MemoryError, ValueError):
         raise _size_budget_error(n) from None
     bits = _member_bits(n)
-    sides: dict[tuple[int, ...], _Side] = {}
     levels = []  # the witnesses of each size with any, largest size first
     first = 0  # ascending position of the first witness of the smallest size
     visit = n  # no subset of a size above it and below the last decided one survives
@@ -829,7 +825,7 @@ def _subset_pass(
             continue
         level = []
         for start, block, members in _subset_blocks(popcount, bits, size):
-            alive = _decide_block(block, members, popcount, bits, splits, profiles, sides, tol)
+            alive = _decide_block(block, members, popcount, bits, splits, sides)
             if alive.size == 0:
                 continue
             if not level:
@@ -878,11 +874,11 @@ def certify_unique(
     of rank bounds, one per subset; an allocation that fails is a
     ``SizeBudgetError``.  An SVD that fails is a ``NumericError``.
 
-    Each examined side is built once, as a ``_Profile``.  First
+    Each examined side is built once, as a ``_Side``.  First
     ``_kruskal_proves`` tries to show from the sizes alone, with a few Gram
     proofs and no 2**N array, that one split eliminates every subset; the
     certificate is then the Unique one the pass would give.  Otherwise
-    ``_subset_pass`` decides the subsets on the same profiles.
+    ``_subset_pass`` decides the subsets on the same sides.
     """
     n = fam.n_members
     if max_members < 1:
@@ -896,10 +892,10 @@ def certify_unique(
     if strategy is None:
         strategy = default_strategy(fam.n_parties)
     splits = _examined_splits(fam.n_parties, strategy)
-    profiles = _Profiles(fam, tol)
-    if _kruskal_proves(profiles, splits):
+    sides = _Sides(fam, tol)
+    if _kruskal_proves(sides, splits):
         return Certificate((), splits, strategy, tol, (1 << n) - n - 1, n)
-    return _subset_pass(profiles, splits, strategy, fail_fast)
+    return _subset_pass(sides, splits, strategy, fail_fast)
 
 
 @dataclass(frozen=True)

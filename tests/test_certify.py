@@ -24,13 +24,14 @@ from sepcert.certify import (
     _kruskal_plan,
     _kruskal_proves,
     _member_bits,
-    _open_side,
     _popcounts,
-    _Profiles,
     _proves_class_ranks,
+    _Side,
     _side_cap,
+    _Sides,
     _subset_blocks,
     _subset_floors,
+    _subset_stacks,
     _zero_under_every_cutoff,
     certify_unique,
     default_strategy,
@@ -271,16 +272,28 @@ def _reference_certificate(fam, tol, fail_fast=False, splits=None):
 
 def _subset_pass(fam, strategy=None, tol=TolerancePolicy(), fail_fast=False):
     """The certificate of ``certify_unique``'s 2**N subset pass alone, on
-    fresh side profiles: the Kruskal check, which answers first for many
-    families, is not run, so tests of the pass's own steps reach them."""
+    fresh sides: the Kruskal check, which answers first for many families,
+    is not run, so tests of the pass's own steps reach them."""
     strategy = strategy or default_strategy(fam.n_parties)
     splits = _examined_splits(fam.n_parties, strategy)
-    return sepcert.certify._subset_pass(_Profiles(fam, tol), splits, strategy, fail_fast)
+    return sepcert.certify._subset_pass(_Sides(fam, tol), splits, strategy, fail_fast)
 
 
 def _opened(fam, side, tol=TolerancePolicy()):
-    """The pass's ``_open_side`` state of ``fam``'s ``side``."""
-    return _open_side(_Profiles(fam, tol)[side], fam.n_members, tol)
+    """``fam``'s ``side`` as the pass opens it (``_Side.open``)."""
+    state = _Sides(fam, tol)[side]
+    state.open()
+    return state
+
+
+def _floors(m, tol, k):
+    """The bounds of a fresh side on ``m``, each column its own class, after
+    ``_subset_floors`` of k."""
+    n = m.shape[1]
+    side = _Side(m, np.arange(n), tol)
+    side.open()
+    _subset_floors(side, _popcounts(n), _member_bits(n), k)
+    return side.bound
 
 
 def _with_duplicate(n_distinct, seed, dims=(2, 2, 2), noise=0.0, party=None):
@@ -702,9 +715,9 @@ def _recording_subset_floors(monkeypatch):
     floored = []
     subset_floors = sepcert.certify._subset_floors
 
-    def recording(m, popcount, bits, k, tol, floor):
-        floored.append((m, k))
-        return subset_floors(m, popcount, bits, k, tol, floor)
+    def recording(side, popcount, bits, k):
+        floored.append((side.m, k))
+        return subset_floors(side, popcount, bits, k)
 
     monkeypatch.setattr(sepcert.certify, "_subset_floors", recording)
     return floored
@@ -748,8 +761,7 @@ def test_pair_floor_margin(monkeypatch, tol):
         fam = _planted_pair(t)
         assert _floor_margin(fam, tol) == (margin, cap)
         m = fam.unit_side((0,))[0]
-        floor = np.zeros(1 << 9, dtype=np.int8)
-        _subset_floors(m, _popcounts(9), _member_bits(9), 2, tol, floor)
+        floor = _floors(m, tol, 2)
         reference = _reference_rank(fam.side_matrix((0,))[:, :2], tol)
         references.add(reference)
         assert floor[pair] <= reference
@@ -789,8 +801,7 @@ def test_subset_floor_margin(monkeypatch, tol):
         fam = _plant(base, t, 4)
         assert _floor_margin(fam, tol) == (margin, cap)
         m = fam.unit_side((0,))[0]
-        floor = np.zeros(1 << 9, dtype=np.int8)
-        _subset_floors(m, _popcounts(9), _member_bits(9), 4, tol, floor)
+        floor = _floors(m, tol, 4)
         reference = _reference_rank(fam.side_matrix((0,))[:, :4], tol)
         references.add(reference)
         assert floor[quadruple] <= reference
@@ -831,9 +842,8 @@ def test_r_subset_floor_proof_margin(monkeypatch, tol):
     rng = np.random.default_rng(22)
     for share, proven in [(0.5, False), (2.0, True)]:
         m = _planted_past_gram_floor(rng, 4, tol, share)
-        floor = np.zeros(1 << 4, dtype=np.int8)
         ranked.clear()
-        _subset_floors(m, _popcounts(4), _member_bits(4), 4, tol, floor)
+        floor = _floors(m, tol, 4)
         assert ranked == ([] if proven else [(1, 4, 4)])
         if proven:
             assert floor[-1] == 4
@@ -890,8 +900,7 @@ def test_subset_floors_one_below_the_rows_leave_survivors_to_rank(monkeypatch, t
     margin, _ = _floor_margin(probe, tol)
     fam = _near_flat(tol.relative_rank_threshold * 0.9 * margin / sigma_4)
     m = fam.unit_side((0,))[0]
-    floor = np.zeros(1 << 12, dtype=np.int8)
-    _subset_floors(m, _popcounts(12), _member_bits(12), 4, tol, floor)
+    floor = _floors(m, tol, 4)
     assert floor.max() == 3
     floored = _recording_subset_floors(monkeypatch)
     cert = certify_unique(fam, tol=tol)
@@ -918,11 +927,13 @@ def test_pair_floors_never_exceed_the_reference_rank(seed, n_distinct, log_noise
     for side in ((0,), (1, 2), (0, 1)):
         m = fam.unit_side(side)[0]
         full = fam.side_matrix(side)
-        floor = np.zeros(1 << n, dtype=np.int8)
+        state = _Side(m, np.arange(n), tol)
+        state.open()
+        floor = state.bound
         # The pair floors, then with them those of the row-count subsets,
         # as the pass builds them on a side of r < n rows.
         for k in [2, len(m)] if 2 < len(m) < n else [2]:
-            _subset_floors(m, popcount, bits, k, tol, floor)
+            _subset_floors(state, popcount, bits, k)
             for size in range(2, n + 1):
                 for subset in itertools.combinations(range(n), size):
                     mask = int(bits[list(subset)].sum())
@@ -991,13 +1002,13 @@ def test_side_bounds_never_exceed_the_rank(monkeypatch, make, strategy, tol):
     # its subset's columns, ranked as the pass ranks them.  A bound above the
     # rank could eliminate a subset that should survive: a false Unique.
     opened = []
-    open_side = sepcert.certify._open_side
+    open_side = sepcert.certify._Side.open
 
-    def recording(profile, n, tol):
-        opened.append(open_side(profile, n, tol))
-        return opened[-1]
+    def recording(side):
+        open_side(side)
+        opened.append(side)
 
-    monkeypatch.setattr(sepcert.certify, "_open_side", recording)
+    monkeypatch.setattr(sepcert.certify._Side, "open", recording)
     fam = make()
     _subset_pass(fam, strategy=strategy, tol=tol)
     n = fam.n_members
@@ -1005,10 +1016,10 @@ def test_side_bounds_never_exceed_the_rank(monkeypatch, make, strategy, tol):
     for state in opened:
         ranks = _subset_ranks(state.m, tol)
         assert (state.bound <= ranks).all()
-        if state.classes is not None:
+        if state.class_bits is not None:
             # A proven side's every rank is its class count, at most r.
             held = np.zeros(1 << n, dtype=int)
-            for bit, cls in zip(_member_bits(n)[::-1], state.classes[::-1]):
+            for bit, cls in zip(_member_bits(n)[::-1], state.class_bits[::-1]):
                 held[bit : 2 * bit] = held[:bit] | cls
             assert (np.minimum(_popcounts(n)[held], len(state.m)) == ranks).all()
 
@@ -1182,7 +1193,7 @@ def test_class_proofs_hold_on_independent_representatives(make, proven):
     sides = [side for split in all_bipartitions(fam.n_parties) for side in split]
     tol = TolerancePolicy()
     opened = [_opened(fam, side, tol) for side in sides]
-    assert [state.classes is not None for state in opened] == proven
+    assert [state.class_bits is not None for state in opened] == proven
 
 
 def test_cumulative_floor_gate_on_random_33_n16(monkeypatch):
@@ -1254,7 +1265,7 @@ def test_class_proof_margin(tol):
     assert np.linalg.svd(reps[0], compute_uv=False)[-1] < cap + d + spread
     assert _zero_under_every_cutoff(spread + d, low - d, tol)
     assert _proves_full_rank(reps, tol, bound=cap + d)
-    assert not _proves_class_ranks(m, cls, tol)
+    assert not _proves_class_ranks(_Side(m, cls, tol))
     # Spread whose term w + d lies half a d above the smallest cutoff: the
     # proof declines, though the representatives' Gram proves sigma_min > C
     # + d + w.
@@ -1268,7 +1279,7 @@ def test_class_proof_margin(tol):
     d, cap, spread, low, reps = _class_proof_terms(m, cls, tol)
     assert spread + d > tol.cutoff(low - d) > spread + d / 4
     assert _proves_full_rank(reps, tol, bound=cap + d + spread)
-    assert not _proves_class_ranks(m, cls, tol)
+    assert not _proves_class_ranks(_Side(m, cls, tol))
 
 
 def _planted_classes(t):
@@ -1303,7 +1314,7 @@ def test_class_proof_gram_margin(tol):
     for share, proven in [(0.5, False), (2.0, True)]:
         fam = _planted_classes(math.sqrt((cap + d) ** 2 + share * err))
         assert _side_cap(fam.unit_side((0,))[0], tol)[1:] == (d, cap)
-        assert (_opened(fam, (0,), tol).classes is not None) is proven
+        assert (_opened(fam, (0,), tol).class_bits is not None) is proven
         cert = certify_unique(fam, tol=tol)
         witnesses, examined = _reference_certificate(fam, tol)
         assert cert.witnesses == witnesses
@@ -1316,7 +1327,7 @@ def test_class_proof_declines_at_a_zero_threshold():
     # are orthonormal, and the pass ranks each subset.
     tol = TolerancePolicy(relative_rank_threshold=0.0)
     fam = gen_projective_basis(2, 4)
-    assert all(_opened(fam, side, tol).classes is None for side in ((0,), (1,)))
+    assert all(_opened(fam, side, tol).class_bits is None for side in ((0,), (1,)))
     cert = certify_unique(fam, tol=tol)
     witnesses, examined = _reference_certificate(fam, tol)
     assert cert.witnesses == witnesses
@@ -1343,7 +1354,7 @@ def _class_count(fam, side):
 def test_one_ulp_apart_columns_form_no_class(monkeypatch):
     shared = _one_shared_factor(False)
     assert _class_count(shared, (0,)) == 7
-    assert _opened(shared, (0,)).classes is not None
+    assert _opened(shared, (0,)).class_bits is not None
     fam = _one_shared_factor(True)
     assert all(_class_count(fam, side) == 8 for side in ((0,), (1,)))
     stack_sizes = _counting_stacked_ranks(monkeypatch)
@@ -1381,14 +1392,34 @@ def test_svd_failure_is_a_numeric_error(monkeypatch):
         _subset_pass(random_product_family(np.random.default_rng(0), (2, 2), 4))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "columns", [range(12), np.array([0, 2, 3, 5, 7, 8, 10, 11])], ids=["all", "representatives"]
+)
+def test_subset_stacks_list_each_k_subset_once_in_order(columns, k):
+    # The Kruskal proofs select from every column, the class proof from an
+    # array of representatives.  Both take the selections of
+    # itertools.combinations, in its order, in stacks of SUBSET_BLOCK but
+    # the last.  The columns are distinct, so equal selections in the same
+    # order leave no subset missed or repeated.
+    m = complex_randn(np.random.default_rng(7), 3, 12)
+    stacks = list(_subset_stacks(m, columns, k))
+    expected = [m[:, combo] for combo in itertools.combinations(columns, k)]
+    full, last = divmod(len(expected), SUBSET_BLOCK)
+    assert [len(stack) for stack in stacks] == [SUBSET_BLOCK] * full + [last] * (last > 0)
+    selected = [selection for stack in stacks for selection in stack]
+    assert len(selected) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(selected, expected))
+
+
 def _kruskal_state(fam, tol=TolerancePolicy(), strategy=None):
-    """Whether the Kruskal check proves ``fam`` Unique, its side profiles
-    afterwards and the Gram proofs it spent."""
-    profiles = _Profiles(fam, tol)
-    budget = profiles.budget
+    """Whether the Kruskal check proves ``fam`` Unique, its sides afterwards
+    and the Gram proofs it spent."""
+    sides = _Sides(fam, tol)
+    budget = sides.budget
     splits = _examined_splits(fam.n_parties, strategy or default_strategy(fam.n_parties))
-    proven = _kruskal_proves(profiles, splits)
-    return proven, profiles, budget - profiles.budget
+    proven = _kruskal_proves(sides, splits)
+    return proven, sides, budget - sides.budget
 
 
 @pytest.mark.parametrize(
@@ -1416,9 +1447,9 @@ def test_kruskal_check_proves_unique_before_the_pass(monkeypatch, make, charged,
     # The certificate is the pass's, byte for byte, though no 2**N array is
     # allocated: the pass is never called.
     fam = make()
-    proven, profiles, spent = _kruskal_state(fam)
+    proven, sides, spent = _kruskal_state(fam)
     assert proven and spent == charged
-    assert {side: (p.rank, p.kruskal) for side, p in profiles.items()} == state
+    assert {key: (side.rank, side.kruskal) for key, side in sides.items()} == state
     expected = _subset_pass(fam)
 
     def no_pass(*args):
@@ -1474,6 +1505,13 @@ def _in_span(fam, party, members, dim, seed):
     ))
 
 
+def _dependent_triple():
+    """Random (3,3)/N10 family whose members 0-2 take random factors from a
+    random 2-dimensional span on each party."""
+    fam = random_product_family(np.random.default_rng(5), (3, 3), 10)
+    return _in_span(_in_span(fam, 0, {0, 1, 2}, 2, 1), 1, {0, 1, 2}, 2, 2)
+
+
 @pytest.mark.parametrize(
     "make, proven, witness",
     [
@@ -1481,9 +1519,7 @@ def _in_span(fam, party, members, dim, seed):
         # both 9-row sides, whose rank 9 adds nothing at three members, so
         # lb_A(3) + lb_B(3) = 4 = 3 + 1, and (0, 1, 2) is a witness with
         # exactly those deltas.
-        (lambda: _in_span(_in_span(random_product_family(np.random.default_rng(5), (3, 3), 10),
-                                   0, {0, 1, 2}, 2, 1), 1, {0, 1, 2}, 2, 2),
-         [(9, 2, 3), (9, 2, 3)], ((0, 1, 2), (2, 2))),
+        (_dependent_triple, [(9, 2, 3), (9, 2, 3)], ((0, 1, 2), (2, 2))),
         # Members 0-3 of (2,2)/N6 span two dimensions on party 0 and three on
         # party 1: k = 2 and 3, and rank 4 on each side.  At four members
         # the interlacing bound 4 - (6 - 4) = 2 on side A is attained: lb_A
@@ -1499,18 +1535,55 @@ def test_kruskal_bounds_are_attained_by_a_witness(make, proven, witness):
     # covers every size: the cover test and the interlacing bound are tight.
     fam = make()
     tol = TolerancePolicy()
-    profiles = _Profiles(fam, tol)
-    sides = [profiles[(0,)], profiles[(1,)]]
-    for p in sides:
-        profiles.try_rank(p)
+    sides = _Sides(fam, tol)
+    pair = [sides[(0,)], sides[(1,)]]
+    for side in pair:
+        sides.try_rank(side)
         k = 2
-        while k <= len(p.m) and profiles.try_kruskal(p, k):
+        while k <= len(side.m) and sides.try_kruskal(side, k):
             k += 1
-    assert [(p.rank, p.kruskal, p.refuted) for p in sides] == proven
-    assert _kruskal_plan(fam.n_members, *sides, math.inf) is None
+    assert [(side.rank, side.kruskal, side.refuted) for side in pair] == proven
+    assert _kruskal_plan(fam.n_members, *pair, math.inf) is None
     cert = certify_unique(fam, tol=tol)
     assert [(w.members, w.deltas) for w in cert.witnesses] == [witness]
     assert cert.witnesses == _reference_certificate(fam, tol)[0]
+
+
+@pytest.mark.parametrize(
+    "make, built, passed",
+    [
+        # Proven by the Kruskal check from its first split's sides alone.
+        (lambda: random_product_family(np.random.default_rng(0), (2, 2, 2), 13),
+         [(0,), (1, 2)], False),
+        # Built and proven in part by the check, which then declines: no
+        # plan covers every size.
+        (_dependent_triple, [(0,), (1,)], True),
+        # Built by the check, whose cheapest plan is over budget.
+        (lambda: random_product_family(np.random.default_rng(0), (3, 3), 16), [(0,), (1,)], True),
+    ],
+    ids=["random-222-n13", "dependent-triple-33-n10", "random-33-n16"],
+)
+def test_each_side_is_built_once_per_call(monkeypatch, make, built, passed):
+    # The Kruskal check builds the sides of its split before any Gram, and
+    # the pass, when it runs, decides the subsets on those same sides.
+    fam = make()
+    sides, ran = [], []
+    side_matrix, subset_pass = OperatorFamily.side_matrix, sepcert.certify._subset_pass
+
+    def recording_side(fam, side, include_weight=False):
+        sides.append(tuple(side))
+        return side_matrix(fam, side, include_weight)
+
+    def recording_pass(*args):
+        ran.append(len(sides))
+        return subset_pass(*args)
+
+    monkeypatch.setattr(OperatorFamily, "side_matrix", recording_side)
+    monkeypatch.setattr(sepcert.certify, "_subset_pass", recording_pass)
+    cert = certify_unique(fam)
+    assert sides == built
+    assert ran == ([len(built)] if passed else [])
+    assert cert.witnesses == _reference_certificate(fam, cert.tol)[0]
 
 
 def _kruskal_margin(fam, tol, k):
@@ -1538,14 +1611,14 @@ def test_kruskal_proof_margins(tol):
         for share, proven in [(0.5, False), (2.0, True)]:
             fam = _plant(base, math.sqrt(floor + share * err), 4)
             assert _kruskal_margin(fam, tol, k) == (floor, err)
-            profiles = _Profiles(fam, tol)
-            p = profiles[(0,)]
+            sides = _Sides(fam, tol)
+            side = sides[(0,)]
             if k == 2:
-                assert profiles.try_kruskal(p, 2) is proven
-                assert (p.kruskal, p.refuted) == ((2, 5) if proven else (0, 2))
+                assert sides.try_kruskal(side, 2) is proven
+                assert (side.kruskal, side.refuted) == ((2, 5) if proven else (0, 2))
             else:
-                assert profiles.try_rank(p) is proven
-                assert p.rank == (4 if proven else 0)
+                assert sides.try_rank(side) is proven
+                assert side.rank == (4 if proven else 0)
             cert = certify_unique(fam, tol=tol)
             witnesses, examined = _reference_certificate(fam, tol)
             assert cert.witnesses == witnesses

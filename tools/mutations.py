@@ -108,14 +108,20 @@ EDITS = [
     (
         "Kruskal check answering Unique at two members",
         "src/sepcert/certify.py",
-        "    if profiles.n < 2:\n        return True\n",
-        "    if profiles.n < 3:\n        return True\n",
+        "    if sides.n < 2:\n        return True\n",
+        "    if sides.n < 3:\n        return True\n",
     ),
     (
         "Kruskal full-side rank taken without its proof",
         "src/sepcert/certify.py",
-        "p.rank = len(p.m) if _proves_full_rank(p.m[None], self.tol, bound=p.floor) else 0",
-        "p.rank = len(p.m)",
+        "side.rank = len(side.m) if proven else 0",
+        "side.rank = len(side.m)",
+    ),
+    (
+        "k-subset stacks without their final partial stack",
+        "src/sepcert/certify.py",
+        "itertools.islice(combos, SUBSET_BLOCK * k), np.intp)).size:",
+        "itertools.islice(combos, SUBSET_BLOCK * k), np.intp)).size == SUBSET_BLOCK * k:",
     ),
     (
         "_screens needed without + kappa",
