@@ -252,6 +252,13 @@ def _popcounts(n: int) -> np.ndarray:
     return popcount
 
 
+def _members(masks: np.ndarray, bits: np.ndarray, size: int) -> np.ndarray:
+    """The (B, size) member indices, each row increasing, of B bitmasks of
+    ``size`` members; ``bits`` is ``_member_bits(n)``."""
+    # Row-major order lists each subset's members in increasing order.
+    return (np.flatnonzero((masks[:, None] & bits) != 0) % len(bits)).reshape(-1, size)
+
+
 def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
     """The subsets of ``size`` members in lexicographic order, in blocks of at
     most ``LEVEL_BLOCK``: per block its position in the order, its (B,)
@@ -259,13 +266,10 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
 
     ``popcount`` is ``_popcounts(n)`` and ``bits`` is ``_member_bits(n)``.
     """
-    n = len(bits)
     masks = np.flatnonzero(popcount == size)[::-1]
     for start in range(0, len(masks), LEVEL_BLOCK):
         block = masks[start : start + LEVEL_BLOCK]
-        # Row-major order lists each subset's members in increasing order.
-        members = np.flatnonzero((block[:, None] & bits) != 0) % n
-        yield start, block, members.reshape(-1, size)
+        yield start, block, _members(block, bits, size)
 
 
 def _subset_stacks(m: np.ndarray, columns, k: int):
@@ -316,17 +320,20 @@ class _Side:
     bit-equal twins has ``refuted`` 2 from the start: a twin pair is
     singular.
 
+    ``class_proven`` holds when the side has fewer classes than members and
+    ``_proves_class_ranks`` holds on it; the proof runs at most once per
+    side, when ``class_proven`` is first read.
+
     The pass's state: ``bound`` is None until ``open`` makes it an int8
-    array over member bitmasks, 0 at first: each entry is a proven lower
-    bound on the computed rank of that subset's columns of ``m``, and the
-    exact rank once the subset has been ranked on the side.  ``class_bits``
-    holds each member's class bit, 1 << class, once ``open`` proves the
-    class ranks (``_proves_class_ranks``), and is None otherwise: subsets
-    are then ranked one by one.  ``bound`` holds the ``_subset_floors`` of
-    each k in ``floored``.  ``ranked`` counts the columns of the subsets
-    ranked on the side so far.  ``raised`` is True when some entry of
-    ``bound`` has risen, by a rank or a floor, since ``_close_downward``
-    last ran on it.
+    array over member bitmasks.  On a ``class_proven`` side every entry is
+    the exact rank of that subset's columns of ``m``, written once, by
+    ``_class_ranks``, and no subset is ranked or floored there.  Elsewhere
+    it is 0 at first: each entry is a proven lower bound on the computed
+    rank, and the exact rank once the subset has been ranked on the side;
+    ``bound`` holds the ``_subset_floors`` of each k in ``floored``.
+    ``ranked`` counts the columns of the subsets ranked on the side so far.
+    ``raised`` is True when some entry of ``bound`` has risen, by a rank or
+    a floor, since ``_close_downward`` last ran on it.
     """
 
     def __init__(self, m: np.ndarray, cls: np.ndarray, tol: TolerancePolicy):
@@ -336,7 +343,6 @@ class _Side:
         self.rank: int | None = None
         self.kruskal = 0
         self.bound: np.ndarray | None = None
-        self.class_bits: np.ndarray | None = None
         self.floored: set[int] = set()
         self.ranked = 0
         self.raised = False
@@ -345,6 +351,10 @@ class _Side:
     def side_cap(self) -> tuple[float, float, float]:
         return _side_cap(self.m, self.tol)
 
+    @cached_property
+    def class_proven(self) -> bool:
+        return self.classes < len(self.cls) and _proves_class_ranks(self)
+
     @property
     def floor(self) -> float:
         """C + d, with d and the cap C of ``side_cap``."""
@@ -352,16 +362,16 @@ class _Side:
         return cap + d
 
     def open(self) -> None:
-        """Set ``bound`` to 0 for every subset of the n members, and
-        ``class_bits`` when there are fewer than n classes and their ranks
-        are proven."""
+        """Set ``bound`` for every subset of the n members: its exact rank on
+        a ``class_proven`` side, else 0."""
         n = len(self.cls)
         try:
-            self.bound = np.zeros(1 << n, dtype=np.int8)
+            if self.class_proven:
+                self.bound = _class_ranks(self.cls, len(self.m))
+            else:
+                self.bound = np.zeros(1 << n, dtype=np.int8)
         except (MemoryError, ValueError):
             raise _size_budget_error(n) from None
-        if self.classes < n and _proves_class_ranks(self):
-            self.class_bits = np.left_shift(1, self.cls)
 
 
 class _Sides(dict):
@@ -405,7 +415,7 @@ class _Sides(dict):
 def _proves_class_ranks(side: _Side) -> bool:
     """True only when the class proof holds on ``side``: every subset T's
     computed rank on the side is min(h(T), r), h(T) the number of classes T
-    holds, the popcount of the OR of its members' ``class_bits``.
+    holds, which ``_class_ranks`` writes for every T at once.
 
     The columns of a class are equal before ``compressed_side``; its thin QR
     may leave them apart by rounding (Higham Thm 19.4).  Let m be the side
@@ -446,6 +456,29 @@ def _proves_class_ranks(side: _Side) -> bool:
         _proves_full_rank(stack, tol, bound=cap + d + shift)
         for stack in _subset_stacks(m, reps, min(len(reps), r))
     )
+
+
+def _class_ranks(cls: np.ndarray, r: int) -> np.ndarray:
+    """min(h(T), r) for every member bitmask T, as int8, h(T) the number of
+    the classes ``cls`` that T's members hold.
+
+    One doubling pass over the member bits ORs each member's class bit, 1 <<
+    class, into the classes every mask holds, in the narrowest unsigned
+    dtype that has a bit per class; ``_popcounts(8)`` counts them byte by
+    byte.  Member i is bit n-1-i, as in ``_member_bits``.
+    """
+    n = len(cls)
+    held = np.zeros(1 << n, dtype=np.min_scalar_type((1 << (int(cls.max()) + 1)) - 1))
+    for b in range(n):
+        # The masks whose highest bit is b: those below, with member n-1-b added.
+        bit = held.dtype.type(1 << int(cls[n - 1 - b]))
+        np.bitwise_or(held[: 1 << b], bit, out=held[1 << b : 2 << b])
+    table = _popcounts(8)
+    octets = held.view(np.uint8).reshape(len(held), held.itemsize)
+    rank = table[octets[:, 0]]
+    for j in range(1, held.itemsize):
+        rank += table[octets[:, j]]
+    return np.minimum(rank, r, out=rank).view(np.int8)
 
 
 def _zero_under_every_cutoff(value: float, low: float, tol: TolerancePolicy) -> bool:
@@ -579,9 +612,8 @@ def _decide_block(
     block reads and raises a side's ``bound`` in place.  A side is opened
     here (``_Side.open``) when a block first reaches one of its splits, and
     a block raises its subsets' bounds on a side to their start values only
-    when it reaches the side.  On a side with ``class_bits``, the start
-    value is each subset's rank, its class count capped at r, and nothing
-    there is ranked or floored.
+    when it reaches the side.  A ``class_proven`` side's bounds are exact
+    from its opening on, and nothing there is ranked or floored.
 
     On each side a subset T starts from max(``bound(T)``, ``max_x
     bound(T | x) - 1``).  The first holds the floors built so far.  The
@@ -635,14 +667,10 @@ def _decide_block(
             state.open()
         if side in exact:
             return
-        bound = state.bound
-        if state.class_bits is not None:
-            # Proven by _proves_class_ranks: a subset's rank is its class count, at most r.
-            held = popcount[np.bitwise_or.reduce(state.class_bits[members], axis=1)]
-            bound[masks] = np.minimum(held, len(state.m))
+        if state.class_proven:
             exact[side] = np.ones(len(masks), dtype=bool)
-            state.raised = True
             return
+        bound = state.bound
         # For x in T, T | x is T itself, which only adds bound(T) - 1.
         bound[masks] = np.maximum(bound[masks], bound[supersets].max(axis=1) - 1)
         # Fewer subsets below 2 are ranked for no more than the pair
@@ -789,6 +817,72 @@ def _kruskal_proves(sides: _Sides, splits: tuple[Split, ...]) -> bool:
     return False
 
 
+def _witness_rows(
+    sides: _Sides, splits: tuple[Split, ...], masks: np.ndarray, members: np.ndarray
+) -> np.ndarray:
+    """The rows of ``Certificate.levels`` of the survivors with bitmasks
+    ``masks`` and (B, size) ``members``: the members, then the deltas of
+    each split, their exact entries of the split sides' ``bound``."""
+    deltas = [sides[side].bound[masks] for split in splits for side in split]
+    return np.column_stack([members.astype(np.int8), *deltas])
+
+
+def _lattice_certificate(
+    sides: _Sides, splits: tuple[Split, ...], strategy: str, fail_fast: bool
+) -> Certificate | None:
+    """The certificate of ``_subset_pass``, read off the whole subset
+    lattice at once, when every side of ``splits`` is ``class_proven``;
+    otherwise None.  Vacuously so for one party, which has no split.
+
+    The sides are tried in split order, and the first side that is not
+    proven stops the check: a side with as many classes as members is
+    built, as the pass would build it, and declines with no proof.  Each
+    proven side's ``open`` writes its exact rank for every subset, so a
+    subset T survives iff |T| >= 2 and bound_A(T) + bound_B(T) <= |T| + 1
+    on every split: one vectorized filter over the 2**n bitmasks, one byte
+    each.  The survivors of each size are listed in lexicographic order,
+    ``LEVEL_BLOCK`` at a time, with their bounds as deltas
+    (``_witness_rows``).  With ``fail_fast`` only the first survivor of the
+    smallest size is listed, with its position in the order of
+    ``certify_unique``.  An allocation that fails is a ``SizeBudgetError``.
+    """
+    if not all(sides[side].class_proven for split in splits for side in split):
+        return None
+    n = sides.n
+    try:
+        sizes = _popcounts(n)
+        for split in splits:
+            for side in split:
+                if sides[side].bound is None:
+                    sides[side].open()
+            bound_a, bound_b = (sides[side].bound for side in split)
+            # A subset the split eliminates counts as size 0 from here on.
+            np.multiply(sizes, bound_a + bound_b <= sizes.view(np.int8) + 1, out=sizes)
+    except (MemoryError, ValueError):
+        raise _size_budget_error(n) from None
+    bits = _member_bits(n)
+    levels = []
+    for size in range(2, n + 1):
+        masks = np.flatnonzero(sizes == size)[::-1]
+        if not masks.size:
+            continue
+        if fail_fast:
+            first = masks[:1]
+            # The subsets of this size before it in lexicographic order.
+            before = np.count_nonzero(_popcounts(n)[first[0] + 1 :] == size)
+            examined = sum(math.comb(n, s) for s in range(2, size)) + int(before) + 1
+            rows = _witness_rows(sides, splits, first, _members(first, bits, size))
+            return Certificate((rows,), splits, strategy, sides.tol, examined, n)
+        level = np.empty((len(masks), size + 2 * len(splits)), dtype=np.int8)
+        for i in range(0, len(masks), LEVEL_BLOCK):
+            block = masks[i : i + LEVEL_BLOCK]
+            level[i : i + LEVEL_BLOCK] = _witness_rows(
+                sides, splits, block, _members(block, bits, size)
+            )
+        levels.append(level)
+    return Certificate(tuple(levels), splits, strategy, sides.tol, (1 << n) - n - 1, n)
+
+
 def _subset_pass(
     sides: _Sides, splits: tuple[Split, ...], strategy: str, fail_fast: bool
 ) -> Certificate:
@@ -830,8 +924,7 @@ def _subset_pass(
                 continue
             if not level:
                 first = sum(math.comb(n, s) for s in range(2, size)) + start + int(alive[0])
-            exact = [sides[side].bound[block[alive]] for split in splits for side in split]
-            level.append(np.column_stack([members[alive].astype(np.int8), *exact]))
+            level.append(_witness_rows(sides, splits, block[alive], members[alive]))
         if level:
             levels.append(np.concatenate(level))
         elif wait:
@@ -877,8 +970,11 @@ def certify_unique(
     Each examined side is built once, as a ``_Side``.  First
     ``_kruskal_proves`` tries to show from the sizes alone, with a few Gram
     proofs and no 2**N array, that one split eliminates every subset; the
-    certificate is then the Unique one the pass would give.  Otherwise
-    ``_subset_pass`` decides the subsets on the same sides.
+    certificate is then the Unique one the pass would give.  Next, when the
+    class proof gives every subset's rank on every examined side,
+    ``_lattice_certificate`` reads the pass's certificate off the subset
+    lattice with no block walk.  Otherwise ``_subset_pass`` decides the
+    subsets on the same sides.
     """
     n = fam.n_members
     if max_members < 1:
@@ -895,7 +991,10 @@ def certify_unique(
     sides = _Sides(fam, tol)
     if _kruskal_proves(sides, splits):
         return Certificate((), splits, strategy, tol, (1 << n) - n - 1, n)
-    return _subset_pass(sides, splits, strategy, fail_fast)
+    cert = _lattice_certificate(sides, splits, strategy, fail_fast)
+    if cert is None:
+        cert = _subset_pass(sides, splits, strategy, fail_fast)
+    return cert
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .certify import (
     certify_unique,
     verify_completeness,
 )
-from .choi import channel_to_choi_ensemble, ensemble_to_state
 from .errors import (
     NumericError,
     ParameterError,
@@ -51,16 +50,6 @@ from .serialize import (
     dump_json,
     load_family,
     save_family,
-)
-from .zoo import (
-    augment_channel,
-    gen_fourier_channel,
-    gen_ladder_channel,
-    gen_pauli_pair_channel,
-    gen_product_unitary_channel,
-    gen_projective_basis,
-    gen_tight_family,
-    heisenberg_weyl_unitaries,
 )
 
 EXIT_OK = 0
@@ -196,6 +185,18 @@ def cmd_hunt(args) -> int:
 
 def _gen_dispatch(args):
     """Build (family, metadata, extras) for the requested generator."""
+    # Imported here, as in cmd_choi: no other command compiles these modules.
+    from .zoo import (
+        augment_channel,
+        gen_fourier_channel,
+        gen_ladder_channel,
+        gen_pauli_pair_channel,
+        gen_product_unitary_channel,
+        gen_projective_basis,
+        gen_tight_family,
+        heisenberg_weyl_unitaries,
+    )
+
     name = args.generator
     if name == "eq701":
         mu = _parse_complex(args.mu)
@@ -287,6 +288,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_choi(args) -> int:
+    from .choi import channel_to_choi_ensemble, ensemble_to_state
+
     loaded = load_family(args.file)
     if loaded.kind != KIND_CHANNEL:
         raise UsageError(

@@ -18,6 +18,7 @@ from sepcert.certify import (
     STRATEGY_PAIRS,
     SUBSET_BLOCK,
     Witness,
+    _class_ranks,
     _close_downward,
     _column_classes,
     _examined_splits,
@@ -1016,10 +1017,10 @@ def test_side_bounds_never_exceed_the_rank(monkeypatch, make, strategy, tol):
     for state in opened:
         ranks = _subset_ranks(state.m, tol)
         assert (state.bound <= ranks).all()
-        if state.class_bits is not None:
+        if state.class_proven:
             # A proven side's every rank is its class count, at most r.
             held = np.zeros(1 << n, dtype=int)
-            for bit, cls in zip(_member_bits(n)[::-1], state.class_bits[::-1]):
+            for bit, cls in zip(_member_bits(n)[::-1], np.left_shift(1, state.cls)[::-1]):
                 held[bit : 2 * bit] = held[:bit] | cls
             assert (np.minimum(_popcounts(n)[held], len(state.m)) == ranks).all()
 
@@ -1193,7 +1194,138 @@ def test_class_proofs_hold_on_independent_representatives(make, proven):
     sides = [side for split in all_bipartitions(fam.n_parties) for side in split]
     tol = TolerancePolicy()
     opened = [_opened(fam, side, tol) for side in sides]
-    assert [state.class_bits is not None for state in opened] == proven
+    assert [state.class_proven for state in opened] == proven
+
+
+def _two_party_classes():
+    """Random (2,2)/N15 family whose member j takes member j % 5's party-0
+    factor and member j % 4's party-1 factor: five classes in four rows on
+    one side, four on the other, and no two members equal."""
+    fam = _repeated_factor_family((2, 2), 15, party=0, n_classes=5)
+    return OperatorFamily(fam.spec, tuple(
+        ProductOperator(m.weight, (m.factors[0], fam.members[j % 4].factors[1]))
+        for j, m in enumerate(fam.members)
+    ))
+
+
+_LATTICE_FAMILIES = {
+    **{
+        f"projective-{d1}{d2}": lambda d1=d1, d2=d2: gen_projective_basis(d1, d2)
+        for d1, d2 in [(2, 2), (2, 3), (3, 4), (2, 6)]
+    },
+    **{
+        f"projective-{d1}{d2}-relabelled-s{seed}": (
+            lambda d1=d1, d2=d2, seed=seed: _relabelled(gen_projective_basis(d1, d2), seed)
+        )
+        for d1, d2 in [(2, 3), (3, 4), (2, 6)]
+        for seed in (11, 12)
+    },
+    "tight-n2": lambda: gen_tight_family(2, seed=0)[0],
+    "tight-n3": lambda: gen_tight_family(3, seed=0)[0],
+    "tight-n2-3party": lambda: gen_tight_family(2, n_parties=3, seed=0)[0],
+    "repeated-22-5x4": _two_party_classes,
+    **{
+        f"one-party-{d}-n{n}": (
+            lambda d=d, n=n: random_product_family(np.random.default_rng(n), (d,), n)
+        )
+        for d, n in [(2, 2), (2, 5), (3, 7)]
+    },
+}
+
+
+@pytest.mark.parametrize("fail_fast", [False, True], ids=["all", "fail-fast"])
+@pytest.mark.parametrize(
+    "tol",
+    [
+        TolerancePolicy(relative_rank_threshold=1e-10),
+        TolerancePolicy(relative_rank_threshold=1e-6),
+        TolerancePolicy(relative_rank_threshold=1e-3),
+    ],
+    ids=["rel1e-10", "rel1e-6", "rel1e-3"],
+)
+@pytest.mark.parametrize("make", list(_LATTICE_FAMILIES.values()), ids=list(_LATTICE_FAMILIES))
+def test_lattice_certificate_matches_the_subset_pass(make, tol, fail_fast):
+    # Every side of these families is class_proven (one party has no side),
+    # so the certificate is read off the lattice, and it must be the pass's
+    # byte for byte; the relabelled families keep a member's bit apart from
+    # its class's number.
+    fam = make()
+    strategy = default_strategy(fam.n_parties)
+    splits = _examined_splits(fam.n_parties, strategy)
+    lattice = sepcert.certify._lattice_certificate(_Sides(fam, tol), splits, strategy, fail_fast)
+    assert lattice is not None
+    expected = _subset_pass(fam, strategy=strategy, tol=tol, fail_fast=fail_fast)
+    assert lattice.to_json({}) == expected.to_json({})
+    assert lattice == expected == certify_unique(fam, tol=tol, fail_fast=fail_fast)
+
+
+@pytest.mark.parametrize(
+    "n, classes", [(6, 1), (6, 5), (12, 9), (12, 11), (18, 17)],
+    ids=["one-class", "one-byte", "two-bytes", "two-bytes-n12", "four-bytes"],
+)
+def test_class_ranks_count_the_classes_each_subset_holds(n, classes):
+    # The class bits take one, two or four bytes; each subset's rank is the
+    # number of classes it meets, counted class by class here, capped at r.
+    rng = np.random.default_rng(n + classes)
+    cls = np.concatenate([np.arange(classes), rng.integers(0, classes, n - classes)])
+    rng.shuffle(cls)
+    masks = np.arange(1 << n)
+    bits = _member_bits(n)
+    held = sum((masks & int(bits[cls == c].sum()) != 0).astype(int) for c in range(classes))
+    for r in sorted({1, max(classes - 2, 1), classes}):
+        ranks = _class_ranks(cls, r)
+        assert ranks.dtype == np.int8
+        assert (ranks == np.minimum(held, r)).all()
+
+
+def test_projective_at_the_cap_fails_fast_as_the_pass_does():
+    # 2**20 subsets, 991,553 of them witnesses: the lattice lists only the
+    # first, and its position, as the pass does after deciding them all.
+    fam = gen_projective_basis(2, 10)
+    cert = certify_unique(fam, fail_fast=True)
+    expected = _subset_pass(fam, fail_fast=True)
+    assert cert.to_json({}) == expected.to_json({})
+    assert (cert.witnesses, cert.subsets_examined) == (expected.witnesses, 1)
+
+
+@pytest.mark.parametrize(
+    "make, built, proofs",
+    [
+        # As many classes as members: the first side declines with no proof,
+        # and the pass builds the sides it would build alone.
+        (lambda: random_product_family(np.random.default_rng(0), (2, 2), 9), [(0,), (1,)],
+         {}),
+        # Party 0's class proof fails, once; party 1 has no class.
+        (_dependent_classes, [(0,), (1,)], {(0,): 1}),
+        # Party 0's class proof holds, and the lattice stops at party 1.
+        (lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5), [(0,), (1,)],
+         {(0,): 1}),
+    ],
+    ids=["random-22-n9", "dependent-22", "repeated-22-5x3"],
+)
+def test_sides_the_lattice_declines_go_to_the_pass(monkeypatch, make, built, proofs):
+    # The lattice stops at the first side that is not class_proven, and the
+    # pass then reads each side's recorded proof: no class proof runs twice.
+    fam = make()
+    made, proven = {}, []
+    missing, proves = _Sides.__missing__, sepcert.certify._proves_class_ranks
+
+    def recording_side(sides, key):
+        made[key] = missing(sides, key)
+        return made[key]
+
+    def recording_proof(side):
+        proven.append(side)
+        return proves(side)
+
+    monkeypatch.setattr(_Sides, "__missing__", recording_side)
+    monkeypatch.setattr(sepcert.certify, "_proves_class_ranks", recording_proof)
+    cert = certify_unique(fam)
+    assert list(made) == built
+    assert {key: sum(side is made[key] for side in proven) for key in made} == {
+        key: proofs.get(key, 0) for key in built
+    }
+    assert cert.witnesses == _reference_certificate(fam, cert.tol)[0]
 
 
 def test_cumulative_floor_gate_on_random_33_n16(monkeypatch):
@@ -1314,7 +1446,7 @@ def test_class_proof_gram_margin(tol):
     for share, proven in [(0.5, False), (2.0, True)]:
         fam = _planted_classes(math.sqrt((cap + d) ** 2 + share * err))
         assert _side_cap(fam.unit_side((0,))[0], tol)[1:] == (d, cap)
-        assert (_opened(fam, (0,), tol).class_bits is not None) is proven
+        assert _opened(fam, (0,), tol).class_proven is proven
         cert = certify_unique(fam, tol=tol)
         witnesses, examined = _reference_certificate(fam, tol)
         assert cert.witnesses == witnesses
@@ -1327,7 +1459,7 @@ def test_class_proof_declines_at_a_zero_threshold():
     # are orthonormal, and the pass ranks each subset.
     tol = TolerancePolicy(relative_rank_threshold=0.0)
     fam = gen_projective_basis(2, 4)
-    assert all(_opened(fam, side, tol).class_bits is None for side in ((0,), (1,)))
+    assert not any(_opened(fam, side, tol).class_proven for side in ((0,), (1,)))
     cert = certify_unique(fam, tol=tol)
     witnesses, examined = _reference_certificate(fam, tol)
     assert cert.witnesses == witnesses
@@ -1354,7 +1486,7 @@ def _class_count(fam, side):
 def test_one_ulp_apart_columns_form_no_class(monkeypatch):
     shared = _one_shared_factor(False)
     assert _class_count(shared, (0,)) == 7
-    assert _opened(shared, (0,)).class_bits is not None
+    assert _opened(shared, (0,)).class_proven
     fam = _one_shared_factor(True)
     assert all(_class_count(fam, side) == 8 for side in ((0,), (1,)))
     stack_sizes = _counting_stacked_ranks(monkeypatch)

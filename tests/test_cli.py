@@ -12,6 +12,7 @@ import pytest
 
 import sepcert.cli
 import sepcert.hunter
+import sepcert.zoo
 from sepcert import __version__
 from sepcert.certify import certify_unique
 from sepcert.cli import main
@@ -162,7 +163,8 @@ def test_gen_augment_over_the_element_budget_exits_5_before_the_basis(
     def refuse(dim):
         raise AssertionError(f"built {dim * dim} unitaries for a refused spec")
 
-    monkeypatch.setattr(sepcert.cli, "heisenberg_weyl_unitaries", refuse)
+    # cli imports the generators when gen runs, so the patch goes on their module.
+    monkeypatch.setattr(sepcert.zoo, "heisenberg_weyl_unitaries", refuse)
     out = tmp_path / "augmented.json"
     code, stdout, err = run_cli(
         capsys, "gen", "augment", "--file", str(base), "--dim", "64", "--out", str(out)

@@ -52,6 +52,24 @@ EDITS = [
         "alive &= bound_a[masks] + bound_b[masks] < below + 1",
     ),
     (
+        "class ranks without the cap min(., r)",
+        "src/sepcert/certify.py",
+        "return np.minimum(rank, r, out=rank).view(np.int8)",
+        "return rank.view(np.int8)",
+    ),
+    (
+        "lattice survival test < for <=",
+        "src/sepcert/certify.py",
+        "bound_a + bound_b <= sizes.view(np.int8) + 1, out=sizes)",
+        "bound_a + bound_b < sizes.view(np.int8) + 1, out=sizes)",
+    ),
+    (
+        "lattice fail-fast position off by one",
+        "src/sepcert/certify.py",
+        "np.count_nonzero(_popcounts(n)[first[0] + 1 :] == size)",
+        "np.count_nonzero(_popcounts(n)[first[0] :] == size)",
+    ),
+    (
         "class proof without the spread term in its bound",
         "src/sepcert/certify.py",
         "tol, bound=cap + d + shift)",

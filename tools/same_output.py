@@ -8,12 +8,14 @@ and once the working tree's, and each run prints the SHA-256 of every
 request's output: ``Certificate.to_json`` for each family with the default,
 pairs and bipartitions strategies, relative rank thresholds 1e-10, 1e-6 and
 1e-3, with and without ``fail_fast``, and the ``verify_completeness`` JSON
-of the one-member, one-party, ladder, Pauli and Fourier families.  The
-families near the member cap, random (3,3)/N16 and N18, (2,3)/N16 and
-(4,4)/N20, and Fourier (2,3,3) and (2,2,2,2), run with the default strategy
-and tolerance only.  A request that raises hashes its exception's type and
-message.  The runner prints each request whose digests differ and exits 1
-if any does.
+of the one-member, one-party, ladder, Pauli and Fourier families.
+Projective (3,4) and (2,6) also run relabelled: a seeded member permutation
+and unit phases, as perfbench draws them, so that a member's bit and its
+class's number differ.  The families near the member cap, random (3,3)/N16
+and N18, (2,3)/N16 and (4,4)/N20, and Fourier (2,3,3) and (2,2,2,2), run
+with the default strategy and tolerance only.  A request that raises hashes
+its exception's type and message.  The runner prints each request whose
+digests differ and exits 1 if any does.
 
 Run it from the root of a git checkout; it takes a few minutes.  CI runs it
 against the parent commit, ``HEAD^1``, which a checkout two commits deep
@@ -70,6 +72,19 @@ def _families():
             for j, m in enumerate(fam.members)
         ))
 
+    def relabelled(d1, d2, seed):
+        # A seeded member permutation and unit phases, drawn as perfbench's
+        # relabel draws them, so that member bits and class numbers differ.
+        def build():
+            fam = gen_projective_basis(d1, d2)
+            rng = np.random.default_rng(seed)
+            order = rng.permutation(fam.n_members)
+            phases = np.exp(2j * np.pi * rng.random(fam.n_members))
+            return OperatorFamily(
+                fam.spec, tuple(fam.members[k].scaled(p) for k, p in zip(order, phases))
+            )
+        return build
+
     out = []
     for dims, n in [((2, 2), 9), ((2, 2), 12), ((2, 3), 12), ((2, 3), 14), ((2, 2, 2), 13),
                     ((2, 2, 2), 16), ((3, 3), 13), ((2, 2, 2, 2), 12), ((3,), 6)]:
@@ -78,6 +93,8 @@ def _families():
     for d1, d2 in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 6), (4, 3), (2, 8), (3, 5), (4, 4)]:
         out.append((f"projective({d1},{d2})", lambda d1=d1, d2=d2: gen_projective_basis(d1, d2),
                     False, True))
+    for d1, d2 in [(3, 4), (2, 6)]:
+        out.append((f"projective({d1},{d2})/relabelled", relabelled(d1, d2, 7), False, True))
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         out.append((f"fourier{dims}", lambda dims=dims: gen_fourier_channel(dims), True, True))
     for parties in (2, 3):
