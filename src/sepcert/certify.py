@@ -255,8 +255,13 @@ def _popcounts(n: int) -> np.ndarray:
 def _members(masks: np.ndarray, bits: np.ndarray, size: int) -> np.ndarray:
     """The (B, size) member indices, each row increasing, of B bitmasks of
     ``size`` members; ``bits`` is ``_member_bits(n)``."""
-    # Row-major order lists each subset's members in increasing order.
-    return (np.flatnonzero((masks[:, None] & bits) != 0) % len(bits)).reshape(-1, size)
+    # Row-major order lists each subset's members in increasing order.  Rows
+    # padded with zero bits to a power-of-two width give each position's
+    # column with an AND in place of a modulo.
+    width = 1 << (len(bits) - 1).bit_length()
+    padded = np.zeros(width, dtype=bits.dtype)
+    padded[: len(bits)] = bits
+    return (np.flatnonzero((masks[:, None] & padded) != 0) & (width - 1)).reshape(-1, size)
 
 
 def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
