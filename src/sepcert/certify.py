@@ -248,7 +248,7 @@ def _popcounts(n: int) -> np.ndarray:
     """The number of members in each bitmask below 2**n, as uint8."""
     popcount = np.zeros(1 << n, dtype=np.uint8)
     for k in range(n):
-        popcount[1 << k : 2 << k] = popcount[: 1 << k] + 1
+        np.add(popcount[: 1 << k], 1, out=popcount[1 << k : 2 << k])
     return popcount
 
 
@@ -474,10 +474,10 @@ def _class_ranks(cls: np.ndarray, r: int) -> np.ndarray:
     """
     n = len(cls)
     held = np.zeros(1 << n, dtype=np.min_scalar_type((1 << (int(cls.max()) + 1)) - 1))
+    class_bits = np.left_shift(1, cls[::-1]).astype(held.dtype)
     for b in range(n):
         # The masks whose highest bit is b: those below, with member n-1-b added.
-        bit = held.dtype.type(1 << int(cls[n - 1 - b]))
-        np.bitwise_or(held[: 1 << b], bit, out=held[1 << b : 2 << b])
+        np.bitwise_or(held[: 1 << b], class_bits[b], out=held[1 << b : 2 << b])
     table = _popcounts(8)
     octets = held.view(np.uint8).reshape(len(held), held.itemsize)
     rank = table[octets[:, 0]]
@@ -828,8 +828,12 @@ def _witness_rows(
     """The rows of ``Certificate.levels`` of the survivors with bitmasks
     ``masks`` and (B, size) ``members``: the members, then the deltas of
     each split, their exact entries of the split sides' ``bound``."""
-    deltas = [sides[side].bound[masks] for split in splits for side in split]
-    return np.column_stack([members.astype(np.int8), *deltas])
+    size = members.shape[1]
+    rows = np.empty((len(masks), size + 2 * len(splits)), dtype=np.int8)
+    rows[:, :size] = members
+    for column, side in enumerate((side for split in splits for side in split), size):
+        rows[:, column] = sides[side].bound[masks]
+    return rows
 
 
 def _lattice_certificate(
