@@ -870,9 +870,16 @@ def _lattice_certificate(
     except (MemoryError, ValueError):
         raise _size_budget_error(n) from None
     bits = _member_bits(n)
+    # The lattice in rows of 64 KiB, searched from the top row down: no
+    # temporary spans all 2**n bitmasks.
+    lattice = sizes.reshape(-1, min(len(sizes), 1 << 16))
+    width = lattice.shape[1]
     levels = []
     for size in range(2, n + 1):
-        masks = np.flatnonzero(sizes == size)[::-1]
+        masks = np.concatenate([
+            np.flatnonzero(lattice[i] == size)[::-1] + i * width
+            for i in range(len(lattice) - 1, -1, -1)
+        ])
         if not masks.size:
             continue
         if fail_fast:
