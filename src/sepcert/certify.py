@@ -467,22 +467,21 @@ def _class_ranks(cls: np.ndarray, r: int) -> np.ndarray:
     """min(h(T), r) for every member bitmask T, as int8, h(T) the number of
     the classes ``cls`` that T's members hold.
 
-    One doubling pass over the member bits ORs each member's class bit, 1 <<
-    class, into the classes every mask holds, in the narrowest unsigned
-    dtype that has a bit per class; ``_popcounts(8)`` counts them byte by
-    byte.  Member i is bit n-1-i, as in ``_member_bits``.
+    One doubling pass over the member bits, as in ``_popcounts``, ORs each
+    member's class bit, 1 << class, into the classes every mask holds, in
+    the narrowest unsigned dtype that has a bit per class, and counts one
+    more class wherever that OR changed them.  Member i is bit n-1-i, as in
+    ``_member_bits``.
     """
     n = len(cls)
     held = np.zeros(1 << n, dtype=np.min_scalar_type((1 << (int(cls.max()) + 1)) - 1))
+    rank = np.zeros(1 << n, dtype=np.uint8)
     class_bits = np.left_shift(1, cls[::-1]).astype(held.dtype)
     for b in range(n):
         # The masks whose highest bit is b: those below, with member n-1-b added.
-        np.bitwise_or(held[: 1 << b], class_bits[b], out=held[1 << b : 2 << b])
-    table = _popcounts(8)
-    octets = held.view(np.uint8).reshape(len(held), held.itemsize)
-    rank = table[octets[:, 0]]
-    for j in range(1, held.itemsize):
-        rank += table[octets[:, j]]
+        below, above = slice(0, 1 << b), slice(1 << b, 2 << b)
+        np.bitwise_or(held[below], class_bits[b], out=held[above])
+        np.add(rank[below], held[above] != held[below], out=rank[above])
     return np.minimum(rank, r, out=rank).view(np.int8)
 
 
