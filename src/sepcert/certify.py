@@ -277,12 +277,12 @@ def _subset_blocks(popcount: np.ndarray, bits: np.ndarray, size: int):
         yield start, block, _members(block, bits, size)
 
 
-def _subset_stacks(m: np.ndarray, columns, k: int):
+def _subset_stacks(m: np.ndarray, columns, k: int, block: int = SUBSET_BLOCK):
     """The selections of ``m``'s columns at each k-subset of ``columns``, in
     the order of ``itertools.combinations``, as (B, r, k) stacks of at most
-    ``SUBSET_BLOCK`` selections."""
+    ``block`` selections."""
     combos = itertools.chain.from_iterable(itertools.combinations(columns, k))
-    while (chosen := np.fromiter(itertools.islice(combos, SUBSET_BLOCK * k), np.intp)).size:
+    while (chosen := np.fromiter(itertools.islice(combos, block * k), np.intp)).size:
         yield m.T[chosen.reshape(-1, k)].swapaxes(1, 2)
 
 
@@ -327,13 +327,17 @@ class _Side:
 
     ``class_proven`` holds when the side has fewer classes than members and
     ``_proves_class_ranks`` holds on it; the proof runs at most once per
-    side, when ``class_proven`` is first read.
+    side, when ``class_proven`` is first read.  A side is ``exact`` when it
+    is ``class_proven`` or its Kruskal rank is proven to be r, ``kruskal``
+    = r: every subset T's computed rank is then min(|T|, r), as
+    ``_kruskal_proves`` shows, which no subset's can exceed.
 
     The pass's state: ``bound`` is None until ``open`` makes it an int8
-    array over member bitmasks.  On a ``class_proven`` side every entry is
-    the exact rank of that subset's columns of ``m``, written once, by
-    ``_class_ranks``, and no subset is ranked or floored there.  Elsewhere
-    it is 0 at first: each entry is a proven lower bound on the computed
+    array over member bitmasks.  On an ``exact`` side every entry is the
+    exact rank of that subset's columns of ``m``, written once, by
+    ``_class_ranks`` on a ``class_proven`` side, and no subset is ranked or
+    floored there.  Elsewhere it is 0 at first: each entry is a proven
+    lower bound on the computed
     rank, and the exact rank once the subset has been ranked on the side;
     ``bound`` holds the ``_subset_floors`` of each k in ``floored``.
     ``ranked`` counts the columns of the subsets ranked on the side so far.
@@ -361,6 +365,10 @@ class _Side:
         return self.classes < len(self.cls) and _proves_class_ranks(self)
 
     @property
+    def exact(self) -> bool:
+        return self.kruskal == len(self.m) or self.class_proven
+
+    @property
     def floor(self) -> float:
         """C + d, with d and the cap C of ``side_cap``."""
         _, d, cap = self.side_cap
@@ -368,11 +376,14 @@ class _Side:
 
     def open(self) -> None:
         """Set ``bound`` for every subset of the n members: its exact rank on
-        a ``class_proven`` side, else 0."""
+        an ``exact`` side, else 0."""
         n = len(self.cls)
         try:
             if self.class_proven:
                 self.bound = _class_ranks(self.cls, len(self.m))
+            elif self.exact:
+                sizes = _popcounts(n)
+                self.bound = np.minimum(sizes, len(self.m), out=sizes).view(np.int8)
             else:
                 self.bound = np.zeros(1 << n, dtype=np.int8)
         except (MemoryError, ValueError):
@@ -404,12 +415,12 @@ class _Sides(dict):
         side.rank = len(side.m) if proven else 0
         return bool(side.rank)
 
-    def try_kruskal(self, side: _Side, k: int) -> bool:
+    def try_kruskal(self, side: _Side, k: int, block: int = SUBSET_BLOCK) -> bool:
         """Prove every k-subset of ``side``'s columns, a stack of
-        ``_subset_stacks`` at a time, and raise ``side.kruskal`` to k; the
-        first stack that fails sets ``side.refuted`` to k instead."""
-        for stack in _subset_stacks(side.m, range(self.n), k):
-            self.budget -= SUBSET_BLOCK
+        ``_subset_stacks`` of ``block`` at a time, and raise ``side.kruskal``
+        to k; the first stack that fails sets ``side.refuted`` to k instead."""
+        for stack in _subset_stacks(side.m, range(self.n), k, block):
+            self.budget -= block
             if not _proves_full_rank(stack, self.tol, bound=side.floor):
                 side.refuted = k
                 return False
@@ -616,8 +627,10 @@ def _decide_block(
     block reads and raises a side's ``bound`` in place.  A side is opened
     here (``_Side.open``) when a block first reaches one of its splits, and
     a block raises its subsets' bounds on a side to their start values only
-    when it reaches the side.  A ``class_proven`` side's bounds are exact
-    from its opening on, and nothing there is ranked or floored.
+    when it reaches the side.  An ``exact`` side's bounds are exact from its
+    opening on, and nothing there is ranked or floored: a Kruskal proof of
+    its r-subsets that ``_lattice_certificate`` or ``_kruskal_proves`` made
+    is reused when the lattice declines for another side.
 
     On each side a subset T starts from max(``bound(T)``, ``max_x
     bound(T | x) - 1``).  The first holds the floors built so far.  The
@@ -671,7 +684,7 @@ def _decide_block(
             state.open()
         if side in exact:
             return
-        if state.class_proven:
+        if state.exact:
             exact[side] = np.ones(len(masks), dtype=bool)
             return
         bound = state.bound
@@ -723,6 +736,30 @@ def _decide_block(
         if alive.size == 0:
             break
     return alive
+
+
+def _side_rows(fam: OperatorFamily, side: tuple[int, ...]) -> int:
+    """The row count of ``side``'s raw side matrix, from ``fam``'s spec."""
+    return math.prod(math.prod(fam.spec.factor_shape(q)) for q in side)
+
+
+def _rank_proofs_pay(fam: OperatorFamily, splits: tuple[Split, ...]) -> bool:
+    """True when, on every examined side, the r-subsets that prove it
+    ``exact`` hold no more columns than the subsets of the sizes the pass
+    would leave alive on generic sides, whose ranks it must make exact:
+    r C(n, r) <= the sum of t C(n, t) over the sizes t >= 2 with min(t,
+    r_A) + min(t, r_B) <= t + 1 on every split.  r is the side's row count
+    capped at n, as after ``compressed_side``, read from the spec before
+    any side is built.  ``_decide_block``'s rent-or-buy rule, applied up
+    front; it decides only what runs, never the certificate."""
+    n = fam.n_members
+    rows = [[min(_side_rows(fam, side), n) for side in split] for split in splits]
+    alive = sum(
+        t * math.comb(n, t)
+        for t in range(2, n + 1)
+        if all(min(t, a) + min(t, b) <= t + 1 for a, b in rows)
+    )
+    return all(r * math.comb(n, r) <= alive for split in rows for r in split)
 
 
 def _stacks(count: int) -> int:
@@ -804,7 +841,7 @@ def _kruskal_proves(sides: _Sides, splits: tuple[Split, ...]) -> bool:
         return False
     fam, n = sides.fam, sides.n
     for split in splits:
-        rows = [math.prod(math.prod(fam.spec.factor_shape(q)) for q in side) for side in split]
+        rows = [_side_rows(fam, side) for side in split]
         if min(rows[0], n) + min(rows[1], n) < n + 2:
             continue
         pair = sides[split[0]], sides[split[1]]
@@ -839,23 +876,31 @@ def _lattice_certificate(
     sides: _Sides, splits: tuple[Split, ...], strategy: str, fail_fast: bool
 ) -> Certificate | None:
     """The certificate of ``_subset_pass``, read off the whole subset
-    lattice at once, when every side of ``splits`` is ``class_proven``;
-    otherwise None.  Vacuously so for one party, which has no split.
+    lattice at once, when every side of ``splits`` is ``exact``; otherwise
+    None.  Vacuously so for one party, which has no split.
 
-    The sides are tried in split order, and the first side that is not
-    proven stops the check: a side with as many classes as members is
-    built, as the pass would build it, and declines with no proof.  Each
-    proven side's ``open`` writes its exact rank for every subset, so a
-    subset T survives iff |T| >= 2 and bound_A(T) + bound_B(T) <= |T| + 1
-    on every split: one vectorized filter over the 2**n bitmasks, one byte
-    each.  The survivors of each size are listed in lexicographic order,
+    The sides are tried in split order, built as the pass would build them,
+    and the first side that is not proven stops the check.  A side with
+    fewer classes than members runs its class proof.  One with as many, and
+    r rows, is proven by ``_Sides.try_kruskal`` of its r-subsets, in stacks
+    of ``LEVEL_BLOCK``, unless a Kruskal proof already refuted some k <= r
+    there or ``_rank_proofs_pay`` finds the proofs dearer than the pass;
+    then it declines with no proof.  Each proven side's ``open`` writes its
+    exact rank for every subset, so a subset T survives iff |T| >= 2 and
+    bound_A(T) + bound_B(T) <= |T| + 1 on every split: one vectorized
+    filter over the 2**n bitmasks, one byte each.  The survivors of each size are listed in lexicographic order,
     ``LEVEL_BLOCK`` at a time, with their bounds as deltas
     (``_witness_rows``).  With ``fail_fast`` only the first survivor of the
     smallest size is listed, with its position in the order of
     ``certify_unique``.  An allocation that fails is a ``SizeBudgetError``.
     """
-    if not all(sides[side].class_proven for split in splits for side in split):
-        return None
+    pays = _rank_proofs_pay(sides.fam, splits)
+    for side in (sides[key] for split in splits for key in split):
+        r = len(side.m)
+        if not (
+            side.exact or pays and r < side.refuted and sides.try_kruskal(side, r, LEVEL_BLOCK)
+        ):
+            return None
     n = sides.n
     try:
         sizes = _popcounts(n)
@@ -985,11 +1030,13 @@ def certify_unique(
     Each examined side is built once, as a ``_Side``.  First
     ``_kruskal_proves`` tries to show from the sizes alone, with a few Gram
     proofs and no 2**N array, that one split eliminates every subset; the
-    certificate is then the Unique one the pass would give.  Next, when the
-    class proof gives every subset's rank on every examined side,
-    ``_lattice_certificate`` reads the pass's certificate off the subset
-    lattice with no block walk.  Otherwise ``_subset_pass`` decides the
-    subsets on the same sides.
+    certificate is then the Unique one the pass would give.  Next, when a
+    class proof, or on a side with as many classes as members a Kruskal
+    proof of its r-subsets, gives every subset's rank on every examined
+    side, ``_lattice_certificate`` reads the pass's certificate off the
+    subset lattice with no block walk; the Kruskal proofs run only where
+    ``_rank_proofs_pay``.  Otherwise ``_subset_pass`` decides the subsets
+    on the same sides, and reads the exact ranks of each side proven so.
     """
     n = fam.n_members
     if max_members < 1:

@@ -851,18 +851,24 @@ def test_r_subset_floor_proof_margin(monkeypatch, tol):
 
 
 def test_r_subset_floors_of_a_generic_side_need_no_svd(monkeypatch):
-    # Random (2,2)/N12 builds the floors of the 4-member subsets on both of
-    # its full-rank 4-row sides, and the Gram-Cholesky proof settles the
-    # 495 selections of each in one block: no 4 x 4 stack is ranked.
+    # The pass on random (2,2)/N12 builds the floors of the 4-member subsets
+    # on both of its full-rank 4-row sides, and the Gram-Cholesky proof
+    # settles the 495 selections of each in one block: no 4 x 4 stack is
+    # ranked.  certify_unique proves the same 4-subsets before any pass, so
+    # both sides are exact, and it builds no floor and runs no SVD at all.
     fam = random_product_family(np.random.default_rng(12), (2, 2), 12)
     floored = _recording_subset_floors(monkeypatch)
     ranked = _recording_svdvals(monkeypatch)
-    cert = certify_unique(fam)
+    cert = _subset_pass(fam)
     assert [(len(m), k) for m, k in floored] == [(4, 4), (4, 4)]
     assert all(shape[1:] != (4, 4) for shape in ranked)
     witnesses, examined = _reference_certificate(fam, cert.tol)
     assert cert.witnesses == witnesses
     assert cert.subsets_examined == examined
+    floored.clear()
+    counts = _counting_linalg(monkeypatch)
+    assert certify_unique(fam) == cert
+    assert floored == [] and counts["svd"] == 0
 
 
 def _near_flat(eps):
@@ -1326,6 +1332,121 @@ def test_sides_the_lattice_declines_go_to_the_pass(monkeypatch, make, built, pro
         key: proofs.get(key, 0) for key in built
     }
     assert cert.witnesses == _reference_certificate(fam, cert.tol)[0]
+
+
+def _random(dims, n, seed=0):
+    return lambda: random_product_family(np.random.default_rng(seed), dims, n)
+
+
+@pytest.mark.parametrize("fail_fast", [False, True], ids=["all", "fail-fast"])
+@pytest.mark.parametrize(
+    "tol",
+    [
+        TolerancePolicy(relative_rank_threshold=1e-10),
+        TolerancePolicy(relative_rank_threshold=1e-6),
+        TolerancePolicy(relative_rank_threshold=1e-3),
+    ],
+    ids=["rel1e-10", "rel1e-6", "rel1e-3"],
+)
+@pytest.mark.parametrize(
+    "make, strategy, proofs",
+    [
+        *[(_random((2, 2), n, n), None, 2) for n in (10, 11, 12)],
+        # Three sides, each in two of the three splits and proven once.
+        *[(_random((2, 2, 2), n, n), STRATEGY_PAIRS, 3) for n in (10, 11, 12, 13)],
+        # The 16-row sides of the bipartitions make the proofs dearer than
+        # the pass: the lattice declines with no proof.
+        *[(_random((2, 2, 2), n, n), STRATEGY_ALL_BIPARTITIONS, 0) for n in (10, 11, 12, 13)],
+        # A class side, proven by its class proof, and a generic side.
+        (lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5), None, 1),
+    ],
+    ids=[
+        *[f"random-22-n{n}" for n in (10, 11, 12)],
+        *[f"random-222-n{n}-pairs" for n in (10, 11, 12, 13)],
+        *[f"random-222-n{n}-bipartitions" for n in (10, 11, 12, 13)],
+        "repeated-22-5x3",
+    ],
+)
+def test_generic_lattice_certificate_matches_the_subset_pass(
+    monkeypatch, make, strategy, proofs, tol, fail_fast
+):
+    # A side with as many classes as members is exact once all its
+    # r-subsets are proven: every subset's rank is then min(size, r), and
+    # the certificate read off the lattice must be the pass's byte for byte.
+    fam = make()
+    strategy = strategy or default_strategy(fam.n_parties)
+    splits = _examined_splits(fam.n_parties, strategy)
+    tried = []
+    try_kruskal = _Sides.try_kruskal
+
+    def recording(sides, side, k, *args):
+        tried.append(k)
+        return try_kruskal(sides, side, k, *args)
+
+    monkeypatch.setattr(_Sides, "try_kruskal", recording)
+    lattice = sepcert.certify._lattice_certificate(_Sides(fam, tol), splits, strategy, fail_fast)
+    assert tried == [4] * proofs
+    assert (lattice is not None) == (proofs > 0)
+    expected = _subset_pass(fam, strategy=strategy, tol=tol, fail_fast=fail_fast)
+    if lattice is not None:
+        assert lattice.to_json({}) == expected.to_json({})
+    assert certify_unique(fam, strategy=strategy, tol=tol, fail_fast=fail_fast) == expected
+
+
+@pytest.mark.parametrize(
+    "make", [_random((2, 2), 9), _random((2, 3), 14)], ids=["random-22-n9", "random-23-n14"]
+)
+def test_generic_sides_the_gate_declines_run_no_proof(monkeypatch, make):
+    # (2,2)/N9 is the last size where the 4 C(9, 4) = 504 columns of a
+    # side's 4-subsets exceed the 333 of the 7- to 9-member subsets that
+    # survive on generic sides; on (2,3)/N14 the 9-row side's 9-subsets
+    # cost far more than the sizes 12-14 that survive.  No Kruskal proof
+    # runs, and the pass decides the subsets as before.
+    fam = make()
+    tried = []
+    monkeypatch.setattr(_Sides, "try_kruskal", lambda *args: tried.append(args))
+    cert = certify_unique(fam)
+    assert tried == []
+    if fam.n_members == 9:
+        assert (cert.witnesses, cert.subsets_examined) == _reference_certificate(fam, cert.tol)
+
+
+@pytest.mark.parametrize(
+    "make, refuted",
+    [
+        # Party 0's 4-subsets lie within 1e-13 of a 3-dimensional span: its
+        # proof fails on the first stack.
+        (lambda: _near_flat(1e-13), 4),
+        # At 1e-9 the fourth component is above the cutoff in some
+        # 4-subsets and not in others.
+        (lambda: _near_flat(1e-9), 4),
+        # Members 9 and 10 are twins up to noise of 1e-13 on both parties.
+        (lambda: _with_duplicate(9, seed=0, dims=(2, 2), noise=1e-13), 4),
+    ],
+    ids=["near-flat-1e-13", "near-flat-1e-9", "near-twins-1e-13"],
+)
+def test_failed_rank_proofs_go_to_the_pass(make, refuted):
+    # The gate lets the proof run, the proof fails on party 0's side, the
+    # lattice declines and the pass decides every subset: the certificate
+    # is still the per-subset reference's.
+    fam = make()
+    tol = TolerancePolicy()
+    splits = _examined_splits(fam.n_parties, default_strategy(fam.n_parties))
+    sides = _Sides(fam, tol)
+    assert sepcert.certify._lattice_certificate(sides, splits, "all_bipartitions", False) is None
+    assert sides[(0,)].refuted == refuted and not sides[(0,)].exact
+    cert = certify_unique(fam, tol=tol)
+    assert (cert.witnesses, cert.subsets_examined) == _reference_certificate(fam, tol)
+
+
+def test_generic_sides_at_the_cap_fail_fast_in_closed_form():
+    # Random (2,2)/N20: both 4-row sides are proven exact, so a subset of t
+    # members has deltas min(t, 4) on each, and survives iff t >= 7.  The
+    # first witness is members 0-6, after every subset of 2-6 members.
+    fam = random_product_family(np.random.default_rng(0), (2, 2), 20)
+    cert = certify_unique(fam, fail_fast=True)
+    assert cert.witnesses == (Witness(tuple(range(7)), (4, 4)),)
+    assert cert.subsets_examined == sum(math.comb(20, s) for s in range(2, 7)) + 1 == 60_440
 
 
 def test_cumulative_floor_gate_on_random_33_n16(monkeypatch):

@@ -70,6 +70,24 @@ EDITS = [
         "np.count_nonzero(_popcounts(n)[first[0] :] == size)",
     ),
     (
+        "exact side fill without the cap min(., r)",
+        "src/sepcert/certify.py",
+        "self.bound = np.minimum(sizes, len(self.m), out=sizes).view(np.int8)",
+        "self.bound = sizes.view(np.int8)",
+    ),
+    (
+        "generic side's exactness proof run with k = r - 1",
+        "src/sepcert/certify.py",
+        "sides.try_kruskal(side, r, LEVEL_BLOCK)",
+        "sides.try_kruskal(side, r - 1, LEVEL_BLOCK)",
+    ),
+    (
+        "generic side counted as exact without its Kruskal proof",
+        "src/sepcert/certify.py",
+        "return self.kruskal == len(self.m) or self.class_proven",
+        "return len(self.m) < self.refuted or self.class_proven",
+    ),
+    (
         "class proof without the spread term in its bound",
         "src/sepcert/certify.py",
         "tol, bound=cap + d + shift)",
@@ -138,8 +156,8 @@ EDITS = [
     (
         "k-subset stacks without their final partial stack",
         "src/sepcert/certify.py",
-        "itertools.islice(combos, SUBSET_BLOCK * k), np.intp)).size:",
-        "itertools.islice(combos, SUBSET_BLOCK * k), np.intp)).size == SUBSET_BLOCK * k:",
+        "itertools.islice(combos, block * k), np.intp)).size:",
+        "itertools.islice(combos, block * k), np.intp)).size == block * k:",
     ),
     (
         "_screens needed without + kappa",

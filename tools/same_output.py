@@ -12,9 +12,11 @@ of the one-member, one-party, ladder, Pauli and Fourier families.
 Projective (3,4) and (2,6) also run relabelled: a seeded member permutation
 and unit phases, as perfbench draws them, so that a member's bit and its
 class's number differ.  The families near the member cap, random (3,3)/N16
-and N18, (2,3)/N16 and (4,4)/N20, and Fourier (2,3,3) and (2,2,2,2), run
-with the default strategy and tolerance only.  A request that raises hashes
-its exception's type and message.  The runner prints each request whose
+and N18, (2,3)/N16, (4,4)/N20 and (2,2)/N15 and N16, and Fourier (2,3,3)
+and (2,2,2,2), run with the default strategy and tolerance only.  Random
+(2,2)/N9 and N10 lie on either side of the boundary where the generic
+sides' Kruskal proofs start to pay.  A request that raises hashes its
+exception's type and message.  The runner prints each request whose
 digests differ and exits 1 if any does.
 
 Run it from the root of a git checkout; it takes a few minutes.  CI runs it
@@ -86,8 +88,8 @@ def _families():
         return build
 
     out = []
-    for dims, n in [((2, 2), 9), ((2, 2), 12), ((2, 3), 12), ((2, 3), 14), ((2, 2, 2), 13),
-                    ((2, 2, 2), 16), ((3, 3), 13), ((2, 2, 2, 2), 12), ((3,), 6)]:
+    for dims, n in [((2, 2), 9), ((2, 2), 10), ((2, 2), 12), ((2, 3), 12), ((2, 3), 14),
+                    ((2, 2, 2), 13), ((2, 2, 2), 16), ((3, 3), 13), ((2, 2, 2, 2), 12), ((3,), 6)]:
         for seed in range(3):
             out.append((f"random{dims}/N{n}/s{seed}", random(dims, n, seed), False, True))
     for d1, d2 in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 6), (4, 3), (2, 8), (3, 5), (4, 4)]:
@@ -115,7 +117,8 @@ def _families():
             out.append((f"one-party{dims}/N{n}", random(dims, n, 0), True, True))
     for dims, n, seed in [((2, 2, 2), 18, 0), ((2, 2, 2), 19, 2), ((2, 2, 2), 20, 1),
                           ((2, 2, 2, 2), 20, 0), ((3, 3), 16, 0), ((3, 3), 18, 0),
-                          ((2, 3), 16, 0), ((4, 4), 20, 0)]:
+                          ((2, 3), 16, 0), ((4, 4), 20, 0), ((2, 2), 15, 0),
+                          ((2, 2), 16, 0)]:
         out.append((f"random{dims}/N{n}/s{seed}", random(dims, n, seed), False, False))
     for dims in [(2, 3, 3), (2, 2, 2, 2)]:
         out.append((f"fourier{dims}", lambda dims=dims: gen_fourier_channel(dims), False, False))
