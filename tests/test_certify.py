@@ -1354,8 +1354,9 @@ def _random(dims, n, seed=0):
         *[(_random((2, 2), n, n), None, 2) for n in (10, 11, 12)],
         # Three sides, each in two of the three splits and proven once.
         *[(_random((2, 2, 2), n, n), STRATEGY_PAIRS, 3) for n in (10, 11, 12, 13)],
-        # The 16-row sides of the bipartitions make the proofs dearer than
-        # the pass: the lattice declines with no proof.
+        # With the 16-row sides of the bipartitions at most the full set
+        # survives on generic sides, so the proofs would cost more than the
+        # pass: the lattice declines with no proof.
         *[(_random((2, 2, 2), n, n), STRATEGY_ALL_BIPARTITIONS, 0) for n in (10, 11, 12, 13)],
         # A class side, proven by its class proof, and a generic side.
         (lambda: _repeated_factor_family((2, 2), 15, party=0, n_classes=5), None, 1),
@@ -1412,29 +1413,30 @@ def test_generic_sides_the_gate_declines_run_no_proof(monkeypatch, make):
 
 
 @pytest.mark.parametrize(
-    "make, refuted",
+    "make",
     [
-        # Party 0's 4-subsets lie within 1e-13 of a 3-dimensional span: its
-        # proof fails on the first stack.
-        (lambda: _near_flat(1e-13), 4),
-        # At 1e-9 the fourth component is above the cutoff in some
-        # 4-subsets and not in others.
-        (lambda: _near_flat(1e-9), 4),
-        # Members 9 and 10 are twins up to noise of 1e-13 on both parties.
-        (lambda: _with_duplicate(9, seed=0, dims=(2, 2), noise=1e-13), 4),
+        # Party 0's 4-subsets lie within 1e-13 of a 3-dimensional span:
+        # none has sigma_4 above C + d.
+        lambda: _near_flat(1e-13),
+        # At 1e-9, 397 of the 495 have it, 98 do not.
+        lambda: _near_flat(1e-9),
+        # Members 8 and 9 are twins up to noise of 1e-13: the 28 4-subsets
+        # holding both have sigma_4 below C + d.
+        lambda: _with_duplicate(9, seed=0, dims=(2, 2), noise=1e-13),
     ],
     ids=["near-flat-1e-13", "near-flat-1e-9", "near-twins-1e-13"],
 )
-def test_failed_rank_proofs_go_to_the_pass(make, refuted):
+def test_failed_rank_proofs_go_to_the_pass(make):
     # The gate lets the proof run, the proof fails on party 0's side, the
     # lattice declines and the pass decides every subset: the certificate
     # is still the per-subset reference's.
     fam = make()
     tol = TolerancePolicy()
-    splits = _examined_splits(fam.n_parties, default_strategy(fam.n_parties))
+    strategy = default_strategy(fam.n_parties)
     sides = _Sides(fam, tol)
-    assert sepcert.certify._lattice_certificate(sides, splits, "all_bipartitions", False) is None
-    assert sides[(0,)].refuted == refuted and not sides[(0,)].exact
+    splits = _examined_splits(fam.n_parties, strategy)
+    assert sepcert.certify._lattice_certificate(sides, splits, strategy, False) is None
+    assert sides[(0,)].refuted == 4 and not sides[(0,)].exact
     cert = certify_unique(fam, tol=tol)
     assert (cert.witnesses, cert.subsets_examined) == _reference_certificate(fam, tol)
 
