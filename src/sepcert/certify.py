@@ -337,9 +337,9 @@ class _Side:
     exact rank of that subset's columns of ``m``, written once, by
     ``_class_ranks`` on a ``class_proven`` side, and no subset is ranked or
     floored there.  Elsewhere it is 0 at first: each entry is a proven
-    lower bound on the computed
-    rank, and the exact rank once the subset has been ranked on the side;
-    ``bound`` holds the ``_subset_floors`` of each k in ``floored``.
+    lower bound on the computed rank, and the exact rank once the subset
+    has been ranked on the side; ``bound`` holds the ``_subset_floors`` of
+    each k in ``floored``.
     ``ranked`` counts the columns of the subsets ranked on the side so far.
     ``raised`` is True when some entry of ``bound`` has risen, by a rank or
     a floor, since ``_close_downward`` last ran on it.
@@ -888,9 +888,9 @@ def _lattice_certificate(
     then it declines with no proof.  Each proven side's ``open`` writes its
     exact rank for every subset, so a subset T survives iff |T| >= 2 and
     bound_A(T) + bound_B(T) <= |T| + 1 on every split: one vectorized
-    filter over the 2**n bitmasks, one byte each.  The survivors of each size are listed in lexicographic order,
-    ``LEVEL_BLOCK`` at a time, with their bounds as deltas
-    (``_witness_rows``).  With ``fail_fast`` only the first survivor of the
+    filter over the 2**n bitmasks, one byte each.  The survivors of each
+    size are listed in lexicographic order, ``LEVEL_BLOCK`` at a time, with
+    their bounds as deltas (``_witness_rows``).  With ``fail_fast`` only the first survivor of the
     smallest size is listed, with its position in the order of
     ``certify_unique``.  An allocation that fails is a ``SizeBudgetError``.
     """
